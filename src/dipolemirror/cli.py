@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import math
 import sys
@@ -253,8 +254,13 @@ class _Factor:
     provenance: str
 
 
-def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec) -> _Factor:
-    """A coupling factor from the [report] section: a number or 'compute'."""
+def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec,
+                    optimum) -> _Factor:
+    """A coupling factor from the [report] section: a number or 'compute'.
+
+    ``optimum`` returns the optimal-waist result; it is shared by ``eta``
+    and a [strehl] section without a waist.
+    """
     raw = config.get("report", name)
     if raw is None:
         if name == "omega_fraction" or name == "eta":
@@ -276,11 +282,11 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec) ->
         value = weighted_fraction(aperture.angle_interval())
         return _Factor(name, value, "computed: dipole-weighted solid angle of the mirror annulus")
     if name == "eta":
-        opt = optimize_waist(aperture)
+        opt = optimum()
         return _Factor(name, opt.eta,
                        f"computed: optimal doughnut waist w = {opt.waist:.6f} f")
     if name == "strehl":
-        result = _strehl_from_config(config, aperture)
+        result = _strehl_from_config(config, aperture, optimum)
         if result is None:
             raise ConfigError(
                 "missing factor strehl: 'compute' needs a [strehl] section "
@@ -530,8 +536,11 @@ def cmd_zernike(args) -> int:
     return 0
 
 
-def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec):
-    """Strehl result from the [strehl] section, or None without inputs."""
+def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec, optimum):
+    """Strehl result from the [strehl] section, or None without inputs.
+
+    ``optimum`` returns the optimal-waist result, used without a waist key.
+    """
     section = config.sections.get("strehl")
     if section is None:
         return None
@@ -550,7 +559,7 @@ def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec):
             aberration = aberration.scaled(factor, evaluate_nm)
     waist = config.get_float("strehl", "waist")
     if waist is None:
-        waist = optimize_waist(aperture).waist
+        waist = optimum().waist
     field = plane_to_sphere(RadialMode.doughnut(waist), aperture)
     if config.get_bool("strehl", "aluminum_phase", False):
         wl = evaluate_nm
@@ -574,7 +583,7 @@ def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec):
 def cmd_strehl(args) -> int:
     config = _load_config(args)
     aperture = config.aperture()
-    result = _strehl_from_config(config, aperture)
+    result = _strehl_from_config(config, aperture, lambda: optimize_waist(aperture))
     if result is None:
         raise ConfigError("a [strehl] section is required")
     lines = [
@@ -655,8 +664,9 @@ def cmd_report(args) -> int:
     config = _load_config(args)
     aperture = config.aperture()
     transition = config.transition()
+    optimum = functools.cache(lambda: optimize_waist(aperture))
     factors = {
-        name: _resolve_factor(name, config, aperture)
+        name: _resolve_factor(name, config, aperture, optimum)
         for name in ("omega_fraction", "eta", "strehl", "eta_t", "branching")
     }
     figures = CouplingFigures.from_factors(

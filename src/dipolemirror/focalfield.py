@@ -29,8 +29,15 @@ Strehl ratios are aberrated over unaberrated focal intensity. Because
 defocus-like aberrations shift the axial maximum, both the value at the
 shifted maximum (searched over an axial range) and at the nominal focus
 are reported, together with the amplitude-weighted RMS of the aberration.
-The quadrature is doubled once to confirm the ratio; disagreement raises
-instead of returning a number that depends on the grid.
+On the axis the phase exp(i 2 pi z cos(theta)) does not depend on phi, so
+the aberrated node amplitudes are summed over each ring of constant theta
+once; every axial evaluation then costs O(n_theta), and a scan of many
+axial positions is one matrix product. Aberrations are evaluated on the
+axes of the tensor-product grid, theta of shape (n_theta, 1) against phi
+of shape (1, n_phi). The quadrature is doubled to confirm the ratio and
+the peak position; disagreement raises instead of returning a number that
+depends on the grid. ``focal_field`` sums over every node and is the
+brute-force reference for the ring sums.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -82,6 +89,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DEFAULT_NODES = 256
 # target element count per chunk of the Debye phase matrix (memory bound)
 _CHUNK_ELEMENTS = 4_000_000
+# doublings of the axial search window, and the peak-offset convergence
+# tolerance in wavelengths
+_MAX_WIDENINGS = 3
+_OFFSET_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -246,19 +257,28 @@ def sphere_overlap(a: SphereField, b: SphereField) -> float:
     return num / math.sqrt(na * nb)
 
 
+def _node_axes(field: SphereField):
+    """Polar angle (n_theta, 1), azimuth (1, n_phi) and pupil radius
+    (n_theta, 1): the axes of the tensor-product node grid."""
+    theta = field.theta[:: field.n_phi, None]
+    return theta, field.phi[None, : field.n_phi], field.rho_unit[:: field.n_phi, None]
+
+
 def _resolve_aberration(field: SphereField, aberration):
-    """Aberration in waves at every quadrature node."""
+    """Aberration in waves on the (n_theta, n_phi) node grid."""
+    shape = (field.n_theta, field.n_phi)
     if aberration is None:
-        return np.zeros_like(field.theta)
+        return np.zeros(shape)
+    theta, phi, rho_unit = _node_axes(field)
     if isinstance(aberration, ZernikeExpansion):
-        return zernike_eval(aberration, field.rho_unit, field.phi)
+        return zernike_eval(aberration, rho_unit, phi)
     if isinstance(aberration, PhaseMap):
         rows, cols = aberration.values.shape
         filled = _nan_filled(np.where(aberration.mask, aberration.values, 0.0),
                              aberration.mask)
         grid = (np.arange(rows, dtype=float), np.arange(cols, dtype=float))
-        x = field.rho_unit * np.cos(field.phi)
-        y = field.rho_unit * np.sin(field.phi)
+        x = (rho_unit * np.cos(phi)).ravel()
+        y = (rho_unit * np.sin(phi)).ravel()
         # unit square [-1, 1]^2 of pixel centers; the clamp keeps rim nodes
         # inside the half-pixel border where no center exists
         pts = np.column_stack([
@@ -274,19 +294,26 @@ def _resolve_aberration(field: SphereField, aberration):
                 missing_fraction=float(bad.mean()),
             )
         return RegularGridInterpolator(grid, filled, bounds_error=False,
-                                       fill_value=0.0)(pts)
+                                       fill_value=0.0)(pts).reshape(shape)
     if isinstance(aberration, np.ndarray):
         w = np.asarray(aberration, dtype=float)
         if w.shape == field.theta.shape:
+            return w.reshape(shape)
+        if w.shape == shape:
             return w
-        if w.shape == (field.n_theta, field.n_phi):
-            return w.reshape(-1)
         raise DomainError(
             f"aberration array shape {w.shape} matches neither the node vector "
             f"nor ({field.n_theta}, {field.n_phi})"
         )
     if callable(aberration):
-        return np.asarray(aberration(field.theta, field.phi), dtype=float)
+        w = np.asarray(aberration(theta, phi), dtype=float)
+        try:
+            return np.broadcast_to(w, shape)
+        except ValueError:
+            raise DomainError(
+                f"callable aberration returned shape {w.shape}, which does not "
+                f"broadcast to the {shape} node grid"
+            ) from None
     raise DomainError(f"cannot interpret {type(aberration).__name__} as an aberration")
 
 
@@ -295,14 +322,17 @@ def focal_field(field: SphereField, positions_lambda, aberration=None) -> np.nda
 
     positions_lambda has shape (n, 3) or (3,); the result matches with a
     trailing component axis. The overall normalization is arbitrary but
-    consistent between calls on the same quadrature grid.
+    consistent between calls on the same quadrature grid. ``aberration``
+    takes the forms ``strehl`` documents; a callable is called on the grid
+    axes, theta (n_theta, 1) and phi (1, n_phi), and its result must
+    broadcast to (n_theta, n_phi).
     """
     pos = np.asarray(positions_lambda, dtype=float)
     single = pos.ndim == 1
     pos = np.atleast_2d(pos)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise DomainError("positions must have shape (n, 3)")
-    w = _resolve_aberration(field, aberration)
+    w = _resolve_aberration(field, aberration).ravel()
     amp = field.efield * (field.weight * np.exp(2j * math.pi * w))[:, None]
     s = field.propagation()
     n_nodes = s.shape[0]
@@ -333,44 +363,55 @@ class StrehlResult:
     n_phi: int
 
 
-def _axial_intensity(field, amp_nodes, z):
-    # |E|^2 on the axis from precomputed aberrated node amplitudes
-    phase = np.exp(2j * math.pi * np.cos(field.theta) * z)
-    e = phase @ amp_nodes
-    return float(np.real(np.vdot(e, e)))
-
-
 def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResult:
     w = _resolve_aberration(field, aberration)
-    amp0 = field.efield * field.weight[:, None]
-    amp = amp0 * np.exp(2j * math.pi * w)[:, None]
-    denom = _axial_intensity(field, amp0, 0.0)
+    amp0 = (field.efield * field.weight[:, None]).reshape(field.n_theta, field.n_phi, 3)
+    # the axial phase depends on theta only: sum each ring over phi once
+    rings0 = amp0.sum(axis=1)
+    rings = (np.exp(2j * math.pi * w)[:, None, :] @ amp0)[:, 0, :]
+    cos_theta = np.cos(_node_axes(field)[0][:, 0])
+
+    def intensity(sums, z):
+        # |E|^2 at axial position(s) z from (n_theta, 3) ring sums
+        e = np.exp(2j * math.pi * np.multiply.outer(z, cos_theta)) @ sums
+        return np.sum(e.real**2 + e.imag**2, axis=-1)
+
+    denom = float(intensity(rings0, 0.0))
     if denom <= 0.0:
         raise DomainError("on-axis reference field vanishes; Strehl undefined")
-    nominal = _axial_intensity(field, amp, 0.0) / denom
+    nominal = float(intensity(rings, 0.0)) / denom
 
+    # a maximum on the scan edge may lie outside it: widen at equal spacing
     zs = np.linspace(-halfwidth, halfwidth, 81)
-    vals = [_axial_intensity(field, amp, z) for z in zs]
-    k = int(np.argmax(vals))
-    a = zs[max(k - 1, 0)]
-    b = zs[min(k + 1, len(zs) - 1)]
+    k = int(np.argmax(intensity(rings, zs)))
+    for _ in range(_MAX_WIDENINGS):
+        if 0 < k < zs.size - 1:
+            break
+        zs = np.linspace(2.0 * zs[0], 2.0 * zs[-1], 2 * zs.size - 1)
+        k = int(np.argmax(intensity(rings, zs)))
+    if not 0 < k < zs.size - 1:
+        raise ConvergenceError(
+            f"axial intensity maximum on the edge of the search window "
+            f"+-{zs[-1]:g} lambda at {field.n_theta}x{field.n_phi} quadrature nodes"
+        )
+    a, b = zs[k - 1], zs[k + 1]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _axial_intensity(field, amp, c)
-    fd = _axial_intensity(field, amp, d)
+    fc = intensity(rings, c)
+    fd = intensity(rings, d)
     while abs(b - a) > 1e-6:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _axial_intensity(field, amp, c)
+            fc = intensity(rings, c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _axial_intensity(field, amp, d)
+            fd = intensity(rings, d)
     z_peak = 0.5 * (a + b)
-    ratio = _axial_intensity(field, amp, z_peak) / denom
+    ratio = float(intensity(rings, z_peak)) / denom
 
-    q = field.weight * np.abs(field.efield[:, 2])
+    q = (field.weight * np.abs(field.efield[:, 2])).reshape(w.shape)
     qsum = float(q.sum())
     if qsum > 0.0:
         mean = float(np.sum(q * w)) / qsum
@@ -393,22 +434,31 @@ def strehl(
     """Strehl ratio of the aberrated focus, quadrature-verified.
 
     The intensity maximum is searched along the axis over plus/minus
-    ``search_halfwidth_lambda``; the nominal-focus ratio is reported
-    alongside. The quadrature is doubled until the ratio moves by less
-    than ``refine_tol``; failing that raises ConvergenceError rather than
-    returning a grid-dependent number.
+    ``search_halfwidth_lambda``; a maximum on the edge of that window
+    doubles it, at most three times, before raising ConvergenceError. The
+    nominal-focus ratio is reported alongside. The quadrature is doubled
+    until the ratio and the nominal ratio move by less than ``refine_tol``
+    and the peak offset by less than 1e-3 wavelengths; failing that raises
+    ConvergenceError rather than returning a grid-dependent number.
+
+    ``aberration`` is a ZernikeExpansion, a PhaseMap, per-node samples of
+    shape (n_theta*n_phi,) or (n_theta, n_phi), or a callable W(theta, phi)
+    in waves. The callable receives the grid axes, theta of shape
+    (n_theta, 1) and phi of shape (1, n_phi), and its result must
+    broadcast to (n_theta, n_phi); otherwise DomainError.
     """
     res = _strehl_once(field, aberration, search_halfwidth_lambda)
     for _ in range(max_doublings):
         field = field.with_resolution(2 * field.n_theta, 2 * field.n_phi)
         fine = _strehl_once(field, aberration, search_halfwidth_lambda)
         if (abs(fine.ratio - res.ratio) < refine_tol
-                and abs(fine.nominal - res.nominal) < refine_tol):
+                and abs(fine.nominal - res.nominal) < refine_tol
+                and abs(fine.peak_offset_lambda - res.peak_offset_lambda) < _OFFSET_TOL):
             return fine
         res = fine
     raise ConvergenceError(
-        f"Strehl ratio still moving by more than {refine_tol} at "
-        f"{field.n_theta}x{field.n_phi} quadrature nodes"
+        f"Strehl ratio or axial peak still moving by more than {refine_tol} "
+        f"(peak: {_OFFSET_TOL} lambda) at {field.n_theta}x{field.n_phi} quadrature nodes"
     )
 
 

@@ -128,13 +128,6 @@ def ideal_envelope(spec: TransitionSpec, duration_ns: float, bin_width_ns: float
     return PulseEnvelope(np.exp(spec.gamma * t / 2.0), bin_width_ns, t_end)
 
 
-def _ideal_bin_integrals(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
-    # integral of exp(gamma*t/2)*heaviside(-t) over [lo, hi], elementwise
-    hi0 = np.minimum(hi, 0.0)
-    lo0 = np.minimum(lo, 0.0)
-    return (2.0 / gamma) * (np.exp(gamma * hi0 / 2.0) - np.exp(gamma * lo0 / 2.0))
-
-
 @dataclass(frozen=True)
 class TemporalOverlapResult:
     eta_t: float
@@ -161,18 +154,30 @@ def temporal_overlap(
     gamma = spec.gamma
     tau = spec.lifetime_ns
     t = pulse.times()
+    e = pulse.samples
     half = 0.5 * pulse.bin_width_ns
     norm = math.sqrt(energy / gamma)
-    e = pulse.samples
+    # A bin wholly before the cutoff at shift s contributes
+    # e_i * exp(gamma*(t_i + s)/2) * whole_bin; those are the first k(s)
+    # bins, so one prefix sum serves every shift. It is kept as a log so
+    # that no pulse extent overflows or underflows it.
+    whole_bin = (4.0 / gamma) * math.sinh(gamma * pulse.bin_width_ns / 4.0)
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(e) + 0.5 * gamma * t
+    log_prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(log_terms)])
 
-    def project(s: float) -> float:
-        lo = t + s - half
-        hi = t + s + half
-        return float(np.dot(e, _ideal_bin_integrals(lo, hi, gamma))) / norm
+    def project(s):
+        k = np.searchsorted(t, -s - half, side="right")
+        whole = whole_bin * np.exp(log_prefix[k] + 0.5 * gamma * s)
+        # the bin straddling the cutoff, if any, is integrated up to t = 0
+        j = np.minimum(k, t.size - 1)
+        lo = np.minimum(t[j] + s - half, 0.0)
+        edge = np.where(k < t.size, e[j] * (-2.0 / gamma) * np.expm1(0.5 * gamma * lo), 0.0)
+        return (whole + edge) / norm
 
     span = shift_lifetimes * tau
     scan = np.linspace(-span, span, 801)
-    vals = np.array([project(s) for s in scan])
+    vals = project(scan)
     k = int(np.argmax(vals))
     a = scan[max(k - 1, 0)]
     b = scan[min(k + 1, len(scan) - 1)]
@@ -190,7 +195,7 @@ def temporal_overlap(
             d = a + _GOLDEN * (b - a)
             fd = project(d)
     s = 0.5 * (a + b)
-    return TemporalOverlapResult(eta_t=project(s), shift_ns=s)
+    return TemporalOverlapResult(eta_t=float(project(s)), shift_ns=float(s))
 
 
 @dataclass(frozen=True)

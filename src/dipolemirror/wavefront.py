@@ -79,18 +79,41 @@ _DEFAULT_DEGREE = 10
 
 @lru_cache(maxsize=None)
 def _radial_coeffs(n: int, m: int) -> tuple:
-    # coefficients of rho^(n-2k) in R_n^m, m = |m|
-    if (n - m) % 2 or m > n:
-        return ()
-    out = []
-    for k in range((n - m) // 2 + 1):
-        c = (
-            (-1) ** k
-            * math.factorial(n - k)
-            / (math.factorial(k) * math.factorial((n + m) // 2 - k) * math.factorial((n - m) // 2 - k))
-        )
-        out.append((n - 2 * k, float(c)))
-    return tuple(out)
+    # R_n^m(rho) = rho^m * sum_j c_j * rho^(2j), m = |m|; returns (c_0, c_1, ...)
+    half = (n - m) // 2
+    return tuple(
+        (-1) ** (half - j) * math.factorial(n - half + j)
+        / (math.factorial(half - j) * math.factorial(m + j) * math.factorial(j))
+        for j in range(half + 1)
+    )
+
+
+def _sum_orders(orders: dict, rho, phi):
+    """Sum of rho^|m| * P_m(rho^2) * (cos(m phi) | 1 | sin(|m| phi)) over m.
+
+    orders maps each azimuthal order m to the coefficients of P_m in
+    ascending powers of rho^2. Each order costs one Horner evaluation on
+    rho and one product with its angular factor on phi; both stay on their
+    own (possibly broadcast) axes until that product.
+    """
+    rho = np.asarray(rho, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    out = np.zeros(np.broadcast_shapes(rho.shape, phi.shape))
+    u = rho * rho
+    for m, coeffs in orders.items():
+        radial = np.full(rho.shape, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            radial *= u
+            radial += c
+        if m:
+            radial *= rho ** abs(m)
+        if m > 0:
+            out += radial * np.cos(m * phi)
+        elif m < 0:
+            out += radial * np.sin(-m * phi)
+        else:
+            out += radial
+    return out
 
 
 def zernike_term(n: int, m: int, rho, phi):
@@ -100,16 +123,7 @@ def zernike_term(n: int, m: int, rho, phi):
     """
     if n < 0 or abs(m) > n or (n - abs(m)) % 2:
         raise DomainError(f"invalid Zernike index (n={n}, m={m})")
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    radial = np.zeros(np.broadcast(rho, phi).shape)
-    for power, coeff in _radial_coeffs(n, abs(m)):
-        radial = radial + coeff * rho**power
-    if m > 0:
-        return radial * np.cos(m * phi)
-    if m < 0:
-        return radial * np.sin(-m * phi)
-    return radial
+    return _sum_orders({m: _radial_coeffs(n, abs(m))}, rho, phi)
 
 
 @dataclass(frozen=True)
@@ -157,14 +171,22 @@ class ZernikeExpansion:
 
 
 def zernike_eval(expansion: ZernikeExpansion, rho, phi):
-    """Evaluate an expansion at unit-disk polar coordinates."""
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    out = np.zeros(np.broadcast(rho, phi).shape)
+    """Evaluate an expansion at unit-disk polar coordinates; arrays broadcast.
+
+    Terms of one azimuthal order share their angular factor, so their
+    radial polynomials are summed into one before evaluation. Passing the
+    axes of a tensor-product grid, rho of shape (n, 1) and phi of shape
+    (1, k), evaluates each radial and angular factor on its axis only.
+    """
+    orders = {}
     for n, m, v in expansion.terms:
         if v != 0.0:
-            out = out + v * zernike_term(n, m, rho, phi)
-    return out
+            coeffs = _radial_coeffs(n, abs(m))
+            poly = orders.setdefault(m, [])
+            poly.extend([0.0] * (len(coeffs) - len(poly)))
+            for j, c in enumerate(coeffs):
+                poly[j] += v * c
+    return _sum_orders(orders, rho, phi)
 
 
 @dataclass(frozen=True)
@@ -268,7 +290,7 @@ def _expansion_sample_grid(annulus, n_rho=512, n_phi=1024):
     inner, outer = annulus
     rho = np.linspace(inner, outer, n_rho)
     phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    return np.meshgrid(rho, phi, indexing="ij")
+    return np.meshgrid(rho, phi, indexing="ij", sparse=True)
 
 
 def _expansion_moments(expansion, annulus):

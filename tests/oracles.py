@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from dipolemirror.geometry import rho_from_theta
-from dipolemirror.wavefront import zernike_eval
 
 
 # ------------------------------------------------------------ polarimetry
@@ -104,6 +103,41 @@ def radial_doughnut_stack(aperture, waist: float, size: int = 512,
     return angles, frames, pixel_scale, center, stokes_true
 
 
+# -------------------------------------------------------------- wavefront
+
+
+def zernike_radial(n: int, m: int, rho) -> np.ndarray:
+    """R_n^|m|(rho) as a sum of powers:
+    sum_k (-1)^k (n-k)! / (k! ((n+m)/2-k)! ((n-m)/2-k)!) rho^(n-2k)."""
+    a = abs(m)
+    rho = np.asarray(rho, dtype=float)
+    radial = np.zeros_like(rho)
+    for k in range((n - a) // 2 + 1):
+        c = ((-1) ** k * math.factorial(n - k)
+             / (math.factorial(k) * math.factorial((n + a) // 2 - k)
+                * math.factorial((n - a) // 2 - k)))
+        radial = radial + c * rho ** (n - 2 * k)
+    return radial
+
+
+def zernike_angular(m: int, phi) -> np.ndarray:
+    """cos(m phi) for m > 0, sin(|m| phi) for m < 0, 1 for m = 0."""
+    phi = np.asarray(phi, dtype=float)
+    if m > 0:
+        return np.cos(m * phi)
+    if m < 0:
+        return np.sin(-m * phi)
+    return np.ones_like(phi)
+
+
+def zernike_sum(expansion, rho, phi) -> np.ndarray:
+    """Zernike expansion as a plain sum of terms, each a sum of powers."""
+    out = np.zeros(np.broadcast(np.asarray(rho), np.asarray(phi)).shape)
+    for n, m, v in expansion.terms:
+        out = out + v * zernike_radial(n, m, rho) * zernike_angular(m, phi)
+    return out
+
+
 # ------------------------------------------------------------- quadrature
 
 
@@ -130,9 +164,90 @@ def weighted_sigma(expansion, aperture) -> float:
     """
     th = np.linspace(aperture.theta_bore, aperture.theta_max, 2001)
     ph = np.arange(512) * 2.0 * math.pi / 512
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    ru = rho_from_theta(tt) / aperture.rho_max
-    w = zernike_eval(expansion, ru, pp)
-    q = np.sin(tt) ** 3 * np.gradient(th)[:, None]
+    ru = rho_from_theta(th) / aperture.rho_max
+    # on the (theta, phi) grid the term sum is a product of a radial and
+    # an angular matrix
+    radial = np.column_stack([v * zernike_radial(n, m, ru) for n, m, v in expansion.terms])
+    angular = np.stack([zernike_angular(m, ph) for _, m, _ in expansion.terms])
+    w = radial @ angular
+    q = np.broadcast_to((np.sin(th) ** 3 * np.gradient(th))[:, None], w.shape)
     mean = np.sum(w * q) / np.sum(q)
     return math.sqrt(np.sum((w - mean) ** 2 * q) / np.sum(q))
+
+
+# ----------------------------------------------------------------- search
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scan_then_golden(f, grid, xtol):
+    """Maximum of f: argmax on the grid, then golden section between the
+    grid neighbours of that argmax down to xtol. Returns (f_max, x_max)."""
+    k = int(np.argmax([f(x) for x in grid]))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while abs(b - a) > xtol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return f(x), x
+
+
+# --------------------------------------------------------------- temporal
+
+
+def temporal_overlap_scan(pulse, spec, shift_lifetimes: float = 10.0):
+    """eta_t and shift by brute force: every bin integrated at every shift.
+
+    Each bin's integral of the ideal exp(gamma t/2) heaviside(-t) is taken
+    from its edges, on a scan of 801 shifts over +-shift_lifetimes tau,
+    refined by golden section to 1e-10 tau. Returns (eta_t, shift_ns).
+    """
+    gamma = 1.0 / spec.lifetime_ns
+    tau = spec.lifetime_ns
+    e = np.asarray(pulse.samples, dtype=float)
+    width = pulse.bin_width_ns
+    t = pulse.t_end_ns - width * np.arange(e.size - 1, -1, -1)
+    norm = math.sqrt(float(np.sum(e**2) * width) / gamma)
+
+    def project(s):
+        hi = np.minimum(t + s + 0.5 * width, 0.0)
+        lo = np.minimum(t + s - 0.5 * width, 0.0)
+        integrals = (2.0 / gamma) * (np.exp(gamma * hi / 2.0) - np.exp(gamma * lo / 2.0))
+        return float(np.dot(e, integrals)) / norm
+
+    span = shift_lifetimes * tau
+    scan = np.linspace(-span, span, 801)
+    return scan_then_golden(project, scan, 1e-10 * tau)
+
+
+# ------------------------------------------------------------ focal field
+
+
+def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
+    """Strehl ratio by a full node sum at every axial position.
+
+    The on-axis field is sum_nodes amp * exp(i 2 pi (W + z cos theta)),
+    amp the node weight times the vector amplitude. The maximum over z is
+    taken on 81 points over +-halfwidth and refined by golden section to
+    1e-6 wavelengths. Returns (ratio, nominal, z_peak).
+    """
+    amp0 = field.efield * field.weight[:, None]
+    amp = amp0 * np.exp(2j * math.pi * np.asarray(w_nodes).ravel())[:, None]
+    cos_theta = np.cos(field.theta)
+
+    def intensity(a, z):
+        e = np.exp(2j * math.pi * cos_theta * z) @ a
+        return float(np.real(np.vdot(e, e)))
+
+    denom = intensity(amp0, 0.0)
+    peak, z = scan_then_golden(lambda z: intensity(amp, z),
+                               np.linspace(-halfwidth, halfwidth, 81), 1e-6)
+    return peak / denom, intensity(amp, 0.0) / denom, z

@@ -147,6 +147,7 @@ def test_criterion_07_dipole_identity(dipole_field):
 
 
 def test_criterion_08_marechal_consistency(aperture, dipole_field):
+    start = time.perf_counter()
     rng = np.random.default_rng(20260817)
     deviations = []
     for _ in range(20):
@@ -165,6 +166,7 @@ def test_criterion_08_marechal_consistency(aperture, dipole_field):
         marechal = math.exp(-((2.0 * math.pi * target_sigma) ** 2))
         deviations.append(abs(result.nominal - marechal))
     assert max(deviations) <= 0.03
+    assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_09_dispersion_rescaling(doughnut_field):

@@ -386,6 +386,42 @@ def test_strehl_cli_compensation_story(tmp_path, capsys):
     assert ratio_comp > ratio_raw
 
 
+def test_report_optimizes_the_waist_once(tmp_path, capsys, monkeypatch):
+    import dipolemirror.cli as cli
+    from dipolemirror.wavefront import save_expansion
+
+    zfile = tmp_path / "figure.txt"
+    save_expansion(ZernikeExpansion(terms=((2, 2, 0.02),), wavelength_nm=632.8), zfile)
+    config = write_config(tmp_path, (
+        "[report]\nomega_fraction = compute\neta = compute\nstrehl = compute\n"
+        f"[strehl]\nzernike_file = {zfile}\n"
+    ))
+    _, reference, _ = run(capsys, "strehl", "--config", config)
+    calls = []
+    real = cli.optimize_waist
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_waist", counting)
+    code, out, _ = run(capsys, "report", "--config", config)
+    assert code == 0
+    assert len(calls) == 1  # shared by eta and the [strehl] waist
+    pairs = machine_pairs(out)
+    assert pairs["factor.strehl"] == machine_pairs(reference)["strehl.ratio"]
+
+    calls.clear()
+    fixed_eta = write_config(tmp_path, (
+        "[report]\neta = 0.98\nstrehl = compute\n"
+        f"[strehl]\nzernike_file = {zfile}\n"
+    ), name="fixed_eta.ini")
+    code, out, _ = run(capsys, "report", "--config", fixed_eta)
+    assert code == 0
+    assert len(calls) == 1  # for the [strehl] waist only
+    assert machine_pairs(out)["factor.strehl"] == pairs["factor.strehl"]
+
+
 def test_strehl_requires_section(capsys):
     code, _, err = run(capsys, "strehl")
     assert code == 2

@@ -141,6 +141,83 @@ def test_strehl_convergence_guard(small_doughnut):
         strehl(small_doughnut, max_doublings=0)
 
 
+def _axial_ratio(field, aberration, z):
+    # brute-force node sum: on-axis intensity at z over the unaberrated focus
+    on_axis = focal_field(field, np.array([0.0, 0.0, z]), aberration=aberration)
+    focus = focal_field(field, np.zeros(3))
+    return float(np.sum(np.abs(on_axis) ** 2) / np.sum(np.abs(focus) ** 2))
+
+
+@pytest.mark.parametrize("aberration", [
+    ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)), wavelength_nm=369.5),
+    lambda th, ph: 0.3 * np.cos(th) + 0.05 * np.sin(th) ** 2 * np.cos(2.0 * ph),
+], ids=["zernike", "callable"])
+def test_strehl_matches_node_sums(small_doughnut, aberration):
+    res = strehl(small_doughnut, aberration)
+    field = small_doughnut.with_resolution(res.n_theta, res.n_phi)
+    z = res.peak_offset_lambda
+    assert res.ratio == pytest.approx(_axial_ratio(field, aberration, z), abs=1e-10)
+    assert res.nominal == pytest.approx(_axial_ratio(field, aberration, 0.0), abs=1e-10)
+    if callable(aberration):
+        w = aberration(field.theta, field.phi)
+    else:
+        w = oracles.zernike_sum(aberration, field.rho_unit, field.phi)
+    ratio, nominal, z_peak = oracles.axial_strehl(field, w)
+    assert res.ratio == pytest.approx(ratio, abs=1e-10)
+    assert res.nominal == pytest.approx(nominal, abs=1e-10)
+    assert z == pytest.approx(z_peak, abs=1e-5)
+
+
+def test_strehl_widens_a_window_that_cuts_the_peak(aperture, waist_optimum):
+    # 6 waves of Zernike defocus move the axial maximum to about +2.53
+    # lambda, outside the default +-2 lambda window
+    field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
+                            n_theta=64, n_phi=16)
+    defocus = ZernikeExpansion(terms=((2, 0, 6.0),), wavelength_nm=369.5)
+    res = strehl(field, defocus)
+    assert res.peak_offset_lambda == pytest.approx(2.53, abs=0.01)
+    fine = field.with_resolution(res.n_theta, res.n_phi)
+    assert res.ratio == pytest.approx(_axial_ratio(fine, defocus, res.peak_offset_lambda),
+                                      abs=1e-10)
+    zs = np.linspace(-4.0, 4.0, 321)
+    scan = [_axial_ratio(fine, defocus, z) for z in zs]
+    assert res.ratio >= max(scan) - 1e-12
+    assert res.ratio > 0.14
+
+
+def test_strehl_edge_of_widest_window_raises(small_doughnut):
+    # the peak at -0.5 lambda lies outside +-0.05 lambda doubled three times
+    with pytest.raises(ConvergenceError, match="edge of the search window"):
+        strehl(small_doughnut, lambda th, ph: 0.5 * np.cos(th), search_halfwidth_lambda=0.05)
+
+
+def test_strehl_convergence_covers_the_peak_offset(small_doughnut, monkeypatch):
+    import dipolemirror.focalfield as ff
+
+    real = ff._strehl_once
+
+    def drifting(field, aberration, halfwidth):
+        res = real(field, aberration, halfwidth)
+        # ratio and nominal converged; only the peak moves with the grid
+        return ff.StrehlResult(res.ratio, res.nominal, 1e-2 * field.n_theta / 96.0,
+                               res.rms_waves, res.n_theta, res.n_phi)
+
+    monkeypatch.setattr(ff, "_strehl_once", drifting)
+    with pytest.raises(ConvergenceError, match="peak"):
+        strehl(small_doughnut)
+
+
+def test_callable_aberration_must_broadcast(small_doughnut):
+    def flat(theta, phi):
+        # written for flat node vectors: one value per node, not per axis
+        return np.ravel(np.cos(theta) * np.cos(phi))
+
+    with pytest.raises(DomainError, match="broadcast"):
+        strehl(small_doughnut, flat)
+    with pytest.raises(DomainError, match="broadcast"):
+        focal_field(small_doughnut, np.zeros(3), aberration=flat)
+
+
 def test_aberration_input_forms_agree(small_doughnut, aperture):
     exp = ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03)), wavelength_nm=369.5)
     from dipolemirror.wavefront import zernike_eval

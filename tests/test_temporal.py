@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from dipolemirror import (
     AomModel,
     DomainError,
@@ -82,6 +83,53 @@ def test_overlap_shift_invariance():
     moved = temporal_overlap(pulse.shifted(3.7), T1)
     assert moved.eta_t == pytest.approx(base.eta_t, abs=1e-9)
     assert moved.shift_ns == pytest.approx(base.shift_ns - 3.7, abs=1e-6)
+
+
+def _modulated(spec, buildup_ns):
+    bin_width = min(0.02, spec.lifetime_ns / 2000.0)
+    drive = aom_drive(spec, 5.0 * spec.lifetime_ns, bin_width)
+    return aom_response(drive.field_envelope(), AomModel(buildup_time_ns=buildup_ns))
+
+
+def _histogram_pulse():
+    rng = np.random.default_rng(5)
+    t = (np.arange(4000) + 0.5) * 0.01 - 30.0
+    counts = rng.poisson(1000.0 * np.exp(np.minimum(t, 0.0) / T1.lifetime_ns)) * (t < 0.5)
+    return histogram_to_envelope(counts, 0.01, t_end_ns=float(t[-1]))
+
+
+# a 1 ns lifetime keeps the brute-force scan short; 1600 lifetimes put
+# exp(gamma t/2) beyond the double range at both ends
+_FAST = TransitionSpec("fast", 369.5, 1.0)
+
+
+def _long_tail():
+    # the rising exponential, then a weak plateau out to +1600 tau
+    t = -5.0 + 0.1 * np.arange(int(1605.0 / 0.1))
+    return PulseEnvelope(np.where(t > 0.0, 0.01, np.exp(np.minimum(t, 0.0) / 2.0)), 0.1,
+                         float(t[-1]))
+
+
+def _long_prepulse():
+    # a plateau from -1600 tau to -1000 tau ahead of the rising exponential
+    t = -1600.0 + 0.1 * np.arange(int(1600.0 / 0.1))
+    return PulseEnvelope(np.where(t < -1000.0, 0.05, np.exp(t / 2.0)), 0.1, float(t[-1]))
+
+
+@pytest.mark.parametrize("make_pulse, spec", [
+    (lambda: _modulated(T1, 5.0), T1),
+    (lambda: _modulated(T2, 5.0), T2),
+    (_histogram_pulse, T1),
+    (_long_tail, _FAST),
+    (_long_prepulse, _FAST),
+], ids=["T1", "T2", "histogram", "long-tail", "long-prepulse"])
+def test_overlap_matches_brute_force_scan(make_pulse, spec):
+    pulse = make_pulse()
+    result = temporal_overlap(pulse, spec)
+    eta_t, shift = oracles.temporal_overlap_scan(pulse, spec)
+    assert math.isfinite(result.eta_t) and math.isfinite(result.shift_ns)
+    assert result.eta_t == pytest.approx(eta_t, abs=1e-10)
+    assert result.shift_ns == pytest.approx(shift, abs=1e-6 * spec.lifetime_ns)
 
 
 def test_zero_pulse_overlap_undefined():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from dipolemirror import (
     DomainError,
     PhaseMap,
@@ -47,6 +48,44 @@ PHI = RNG.uniform(-math.pi, math.pi, 64)
 )
 def test_zernike_term_closed_forms(n, m, closed_form):
     assert np.allclose(zernike_term(n, m, RHO, PHI), closed_form(RHO, PHI), atol=1e-13)
+
+
+def _random_expansion(seed, degree=10):
+    rng = np.random.default_rng(seed)
+    terms = tuple((n, m, rng.normal()) for n in range(degree + 1) for m in range(-n, n + 1, 2))
+    return ZernikeExpansion(terms=terms, wavelength_nm=632.8)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_zernike_eval_matches_per_term_sum(seed):
+    # grouping by azimuthal order and Horner in rho^2 only reorders the
+    # arithmetic: agreement to 1e-13 of the value scale
+    exp = _random_expansion(seed)
+    rng = np.random.default_rng(seed + 100)
+    rho_axis = np.linspace(0.0, 1.0, 97)[:, None]
+    phi_axis = rng.uniform(-math.pi, math.pi, 61)[None, :]
+    pmap = PhaseMap.from_expansion(exp, size=64, annulus=(0.071, 1.0))
+    annular_rho, annular_phi = (g[pmap.mask] for g in pmap.grid_polar())
+    inputs = [
+        (RHO, PHI),
+        (rho_axis, phi_axis),
+        (np.broadcast_to(rho_axis, (97, 61)), np.broadcast_to(phi_axis, (97, 61))),
+        (annular_rho, annular_phi),
+        (0.5, 0.25),
+    ]
+    for rho, phi in inputs:
+        got = zernike_eval(exp, rho, phi)
+        want = oracles.zernike_sum(exp, rho, phi)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_zernike_eval_keeps_the_broadcast_shape():
+    piston = ZernikeExpansion(terms=((0, 0, 0.3), (2, 0, 0.0)), wavelength_nm=632.8)
+    out = zernike_eval(piston, np.zeros((4, 1)), np.zeros((1, 5)))
+    assert out.shape == (4, 5) and np.all(out == 0.3)
+    empty = ZernikeExpansion(terms=(), wavelength_nm=632.8)
+    assert zernike_eval(empty, RHO, PHI).shape == RHO.shape
 
 
 def test_zernike_term_rejects_bad_indices():
