@@ -738,12 +738,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
     common.add_argument("--out", metavar="DIR", help="directory for output files")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for data loading (results independent of N)")
-    common.add_argument("--rectify", action="store_true",
-                        help="score |projection| as a segmented corrector would")
-    common.add_argument("--trim-outer", type=float, default=None, metavar="FRACTION",
-                        help="shrink the outer annulus radius by this fraction")
     common.add_argument("--verbose", action="store_true", help="chattier stderr")
 
     parser = argparse.ArgumentParser(
@@ -764,6 +758,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
+    stokes = sub.choices["stokes"]
+    stokes.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="worker threads for data loading (results independent of N)")
+    stokes.add_argument("--rectify", action="store_true",
+                        help="score |projection| as a segmented corrector would")
+    stokes.add_argument("--trim-outer", type=float, default=None, metavar="FRACTION",
+                        help="shrink the outer annulus radius by this fraction")
     return parser
 
 

@@ -135,13 +135,14 @@ class StokesMap:
     pixel_scale: float
     center: tuple
 
-    def degree_of_polarization(self):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.sqrt(self.s1**2 + self.s2**2 + self.s3**2) / self.s0
-
 
 def stokes_from_frames(stack: FrameStack) -> StokesMap:
-    """Invert the frame stack to Stokes parameters, pixel by pixel."""
+    """Invert the frame stack to Stokes parameters, pixel by pixel.
+
+    Every pixel shares the design matrix, so its pseudo-inverse (4 x
+    n_angles) applied to the frame block gives all least-squares solutions
+    in one matrix product.
+    """
     thetas = np.asarray(stack.angles_rad)
     c = np.cos(2.0 * thetas)
     s = np.sin(2.0 * thetas)
@@ -149,7 +150,7 @@ def stokes_from_frames(stack: FrameStack) -> StokesMap:
     if np.linalg.matrix_rank(design) < 4:
         raise DeterminacyError("wave-plate angle set leaves the Stokes vector underdetermined")
     n, rows, cols = stack.frames.shape
-    coef, *_ = np.linalg.lstsq(design, stack.frames.reshape(n, rows * cols), rcond=None)
+    coef = np.linalg.pinv(design) @ stack.frames.reshape(n, rows * cols)
     s0, s1, s2, s3 = (coef[i].reshape(rows, cols) for i in range(4))
     return StokesMap(s0=s0, s1=s1, s2=s2, s3=s3,
                      pixel_scale=stack.pixel_scale, center=stack.center)
@@ -195,6 +196,8 @@ def ellipse_angles(stokes: StokesMap, noise_floor: float = 0.01) -> Polarization
     with np.errstate(invalid="ignore", divide="ignore"):
         psi = 0.5 * np.arctan2(stokes.s2, stokes.s1)
         psi = np.mod(psi, math.pi)
+        # mod rounds a tiny negative angle up to pi itself, outside [0, pi)
+        psi[psi >= math.pi] = 0.0
         chi = 0.5 * np.arcsin(np.clip(stokes.s3 / stokes.s0, -1.0, 1.0))
     psi = np.where(mask, psi, np.nan)
     chi = np.where(mask, chi, np.nan)
@@ -209,11 +212,14 @@ def radial_projection(pmap: PolarizationMap, rectify: bool = False):
     canonicalization; rectify takes the absolute value.
     """
     _, phi = pmap.grid_polar()
-    sign = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
-    proj = sign * np.cos(pmap.chi) * np.cos(pmap.psi - phi)
-    if rectify:
-        proj = np.abs(proj)
+    proj = _project(pmap.psi, pmap.chi, phi, rectify)
     return np.where(pmap.mask, proj, np.nan)
+
+
+def _project(psi, chi, phi, rectify: bool):
+    sign = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
+    proj = sign * np.cos(chi) * np.cos(psi - phi)
+    return np.abs(proj) if rectify else proj
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,7 @@ def measured_overlap(
         reference = RadialMode.dipole()
     if not 0.0 <= trim_outer < 1.0:
         raise DomainError("trim_outer must be in [0, 1)")
-    rho, _ = pmap.grid_polar()
+    rho, phi = pmap.grid_polar()
     outer = aperture.rho_max * (1.0 - trim_outer)
     annulus = (rho >= aperture.rho_bore) & (rho <= outer)
     n_annulus = int(annulus.sum())
@@ -265,9 +271,8 @@ def measured_overlap(
             f"(limit {max_missing:.1%}); refusing an extrapolated overlap",
             missing_fraction=float(missing),
         )
-    proj = radial_projection(pmap, rectify=rectify)
     a = np.sqrt(np.maximum(pmap.s0[valid], 0.0))
-    p = proj[valid]
+    p = _project(pmap.psi[valid], pmap.chi[valid], phi[valid], rectify)
     b = reference.amplitude(rho[valid])
     denom = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
     if denom == 0.0:

@@ -245,19 +245,50 @@ class PhaseMap:
 
 
 def _design_matrix(rho, phi, degree):
-    cols, index = [], []
-    for n in range(degree + 1):
-        for m in range(-n, n + 1, 2):
-            cols.append(zernike_term(n, m, rho, phi))
-            index.append((n, m))
-    return np.column_stack(cols), index
+    """Zernike design matrix on 1-d pixel coordinates, terms in (n, m) order.
+
+    Terms of one |m| share rho^|m| (by recurrence) and cos/sin(|m| phi);
+    the cos and sin columns of one (n, |m|) share their radial polynomial,
+    evaluated once by Horner in rho^2.
+    """
+    index = [(n, m) for n in range(degree + 1) for m in range(-n, n + 1, 2)]
+    column = {nm: j for j, nm in enumerate(index)}
+    a = np.empty((rho.size, len(index)), order="F")
+    u = rho * rho
+    rho_m = np.ones_like(rho)
+    for m in range(degree + 1):
+        if m:
+            rho_m *= rho
+            cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
+        for n in range(m, degree + 1, 2):
+            coeffs = _radial_coeffs(n, m)
+            radial = a[:, column[(n, m)]]
+            radial.fill(coeffs[-1])
+            for c in reversed(coeffs[:-1]):
+                radial *= u
+                radial += c
+            if m:
+                radial *= rho_m
+                np.multiply(radial, sin_m, out=a[:, column[(n, -m)]])
+                radial *= cos_m
+    return a, index
+
+
+# condition number of the unit-diagonal Gram matrix, cond(A)^2, beyond
+# which the terms count as dependent on the mask: a Cholesky solve there
+# keeps fewer than four significant digits
+_MAX_GRAM_CONDITION = 1e12
 
 
 def zernike_fit(phase_map: PhaseMap, degree: int = _DEFAULT_DEGREE) -> ZernikeExpansion:
     """Least-squares Zernike fit of the valid pixels.
 
     All (n, m) with n <= degree are fitted simultaneously. The valid-pixel
-    count must comfortably exceed the number of terms.
+    count must comfortably exceed the number of terms. The fit solves the
+    normal equations by Cholesky after scaling the Gram matrix to a unit
+    diagonal. A mask on which the terms are (nearly) linearly dependent,
+    such as a thin ring, raises DomainError rather than returning one of
+    many equally good coefficient sets.
     """
     if degree < 0:
         raise DomainError("degree must be >= 0")
@@ -268,11 +299,33 @@ def zernike_fit(phase_map: PhaseMap, degree: int = _DEFAULT_DEGREE) -> ZernikeEx
         raise DomainError(
             f"only {int(sel.sum())} valid pixels for {nterms} terms; mask too small"
         )
-    a, index = _design_matrix(rho[sel], phi[sel], degree)
-    coef, *_ = np.linalg.lstsq(a, phase_map.values[sel], rcond=None)
-    terms = tuple((n, m, float(c)) for (n, m), c in zip(index, coef))
     rr = rho[sel]
+    a, index = _design_matrix(rr, phi[sel], degree)
+    gram = a.T @ a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        gram *= np.outer(scale, scale)
     annulus = (float(rr.min()), float(rr.max()))
+    singular = DomainError(
+        f"degree-{degree} Zernike terms are not independent on the mask "
+        f"({int(sel.sum())} pixels, rho {annulus[0]:.4f} to {annulus[1]:.4f})"
+    )
+    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _MAX_GRAM_CONDITION:
+        raise singular
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise singular from exc
+
+    def solve(y):
+        return scale * np.linalg.solve(lower.T, np.linalg.solve(lower, scale * (a.T @ y)))
+
+    # one refinement step on the residual brings the error from cond(a)^2
+    # down to about cond(a) times the rounding of the data
+    values = phase_map.values[sel]
+    coef = solve(values)
+    coef += solve(values - a @ coef)
+    terms = tuple((n, m, float(c)) for (n, m), c in zip(index, coef))
     return ZernikeExpansion(terms=terms, wavelength_nm=phase_map.wavelength_nm, annulus=annulus)
 
 

@@ -8,6 +8,7 @@ and not at a shared helper.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,33 @@ def radial_doughnut_stack(aperture, waist: float, size: int = 512,
     return angles, frames, pixel_scale, center, stokes_true
 
 
+def polarimeter_design(angles) -> np.ndarray:
+    """Rows of the frame model: frame k = design[k] @ (S0, S1, S2, S3)."""
+    return np.stack([polarimeter_frame(np.eye(4), theta) for theta in angles])
+
+
+def stokes_lstsq(angles, frames) -> np.ndarray:
+    """Stokes grids (4, rows, cols) by one SVD least-squares solve with a
+    right-hand side per pixel."""
+    frames = np.asarray(frames, dtype=float)
+    n, rows, cols = frames.shape
+    coef, *_ = np.linalg.lstsq(polarimeter_design(angles), frames.reshape(n, rows * cols),
+                               rcond=None)
+    return coef.reshape(4, rows, cols)
+
+
+# ------------------------------------------------------------------ grids
+
+
+def grid_text(values, header: dict) -> str:
+    """A grid file written one value at a time with f"{v:.9e}"."""
+    meta = dict(header)
+    meta["rows"], meta["cols"] = (int(k) for k in np.shape(values))
+    lines = ["# " + json.dumps(meta, sort_keys=True)]
+    lines += [" ".join(f"{v:.9e}" for v in row) for row in values]
+    return "\n".join(lines) + "\n"
+
+
 # -------------------------------------------------------------- wavefront
 
 
@@ -136,6 +164,23 @@ def zernike_sum(expansion, rho, phi) -> np.ndarray:
     for n, m, v in expansion.terms:
         out = out + v * zernike_radial(n, m, rho) * zernike_angular(m, phi)
     return out
+
+
+def zernike_fit_lstsq(phase_map, degree: int) -> np.ndarray:
+    """Coefficients of every (n, m) with n <= degree, in (n, m) order, by an
+    SVD least-squares solve on a design matrix of per-term power sums."""
+    rows, cols = phase_map.values.shape
+    y = -1.0 + (np.arange(rows) + 0.5) * 2.0 / rows
+    x = -1.0 + (np.arange(cols) + 0.5) * 2.0 / cols
+    xx, yy = np.meshgrid(x, y)
+    rho, phi = np.hypot(xx, yy), np.arctan2(yy, xx)
+    sel = phase_map.mask & (rho <= 1.0)
+    design = np.column_stack([
+        zernike_radial(n, m, rho[sel]) * zernike_angular(m, phi[sel])
+        for n in range(degree + 1) for m in range(-n, n + 1, 2)
+    ])
+    coef, *_ = np.linalg.lstsq(design, phase_map.values[sel], rcond=None)
+    return coef
 
 
 # ------------------------------------------------------------- quadrature

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -12,6 +13,7 @@ from dipolemirror import (
 )
 from dipolemirror.cli import main
 from dipolemirror.modes import save_sampled_mode
+from dipolemirror.polarimetry import ellipse_angles, load_frame_stack, stokes_from_frames
 from dipolemirror.wavefront import load_expansion, save_phase_map
 
 EMPTY_DIGEST = "sha256:" + hashlib.sha256(b"").hexdigest()
@@ -273,6 +275,48 @@ def test_stokes_trim_flag(tmp_path, capsys, stack_dir):
         machine_pairs(full_out)["stokes.pixels"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--threads", "2"],
+    ["zernike", "--rectify"],
+    ["pulse", "--trim-outer", "0.05"],
+])
+def test_stokes_flags_belong_to_stokes(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_stokes_output_is_unchanged(tmp_path, capsys, stack_dir):
+    config = write_config(tmp_path, (
+        f"[stokes]\nmanifest = {stack_dir / 'manifest.txt'}\nnoise_floor = 0\n"
+    ))
+    out_dir = tmp_path / "artifacts"
+    _, plain, _ = run(capsys, "stokes", "--config", config)
+    code, flagged, _ = run(capsys, "stokes", "--config", config, "--threads", "2",
+                           "--rectify", "--trim-outer", "0.05", "--out", str(out_dir))
+    assert code == 0
+    # figures printed by the previous release for this stack
+    keys = ("stokes.eta", "stokes.eta_plain", "stokes.eta_rectified",
+            "stokes.coverage", "stokes.pixels")
+    assert [machine_pairs(plain)[k] for k in keys] == [
+        "0.9824404204", "0.9824404204", "0.9824404204", "1", "49160"]
+    assert [machine_pairs(flagged)[k] for k in keys] == [
+        "0.9845613977", "0.9845613977", "0.9845613977", "1", "44372"]
+    # the exported grids are the per-value text of the polarization map
+    stack = load_frame_stack(stack_dir)
+    pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=0.0)
+    meta = {"pixel_scale": pmap.pixel_scale, "center_row": pmap.center[0],
+            "center_col": pmap.center[1]}
+    for suffix, values, kind in (
+        (".s0.txt", pmap.s0, "intensity"),
+        (".psi.txt", np.where(pmap.mask, pmap.psi, np.nan), "orientation_rad"),
+        (".chi.txt", np.where(pmap.mask, pmap.chi, np.nan), "ellipticity_rad"),
+    ):
+        expected = oracles.grid_text(values, {**meta, "kind": kind})
+        assert (out_dir / ("stokes" + suffix)).read_text() == expected
+
+
 def test_stokes_requires_manifest(capsys):
     code, _, err = run(capsys, "stokes")
     assert code == 2
@@ -339,6 +383,15 @@ def test_zernike_double_pass_halves(tmp_path, capsys, zernike_artifacts):
     rms_single = float(machine_pairs(out_single)["zernike.rms_fit"])
     rms_double = float(machine_pairs(out_double)["zernike.rms_fit"])
     assert rms_double == pytest.approx(0.5 * rms_single, rel=1e-6)
+
+
+def test_zernike_malformed_map_file(tmp_path, capsys):
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text('# {"cols": 2, "rows": 2, "wavelength_nm": 633.0}\n0.1 0.2\n0.3\n')
+    config = write_config(tmp_path, f"[zernike]\nmap_file = {ragged}\n")
+    code, _, err = run(capsys, "zernike", "--config", config)
+    assert code == 3
+    assert str(ragged) in err
 
 
 def test_zernike_requires_map_file(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dipolemirror import (
@@ -11,6 +13,7 @@ from dipolemirror import (
     DomainError,
     FrameStack,
     RadialMode,
+    StokesMap,
     ellipse_angles,
     measured_overlap,
     stokes_from_frames,
@@ -68,6 +71,31 @@ def test_stokes_inversion_roundtrip():
         assert np.allclose(got, want, atol=1e-10)
     assert recovered.pixel_scale == 0.01
     assert recovered.center == (2.5, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=5, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_stokes_inversion_is_exact_for_valid_angle_sets(angles, seed):
+    """Exact up to rounding amplified by the design's condition number."""
+    rng = np.random.default_rng(seed)
+    s_true = rng.uniform(-1.0, 1.0, (4, 3, 2))
+    s_true[0] = np.abs(s_true[0]) + 2.0  # S0 >= |(S1, S2, S3)|: frames are non-negative
+    frames = np.stack([oracles.polarimeter_frame(s_true, t) for t in angles])
+    try:
+        stack = FrameStack(angles_rad=angles, frames=frames, pixel_scale=1.0, center=(1, 1))
+    except DeterminacyError:
+        assume(False)
+    design = oracles.polarimeter_design(angles)
+    if np.linalg.matrix_rank(design) < 4:
+        with pytest.raises(DeterminacyError):
+            stokes_from_frames(stack)
+        return
+    got = stokes_from_frames(stack)
+    got = np.stack([got.s0, got.s1, got.s2, got.s3])
+    tol = 1e-12 * np.linalg.cond(design) * np.abs(s_true).max()
+    assert np.abs(got - s_true).max() < tol
+    assert np.abs(got - oracles.stokes_lstsq(angles, frames)).max() < tol
 
 
 def test_frame_stack_needs_five_distinct_angles():
@@ -129,6 +157,16 @@ def test_ellipse_angles_known_states(stokes, psi, chi):
     if psi is not None:
         assert pmap.psi[0, 0] == pytest.approx(psi, abs=1e-9)
     assert pmap.chi[0, 0] == pytest.approx(chi, abs=1e-9)
+
+
+def test_orientation_stays_below_pi():
+    # S2 a rounding error below zero: psi is -1e-17/2, which is 0 modulo pi
+    s1 = np.ones((1, 2))
+    s2 = np.array([[-1e-17, 1e-17]])
+    smap = StokesMap(s0=s1, s1=s1, s2=s2, s3=np.zeros((1, 2)), pixel_scale=1.0, center=(0, 0))
+    psi = ellipse_angles(smap).psi
+    assert np.all((psi >= 0.0) & (psi < math.pi))
+    assert psi[0, 0] == 0.0
 
 
 def test_ellipse_angles_noise_floor():
