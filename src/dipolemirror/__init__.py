@@ -7,7 +7,8 @@ and solid angle (``geometry``), entrance-plane mode profiles and overlap
 wavefront analysis and phase-plate design (``wavefront``), vectorial
 focal fields and metal-mirror effects (``focalfield``), pulse shaping in
 time (``temporal``), and the command-line assembly of coupling reports
-(``cli``).
+(``cli``). The bracketed maximum search behind the optimal waist, the
+axial Strehl focus and the pulse shift lives in ``search``.
 """
 
 from .errors import (

@@ -15,7 +15,9 @@ Reports are deterministic: identical configuration and inputs give
 byte-identical output. Every report carries the toolkit version, a sha256
 digest of the canonicalized configuration, and a provenance string per
 factor saying whether it was supplied or computed. There are no
-timestamps.
+timestamps. Each subcommand returns its title, body lines, machine-readable
+values and file name; one emitter adds the shared header and machine
+block, prints the report and mirrors it into --out.
 
 Exit codes: 0 success; 2 configuration problems, missing factors, or
 inputs that fail validation (determinacy, coverage, domain); 3 missing or
@@ -48,7 +50,6 @@ from .geometry import ApertureSpec, rho_from_theta, weighted_fraction, weighted_
 from .modes import (
     CouplingFigures,
     RadialMode,
-    WeightedMode,
     load_sampled_mode,
     optimize_waist,
     spatial_overlap,
@@ -78,11 +79,22 @@ from .focalfield import (
     aluminum,
     plane_to_sphere,
     reflection_phase_waves,
-    reflectivity_weight,
     reflectivity_weighted_optimum,
+    reflectivity_weighted_overlap,
     strehl,
 )
-from .temporal import AomModel, TransitionSpec, aom_drive, aom_response, temporal_overlap
+from .temporal import (
+    T1,
+    T2,
+    AomModel,
+    DriveWaveform,
+    PulseEnvelope,
+    TemporalOverlapResult,
+    TransitionSpec,
+    aom_drive,
+    aom_response,
+    temporal_overlap,
+)
 
 # Published factor sets reproduced for comparison in reports. When a report's
 # factors match a row, the reference absorption probability is quoted next to
@@ -93,12 +105,9 @@ _PUBLISHED_ROWS = (
 )
 _NOTE_THRESHOLD = 0.005
 
-_TRANSITIONS = {
-    "T1": TransitionSpec("T1", 369.5, 8.1),
-    "T2": TransitionSpec("T2", 251.8, 230.0),
-}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
-_IO_ERRORS = (OSError, FileNotFoundError)
 _CONFIG_ERRORS = (
     ConfigError,
     DomainError,
@@ -118,7 +127,6 @@ class ToolkitConfig:
     """Parsed configuration: sections of key=value strings plus a digest."""
 
     sections: dict
-    path: str | None
 
     @classmethod
     def load(cls, path) -> "ToolkitConfig":
@@ -129,46 +137,33 @@ class ToolkitConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         sections = {s: dict(parser.items(s)) for s in parser.sections()}
-        return cls(sections=sections, path=str(path))
+        return cls(sections=sections)
 
     @classmethod
     def empty(cls) -> "ToolkitConfig":
-        return cls(sections={}, path=None)
-
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
+        return cls(sections={})
 
     def get(self, section: str, key: str, default=None) -> str | None:
         return self.sections.get(section, {}).get(key, default)
 
-    def get_float(self, section: str, key: str, default: float | None = None):
+    def _parsed(self, section: str, key: str, default, parse, kind: str):
         raw = self.get(section, key)
         if raw is None:
             return default
         try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+            return parse(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from exc
+
+    def get_float(self, section: str, key: str, default: float | None = None):
+        return self._parsed(section, key, default, float, "a number")
 
     def get_int(self, section: str, key: str, default: int | None = None):
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+        return self._parsed(section, key, default, int, "an integer")
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
+        return self._parsed(section, key, default,
+                            lambda raw: _BOOLEANS[raw.strip().lower()], "a boolean")
 
     def digest(self) -> str:
         lines = sorted(
@@ -187,7 +182,7 @@ class ToolkitConfig:
 
     def transition(self) -> TransitionSpec:
         label = self.get("transition", "label", "T1")
-        base = _TRANSITIONS.get(label)
+        base = {spec.label: spec for spec in (T1, T2)}.get(label)
         wavelength = self.get_float(
             "transition", "wavelength_nm", base.wavelength_nm if base else None
         )
@@ -202,17 +197,11 @@ class ToolkitConfig:
         return TransitionSpec(label, wavelength, lifetime)
 
 
-def _load_config(args) -> ToolkitConfig:
-    if args.config is None:
-        return ToolkitConfig.empty()
-    return ToolkitConfig.load(args.config)
-
-
 def _read_input(label: str, loader):
     """Run a file loader, folding its failures into the I/O exit code."""
     try:
         return loader()
-    except (*_IO_ERRORS, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         message = str(exc)
         if not message.startswith(str(label)):
             message = f"{label}: {message}"
@@ -227,8 +216,25 @@ def _out_dir(args) -> Path | None:
     return path
 
 
-def _emit(lines, args, filename: str):
-    """Print report lines; mirror them byte-identically into --out."""
+def _emit(args, config: ToolkitConfig, title: str, body: list, machine: dict,
+          filename: str):
+    """Print a report and mirror it byte-identically into --out.
+
+    Adds the title and version line, the config digest, the
+    ``# machine-readable`` marker and the ``report.*`` keys; the machine
+    block is sorted by key.
+    """
+    digest = f"sha256:{config.digest()}"
+    machine = {**machine, "report.version": __version__, "report.digest": digest}
+    lines = [
+        f"{title} (dipolemirror {__version__})",
+        f"config digest: {digest}",
+        "",
+        *body,
+        "",
+        "# machine-readable",
+        *(f"{key} = {value}" for key, value in sorted(machine.items())),
+    ]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     out = _out_dir(args)
@@ -238,10 +244,6 @@ def _emit(lines, args, filename: str):
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
-
-
-def _machine_block(pairs) -> list:
-    return [f"{key} = {value}" for key, value in sorted(pairs.items())]
 
 
 # ---------------------------------------------------------------- factors
@@ -298,7 +300,7 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec,
             raise ConfigError(
                 "missing factor eta_t: 'compute' needs a [pulse] section"
             )
-        eta_t, _, _ = _pulse_from_config(config)
+        eta_t = _pulse_from_config(config).overlap.eta_t
         return _Factor(name, eta_t, "computed: modeled pulse overlap from [pulse] inputs")
     if name == "branching":
         raise ConfigError("missing factor branching: must be a number")
@@ -308,17 +310,13 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec,
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_solid_angle(args) -> int:
-    config = _load_config(args)
+def cmd_solid_angle(args, config: ToolkitConfig):
     aperture = config.aperture()
     annulus = aperture.angle_interval()
     full = aperture.angle_interval(include_bore=True)
     frac_annulus = weighted_fraction(annulus)
     frac_full = weighted_fraction(full)
-    lines = [
-        f"dipole-weighted solid angle (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
+    body = [
         f"  aperture: f = {aperture.focal_length_mm} mm, rim {aperture.outer_radius_mm} mm, "
         f"bore {aperture.bore_radius_mm} mm",
         f"  polar interval: {math.degrees(annulus.theta_min):.2f} to "
@@ -327,26 +325,19 @@ def cmd_solid_angle(args) -> int:
         f"  weighted fraction (annulus)      = {frac_annulus:.5f}",
         f"  weighted fraction (bore filled)  = {frac_full:.5f}",
         f"  bore cost                        = {frac_full - frac_annulus:.5f}",
-        "",
-        "# machine-readable",
     ]
-    lines += _machine_block({
+    machine = {
         "solid_angle.fraction": _fmt(frac_annulus),
         "solid_angle.fraction_bore_filled": _fmt(frac_full),
         "solid_angle.bore_cost": _fmt(frac_full - frac_annulus),
         "solid_angle.omega_sr": _fmt(weighted_solid_angle(annulus)),
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
-    })
-    _emit(lines, args, "solid_angle.txt")
-    return 0
+    }
+    return "dipole-weighted solid angle", body, machine, "solid_angle.txt"
 
 
-def cmd_optimize_waist(args) -> int:
-    config = _load_config(args)
+def cmd_optimize_waist(args, config: ToolkitConfig):
     aperture = config.aperture()
-    weighted = config.get_bool("overlap", "weighted", False)
-    if weighted:
+    if config.get_bool("overlap", "weighted", False):
         wavelength = config.get_float("overlap", "wavelength_nm", 369.5)
         constants = _constants_from_config(config)
         opt = reflectivity_weighted_optimum(aperture, constants, wavelength)
@@ -362,7 +353,6 @@ def cmd_optimize_waist(args) -> int:
             f"  unweighted: w_opt = {opt.waist_unweighted:.6f} f, eta = {opt.eta_unweighted:.6f}",
             f"  delta eta = {opt.delta_eta:+.6f}",
         ]
-        waist, eta = opt.waist, opt.eta
     else:
         opt = optimize_waist(aperture)
         extra = {}
@@ -371,24 +361,8 @@ def cmd_optimize_waist(args) -> int:
             f"  eta   = {opt.eta:.6f}",
             f"  eta^2 = {opt.eta**2:.6f}",
         ]
-        waist, eta = opt.waist, opt.eta
-    lines = [
-        f"doughnut waist optimization (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
-        *body,
-        "",
-        "# machine-readable",
-    ]
-    lines += _machine_block({
-        "waist.w_opt": _fmt(waist),
-        "waist.eta": _fmt(eta),
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
-        **extra,
-    })
-    _emit(lines, args, "optimize_waist.txt")
-    return 0
+    machine = {"waist.w_opt": _fmt(opt.waist), "waist.eta": _fmt(opt.eta), **extra}
+    return "doughnut waist optimization", body, machine, "optimize_waist.txt"
 
 
 def _mode_from_config(config: ToolkitConfig, aperture: ApertureSpec):
@@ -410,41 +384,26 @@ def _constants_from_config(config: ToolkitConfig):
     return _read_input(path, lambda: OpticalConstants.from_file(path))
 
 
-def cmd_overlap(args) -> int:
-    config = _load_config(args)
+def cmd_overlap(args, config: ToolkitConfig):
     aperture = config.aperture()
     mode, provenance = _mode_from_config(config, aperture)
-    weighted = config.get_bool("overlap", "weighted", False)
-    if weighted:
+    if config.get_bool("overlap", "weighted", False):
         wavelength = config.get_float("overlap", "wavelength_nm", 369.5)
         constants = _constants_from_config(config)
-        scored = WeightedMode(mode, reflectivity_weight(wavelength, constants))
+        eta = reflectivity_weighted_overlap(mode, aperture, constants, wavelength)
         provenance += f", |r_p| weighted at {wavelength} nm"
     else:
-        scored = mode
-    eta = spatial_overlap(scored, RadialMode.dipole(), aperture)
-    lines = [
-        f"spatial overlap with the dipole mode (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
+        eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
+    body = [
         f"  mode:  {provenance}",
         f"  eta   = {eta:.6f}",
         f"  eta^2 = {eta**2:.6f}",
-        "",
-        "# machine-readable",
     ]
-    lines += _machine_block({
-        "overlap.eta": _fmt(eta),
-        "overlap.eta_squared": _fmt(eta**2),
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
-    })
-    _emit(lines, args, "overlap.txt")
-    return 0
+    machine = {"overlap.eta": _fmt(eta), "overlap.eta_squared": _fmt(eta**2)}
+    return "spatial overlap with the dipole mode", body, machine, "overlap.txt"
 
 
-def cmd_stokes(args) -> int:
-    config = _load_config(args)
+def cmd_stokes(args, config: ToolkitConfig):
     aperture = config.aperture()
     manifest = config.get("stokes", "manifest")
     if manifest is None:
@@ -457,41 +416,30 @@ def cmd_stokes(args) -> int:
         "stokes", "trim_outer", 0.0
     )
     pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=noise_floor)
-    plain = measured_overlap(pmap, aperture, trim_outer=trim)
-    rect = measured_overlap(pmap, aperture, rectify=True, trim_outer=trim)
-    headline = rect.eta if args.rectify else plain.eta
+    scored = measured_overlap(pmap, aperture, trim_outer=trim)
     out = _out_dir(args)
     if out is not None:
         export_polarization(pmap, out / "stokes")
-    lines = [
-        f"imaging polarimetry (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
+    body = [
         f"  frames: {len(stack.angles_rad)} at {stack.frames.shape[1]}x{stack.frames.shape[2]} px, "
         f"manifest {manifest}",
-        f"  annulus coverage: {plain.coverage:.4f} ({plain.n_pixels} px), outer trim {trim}",
+        f"  annulus coverage: {scored.coverage:.4f} ({scored.n_pixels} px), outer trim {trim}",
         f"  scoring: {'rectified |projection|' if args.rectify else 'measured orientation'}",
         "",
-        f"  eta (measured orientation)   = {plain.eta:.6f}",
-        f"  eta (rectified |projection|) = {rect.eta:.6f}",
-        "",
-        "# machine-readable",
+        f"  eta (measured orientation)   = {scored.eta:.6f}",
+        f"  eta (rectified |projection|) = {scored.eta_rectified:.6f}",
     ]
-    lines += _machine_block({
-        "stokes.eta": _fmt(headline),
-        "stokes.eta_plain": _fmt(plain.eta),
-        "stokes.eta_rectified": _fmt(rect.eta),
-        "stokes.coverage": _fmt(plain.coverage),
-        "stokes.pixels": str(plain.n_pixels),
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
-    })
-    _emit(lines, args, "stokes.txt")
-    return 0
+    machine = {
+        "stokes.eta": _fmt(scored.eta_rectified if args.rectify else scored.eta),
+        "stokes.eta_plain": _fmt(scored.eta),
+        "stokes.eta_rectified": _fmt(scored.eta_rectified),
+        "stokes.coverage": _fmt(scored.coverage),
+        "stokes.pixels": str(scored.n_pixels),
+    }
+    return "imaging polarimetry", body, machine, "stokes.txt"
 
 
-def cmd_zernike(args) -> int:
-    config = _load_config(args)
+def cmd_zernike(args, config: ToolkitConfig):
     map_file = config.get("zernike", "map_file")
     if map_file is None:
         raise ConfigError("[zernike] map_file is required")
@@ -511,29 +459,21 @@ def cmd_zernike(args) -> int:
         save_expansion(fit, out / "zernike_fit.txt")
         save_expansion(cleaned, out / "zernike_figure.txt")
         save_expansion(plate, out / "phase_plate.txt")
-    lines = [
-        f"wavefront fit (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
+    body = [
         f"  map: {map_file} at {phase_map.wavelength_nm} nm"
         + (" (double pass halved)" if halve else ""),
         f"  fit degree {degree}: PV = {pv_fit:.4f}, RMS = {rms_fit:.4f} waves",
         f"  figure error{' (misalignment removed)' if drop_misalignment else ''}: "
         f"PV = {pv_cln:.4f}, RMS = {rms_cln:.4f} waves",
-        "",
-        "# machine-readable",
     ]
-    lines += _machine_block({
+    machine = {
         "zernike.pv_fit": _fmt(pv_fit),
         "zernike.rms_fit": _fmt(rms_fit),
         "zernike.pv_figure": _fmt(pv_cln),
         "zernike.rms_figure": _fmt(rms_cln),
         "zernike.degree": str(degree),
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
-    })
-    _emit(lines, args, "zernike.txt")
-    return 0
+    }
+    return "wavefront fit", body, machine, "zernike.txt"
 
 
 def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec, optimum):
@@ -580,37 +520,39 @@ def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec, optimum):
     return strehl(field, aberration)
 
 
-def cmd_strehl(args) -> int:
-    config = _load_config(args)
+def cmd_strehl(args, config: ToolkitConfig):
     aperture = config.aperture()
     result = _strehl_from_config(config, aperture, lambda: optimize_waist(aperture))
     if result is None:
         raise ConfigError("a [strehl] section is required")
-    lines = [
-        f"focal-field Strehl ratio (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
+    body = [
         f"  Strehl (axial maximum)  = {result.ratio:.6f}",
         f"  Strehl (nominal focus)  = {result.nominal:.6f}",
         f"  axial peak offset       = {result.peak_offset_lambda:+.4f} lambda",
         f"  weighted aberration RMS = {result.rms_waves:.6f} waves",
         f"  quadrature              = {result.n_theta} x {result.n_phi}",
-        "",
-        "# machine-readable",
     ]
-    lines += _machine_block({
+    machine = {
         "strehl.ratio": _fmt(result.ratio),
         "strehl.nominal": _fmt(result.nominal),
         "strehl.peak_offset_lambda": _fmt(result.peak_offset_lambda),
         "strehl.rms_waves": _fmt(result.rms_waves),
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
-    })
-    _emit(lines, args, "strehl.txt")
-    return 0
+    }
+    return "focal-field Strehl ratio", body, machine, "strehl.txt"
 
 
-def _pulse_from_config(config: ToolkitConfig):
+@dataclass(frozen=True)
+class _Pulse:
+    """The modeled excitation pulse of the [transition] and [pulse] sections."""
+
+    transition: TransitionSpec
+    model: AomModel
+    drive: DriveWaveform
+    envelope: PulseEnvelope
+    overlap: TemporalOverlapResult
+
+
+def _pulse_from_config(config: ToolkitConfig) -> _Pulse:
     transition = config.transition()
     duration = config.get_float("pulse", "duration_lifetimes", 5.0)
     default_bin = min(0.02, transition.lifetime_ns / 2000.0)
@@ -620,48 +562,38 @@ def _pulse_from_config(config: ToolkitConfig):
     drive = aom_drive(transition, duration * transition.lifetime_ns, bin_width)
     model = AomModel(rf_frequency_hz=rf_mhz * 1e6, buildup_time_ns=buildup)
     envelope = aom_response(drive.field_envelope(), model)
-    overlap = temporal_overlap(envelope, transition)
-    return overlap.eta_t, drive, (envelope, overlap, transition, model)
+    return _Pulse(transition, model, drive, envelope, temporal_overlap(envelope, transition))
 
 
-def cmd_pulse(args) -> int:
-    config = _load_config(args)
-    eta_t, drive, (envelope, overlap, transition, model) = _pulse_from_config(config)
+def cmd_pulse(args, config: ToolkitConfig):
+    pulse = _pulse_from_config(config)
+    transition, overlap = pulse.transition, pulse.overlap
     out = _out_dir(args)
     if out is not None:
-        drive.save(out / "aom_drive.txt")
-        times = envelope.times()
+        pulse.drive.save(out / "aom_drive.txt")
+        times = pulse.envelope.times()
         lines_env = ["# modeled post-modulator field envelope: t_ns amplitude"]
-        lines_env += [f"{t:.9e} {a:.9e}" for t, a in zip(times, envelope.samples)]
+        lines_env += [f"{t:.9e} {a:.9e}" for t, a in zip(times, pulse.envelope.samples)]
         (out / "envelope.txt").write_text("\n".join(lines_env) + "\n")
-    lines = [
-        f"pulse shaping (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
+    body = [
         f"  transition: {transition.label} ({transition.wavelength_nm} nm, "
         f"lifetime {transition.lifetime_ns} ns)",
-        f"  modulator build-up: {model.buildup_time_ns} ns",
+        f"  modulator build-up: {pulse.model.buildup_time_ns} ns",
         "",
         f"  eta_t   = {overlap.eta_t:.6f}",
         f"  eta_t^2 = {overlap.eta_t**2:.6f}",
         f"  optimal shift = {overlap.shift_ns:+.4f} ns",
-        "",
-        "# machine-readable",
     ]
-    lines += _machine_block({
+    machine = {
         "pulse.eta_t": _fmt(overlap.eta_t),
         "pulse.eta_t_squared": _fmt(overlap.eta_t**2),
         "pulse.shift_ns": _fmt(overlap.shift_ns),
         "pulse.transition": transition.label,
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
-    })
-    _emit(lines, args, "pulse.txt")
-    return 0
+    }
+    return "pulse shaping", body, machine, "pulse.txt"
 
 
-def cmd_report(args) -> int:
-    config = _load_config(args)
+def cmd_report(args, config: ToolkitConfig):
     aperture = config.aperture()
     transition = config.transition()
     optimum = functools.cache(lambda: optimize_waist(aperture))
@@ -690,10 +622,7 @@ def cmd_report(args) -> int:
                 f"{figures.p_absorb:.3f}."
             )
             break
-    lines = [
-        f"coupling report (dipolemirror {__version__})",
-        f"config digest: sha256:{config.digest()}",
-        "",
+    body = [
         f"  transition: {transition.label} ({transition.wavelength_nm} nm, "
         f"lifetime {transition.lifetime_ns} ns)",
         "",
@@ -701,14 +630,14 @@ def cmd_report(args) -> int:
     ]
     for name in ("omega_fraction", "eta", "strehl", "eta_t", "branching"):
         f = factors[name]
-        lines.append(f"  {name:<15}  {f.value:<9.5f}  {f.provenance}")
-    lines += [
+        body.append(f"  {name:<15}  {f.value:<9.5f}  {f.provenance}")
+    body += [
         "",
         f"  G   = omega_fraction * eta^2 * strehl  = {figures.g:.5f}",
         f"  P_a = G * eta_t^2 * branching          = {figures.p_absorb:.5f}",
     ]
     if note is not None:
-        lines += ["", note]
+        body += ["", note]
     machine = {
         "factor.omega_fraction": _fmt(figures.omega_fraction),
         "factor.eta": _fmt(figures.eta),
@@ -718,17 +647,12 @@ def cmd_report(args) -> int:
         "result.g": _fmt(figures.g),
         "result.p_a": _fmt(figures.p_absorb),
         "report.transition": transition.label,
-        "report.version": __version__,
-        "report.digest": f"sha256:{config.digest()}",
     }
     for name, f in factors.items():
         machine[f"provenance.{name}"] = f.provenance
     if matched is not None:
         machine["note.published_p_a"] = _fmt(matched["p_a"])
-    lines += ["", "# machine-readable"]
-    lines += _machine_block(machine)
-    _emit(lines, args, "report.txt")
-    return 0
+    return "coupling report", body, machine, "report.txt"
 
 
 # -------------------------------------------------------------- entry point
@@ -780,15 +704,15 @@ def main(argv=None) -> int:
     if args.verbose:
         print(f"dipolemirror {__version__}: {args.command}", file=sys.stderr)
     try:
-        return args.func(args)
+        config = ToolkitConfig.empty() if args.config is None else ToolkitConfig.load(args.config)
+        _emit(args, config, *args.func(args, config))
     except _CONFIG_ERRORS as exc:
         return _fail(args, exc, 2)
-    except _InputFileError as exc:
-        return _fail(args, exc, 3)
-    except _IO_ERRORS as exc:
+    except (_InputFileError, OSError) as exc:
         return _fail(args, exc, 3)
     except ConvergenceError as exc:
         return _fail(args, exc, 4)
+    return 0
 
 
 if __name__ == "__main__":

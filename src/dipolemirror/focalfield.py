@@ -48,11 +48,9 @@ Optical constants load from provenance-tagged tables only.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -60,10 +58,11 @@ from scipy.ndimage import distance_transform_edt
 
 from .errors import ConvergenceError, CoverageError, DomainError, ProvenanceError
 from .geometry import ApertureSpec, incidence_angle, rho_from_theta, theta_from_rho
+from .gridio import read_table
 from .modes import RadialMode, WeightedMode, optimize_waist, spatial_overlap
 from .polarimetry import PolarizationMap
+from .search import argmax_bracketed
 from .wavefront import PhaseMap, ZernikeExpansion, zernike_eval
-from .gridio import write_grid
 
 __all__ = [
     "SphereField",
@@ -82,17 +81,18 @@ __all__ = [
     "reflectivity_weighted_overlap",
     "reflectivity_weighted_optimum",
     "WeightedOptimum",
-    "save_field_grids",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DEFAULT_NODES = 256
 # target element count per chunk of the Debye phase matrix (memory bound)
 _CHUNK_ELEMENTS = 4_000_000
-# doublings of the axial search window, and the peak-offset convergence
-# tolerance in wavelengths
+# doublings of the axial search window; the quadrature-convergence
+# tolerances of the Strehl ratios and of the peak offset in wavelengths
 _MAX_WIDENINGS = 3
+_RATIO_TOL = 1e-4
 _OFFSET_TOL = 1e-3
+# points on which the reflection phase is unwrapped
+_PHASE_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -381,35 +381,14 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
         raise DomainError("on-axis reference field vanishes; Strehl undefined")
     nominal = float(intensity(rings, 0.0)) / denom
 
-    # a maximum on the scan edge may lie outside it: widen at equal spacing
-    zs = np.linspace(-halfwidth, halfwidth, 81)
-    k = int(np.argmax(intensity(rings, zs)))
-    for _ in range(_MAX_WIDENINGS):
-        if 0 < k < zs.size - 1:
-            break
-        zs = np.linspace(2.0 * zs[0], 2.0 * zs[-1], 2 * zs.size - 1)
-        k = int(np.argmax(intensity(rings, zs)))
-    if not 0 < k < zs.size - 1:
-        raise ConvergenceError(
-            f"axial intensity maximum on the edge of the search window "
-            f"+-{zs[-1]:g} lambda at {field.n_theta}x{field.n_phi} quadrature nodes"
-        )
-    a, b = zs[k - 1], zs[k + 1]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = intensity(rings, c)
-    fd = intensity(rings, d)
-    while abs(b - a) > 1e-6:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = intensity(rings, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = intensity(rings, d)
-    z_peak = 0.5 * (a + b)
-    ratio = float(intensity(rings, z_peak)) / denom
+    try:
+        z_peak, peak = argmax_bracketed(lambda z: intensity(rings, z),
+                                        np.linspace(-halfwidth, halfwidth, 81), 1e-6,
+                                        widenings=_MAX_WIDENINGS)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"axial intensity {exc} lambda at "
+                               f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
+    ratio = peak / denom
 
     q = (field.weight * np.abs(field.efield[:, 2])).reshape(w.shape)
     qsum = float(q.sum())
@@ -419,7 +398,7 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
     else:
         rms = float("nan")
     return StrehlResult(
-        ratio=ratio, nominal=nominal, peak_offset_lambda=float(z_peak),
+        ratio=ratio, nominal=nominal, peak_offset_lambda=z_peak,
         rms_waves=rms, n_theta=field.n_theta, n_phi=field.n_phi,
     )
 
@@ -428,7 +407,6 @@ def strehl(
     field: SphereField,
     aberration=None,
     search_halfwidth_lambda: float = 2.0,
-    refine_tol: float = 1e-4,
     max_doublings: int = 2,
 ) -> StrehlResult:
     """Strehl ratio of the aberrated focus, quadrature-verified.
@@ -437,8 +415,8 @@ def strehl(
     ``search_halfwidth_lambda``; a maximum on the edge of that window
     doubles it, at most three times, before raising ConvergenceError. The
     nominal-focus ratio is reported alongside. The quadrature is doubled
-    until the ratio and the nominal ratio move by less than ``refine_tol``
-    and the peak offset by less than 1e-3 wavelengths; failing that raises
+    until the ratio and the nominal ratio move by less than 1e-4 and the
+    peak offset by less than 1e-3 wavelengths; failing that raises
     ConvergenceError rather than returning a grid-dependent number.
 
     ``aberration`` is a ZernikeExpansion, a PhaseMap, per-node samples of
@@ -451,13 +429,13 @@ def strehl(
     for _ in range(max_doublings):
         field = field.with_resolution(2 * field.n_theta, 2 * field.n_phi)
         fine = _strehl_once(field, aberration, search_halfwidth_lambda)
-        if (abs(fine.ratio - res.ratio) < refine_tol
-                and abs(fine.nominal - res.nominal) < refine_tol
+        if (abs(fine.ratio - res.ratio) < _RATIO_TOL
+                and abs(fine.nominal - res.nominal) < _RATIO_TOL
                 and abs(fine.peak_offset_lambda - res.peak_offset_lambda) < _OFFSET_TOL):
             return fine
         res = fine
     raise ConvergenceError(
-        f"Strehl ratio or axial peak still moving by more than {refine_tol} "
+        f"Strehl ratio or axial peak still moving by more than {_RATIO_TOL} "
         f"(peak: {_OFFSET_TOL} lambda) at {field.n_theta}x{field.n_phi} quadrature nodes"
     )
 
@@ -485,21 +463,8 @@ class OpticalConstants:
     @classmethod
     def from_file(cls, path) -> "OpticalConstants":
         """Read 'wavelength_nm n k' rows; a '# source:' header is mandatory."""
-        source = None
-        rows = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                m = re.match(r"#\s*source:\s*(.+)", line)
-                if m:
-                    source = m.group(1).strip()
-                continue
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DomainError(f"{path}:{lineno}: expected 'wavelength_nm n k'")
-            rows.append([float(p) for p in parts])
+        header, rows = read_table(path, "wavelength_nm n k")
+        source = header.get("source")
         if not source:
             raise ProvenanceError(
                 f"{path}: no '# source:' line; refusing optical constants "
@@ -507,7 +472,7 @@ class OpticalConstants:
             )
         if len(rows) < 2:
             raise DomainError(f"{path}: need at least two table rows")
-        table = np.asarray(rows)
+        table = np.array(rows, dtype=float)
         if np.any(np.diff(table[:, 0]) <= 0):
             raise DomainError(f"{path}: wavelengths must increase strictly")
         return cls(wavelength_nm=table[:, 0], n=table[:, 1], k=table[:, 2], source=source)
@@ -538,18 +503,19 @@ def reflection_phase_waves(
     theta,
     wavelength_nm: float,
     constants: OpticalConstants | None = None,
-    n_grid: int = 4096,
 ):
     """Phase of r_p in waves, unwrapped in theta and zeroed at the vertex.
 
     Suitable directly as a Strehl aberration: the reflected wavefront
-    acquires arg(r_p)/2pi waves that vary with theta.
+    acquires arg(r_p)/2pi waves that vary with theta. The phase is
+    unwrapped on 4096 points from the vertex to the largest theta and
+    interpolated from there.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0) or np.any(theta >= math.pi):
         raise DomainError("theta must lie in [0, pi)")
     hi = float(theta.max()) if theta.size else 0.0
-    grid = np.linspace(0.0, max(hi, 1e-6), n_grid)
+    grid = np.linspace(0.0, max(hi, 1e-6), _PHASE_GRID)
     phase = np.unwrap(np.angle(aluminum_rp(grid, wavelength_nm, constants)))
     phase = (phase - phase[0]) / (2.0 * math.pi)
     out = np.interp(theta, grid, phase)
@@ -648,28 +614,13 @@ def reflectivity_weighted_optimum(
     aperture: ApertureSpec,
     constants: OpticalConstants | None = None,
     wavelength_nm: float = 369.5,
-    xtol: float = 1e-8,
 ) -> WeightedOptimum:
     """Re-optimize the doughnut waist with the reflectivity weighting on."""
     weight = reflectivity_weight(wavelength_nm, constants)
-    plain = optimize_waist(aperture, xtol=xtol)
-    weighted = optimize_waist(
-        aperture, xtol=xtol, transform=lambda mode: WeightedMode(mode, weight)
-    )
+    plain = optimize_waist(aperture)
+    weighted = optimize_waist(aperture, transform=lambda mode: WeightedMode(mode, weight))
     return WeightedOptimum(
         waist=weighted.waist, eta=weighted.eta,
         waist_unweighted=plain.waist, eta_unweighted=plain.eta,
     )
 
-
-def save_field_grids(efield: np.ndarray, path_base, header: dict | None = None):
-    """Write a (ny, nx, 3) complex field as six grids (re/im per component)."""
-    efield = np.asarray(efield)
-    if efield.ndim != 3 or efield.shape[2] != 3:
-        raise DomainError("expected a (ny, nx, 3) field array")
-    base = Path(path_base)
-    meta = dict(header or {})
-    for ci, comp in enumerate("xyz"):
-        for part, values in (("re", efield[:, :, ci].real), ("im", efield[:, :, ci].imag)):
-            write_grid(base.with_suffix(f".E{comp}_{part}.txt"), values,
-                       {**meta, "component": f"E{comp}", "part": part})

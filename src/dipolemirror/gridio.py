@@ -1,8 +1,13 @@
-"""Plain-text grid files with a JSON header line.
+"""Plain-text data files: grids with a JSON header line, and column tables.
 
 One grid per file: a first line '# {...}' carrying metadata (rows, cols,
 and whatever the owning type needs), then one whitespace-separated row of
 values per line. Invalid pixels are written as nan.
+
+A column table (sampled modes, histograms, Zernike expansions, optical
+constants, frame manifests) has one whitespace-separated row per line and
+'# key: value' comment lines for its metadata; ``read_table`` reads them
+all.
 
 Every value is written as Python's ``f"{v:.9e}"`` would write it, byte for
 byte. The writer builds that text with array operations: each value gets a
@@ -13,12 +18,14 @@ are zero, and the zeros are dropped before the block is written.
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["write_grid", "read_grid"]
+__all__ = ["write_grid", "read_grid", "read_table"]
 
 # one slot of five 4-byte words per value; 17 bytes fit the longest '.9e'
 # text, '-1.000000000e-308', and byte 18 holds the separator:
@@ -131,3 +138,26 @@ def read_grid(path):
             f"({header.get('rows')}, {header.get('cols')})"
         )
     return values, header
+
+
+def read_table(path, columns: str):
+    """Return (header, rows) of a whitespace-separated column table.
+
+    A line '# key: value' sets header[key] to the stripped value; '#'
+    starts a comment anywhere and blank lines are skipped. Every other
+    line must have one field per name in ``columns`` (e.g. "n m value"),
+    or DomainError names the file and line. Rows are lists of strings.
+    """
+    header, rows = {}, []
+    width = len(columns.split())
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        m = re.match(r"\s*#\s*(\w+):(.*)", raw)
+        if m:
+            header[m.group(1)] = m.group(2).strip()
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != width:
+            raise DomainError(f"{path}:{lineno}: expected '{columns}', got {len(fields)} fields")
+        rows.append(fields)
+    return header, rows

@@ -33,6 +33,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, UndefinedOverlapError
 from .geometry import ApertureSpec
+from .gridio import read_table
+from .search import argmax_bracketed
 
 __all__ = [
     "RadialMode",
@@ -54,8 +56,8 @@ __all__ = [
 _SIMPSON_N0 = 4096
 _SIMPSON_NMAX = 1 << 19
 _ETA_RTOL = 1e-9
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section tolerance of the waist search, in units of f
+_WAIST_XTOL = 1e-8
 
 
 def dipole_profile(rho, amplitude: float = 1.0):
@@ -131,6 +133,13 @@ class RadialMode:
             raise DomainError(f"unknown mode kind {self.kind!r}")
         return float(out) if np.ndim(out) == 0 else out
 
+    @property
+    def breaks(self) -> tuple:
+        """Radii where the amplitude may jump: the ends of a sampled range."""
+        if self.kind != "sampled":
+            return ()
+        return (float(self.rho_samples[0]), float(self.rho_samples[-1]))
+
 
 @dataclass(frozen=True)
 class WeightedMode:
@@ -149,6 +158,10 @@ class WeightedMode:
         out = np.asarray(self.weight(rho), dtype=float) * self.mode.amplitude(rho)
         return float(out) if np.ndim(out) == 0 else out
 
+    @property
+    def breaks(self) -> tuple:
+        return self.mode.breaks
+
 
 def _simpson(values: np.ndarray, h: float) -> float:
     # values on an odd number of equally spaced points
@@ -162,14 +175,27 @@ def _amp(mode, rho):
     return np.asarray(mode.amplitude(rho), dtype=float)
 
 
-def _overlap_on_grid(a, b, lo: float, hi: float, n: int) -> float:
-    rho = np.linspace(lo, hi, n + 1)
-    fa = _amp(a, rho)
-    fb = _amp(b, rho)
-    h = (hi - lo) / n
-    num = _simpson(fa * fb * rho, h)
-    na = _simpson(fa * fa * rho, h)
-    nb = _simpson(fb * fb * rho, h)
+def _pieces(a, b, lo: float, hi: float) -> list:
+    # [lo, hi] cut where either profile may jump, so that each piece is smooth
+    cuts = sorted({x for mode in (a, b) for x in getattr(mode, "breaks", ()) if lo < x < hi})
+    return list(zip([lo, *cuts], [*cuts, hi]))
+
+
+def _overlap_on_grid(a, b, pieces: list, n: int) -> float:
+    num = na = nb = 0.0
+    for lo, hi in pieces:
+        rho = np.linspace(lo, hi, n + 1)
+        # at a cut, take the profile's limit from inside the piece
+        if lo != pieces[0][0]:
+            rho[0] = np.nextafter(lo, hi)
+        if hi != pieces[-1][1]:
+            rho[-1] = np.nextafter(hi, lo)
+        fa = _amp(a, rho)
+        fb = _amp(b, rho)
+        h = (hi - lo) / n
+        num += _simpson(fa * fb * rho, h)
+        na += _simpson(fa * fa * rho, h)
+        nb += _simpson(fb * fb * rho, h)
     if na <= 0.0 or nb <= 0.0:
         raise UndefinedOverlapError("zero-norm mode over the aperture annulus")
     return num / math.sqrt(na * nb)
@@ -179,7 +205,10 @@ def spatial_overlap(a, b, aperture: ApertureSpec, rtol: float = _ETA_RTOL) -> fl
     """Normalized overlap of two radial profiles over the aperture annulus.
 
     Integrates with composite Simpson on [rho_bore, rho_max], doubling the
-    grid until the result changes by less than ``rtol``.
+    grid until the result changes by less than ``rtol``. Where a sampled
+    profile's range ends inside the annulus its amplitude jumps to zero;
+    the interval is cut there and each piece integrated on its own, since
+    Simpson's rule converges only slowly across a jump.
 
     Raises
     ------
@@ -188,12 +217,12 @@ def spatial_overlap(a, b, aperture: ApertureSpec, rtol: float = _ETA_RTOL) -> fl
     ConvergenceError
         If doubling exhausts the grid budget without stabilizing.
     """
-    lo, hi = aperture.rho_bore, aperture.rho_max
+    pieces = _pieces(a, b, aperture.rho_bore, aperture.rho_max)
     n = _SIMPSON_N0
-    prev = _overlap_on_grid(a, b, lo, hi, n)
+    prev = _overlap_on_grid(a, b, pieces, n)
     while n <= _SIMPSON_NMAX:
         n *= 2
-        cur = _overlap_on_grid(a, b, lo, hi, n)
+        cur = _overlap_on_grid(a, b, pieces, n)
         if abs(cur - prev) < rtol:
             return cur
         prev = cur
@@ -214,7 +243,6 @@ def optimize_waist(
     aperture: ApertureSpec,
     reference=None,
     bracket: tuple[float, float] | None = None,
-    xtol: float = 1e-8,
     transform: Callable | None = None,
 ) -> WaistOptimum:
     """Doughnut waist maximizing the overlap with a reference profile.
@@ -232,8 +260,10 @@ def optimize_waist(
         Applied to each candidate doughnut before scoring, e.g. a
         reflectivity weighting; must return an object with ``amplitude``.
 
-    A coarse scan brackets the maximum before golden-section refinement, so
-    a secondary shoulder cannot trap the search.
+    A coarse scan of 65 waists brackets the maximum before golden-section
+    refinement to 1e-8 f, so a secondary shoulder cannot trap the search.
+    A best waist on either end of the bracket raises ConvergenceError: the
+    optimum may lie outside it, and the bracket is not widened.
     """
     ref = reference if reference is not None else RadialMode.dipole()
     lo, hi = bracket if bracket is not None else (0.1, aperture.rho_max)
@@ -241,31 +271,15 @@ def optimize_waist(
         raise DomainError(f"bad waist bracket ({lo}, {hi})")
 
     def score(w):
+        if np.ndim(w):
+            return np.array([score(x) for x in w])
         candidate = RadialMode.doughnut(w)
         if transform is not None:
             candidate = transform(candidate)
         return spatial_overlap(candidate, ref, aperture, rtol=1e-10)
 
-    grid = np.linspace(lo, hi, 65)
-    vals = [score(w) for w in grid]
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = score(c), score(d)
-    while abs(b - a) > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = score(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = score(d)
-    w = 0.5 * (a + b)
-    return WaistOptimum(waist=w, eta=score(w))
+    waist, eta = argmax_bracketed(score, np.linspace(lo, hi, 65), _WAIST_XTOL)
+    return WaistOptimum(waist=waist, eta=eta)
 
 
 def coupling_strength(omega_fraction: float, eta: float, strehl: float) -> float:
@@ -329,17 +343,9 @@ class CouplingFigures:
 
 def load_sampled_mode(path) -> RadialMode:
     """Read a two-column (rho, amplitude) text file; '#' starts a comment."""
-    rho, amp = [], []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DomainError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-        rho.append(float(parts[0]))
-        amp.append(float(parts[1]))
-    return RadialMode.sampled(np.array(rho), np.array(amp))
+    _, rows = read_table(path, "rho amplitude")
+    table = np.array(rows, dtype=float).reshape(-1, 2)
+    return RadialMode.sampled(table[:, 0], table[:, 1])
 
 
 def save_sampled_mode(mode: RadialMode, path, aperture: ApertureSpec | None = None, n: int = 512):

@@ -28,7 +28,7 @@ where sgn is +1 in the upper half plane and -1 in the lower. Because psi
 is only defined modulo pi, this canonicalization makes a perfect radial
 pattern score +1 at every pixel; genuine orientation errors still show up
 as p < 1, and pixels whose linear component is closer to the azimuthal
-direction go negative. ``rectify=True`` scores |p| instead, the pattern a
+direction go negative. ``measured_overlap`` also scores |p|, the pattern a
 segmented half-wave corrector would produce.
 
 Frames are stored on disk as 16-bit binary PGM plus a manifest listing
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import CoverageError, DeterminacyError, DomainError
 from .geometry import ApertureSpec
-from .gridio import write_grid
+from .gridio import read_table, write_grid
 from .modes import RadialMode
 
 __all__ = [
@@ -205,38 +205,39 @@ def ellipse_angles(stokes: StokesMap, noise_floor: float = 0.01) -> Polarization
                            pixel_scale=stokes.pixel_scale, center=stokes.center)
 
 
-def radial_projection(pmap: PolarizationMap, rectify: bool = False):
+def radial_projection(pmap: PolarizationMap):
     """Per-pixel projection of the measured polarization on the radial target.
 
     NaN outside the mask. See the module docstring for the half-plane sign
-    canonicalization; rectify takes the absolute value.
+    canonicalization.
     """
     _, phi = pmap.grid_polar()
-    proj = _project(pmap.psi, pmap.chi, phi, rectify)
-    return np.where(pmap.mask, proj, np.nan)
+    return np.where(pmap.mask, _project(pmap.psi, pmap.chi, phi), np.nan)
 
 
-def _project(psi, chi, phi, rectify: bool):
+def _project(psi, chi, phi):
     sign = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
-    proj = sign * np.cos(chi) * np.cos(psi - phi)
-    return np.abs(proj) if rectify else proj
+    return sign * np.cos(chi) * np.cos(psi - phi)
 
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Field overlap of a measured map with the target mode."""
+    """Field overlap of a measured map with the target mode.
+
+    eta scores the measured orientation, eta_rectified its absolute
+    projection; both come from the same pixels.
+    """
 
     eta: float
+    eta_rectified: float
     coverage: float
     n_pixels: int
-    rectified: bool
 
 
 def measured_overlap(
     pmap: PolarizationMap,
     aperture: ApertureSpec,
     reference: RadialMode | None = None,
-    rectify: bool = False,
     trim_outer: float = 0.0,
     max_missing: float = 0.05,
 ) -> OverlapResult:
@@ -247,7 +248,9 @@ def measured_overlap(
     dipole radiates into the mirror. All three sums run over the annulus
     pixels that survive the validity mask:
 
-        eta = sum(a p b) / sqrt(sum(a^2) sum(b^2)).
+        eta = sum(a p b) / sqrt(sum(a^2) sum(b^2)),
+
+    and eta_rectified is the same sum with |p| in place of p.
 
     trim_outer shrinks the outer annulus radius by that fraction to drop
     rim artifacts. If more than max_missing of the annulus is masked out
@@ -272,14 +275,14 @@ def measured_overlap(
             missing_fraction=float(missing),
         )
     a = np.sqrt(np.maximum(pmap.s0[valid], 0.0))
-    p = _project(pmap.psi[valid], pmap.chi[valid], phi[valid], rectify)
+    p = _project(pmap.psi[valid], pmap.chi[valid], phi[valid])
     b = reference.amplitude(rho[valid])
     denom = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
     if denom == 0.0:
         raise DomainError("zero-energy field in overlap")
-    eta = float(np.sum(a * p * b)) / denom
-    return OverlapResult(eta=eta, coverage=1.0 - float(missing),
-                         n_pixels=int(valid.sum()), rectified=bool(rectify))
+    return OverlapResult(eta=float(np.sum(a * p * b)) / denom,
+                         eta_rectified=float(np.sum(a * np.abs(p) * b)) / denom,
+                         coverage=1.0 - float(missing), n_pixels=int(valid.sum()))
 
 
 def write_pgm(path, values):
@@ -341,34 +344,14 @@ def load_frame_stack(directory, threads: int = 1) -> FrameStack:
     directory = Path(directory)
     manifest = directory / "manifest.txt" if directory.is_dir() else directory
     directory = manifest.parent
-    scale, pixel_scale, center = 1.0, None, None
-    names, angles = [], []
-    for raw in manifest.read_text().splitlines():
-        line = raw.strip()
-        if line.startswith("#"):
-            for key, pattern in (
-                ("intensity_scale", r"#\s*intensity_scale:\s*(\S+)"),
-                ("pixel_scale", r"#\s*pixel_scale:\s*(\S+)"),
-            ):
-                m = re.match(pattern, line)
-                if m:
-                    if key == "intensity_scale":
-                        scale = float(m.group(1))
-                    else:
-                        pixel_scale = float(m.group(1))
-            m = re.match(r"#\s*center:\s*(\S+)\s+(\S+)", line)
-            if m:
-                center = (float(m.group(1)), float(m.group(2)))
-            continue
-        if not line:
-            continue
-        name, _, angle = line.partition(" ")
-        names.append(name)
-        angles.append(math.radians(float(angle)))
-    if pixel_scale is None or center is None:
+    header, rows = read_table(manifest, "filename angle_deg")
+    center = header.get("center", "").split()
+    if "pixel_scale" not in header or len(center) != 2:
         raise DomainError(f"{manifest}: manifest lacks pixel_scale or center")
-    if not names:
+    if not rows:
         raise DomainError(f"{manifest}: manifest lists no frames")
+    names = [name for name, _ in rows]
+    angles = [math.radians(float(angle)) for _, angle in rows]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -376,9 +359,9 @@ def load_frame_stack(directory, threads: int = 1) -> FrameStack:
             loaded = list(pool.map(lambda n: read_pgm(directory / n), names))
     else:
         loaded = [read_pgm(directory / name) for name in names]
-    frames = np.stack(loaded) * scale
+    frames = np.stack(loaded) * float(header.get("intensity_scale", 1.0))
     return FrameStack(angles_rad=tuple(angles), frames=frames,
-                      pixel_scale=pixel_scale, center=center)
+                      pixel_scale=float(header["pixel_scale"]), center=center)
 
 
 def export_polarization(pmap: PolarizationMap, basepath):

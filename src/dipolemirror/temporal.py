@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as _c_light
-from scipy.constants import h as _h_planck
 
 from .errors import DomainError, UndefinedOverlapError
+from .gridio import read_table
+from .search import argmax_bracketed
 
 __all__ = [
     "TransitionSpec",
@@ -52,10 +52,14 @@ __all__ = [
     "aom_response",
     "histogram_to_envelope",
     "load_histogram",
-    "mean_photons",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# half-width of the initial shift scan in lifetimes, and how often an edge
+# maximum may double it
+_SHIFT_LIFETIMES = 10.0
+_SHIFT_WIDENINGS = 3
+# modulator tail modeled past the input, in build-up times
+_TAIL_BUILDUPS = 5.0
 
 
 @dataclass(frozen=True)
@@ -118,14 +122,18 @@ class PulseEnvelope:
         return PulseEnvelope(self.samples, self.bin_width_ns, self.t_end_ns + delta_ns)
 
 
-def ideal_envelope(spec: TransitionSpec, duration_ns: float, bin_width_ns: float) -> PulseEnvelope:
-    """Rising exponential exp(Gamma*t/2) sampled on [-duration, 0]."""
+def _bin_centers(duration_ns: float, bin_width_ns: float) -> np.ndarray:
+    """Centers of the (at least two) uniform bins that fill [-duration, 0]."""
     if duration_ns <= 0:
         raise DomainError(f"duration must be positive, got {duration_ns}")
     n = max(int(round(duration_ns / bin_width_ns)), 2)
-    t_end = -0.5 * bin_width_ns
-    t = t_end - bin_width_ns * np.arange(n - 1, -1, -1)
-    return PulseEnvelope(np.exp(spec.gamma * t / 2.0), bin_width_ns, t_end)
+    return -0.5 * bin_width_ns - bin_width_ns * np.arange(n - 1, -1, -1)
+
+
+def ideal_envelope(spec: TransitionSpec, duration_ns: float, bin_width_ns: float) -> PulseEnvelope:
+    """Rising exponential exp(Gamma*t/2) sampled on [-duration, 0]."""
+    t = _bin_centers(duration_ns, bin_width_ns)
+    return PulseEnvelope(np.exp(spec.gamma * t / 2.0), bin_width_ns, -0.5 * bin_width_ns)
 
 
 @dataclass(frozen=True)
@@ -137,13 +145,15 @@ class TemporalOverlapResult:
 def temporal_overlap(
     pulse: PulseEnvelope,
     spec: TransitionSpec,
-    shift_lifetimes: float = 10.0,
 ) -> TemporalOverlapResult:
     """Temporal overlap of a pulse with the ideal rising exponential.
 
     The incident envelope is displaced by a shift s (E_inc(t - s) against
-    the fixed ideal envelope) chosen to maximize the projection; the search
-    scans +-shift_lifetimes*tau coarsely and refines with golden section.
+    the fixed ideal envelope) chosen to maximize the projection. The search
+    scans 801 shifts over +-10 tau and refines with golden section to
+    1e-10 tau. A best shift on the edge of the scan doubles its span, at
+    most three times, before raising ConvergenceError, so a pulse far from
+    t = 0 is still scored at its best shift.
 
     Returns the overlap and the maximizing shift. Raises
     UndefinedOverlapError for a zero-energy pulse.
@@ -175,27 +185,10 @@ def temporal_overlap(
         edge = np.where(k < t.size, e[j] * (-2.0 / gamma) * np.expm1(0.5 * gamma * lo), 0.0)
         return (whole + edge) / norm
 
-    span = shift_lifetimes * tau
-    scan = np.linspace(-span, span, 801)
-    vals = project(scan)
-    k = int(np.argmax(vals))
-    a = scan[max(k - 1, 0)]
-    b = scan[min(k + 1, len(scan) - 1)]
-
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = project(c), project(d)
-    while abs(b - a) > 1e-10 * tau:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = project(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = project(d)
-    s = 0.5 * (a + b)
-    return TemporalOverlapResult(eta_t=float(project(s)), shift_ns=float(s))
+    span = _SHIFT_LIFETIMES * tau
+    shift, eta_t = argmax_bracketed(project, np.linspace(-span, span, 801), 1e-10 * tau,
+                                    widenings=_SHIFT_WIDENINGS)
+    return TemporalOverlapResult(eta_t=eta_t, shift_ns=shift)
 
 
 @dataclass(frozen=True)
@@ -239,29 +232,25 @@ def aom_drive(spec: TransitionSpec, duration_ns: float, bin_width_ns: float) -> 
     U0(0-) = pi/2. Evaluation beyond t = 0 is a domain error (the arcsin
     argument would exceed 1).
     """
-    if duration_ns <= 0:
-        raise DomainError(f"duration must be positive, got {duration_ns}")
-    n = max(int(round(duration_ns / bin_width_ns)), 2)
-    t_end = -0.5 * bin_width_ns
-    t = t_end - bin_width_ns * np.arange(n - 1, -1, -1)
+    t = _bin_centers(duration_ns, bin_width_ns)
     if np.any(t > 0):
         raise DomainError("drive is only defined for t <= 0")
     u0 = np.arcsin(np.exp(t / (2.0 * spec.lifetime_ns)))
     return DriveWaveform(times_ns=t, u0_rad=u0, bin_width_ns=bin_width_ns)
 
 
-def aom_response(envelope: PulseEnvelope, model: AomModel, tail_buildups: float = 5.0) -> PulseEnvelope:
+def aom_response(envelope: PulseEnvelope, model: AomModel) -> PulseEnvelope:
     """First-order low-pass response of the modulator to a field envelope.
 
     Applies y' = (x - y)/tau_b with tau_b = buildup_time to the input
     envelope (exact zero-order-hold update per bin) and extends the time
-    axis past the input by tail_buildups*tau_b to capture the smeared
-    falling edge. buildup_time = 0 returns the input unchanged.
+    axis past the input by 5 tau_b to capture the smeared falling edge.
+    buildup_time = 0 returns the input unchanged.
     """
     if model.buildup_time_ns == 0.0:
         return envelope
     dt = envelope.bin_width_ns
-    n_tail = int(math.ceil(tail_buildups * model.buildup_time_ns / dt))
+    n_tail = int(math.ceil(_TAIL_BUILDUPS * model.buildup_time_ns / dt))
     x = np.concatenate([envelope.samples, np.zeros(n_tail)])
     decay = math.exp(-dt / model.buildup_time_ns)
     y = np.empty_like(x)
@@ -294,29 +283,11 @@ def load_histogram(path):
 
     Returns (counts, bin_width_ns). Bins must be uniform.
     """
-    starts, counts = [], []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DomainError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-        starts.append(float(parts[0]))
-        counts.append(float(parts[1]))
-    if len(starts) < 2:
+    _, rows = read_table(path, "bin_start_ns counts")
+    if len(rows) < 2:
         raise DomainError(f"{path}: need at least two bins")
-    widths = np.diff(starts)
+    table = np.array(rows, dtype=float)
+    widths = np.diff(table[:, 0])
     if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
         raise DomainError(f"{path}: bins are not uniform")
-    return np.asarray(counts), float(widths[0])
-
-
-def mean_photons(power_w: float, rep_rate_hz: float, wavelength_nm: float) -> float:
-    """Mean photon number per pulse at given average power and rate."""
-    if power_w < 0:
-        raise DomainError(f"power must be >= 0, got {power_w}")
-    if rep_rate_hz <= 0 or wavelength_nm <= 0:
-        raise DomainError("rep rate and wavelength must be positive")
-    photon_energy = _h_planck * _c_light / (wavelength_nm * 1e-9)
-    return power_w / rep_rate_hz / photon_energy
+    return table[:, 1], float(widths[0])

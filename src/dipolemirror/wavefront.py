@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ProvenanceError
-from .gridio import read_grid, write_grid
+from .gridio import read_grid, read_table, write_grid
 
 __all__ = [
     "ZernikeExpansion",
@@ -510,28 +510,12 @@ def save_expansion(expansion: ZernikeExpansion, path):
 
 
 def load_expansion(path) -> ZernikeExpansion:
-    wavelength = None
-    annulus = None
-    terms = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            m = re.match(r"#\s*wavelength_nm:\s*(\S+)", line)
-            if m:
-                wavelength = float(m.group(1))
-            m = re.match(r"#\s*annulus:\s*(\S+)\s+(\S+)", line)
-            if m:
-                annulus = (float(m.group(1)), float(m.group(2)))
-            continue
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise DomainError(f"{path}:{lineno}: expected 'n m value'")
-        terms.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if wavelength is None:
+    header, rows = read_table(path, "n m value")
+    if "wavelength_nm" not in header:
         raise DomainError(f"{path}: missing '# wavelength_nm:' header")
-    return ZernikeExpansion(terms=tuple(terms), wavelength_nm=wavelength, annulus=annulus)
+    annulus = tuple(float(v) for v in header["annulus"].split()) if "annulus" in header else None
+    return ZernikeExpansion(terms=tuple((int(n), int(m), float(v)) for n, m, v in rows),
+                            wavelength_nm=float(header["wavelength_nm"]), annulus=annulus)
 
 
 def save_phase_map(phase_map: PhaseMap, path):

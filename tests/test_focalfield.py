@@ -31,10 +31,8 @@ from dipolemirror.focalfield import (
     OpticalConstants,
     reflection_phase_waves,
     reflectivity_weight,
-    save_field_grids,
 )
 from dipolemirror.geometry import rho_from_theta
-from dipolemirror.gridio import read_grid
 
 
 @pytest.fixture(scope="module")
@@ -353,15 +351,3 @@ def test_optical_constants_file_validation(tmp_path):
     with pytest.raises(DomainError):
         OpticalConstants.from_file(tmp_path / "ragged.txt")
 
-
-def test_save_field_grids(tmp_path):
-    rng = np.random.default_rng(13)
-    efield = rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))
-    save_field_grids(efield, tmp_path / "focus", header={"z_lambda": 0.0})
-    for ci, comp in enumerate("xyz"):
-        re, header = read_grid(tmp_path / f"focus.E{comp}_re.txt")
-        im, _ = read_grid(tmp_path / f"focus.E{comp}_im.txt")
-        assert header["component"] == f"E{comp}"
-        assert np.allclose(re + 1j * im, efield[:, :, ci], atol=1e-12)
-    with pytest.raises(DomainError):
-        save_field_grids(np.zeros((4, 4)), tmp_path / "bad")

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import annulus_overlap
 
 from dipolemirror import (
     ApertureSpec,
+    ConvergenceError,
     CouplingFigures,
     DomainError,
     RadialMode,
@@ -95,6 +98,26 @@ def test_optimize_waist_bad_bracket(aperture):
         optimize_waist(aperture, bracket=(0.0, 1.0))
     with pytest.raises(DomainError):
         optimize_waist(aperture, bracket=(2.0, 1.0))
+
+
+def test_optimize_waist_refuses_a_bracket_edge(aperture):
+    # the optimum near 2.26 f lies above this bracket
+    with pytest.raises(ConvergenceError, match=r"edge of the search window \[0.1, 0.5\]"):
+        optimize_waist(aperture, bracket=(0.1, 0.5))
+
+
+@settings(max_examples=50, deadline=None)
+@given(amplitudes=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=12),
+       reach=st.floats(0.2, 1.2))
+def test_overlap_of_nonnegative_sampled_modes_is_a_fraction(aperture, amplitudes, reach):
+    # samples from the axis out to reach * rho_max, zero beyond
+    rho = np.linspace(0.0, reach * aperture.rho_max, len(amplitudes))
+    mode = RadialMode.sampled(rho, amplitudes)
+    try:
+        eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
+    except UndefinedOverlapError:
+        return  # no amplitude on the annulus
+    assert 0.0 <= eta <= 1.0
 
 
 def test_weighted_mode_constant_weight_cancels(aperture):

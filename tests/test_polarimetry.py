@@ -216,7 +216,7 @@ def test_measured_overlap_of_ideal_doughnut(doughnut_stack, aperture, waist_opti
     result = measured_overlap(pmap, aperture)
     assert result.eta == pytest.approx(waist_optimum.eta, abs=2e-3)
     assert result.coverage == pytest.approx(1.0, abs=1e-6)
-    assert not result.rectified
+    assert result.eta_rectified == pytest.approx(result.eta, abs=1e-8)
     # against its own profile the pixelized beam is a perfect match
     self_ref = measured_overlap(
         pmap, aperture, reference=RadialMode.doughnut(waist_optimum.waist))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dipolemirror import (
@@ -20,7 +22,6 @@ from dipolemirror.temporal import (
     T2,
     histogram_to_envelope,
     load_histogram,
-    mean_photons,
 )
 
 
@@ -80,9 +81,23 @@ def test_decaying_exponential_closed_form():
 def test_overlap_shift_invariance():
     pulse = ideal_envelope(T1, 5.0 * T1.lifetime_ns, 0.01)
     base = temporal_overlap(pulse, T1)
-    moved = temporal_overlap(pulse.shifted(3.7), T1)
-    assert moved.eta_t == pytest.approx(base.eta_t, abs=1e-9)
-    assert moved.shift_ns == pytest.approx(base.shift_ns - 3.7, abs=1e-6)
+    # +-20 tau lies outside the first +-10 tau shift scan
+    for delta in (3.7, 20.0 * T1.lifetime_ns, -20.0 * T1.lifetime_ns):
+        moved = temporal_overlap(pulse.shifted(delta), T1)
+        assert moved.eta_t == pytest.approx(base.eta_t, abs=1e-9)
+        assert moved.shift_ns == pytest.approx(base.shift_ns - delta, abs=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=400),
+       bin_lifetimes=st.floats(1e-3, 0.5), end_lifetimes=st.floats(-5.0, 5.0))
+def test_overlap_of_nonnegative_envelopes_is_at_most_one(samples, bin_lifetimes,
+                                                         end_lifetimes):
+    pulse = PulseEnvelope(samples, bin_lifetimes * T1.lifetime_ns,
+                          end_lifetimes * T1.lifetime_ns)
+    if pulse.energy() == 0.0:
+        return
+    assert temporal_overlap(pulse, T1).eta_t <= 1.0
 
 
 def _modulated(spec, buildup_ns):
@@ -214,12 +229,3 @@ def test_load_histogram(tmp_path):
     with pytest.raises(DomainError):
         load_histogram(bad)
 
-
-def test_mean_photons():
-    # 1 mW at 1 GHz and 500 nm: photon energy hc/lambda = 3.9729e-19 J
-    value = mean_photons(1e-3, 1e9, 500.0)
-    assert value == pytest.approx(1e-12 / 3.9729e-19, rel=1e-4)
-    with pytest.raises(DomainError):
-        mean_photons(-1.0, 1e9, 500.0)
-    with pytest.raises(DomainError):
-        mean_photons(1.0, 0.0, 500.0)
