@@ -408,9 +408,7 @@ def cmd_stokes(args, config: ToolkitConfig):
     manifest = config.get("stokes", "manifest")
     if manifest is None:
         raise ConfigError("[stokes] manifest is required")
-    stack = _read_input(
-        manifest, lambda: load_frame_stack(manifest, threads=args.threads)
-    )
+    stack = _read_input(manifest, lambda: load_frame_stack(manifest))
     noise_floor = config.get_float("stokes", "noise_floor", 0.01)
     trim = args.trim_outer if args.trim_outer is not None else config.get_float(
         "stokes", "trim_outer", 0.0
@@ -558,9 +556,8 @@ def _pulse_from_config(config: ToolkitConfig) -> _Pulse:
     default_bin = min(0.02, transition.lifetime_ns / 2000.0)
     bin_width = config.get_float("pulse", "bin_width_ns", default_bin)
     buildup = config.get_float("pulse", "buildup_ns", 5.0)
-    rf_mhz = config.get_float("pulse", "rf_frequency_mhz", 400.0)
     drive = aom_drive(transition, duration * transition.lifetime_ns, bin_width)
-    model = AomModel(rf_frequency_hz=rf_mhz * 1e6, buildup_time_ns=buildup)
+    model = AomModel(buildup_time_ns=buildup)
     envelope = aom_response(drive.field_envelope(), model)
     return _Pulse(transition, model, drive, envelope, temporal_overlap(envelope, transition))
 
@@ -683,8 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
     stokes = sub.choices["stokes"]
-    stokes.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for data loading (results independent of N)")
     stokes.add_argument("--rectify", action="store_true",
                         help="score |projection| as a segmented corrector would")
     stokes.add_argument("--trim-outer", type=float, default=None, metavar="FRACTION",

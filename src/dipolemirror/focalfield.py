@@ -29,15 +29,19 @@ Strehl ratios are aberrated over unaberrated focal intensity. Because
 defocus-like aberrations shift the axial maximum, both the value at the
 shifted maximum (searched over an axial range) and at the nominal focus
 are reported, together with the amplitude-weighted RMS of the aberration.
-On the axis the phase exp(i 2 pi z cos(theta)) does not depend on phi, so
-the aberrated node amplitudes are summed over each ring of constant theta
-once; every axial evaluation then costs O(n_theta), and a scan of many
-axial positions is one matrix product. Aberrations are evaluated on the
-axes of the tensor-product grid, theta of shape (n_theta, 1) against phi
-of shape (1, n_phi). The quadrature is doubled to confirm the ratio and
-the peak position; disagreement raises instead of returning a number that
-depends on the grid. ``focal_field`` sums over every node and is the
-brute-force reference for the ring sums.
+A SphereField stores the tensor-product node grid on its axes: theta,
+the weights and the pupil radius have shape (n_theta, 1), phi has shape
+(1, n_phi), and the vector amplitude has shape (n_theta, n_phi, 3). So
+the map onto the sphere computes each quantity on the axis it depends on,
+and aberrations are evaluated on the same axes; an aberration array or a
+callable's result is a scalar or a 2-d array that broadcasts to
+(n_theta, n_phi). On the axis the phase exp(i 2 pi z cos(theta)) does not
+depend on phi, so the aberrated node amplitudes are summed over each ring
+of constant theta once; every axial evaluation then costs O(n_theta), and
+a scan of many axial positions is one matrix product. The quadrature is
+doubled to confirm the ratio and the peak position; disagreement raises
+instead of returning a number that depends on the grid. ``focal_field``
+sums over every node and is the brute-force reference for the ring sums.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -60,7 +64,7 @@ from .errors import ConvergenceError, CoverageError, DomainError, ProvenanceErro
 from .geometry import ApertureSpec, incidence_angle, rho_from_theta, theta_from_rho
 from .gridio import read_table
 from .modes import RadialMode, WeightedMode, optimize_waist, spatial_overlap
-from .polarimetry import PolarizationMap
+from .polarimetry import PolarizationMap, half_plane_sign
 from .search import argmax_bracketed
 from .wavefront import PhaseMap, ZernikeExpansion, zernike_eval
 
@@ -99,11 +103,12 @@ _PHASE_GRID = 4096
 class SphereField:
     """Converging spherical wave on the quadrature nodes.
 
-    Flat arrays of length n_theta*n_phi: polar angle, azimuth, quadrature
-    weight (including the solid-angle sine), pupil radius in units of the
-    aperture radius, and the complex vector amplitude. ``source`` and
-    ``aperture`` are retained so the field can be rebuilt at a different
-    resolution for convergence checks.
+    The nodes form a tensor-product grid, stored on its axes: polar angle,
+    quadrature weight (including the solid-angle sine) and pupil radius in
+    units of the aperture radius have shape (n_theta, 1), the azimuth has
+    shape (1, n_phi), and the complex vector amplitude has shape
+    (n_theta, n_phi, 3). ``source`` and ``aperture`` are retained so the
+    field can be rebuilt at a different resolution for convergence checks.
     """
 
     theta: np.ndarray
@@ -113,64 +118,71 @@ class SphereField:
     efield: np.ndarray
     aperture: ApertureSpec
     source: object
-    n_theta: int
-    n_phi: int
+
+    @property
+    def n_theta(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def n_phi(self) -> int:
+        return self.phi.shape[1]
 
     def with_resolution(self, n_theta: int, n_phi: int) -> "SphereField":
         return plane_to_sphere(self.source, self.aperture, n_theta=n_theta, n_phi=n_phi)
 
     def propagation(self) -> np.ndarray:
-        """Unit propagation vectors s = -r_hat, shape (nodes, 3)."""
+        """Unit propagation vectors s = -r_hat, shape (n_theta, n_phi, 3)."""
         st, ct = np.sin(self.theta), np.cos(self.theta)
         sp, cp = np.sin(self.phi), np.cos(self.phi)
-        return np.column_stack([-st * cp, -st * sp, ct])
+        return _stack_last(-st * cp, -st * sp, ct)
 
 
-def _sphere_basis(theta, phi):
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    e_theta = np.column_stack([ct * cp, ct * sp, st])
-    e_phi = np.column_stack([-sp, cp, np.zeros_like(sp)])
-    return e_theta, e_phi
-
-
-def _nan_filled(values, mask):
-    # replace masked-out pixels by their nearest valid neighbor
-    if mask.all():
-        return values
-    idx = distance_transform_edt(~mask, return_distances=False, return_indices=True)
-    return values[tuple(idx)]
+def _stack_last(*parts):
+    # components that broadcast against each other, stacked on a last axis
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 def _pmap_components(pmap: PolarizationMap):
-    """Canonical transverse Jones components per pixel, NaN-free.
+    """Canonical transverse Jones components per pixel, NaN outside the mask.
 
     The half-plane sign convention of the polarimetry module makes the
     components of a near-radial beam smooth across the psi fold, so they
     interpolate safely (angles themselves do not).
     """
     _, phi = pmap.grid_polar()
-    sign = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
-    amp = np.sqrt(np.maximum(pmap.s0, 0.0))
+    amp = half_plane_sign(phi) * np.sqrt(np.maximum(pmap.s0, 0.0))
     cpsi, spsi = np.cos(pmap.psi), np.sin(pmap.psi)
     cchi, schi = np.cos(pmap.chi), np.sin(pmap.chi)
-    jx = sign * amp * (cchi * cpsi - 1j * schi * spsi)
-    jy = sign * amp * (cchi * spsi + 1j * schi * cpsi)
-    jx = np.where(pmap.mask, jx, 0.0)
-    jy = np.where(pmap.mask, jy, 0.0)
-    return _nan_filled(jx, pmap.mask), _nan_filled(jy, pmap.mask)
+    return (amp * (cchi * cpsi - 1j * schi * spsi),
+            amp * (cchi * spsi + 1j * schi * cpsi))
 
 
-def _pmap_on_sphere(pmap: PolarizationMap, rho):
-    """Interpolated (e_radial, e_azimuthal) at pupil radii rho and azimuths."""
-    rows, cols = pmap.s0.shape
-    jx, jy = _pmap_components(pmap)
-    grid = (np.arange(rows, dtype=float), np.arange(cols, dtype=float))
+def _sample_pixels(maps, mask, rows, cols, what: str):
+    """Bilinear samples of pixel maps at fractional (row, col) positions.
 
-    def interp(arr):
-        return RegularGridInterpolator(grid, arr, bounds_error=False, fill_value=np.nan)
+    ``maps`` share the validity ``mask``; masked-out pixels first take the
+    value of their nearest valid neighbor. A position whose interpolated
+    mask is below 0.25, or which lies off the pixel grid, is uncovered;
+    any uncovered position raises CoverageError ("<what> covers only ...").
+    """
+    if mask.all():
+        filled = list(maps)
+    else:
+        idx = tuple(distance_transform_edt(~mask, return_distances=False, return_indices=True))
+        filled = [np.where(mask, m, 0.0)[idx] for m in maps]
+    grid = (np.arange(mask.shape[0], dtype=float), np.arange(mask.shape[1], dtype=float))
+    pts = _stack_last(rows, cols)
 
-    return interp(jx), interp(jy), interp(pmap.mask.astype(float))
+    def interp(values):
+        return RegularGridInterpolator(grid, values, bounds_error=False, fill_value=np.nan)(pts)
+
+    cov = interp(mask.astype(float))
+    bad = ~np.isfinite(cov) | (cov < 0.25)
+    if bad.any():
+        frac = float(bad.mean())
+        raise CoverageError(f"{what} covers only {1 - frac:.1%} of the mirror annulus",
+                            missing_fraction=frac)
+    return [interp(m) for m in filled]
 
 
 def plane_to_sphere(
@@ -194,50 +206,36 @@ def plane_to_sphere(
     uhi = math.cos(interval.theta_min)
     uu = 0.5 * (uhi - ulo) * u + 0.5 * (uhi + ulo)
     wu = 0.5 * (uhi - ulo) * wu
-    theta_1d = np.arccos(uu)
-    phi_1d = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    w_phi = 2.0 * math.pi / n_phi
 
-    theta = np.repeat(theta_1d, n_phi)
-    phi = np.tile(phi_1d, n_theta)
-    weight = np.repeat(wu, n_phi) * w_phi
+    theta = np.arccos(uu)[:, None]
+    phi = (np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :]
+    weight = wu[:, None] * (2.0 * math.pi / n_phi)
     rho = rho_from_theta(theta)
-    rho_unit = rho / aperture.rho_max
     apod = 1.0 / np.cos(0.5 * theta) ** 2
-    e_theta, e_phi = _sphere_basis(theta, phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    e_theta = _stack_last(ct * cp, ct * sp, st)
 
     if isinstance(source, PolarizationMap):
-        fx, fy, fmask = _pmap_on_sphere(source, rho)
-        x = rho * np.cos(phi)
-        y = rho * np.sin(phi)
-        pts = np.column_stack(
-            [source.center[0] + y / source.pixel_scale,
-             source.center[1] + x / source.pixel_scale]
+        jx, jy = _sample_pixels(
+            _pmap_components(source), source.mask,
+            source.center[0] + rho * sp / source.pixel_scale,
+            source.center[1] + rho * cp / source.pixel_scale,
+            "measured map",
         )
-        cov = fmask(pts)
-        bad = ~np.isfinite(cov) | (cov < 0.25)
-        if bad.any():
-            frac = float(bad.mean())
-            raise CoverageError(
-                f"measured map covers only {1 - frac:.1%} of the mirror annulus",
-                missing_fraction=frac,
-            )
-        jx = fx(pts)
-        jy = fy(pts)
-        cp, sp = np.cos(phi), np.sin(phi)
         e_r = jx * cp + jy * sp
         e_a = -jx * sp + jy * cp
-        efield = (apod * e_r)[:, None] * e_theta + (apod * e_a)[:, None] * e_phi
+        e_phi = _stack_last(-sp, cp, 0.0)
+        efield = (apod * e_r)[..., None] * e_theta + (apod * e_a)[..., None] * e_phi
     elif hasattr(source, "amplitude"):
         amp = np.asarray(source.amplitude(rho), dtype=float) * apod
-        efield = amp[:, None] * e_theta.astype(complex)
+        efield = amp[..., None] * e_theta.astype(complex)
     else:
         raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
 
     return SphereField(
-        theta=theta, phi=phi, weight=weight, rho_unit=rho_unit,
-        efield=np.asarray(efield, dtype=complex),
-        aperture=aperture, source=source, n_theta=n_theta, n_phi=n_phi,
+        theta=theta, phi=phi, weight=weight, rho_unit=rho / aperture.rho_max,
+        efield=efield, aperture=aperture, source=source,
     )
 
 
@@ -247,21 +245,14 @@ def sphere_overlap(a: SphereField, b: SphereField) -> float:
     Equals the entrance-plane overlap of the corresponding modes; used as
     a cross-check of the plane-to-sphere map.
     """
-    if a.theta.shape != b.theta.shape or not np.allclose(a.theta, b.theta):
+    if a.efield.shape != b.efield.shape or not np.allclose(a.theta, b.theta):
         raise DomainError("sphere fields must share one quadrature grid")
-    num = float(np.real(np.sum(a.weight * np.sum(a.efield * np.conj(b.efield), axis=1))))
-    na = float(np.sum(a.weight * np.sum(np.abs(a.efield) ** 2, axis=1)))
-    nb = float(np.sum(b.weight * np.sum(np.abs(b.efield) ** 2, axis=1)))
+    num = float(np.real(np.sum(a.weight * np.sum(a.efield * np.conj(b.efield), axis=-1))))
+    na = float(np.sum(a.weight * np.sum(np.abs(a.efield) ** 2, axis=-1)))
+    nb = float(np.sum(b.weight * np.sum(np.abs(b.efield) ** 2, axis=-1)))
     if na <= 0 or nb <= 0:
         raise DomainError("zero-energy sphere field in overlap")
     return num / math.sqrt(na * nb)
-
-
-def _node_axes(field: SphereField):
-    """Polar angle (n_theta, 1), azimuth (1, n_phi) and pupil radius
-    (n_theta, 1): the axes of the tensor-product node grid."""
-    theta = field.theta[:: field.n_phi, None]
-    return theta, field.phi[None, : field.n_phi], field.rho_unit[:: field.n_phi, None]
 
 
 def _resolve_aberration(field: SphereField, aberration):
@@ -269,52 +260,35 @@ def _resolve_aberration(field: SphereField, aberration):
     shape = (field.n_theta, field.n_phi)
     if aberration is None:
         return np.zeros(shape)
-    theta, phi, rho_unit = _node_axes(field)
     if isinstance(aberration, ZernikeExpansion):
-        return zernike_eval(aberration, rho_unit, phi)
+        return zernike_eval(aberration, field.rho_unit, field.phi)
     if isinstance(aberration, PhaseMap):
         rows, cols = aberration.values.shape
-        filled = _nan_filled(np.where(aberration.mask, aberration.values, 0.0),
-                             aberration.mask)
-        grid = (np.arange(rows, dtype=float), np.arange(cols, dtype=float))
-        x = (rho_unit * np.cos(phi)).ravel()
-        y = (rho_unit * np.sin(phi)).ravel()
+        x = field.rho_unit * np.cos(field.phi)
+        y = field.rho_unit * np.sin(field.phi)
         # unit square [-1, 1]^2 of pixel centers; the clamp keeps rim nodes
         # inside the half-pixel border where no center exists
-        pts = np.column_stack([
+        (w,) = _sample_pixels(
+            [aberration.values], aberration.mask,
             np.clip((y + 1.0) * rows / 2.0 - 0.5, 0.0, rows - 1.0),
             np.clip((x + 1.0) * cols / 2.0 - 0.5, 0.0, cols - 1.0),
-        ])
-        cov = RegularGridInterpolator(grid, aberration.mask.astype(float),
-                                      bounds_error=False, fill_value=0.0)(pts)
-        bad = cov < 0.25
-        if bad.any():
-            raise CoverageError(
-                f"phase map covers only {1 - float(bad.mean()):.1%} of the pupil annulus",
-                missing_fraction=float(bad.mean()),
-            )
-        return RegularGridInterpolator(grid, filled, bounds_error=False,
-                                       fill_value=0.0)(pts).reshape(shape)
-    if isinstance(aberration, np.ndarray):
-        w = np.asarray(aberration, dtype=float)
-        if w.shape == field.theta.shape:
-            return w.reshape(shape)
-        if w.shape == shape:
-            return w
-        raise DomainError(
-            f"aberration array shape {w.shape} matches neither the node vector "
-            f"nor ({field.n_theta}, {field.n_phi})"
+            "phase map",
         )
-    if callable(aberration):
-        w = np.asarray(aberration(theta, phi), dtype=float)
+        return w
+    if not (isinstance(aberration, np.ndarray) or callable(aberration)):
+        raise DomainError(f"cannot interpret {type(aberration).__name__} as an aberration")
+    w = np.asarray(aberration(field.theta, field.phi) if callable(aberration) else aberration,
+                   dtype=float)
+    # a 1-d result would broadcast along phi alone, whatever axis it meant
+    if w.ndim in (0, 2):
         try:
             return np.broadcast_to(w, shape)
         except ValueError:
-            raise DomainError(
-                f"callable aberration returned shape {w.shape}, which does not "
-                f"broadcast to the {shape} node grid"
-            ) from None
-    raise DomainError(f"cannot interpret {type(aberration).__name__} as an aberration")
+            pass
+    raise DomainError(
+        f"aberration of shape {w.shape} is neither a scalar nor a 2-d array "
+        f"that broadcasts to the {shape} node grid"
+    )
 
 
 def focal_field(field: SphereField, positions_lambda, aberration=None) -> np.ndarray:
@@ -323,18 +297,17 @@ def focal_field(field: SphereField, positions_lambda, aberration=None) -> np.nda
     positions_lambda has shape (n, 3) or (3,); the result matches with a
     trailing component axis. The overall normalization is arbitrary but
     consistent between calls on the same quadrature grid. ``aberration``
-    takes the forms ``strehl`` documents; a callable is called on the grid
-    axes, theta (n_theta, 1) and phi (1, n_phi), and its result must
-    broadcast to (n_theta, n_phi).
+    takes the forms ``strehl`` documents. The sum runs over every node
+    and is the brute-force reference for the ring sums of ``strehl``.
     """
     pos = np.asarray(positions_lambda, dtype=float)
     single = pos.ndim == 1
     pos = np.atleast_2d(pos)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise DomainError("positions must have shape (n, 3)")
-    w = _resolve_aberration(field, aberration).ravel()
-    amp = field.efield * (field.weight * np.exp(2j * math.pi * w))[:, None]
-    s = field.propagation()
+    w = _resolve_aberration(field, aberration)
+    amp = (field.efield * (field.weight * np.exp(2j * math.pi * w))[..., None]).reshape(-1, 3)
+    s = field.propagation().reshape(-1, 3)
     n_nodes = s.shape[0]
     chunk = max(1, _CHUNK_ELEMENTS // n_nodes)
     out = np.empty((pos.shape[0], 3), dtype=complex)
@@ -365,11 +338,11 @@ class StrehlResult:
 
 def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResult:
     w = _resolve_aberration(field, aberration)
-    amp0 = (field.efield * field.weight[:, None]).reshape(field.n_theta, field.n_phi, 3)
+    amp0 = field.efield * field.weight[..., None]
     # the axial phase depends on theta only: sum each ring over phi once
     rings0 = amp0.sum(axis=1)
     rings = (np.exp(2j * math.pi * w)[:, None, :] @ amp0)[:, 0, :]
-    cos_theta = np.cos(_node_axes(field)[0][:, 0])
+    cos_theta = np.cos(field.theta[:, 0])
 
     def intensity(sums, z):
         # |E|^2 at axial position(s) z from (n_theta, 3) ring sums
@@ -390,7 +363,7 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
                                f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
     ratio = peak / denom
 
-    q = (field.weight * np.abs(field.efield[:, 2])).reshape(w.shape)
+    q = field.weight * np.abs(field.efield[..., 2])
     qsum = float(q.sum())
     if qsum > 0.0:
         mean = float(np.sum(q * w)) / qsum
@@ -419,11 +392,12 @@ def strehl(
     peak offset by less than 1e-3 wavelengths; failing that raises
     ConvergenceError rather than returning a grid-dependent number.
 
-    ``aberration`` is a ZernikeExpansion, a PhaseMap, per-node samples of
-    shape (n_theta*n_phi,) or (n_theta, n_phi), or a callable W(theta, phi)
-    in waves. The callable receives the grid axes, theta of shape
-    (n_theta, 1) and phi of shape (1, n_phi), and its result must
-    broadcast to (n_theta, n_phi); otherwise DomainError.
+    ``aberration`` is a ZernikeExpansion, a PhaseMap, an array of node
+    samples, or a callable W(theta, phi) in waves. The callable receives
+    the grid axes, theta of shape (n_theta, 1) and phi of shape
+    (1, n_phi). An array, like a callable's result, must be a scalar or a
+    2-d array that broadcasts to (n_theta, n_phi); any other shape,
+    including a 1-d vector, raises DomainError.
     """
     res = _strehl_once(field, aberration, search_halfwidth_lambda)
     for _ in range(max_doublings):

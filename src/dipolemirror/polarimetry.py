@@ -215,9 +215,13 @@ def radial_projection(pmap: PolarizationMap):
     return np.where(pmap.mask, _project(pmap.psi, pmap.chi, phi), np.nan)
 
 
+def half_plane_sign(phi):
+    """+1 in the upper half plane (sin(phi) >= 0), -1 in the lower one."""
+    return np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
+
+
 def _project(psi, chi, phi):
-    sign = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
-    return sign * np.cos(chi) * np.cos(psi - phi)
+    return half_plane_sign(phi) * np.cos(chi) * np.cos(psi - phi)
 
 
 @dataclass(frozen=True)
@@ -335,12 +339,8 @@ def save_frame_stack(stack: FrameStack, directory):
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def load_frame_stack(directory, threads: int = 1) -> FrameStack:
-    """Read back a frame stack saved by ``save_frame_stack``.
-
-    ``threads`` > 1 reads the PGM files concurrently; the frame order (and
-    therefore every downstream result) does not depend on it.
-    """
+def load_frame_stack(directory) -> FrameStack:
+    """Read back a frame stack saved by ``save_frame_stack``."""
     directory = Path(directory)
     manifest = directory / "manifest.txt" if directory.is_dir() else directory
     directory = manifest.parent
@@ -350,15 +350,8 @@ def load_frame_stack(directory, threads: int = 1) -> FrameStack:
         raise DomainError(f"{manifest}: manifest lacks pixel_scale or center")
     if not rows:
         raise DomainError(f"{manifest}: manifest lists no frames")
-    names = [name for name, _ in rows]
     angles = [math.radians(float(angle)) for _, angle in rows]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            loaded = list(pool.map(lambda n: read_pgm(directory / n), names))
-    else:
-        loaded = [read_pgm(directory / name) for name in names]
+    loaded = [read_pgm(directory / name) for name, _ in rows]
     frames = np.stack(loaded) * float(header.get("intensity_scale", 1.0))
     return FrameStack(angles_rad=tuple(angles), frames=frames,
                       pixel_scale=float(header["pixel_scale"]), center=center)

@@ -193,13 +193,8 @@ def temporal_overlap(
 
 @dataclass(frozen=True)
 class AomModel:
-    """Acousto-optic modulator response parameters.
+    """Acousto-optic modulator response parameters."""
 
-    rf_frequency_hz is the carrier frequency of the RF drive; it is not used
-    by the envelope model and is carried for reporting and export only.
-    """
-
-    rf_frequency_hz: float = 400e6
     buildup_time_ns: float = 5.0
 
     def __post_init__(self):

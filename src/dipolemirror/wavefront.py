@@ -189,6 +189,14 @@ def zernike_eval(expansion: ZernikeExpansion, rho, phi):
     return _sum_orders(orders, rho, phi)
 
 
+def _pixel_polar(rows: int, cols: int):
+    """(rho_unit, phi) of the pixel centers of a rows x cols phase map."""
+    y = -1.0 + (np.arange(rows) + 0.5) * 2.0 / rows
+    x = -1.0 + (np.arange(cols) + 0.5) * 2.0 / cols
+    xx, yy = np.meshgrid(x, y)
+    return np.hypot(xx, yy), np.arctan2(yy, xx)
+
+
 @dataclass(frozen=True)
 class PhaseMap:
     """Gridded wavefront in waves on the aperture-normalized unit square.
@@ -215,11 +223,7 @@ class PhaseMap:
 
     def grid_polar(self):
         """(rho_unit, phi) arrays for every pixel center."""
-        rows, cols = self.values.shape
-        y = -1.0 + (np.arange(rows) + 0.5) * 2.0 / rows
-        x = -1.0 + (np.arange(cols) + 0.5) * 2.0 / cols
-        xx, yy = np.meshgrid(x, y)
-        return np.hypot(xx, yy), np.arctan2(yy, xx)
+        return _pixel_polar(*self.values.shape)
 
     @classmethod
     def from_expansion(
@@ -235,10 +239,7 @@ class PhaseMap:
         """
         ann = annulus if annulus is not None else (expansion.annulus or (0.0, 1.0))
         inner, outer = ann
-        y = -1.0 + (np.arange(size) + 0.5) * 2.0 / size
-        xx, yy = np.meshgrid(y, y)
-        rho = np.hypot(xx, yy)
-        phi = np.arctan2(yy, xx)
+        rho, phi = _pixel_polar(size, size)
         mask = (rho >= inner) & (rho <= outer)
         values = np.where(mask, zernike_eval(expansion, rho, phi), np.nan)
         return cls(values=values, mask=mask, wavelength_nm=expansion.wavelength_nm)

@@ -284,9 +284,10 @@ def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
     taken on 81 points over +-halfwidth and refined by golden section to
     1e-6 wavelengths. Returns (ratio, nominal, z_peak).
     """
-    amp0 = field.efield * field.weight[:, None]
-    amp = amp0 * np.exp(2j * math.pi * np.asarray(w_nodes).ravel())[:, None]
-    cos_theta = np.cos(field.theta)
+    shape = field.efield.shape[:2]
+    amp0 = (field.efield * field.weight[..., None]).reshape(-1, 3)
+    amp = amp0 * np.exp(2j * math.pi * np.broadcast_to(w_nodes, shape).ravel())[:, None]
+    cos_theta = np.cos(np.broadcast_to(field.theta, shape).ravel())
 
     def intensity(a, z):
         e = np.exp(2j * math.pi * cos_theta * z) @ a

@@ -136,8 +136,8 @@ def test_criterion_06_aom_buildup():
 
 def test_criterion_07_dipole_identity(dipole_field):
     start = time.perf_counter()
-    amp = np.sqrt(np.sum(np.abs(dipole_field.efield) ** 2, axis=1))
-    sin_theta = np.sin(dipole_field.theta)
+    amp = np.sqrt(np.sum(np.abs(dipole_field.efield) ** 2, axis=-1))
+    sin_theta = np.broadcast_to(np.sin(dipole_field.theta), amp.shape)
     scale = float(np.sum(amp * sin_theta) / np.sum(sin_theta * sin_theta))
     assert np.abs(amp / scale - sin_theta).max() <= 1e-12
     result = strehl(dipole_field)

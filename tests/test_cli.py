@@ -256,15 +256,6 @@ def test_stokes_pipeline(tmp_path, capsys, stack_dir, waist_optimum):
     assert rect_pairs["stokes.eta"] == rect_pairs["stokes.eta_rectified"]
 
 
-def test_stokes_threads_do_not_change_output(tmp_path, capsys, stack_dir):
-    config = write_config(tmp_path, (
-        f"[stokes]\nmanifest = {stack_dir / 'manifest.txt'}\nnoise_floor = 0\n"
-    ))
-    _, out_serial, _ = run(capsys, "stokes", "--config", config, "--threads", "1")
-    _, out_pooled, _ = run(capsys, "stokes", "--config", config, "--threads", "4")
-    assert out_serial == out_pooled
-
-
 def test_stokes_trim_flag(tmp_path, capsys, stack_dir):
     config = write_config(tmp_path, (
         f"[stokes]\nmanifest = {stack_dir / 'manifest.txt'}\nnoise_floor = 0\n"
@@ -279,6 +270,7 @@ def test_stokes_trim_flag(tmp_path, capsys, stack_dir):
     ["report", "--threads", "2"],
     ["zernike", "--rectify"],
     ["pulse", "--trim-outer", "0.05"],
+    ["stokes", "--threads", "2"],
 ])
 def test_stokes_flags_belong_to_stokes(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -293,7 +285,7 @@ def test_stokes_output_is_unchanged(tmp_path, capsys, stack_dir):
     ))
     out_dir = tmp_path / "artifacts"
     _, plain, _ = run(capsys, "stokes", "--config", config)
-    code, flagged, _ = run(capsys, "stokes", "--config", config, "--threads", "2",
+    code, flagged, _ = run(capsys, "stokes", "--config", config,
                            "--rectify", "--trim-outer", "0.05", "--out", str(out_dir))
     assert code == 0
     # figures printed by the previous release for this stack

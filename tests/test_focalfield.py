@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dipolemirror import (
@@ -44,12 +46,13 @@ def small_doughnut(aperture, waist_optimum):
 
 def test_sphere_field_geometry(doughnut_field):
     s = doughnut_field.propagation()
-    assert np.allclose(np.linalg.norm(s, axis=1), 1.0, atol=1e-13)
-    assert np.allclose(s[:, 2], np.cos(doughnut_field.theta), atol=1e-13)
+    assert np.allclose(np.linalg.norm(s, axis=-1), 1.0, atol=1e-13)
+    assert np.allclose(s[..., 2], np.cos(doughnut_field.theta), atol=1e-13)
     # quadrature weights integrate the annulus solid angle
     interval = doughnut_field.aperture.angle_interval()
     omega = 2.0 * math.pi * (math.cos(interval.theta_min) - math.cos(interval.theta_max))
-    assert doughnut_field.weight.sum() == pytest.approx(omega, rel=1e-12)
+    weight = np.broadcast_to(doughnut_field.weight, s.shape[:2])
+    assert weight.sum() == pytest.approx(omega, rel=1e-12)
 
 
 def test_sphere_overlap_matches_plane_overlap(doughnut_field, dipole_field, waist_optimum):
@@ -76,8 +79,8 @@ def test_focal_field_matches_direct_sum(aperture):
     rng = np.random.default_rng(9)
     pos = rng.uniform(-1.0, 1.0, (7, 3))
     got = focal_field(field, pos)
-    s = field.propagation()
-    amp = field.efield * field.weight[:, None]
+    s = field.propagation().reshape(-1, 3)
+    amp = (field.efield * field.weight[..., None]).reshape(-1, 3)
     want = np.empty_like(got)
     for i, x in enumerate(pos):
         phase = np.exp(2j * math.pi * (s @ x))
@@ -206,14 +209,19 @@ def test_strehl_convergence_covers_the_peak_offset(small_doughnut, monkeypatch):
 
 
 def test_callable_aberration_must_broadcast(small_doughnut):
-    def flat(theta, phi):
+    def per_node(theta, phi):
         # written for flat node vectors: one value per node, not per axis
         return np.ravel(np.cos(theta) * np.cos(phi))
 
-    with pytest.raises(DomainError, match="broadcast"):
-        strehl(small_doughnut, flat)
-    with pytest.raises(DomainError, match="broadcast"):
-        focal_field(small_doughnut, np.zeros(3), aberration=flat)
+    def per_ring(theta, phi):
+        # one value per ring; on a square grid it would broadcast along phi
+        return np.ravel(0.05 * np.cos(theta) ** 2)
+
+    for func in (per_node, per_ring):
+        with pytest.raises(DomainError, match="broadcast"):
+            strehl(small_doughnut, func)
+        with pytest.raises(DomainError, match="broadcast"):
+            focal_field(small_doughnut, np.zeros(3), aberration=func)
 
 
 def test_aberration_input_forms_agree(small_doughnut, aperture):
@@ -223,17 +231,53 @@ def test_aberration_input_forms_agree(small_doughnut, aperture):
     def func(theta, phi):
         return zernike_eval(exp, rho_from_theta(theta) / aperture.rho_max, phi)
 
-    flat = func(small_doughnut.theta, small_doughnut.phi)
-    grid = flat.reshape(small_doughnut.n_theta, small_doughnut.n_phi)
+    grid = func(small_doughnut.theta, small_doughnut.phi)
     pos = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
     reference = focal_field(small_doughnut, pos, aberration=exp)
-    for form in (func, flat, grid):
+    for form in (func, grid):
         assert np.allclose(focal_field(small_doughnut, pos, aberration=form),
                            reference, atol=1e-12 * np.abs(reference).max())
-    with pytest.raises(DomainError):
-        focal_field(small_doughnut, pos, aberration=flat[:-1])
+    for bad in (grid[:-1], grid.ravel()):
+        with pytest.raises(DomainError):
+            focal_field(small_doughnut, pos, aberration=bad)
     with pytest.raises(DomainError):
         focal_field(small_doughnut, pos, aberration="coma")
+
+
+def _rotated(expansion, alpha):
+    # W(rho, phi - alpha): the cos and sin terms of one (n, |m|) mix by the
+    # angle |m| alpha; an m = 0 term keeps its value
+    coef = {(n, m): v for n, m, v in expansion.terms}
+    terms = []
+    for n, m, _ in expansion.terms:
+        c, s = coef.get((n, abs(m)), 0.0), coef.get((n, -abs(m)), 0.0)
+        ca, sa = math.cos(abs(m) * alpha), math.sin(abs(m) * alpha)
+        terms.append((n, m, c * sa + s * ca if m < 0 else c * ca - s * sa))
+    return ZernikeExpansion(terms=tuple(terms), wavelength_nm=expansion.wavelength_nm)
+
+
+@pytest.fixture(scope="module")
+def rotation_field(aperture, waist_optimum):
+    return plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
+                           n_theta=64, n_phi=32)
+
+
+_INDICES = [(n, m) for n in range(5) for m in range(-n, n + 1, 2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(st.floats(-0.04, 0.04), min_size=len(_INDICES),
+                       max_size=len(_INDICES)),
+       k=st.integers(1, 31))
+def test_strehl_is_invariant_under_pupil_rotation(rotation_field, values, k):
+    exp = ZernikeExpansion(terms=tuple((n, m, v) for (n, m), v in zip(_INDICES, values)),
+                           wavelength_nm=369.5)
+    # a multiple of the azimuthal step maps the node grid onto itself
+    turned = _rotated(exp, 2.0 * math.pi * k / rotation_field.n_phi)
+    base, rot = strehl(rotation_field, exp), strehl(rotation_field, turned)
+    assert rot.ratio == pytest.approx(base.ratio, abs=1e-9)
+    assert rot.nominal == pytest.approx(base.nominal, abs=1e-9)
+    assert rot.peak_offset_lambda == pytest.approx(base.peak_offset_lambda, abs=1e-5)
 
 
 def test_phase_map_aberration_matches_expansion(small_doughnut):

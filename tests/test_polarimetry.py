@@ -270,10 +270,10 @@ def test_frame_stack_file_roundtrip(tmp_path, doughnut_stack):
     assert back.center == pytest.approx(stack.center, abs=1e-3)
     scale = stack.frames.max()
     assert np.abs(back.frames - stack.frames).max() < 1.5e-5 * scale
-    # loading through the manifest path and with threads changes nothing
-    threaded = load_frame_stack(tmp_path / "stack" / "manifest.txt", threads=4)
-    assert np.array_equal(threaded.frames, back.frames)
-    assert threaded.angles_rad == back.angles_rad
+    # loading through the manifest path changes nothing
+    via_manifest = load_frame_stack(tmp_path / "stack" / "manifest.txt")
+    assert np.array_equal(via_manifest.frames, back.frames)
+    assert via_manifest.angles_rad == back.angles_rad
 
 
 def test_frame_stack_manifest_errors(tmp_path):
