@@ -33,15 +33,16 @@ A SphereField stores the tensor-product node grid on its axes: theta,
 the weights and the pupil radius have shape (n_theta, 1), phi has shape
 (1, n_phi), and the vector amplitude has shape (n_theta, n_phi, 3). So
 the map onto the sphere computes each quantity on the axis it depends on,
-and aberrations are evaluated on the same axes; an aberration array or a
-callable's result is a scalar or a 2-d array that broadcasts to
-(n_theta, n_phi). On the axis the phase exp(i 2 pi z cos(theta)) does not
-depend on phi, so the aberrated node amplitudes are summed over each ring
-of constant theta once; every axial evaluation then costs O(n_theta), and
-a scan of many axial positions is one matrix product. The quadrature is
-doubled to confirm the ratio and the peak position; disagreement raises
-instead of returning a number that depends on the grid. ``focal_field``
-sums over every node and is the brute-force reference for the ring sums.
+and aberrations are evaluated on the same axes; a callable's result is
+a scalar or a 2-d array that broadcasts to (n_theta, n_phi). Measured
+pixel maps are sampled by mask-weighted bilinear interpolation. On the
+axis the phase exp(i 2 pi z cos(theta)) does not depend on phi, so the
+aberrated node amplitudes are summed over each ring of constant theta
+once; every axial evaluation then costs O(n_theta), and a scan of many
+axial positions is one matrix product. The quadrature is doubled to
+confirm the ratio and the peak position; disagreement raises instead of
+returning a number that depends on the grid. ``focal_field`` sums over
+every node and is the brute-force reference for the ring sums.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -57,8 +58,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.ndimage import distance_transform_edt
 
 from .errors import ConvergenceError, CoverageError, DomainError, ProvenanceError
 from .geometry import ApertureSpec, incidence_angle, rho_from_theta, theta_from_rho
@@ -158,31 +157,31 @@ def _pmap_components(pmap: PolarizationMap):
 
 
 def _sample_pixels(maps, mask, rows, cols, what: str):
-    """Bilinear samples of pixel maps at fractional (row, col) positions.
+    """Mask-weighted bilinear samples of pixel maps at fractional (row, col).
 
-    ``maps`` share the validity ``mask``; masked-out pixels first take the
-    value of their nearest valid neighbor. A position whose interpolated
-    mask is below 0.25, or which lies off the pixel grid, is uncovered;
+    ``maps`` share the validity ``mask``. Each of the four neighbors weighs
+    its bilinear weight times its mask value; their sum is the coverage,
+    and a sample is the weighted sum of the neighbors over the coverage. A
+    position off the pixel grid or with coverage below 0.25 is uncovered;
     any uncovered position raises CoverageError ("<what> covers only ...").
     """
-    if mask.all():
-        filled = list(maps)
-    else:
-        idx = tuple(distance_transform_edt(~mask, return_distances=False, return_indices=True))
-        filled = [np.where(mask, m, 0.0)[idx] for m in maps]
-    grid = (np.arange(mask.shape[0], dtype=float), np.arange(mask.shape[1], dtype=float))
-    pts = _stack_last(rows, cols)
-
-    def interp(values):
-        return RegularGridInterpolator(grid, values, bounds_error=False, fill_value=np.nan)(pts)
-
-    cov = interp(mask.astype(float))
-    bad = ~np.isfinite(cov) | (cov < 0.25)
+    n_rows, n_cols = mask.shape
+    on_grid = (rows >= 0.0) & (rows <= n_rows - 1) & (cols >= 0.0) & (cols <= n_cols - 1)
+    r, c = np.where(on_grid, rows, 0.0), np.where(on_grid, cols, 0.0)
+    i, j = np.floor(r).astype(np.intp), np.floor(c).astype(np.intp)
+    fr, fc = r - i, c - j
+    i1, j1 = np.minimum(i + 1, n_rows - 1), np.minimum(j + 1, n_cols - 1)
+    corners = ((i, j, (1 - fr) * (1 - fc)), (i, j1, (1 - fr) * fc),
+               (i1, j, fr * (1 - fc)), (i1, j1, fr * fc))
+    weights = [w * mask[a, b] for a, b, w in corners]
+    cov = sum(weights)
+    bad = ~on_grid | (cov < 0.25)
     if bad.any():
         frac = float(bad.mean())
         raise CoverageError(f"{what} covers only {1 - frac:.1%} of the mirror annulus",
                             missing_fraction=frac)
-    return [interp(m) for m in filled]
+    valid = [np.where(mask, m, 0.0) for m in maps]
+    return [sum(w * v[a, b] for (a, b, _), w in zip(corners, weights)) / cov for v in valid]
 
 
 def plane_to_sphere(
@@ -195,8 +194,9 @@ def plane_to_sphere(
 
     ``source`` is a RadialMode (radially polarized by convention) or a
     measured PolarizationMap. The angular domain is the mirror annulus
-    between bore and rim. A PolarizationMap must cover that annulus;
-    otherwise a CoverageError reports the missing fraction.
+    between bore and rim. A PolarizationMap, sampled by mask-weighted
+    bilinear interpolation, must cover that annulus; otherwise a
+    CoverageError reports the missing fraction.
     """
     if n_theta < 2 or n_phi < 1:
         raise DomainError("need at least 2 polar and 1 azimuthal node")
@@ -275,10 +275,10 @@ def _resolve_aberration(field: SphereField, aberration):
             "phase map",
         )
         return w
-    if not (isinstance(aberration, np.ndarray) or callable(aberration)):
-        raise DomainError(f"cannot interpret {type(aberration).__name__} as an aberration")
-    w = np.asarray(aberration(field.theta, field.phi) if callable(aberration) else aberration,
-                   dtype=float)
+    if not callable(aberration):
+        raise DomainError(f"cannot interpret {type(aberration).__name__} as an aberration; "
+                          "pass a callable W(theta, phi) in waves instead")
+    w = np.asarray(aberration(field.theta, field.phi), dtype=float)
     # a 1-d result would broadcast along phi alone, whatever axis it meant
     if w.ndim in (0, 2):
         try:
@@ -392,12 +392,12 @@ def strehl(
     peak offset by less than 1e-3 wavelengths; failing that raises
     ConvergenceError rather than returning a grid-dependent number.
 
-    ``aberration`` is a ZernikeExpansion, a PhaseMap, an array of node
-    samples, or a callable W(theta, phi) in waves. The callable receives
-    the grid axes, theta of shape (n_theta, 1) and phi of shape
-    (1, n_phi). An array, like a callable's result, must be a scalar or a
-    2-d array that broadcasts to (n_theta, n_phi); any other shape,
-    including a 1-d vector, raises DomainError.
+    ``aberration`` is a ZernikeExpansion, a PhaseMap or a callable
+    W(theta, phi) in waves, evaluated anew on every grid. The callable
+    receives the grid axes, theta of shape (n_theta, 1) and phi of shape
+    (1, n_phi), and returns a scalar or a 2-d array that broadcasts to
+    (n_theta, n_phi); any other shape, a 1-d vector included, or an array
+    of node samples raises DomainError.
     """
     res = _strehl_once(field, aberration, search_halfwidth_lambda)
     for _ in range(max_doublings):

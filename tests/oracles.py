@@ -12,6 +12,7 @@ import json
 import math
 
 import numpy as np
+from scipy.interpolate import RegularGridInterpolator
 
 from dipolemirror.geometry import rho_from_theta
 
@@ -274,6 +275,17 @@ def temporal_overlap_scan(pulse, spec, shift_lifetimes: float = 10.0):
 
 
 # ------------------------------------------------------------ focal field
+
+
+def bilinear(values, rows, cols):
+    """Bilinear interpolation of a pixel map at fractional (row, col).
+
+    scipy's RegularGridInterpolator on the pixel-index grid; a position
+    off the grid gives nan.
+    """
+    grid = (np.arange(values.shape[0], dtype=float), np.arange(values.shape[1], dtype=float))
+    interp = RegularGridInterpolator(grid, values, bounds_error=False, fill_value=np.nan)
+    return interp(np.stack([rows, cols], axis=-1))
 
 
 def axial_strehl(field, w_nodes, halfwidth: float = 2.0):

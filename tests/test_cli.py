@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dipolemirror
 import oracles
 from dipolemirror import (
     ConvergenceError,
@@ -61,6 +66,18 @@ def test_version(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "dipolemirror" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # structure, not wall time: a fresh process that imports the CLI pays
+    # for no scipy module
+    src = str(Path(dipolemirror.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, dipolemirror.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_subcommand_required():

@@ -31,6 +31,7 @@ from dipolemirror import (
 )
 from dipolemirror.focalfield import (
     OpticalConstants,
+    _sample_pixels,
     reflection_phase_waves,
     reflectivity_weight,
 )
@@ -234,14 +235,20 @@ def test_aberration_input_forms_agree(small_doughnut, aperture):
     grid = func(small_doughnut.theta, small_doughnut.phi)
     pos = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
     reference = focal_field(small_doughnut, pos, aberration=exp)
-    for form in (func, grid):
-        assert np.allclose(focal_field(small_doughnut, pos, aberration=form),
-                           reference, atol=1e-12 * np.abs(reference).max())
-    for bad in (grid[:-1], grid.ravel()):
+    assert np.allclose(focal_field(small_doughnut, pos, aberration=func),
+                       reference, atol=1e-12 * np.abs(reference).max())
+    # node samples fit one grid only, so no array is an aberration
+    for bad in (grid, grid[:-1], grid.ravel()):
         with pytest.raises(DomainError):
             focal_field(small_doughnut, pos, aberration=bad)
     with pytest.raises(DomainError):
         focal_field(small_doughnut, pos, aberration="coma")
+
+
+def test_strehl_refuses_node_samples(small_doughnut):
+    grid = 0.05 * np.cos(small_doughnut.theta) ** 2 * np.ones((1, small_doughnut.n_phi))
+    with pytest.raises(DomainError, match=r"callable W\(theta, phi\)"):
+        strehl(small_doughnut, grid)
 
 
 def _rotated(expansion, alpha):
@@ -297,6 +304,41 @@ def test_phase_map_coverage_guard(small_doughnut):
     cropped = PhaseMap.from_expansion(exp, size=64, annulus=(0.0, 0.3))
     with pytest.raises(CoverageError):
         focal_field(small_doughnut, np.zeros(3), aberration=cropped)
+
+
+@st.composite
+def _pixel_samples(draw):
+    # a random map and mask, and positions in and around the pixel grid
+    n_rows, n_cols = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (n_rows, n_cols)) * 10.0 ** draw(st.integers(-3, 3))
+    mask = rng.random((n_rows, n_cols)) < draw(st.sampled_from([1.0, 0.9, 0.6, 0.3]))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.floats(-1.0, n_rows), min_size=n, max_size=n))
+    cols = draw(st.lists(st.floats(-1.0, n_cols), min_size=n, max_size=n))
+    return values, mask, np.array(rows), np.array(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pixel_samples())
+def test_sample_pixels_is_mask_weighted_bilinear(case):
+    values, mask, rows, cols = case
+    cov = oracles.bilinear(mask.astype(float), rows, cols)
+    uncovered = np.isnan(cov) | (cov < 0.25)
+    if uncovered.any():
+        with pytest.raises(CoverageError) as err:
+            _sample_pixels([values], mask, rows, cols, "map")
+        assert err.value.missing_fraction == pytest.approx(uncovered.mean())
+        return
+    (got,) = _sample_pixels([values], mask, rows, cols, "map")
+    tol = 1e-14 * np.abs(values).max()
+    if mask.all():
+        assert np.abs(got - oracles.bilinear(values, rows, cols)).max() <= tol
+    # a convex combination of the valid pixels that carry bilinear weight
+    pixel_rows, pixel_cols = np.indices(mask.shape)
+    for r, c, sample in zip(rows, cols, got):
+        near = values[mask & (np.abs(pixel_rows - r) < 1) & (np.abs(pixel_cols - c) < 1)]
+        assert near.min() - tol <= sample <= near.max() + tol
 
 
 @pytest.fixture(scope="module")
