@@ -70,11 +70,9 @@ from .focalfield import (
     aluminum,
     aluminum_phase_study,
     aluminum_rp,
-    focal_field,
     plane_to_sphere,
     reflectivity_weighted_optimum,
     reflectivity_weighted_overlap,
-    sphere_overlap,
     strehl,
 )
 from .temporal import (

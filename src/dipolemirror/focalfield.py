@@ -30,19 +30,24 @@ defocus-like aberrations shift the axial maximum, both the value at the
 shifted maximum (searched over an axial range) and at the nominal focus
 are reported, together with the amplitude-weighted RMS of the aberration.
 A SphereField stores the tensor-product node grid on its axes: theta,
-the weights and the pupil radius have shape (n_theta, 1), phi has shape
-(1, n_phi), and the vector amplitude has shape (n_theta, n_phi, 3). So
-the map onto the sphere computes each quantity on the axis it depends on,
-and aberrations are evaluated on the same axes; a callable's result is
-a scalar or a 2-d array that broadcasts to (n_theta, n_phi). Measured
+the weights and the pupil radius have shape (n_theta, 1) and phi has
+shape (1, n_phi). The field stays in the local basis, as its amplitudes
+along e_theta and e_phi: (n_theta, 1) for a radial mode, whose e_phi
+amplitude is zero, and (n_theta, n_phi) for a measured map; the
+Cartesian (n_theta, n_phi, 3) field is built only on request. So the map
+onto the sphere computes each quantity on the axis it depends on, and
+aberrations are evaluated on the same axes; a callable's result is a
+scalar or a 2-d array that broadcasts to (n_theta, n_phi). Measured
 pixel maps are sampled by mask-weighted bilinear interpolation. On the
-axis the phase exp(i 2 pi z cos(theta)) does not depend on phi, so the
-aberrated node amplitudes are summed over each ring of constant theta
-once; every axial evaluation then costs O(n_theta), and a scan of many
-axial positions is one matrix product. The quadrature is doubled to
-confirm the ratio and the peak position; disagreement raises instead of
-returning a number that depends on the grid. ``focal_field`` sums over
-every node and is the brute-force reference for the ring sums.
+axis the phase exp(i 2 pi z cos(theta)) does not depend on phi, so each
+ring of constant theta is summed once: the aberrated e_theta and e_phi
+amplitudes go through the real basis (cos phi, sin phi, 1), and the
+Cartesian ring sums follow from e_theta and e_phi. Every axial
+evaluation then costs O(n_theta), and a scan of many axial positions is
+one matrix product. The Gauss-Legendre rule is computed once per node
+count. The quadrature is doubled to confirm the ratio and the peak
+position; disagreement raises instead of returning a number that depends
+on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -70,8 +75,6 @@ from .wavefront import PhaseMap, ZernikeExpansion, zernike_eval
 __all__ = [
     "SphereField",
     "plane_to_sphere",
-    "sphere_overlap",
-    "focal_field",
     "StrehlResult",
     "strehl",
     "OpticalConstants",
@@ -87,8 +90,6 @@ __all__ = [
 ]
 
 _DEFAULT_NODES = 256
-# target element count per chunk of the Debye phase matrix (memory bound)
-_CHUNK_ELEMENTS = 4_000_000
 # doublings of the axial search window; the quadrature-convergence
 # tolerances of the Strehl ratios and of the peak offset in wavelengths
 _MAX_WIDENINGS = 3
@@ -104,17 +105,21 @@ class SphereField:
 
     The nodes form a tensor-product grid, stored on its axes: polar angle,
     quadrature weight (including the solid-angle sine) and pupil radius in
-    units of the aperture radius have shape (n_theta, 1), the azimuth has
-    shape (1, n_phi), and the complex vector amplitude has shape
-    (n_theta, n_phi, 3). ``source`` and ``aperture`` are retained so the
-    field can be rebuilt at a different resolution for convergence checks.
+    units of the aperture radius have shape (n_theta, 1), and the azimuth
+    has shape (1, n_phi). The field is kept in the local basis: its
+    amplitudes along e_theta and e_phi, apodization included, have shape
+    (n_theta, 1) for a radial mode, whose e_phi amplitude is zero, and
+    (n_theta, n_phi) for a measured map. ``source`` and ``aperture`` are
+    retained so the field can be rebuilt at a different resolution for
+    convergence checks.
     """
 
     theta: np.ndarray
     phi: np.ndarray
     weight: np.ndarray
     rho_unit: np.ndarray
-    efield: np.ndarray
+    amp_theta: np.ndarray
+    amp_phi: np.ndarray
     aperture: ApertureSpec
     source: object
 
@@ -126,19 +131,41 @@ class SphereField:
     def n_phi(self) -> int:
         return self.phi.shape[1]
 
-    def with_resolution(self, n_theta: int, n_phi: int) -> "SphereField":
-        return plane_to_sphere(self.source, self.aperture, n_theta=n_theta, n_phi=n_phi)
-
-    def propagation(self) -> np.ndarray:
-        """Unit propagation vectors s = -r_hat, shape (n_theta, n_phi, 3)."""
+    @property
+    def efield(self) -> np.ndarray:
+        """Cartesian vector amplitude, shape (n_theta, n_phi, 3), built on demand."""
         st, ct = np.sin(self.theta), np.cos(self.theta)
         sp, cp = np.sin(self.phi), np.cos(self.phi)
-        return _stack_last(-st * cp, -st * sp, ct)
+        a, b = self.amp_theta, self.amp_phi
+        return _stack_last(a * ct * cp - b * sp, a * ct * sp + b * cp, a * st)
+
+    def with_resolution(self, n_theta: int, n_phi: int) -> "SphereField":
+        return plane_to_sphere(self.source, self.aperture, n_theta=n_theta, n_phi=n_phi)
 
 
 def _stack_last(*parts):
     # components that broadcast against each other, stacked on a last axis
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    u, w = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _phasor(waves):
+    """exp(i 2 pi waves) from one cosine and one sine, faster than complex np.exp."""
+    turns = 2.0 * math.pi * np.asarray(waves, dtype=float)
+    out = np.empty(turns.shape, dtype=complex)
+    np.cos(turns, out=out.real)
+    np.sin(turns, out=out.imag)
+    return out
 
 
 def _pmap_components(pmap: PolarizationMap):
@@ -201,7 +228,7 @@ def plane_to_sphere(
     if n_theta < 2 or n_phi < 1:
         raise DomainError("need at least 2 polar and 1 azimuthal node")
     interval = aperture.angle_interval()
-    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    u, wu = _gauss_legendre(n_theta)
     ulo = math.cos(interval.theta_max)
     uhi = math.cos(interval.theta_min)
     uu = 0.5 * (uhi - ulo) * u + 0.5 * (uhi + ulo)
@@ -212,47 +239,27 @@ def plane_to_sphere(
     weight = wu[:, None] * (2.0 * math.pi / n_phi)
     rho = rho_from_theta(theta)
     apod = 1.0 / np.cos(0.5 * theta) ** 2
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    e_theta = _stack_last(ct * cp, ct * sp, st)
 
     if isinstance(source, PolarizationMap):
+        sp, cp = np.sin(phi), np.cos(phi)
         jx, jy = _sample_pixels(
             _pmap_components(source), source.mask,
             source.center[0] + rho * sp / source.pixel_scale,
             source.center[1] + rho * cp / source.pixel_scale,
             "measured map",
         )
-        e_r = jx * cp + jy * sp
-        e_a = -jx * sp + jy * cp
-        e_phi = _stack_last(-sp, cp, 0.0)
-        efield = (apod * e_r)[..., None] * e_theta + (apod * e_a)[..., None] * e_phi
+        amp_theta = apod * (jx * cp + jy * sp)
+        amp_phi = apod * (-jx * sp + jy * cp)
     elif hasattr(source, "amplitude"):
-        amp = np.asarray(source.amplitude(rho), dtype=float) * apod
-        efield = amp[..., None] * e_theta.astype(complex)
+        amp_theta = np.asarray(source.amplitude(rho), dtype=float) * apod
+        amp_phi = np.zeros_like(amp_theta)
     else:
         raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
 
     return SphereField(
         theta=theta, phi=phi, weight=weight, rho_unit=rho / aperture.rho_max,
-        efield=efield, aperture=aperture, source=source,
+        amp_theta=amp_theta, amp_phi=amp_phi, aperture=aperture, source=source,
     )
-
-
-def sphere_overlap(a: SphereField, b: SphereField) -> float:
-    """Normalized overlap of two sphere fields on a common node set.
-
-    Equals the entrance-plane overlap of the corresponding modes; used as
-    a cross-check of the plane-to-sphere map.
-    """
-    if a.efield.shape != b.efield.shape or not np.allclose(a.theta, b.theta):
-        raise DomainError("sphere fields must share one quadrature grid")
-    num = float(np.real(np.sum(a.weight * np.sum(a.efield * np.conj(b.efield), axis=-1))))
-    na = float(np.sum(a.weight * np.sum(np.abs(a.efield) ** 2, axis=-1)))
-    nb = float(np.sum(b.weight * np.sum(np.abs(b.efield) ** 2, axis=-1)))
-    if na <= 0 or nb <= 0:
-        raise DomainError("zero-energy sphere field in overlap")
-    return num / math.sqrt(na * nb)
 
 
 def _resolve_aberration(field: SphereField, aberration):
@@ -291,33 +298,6 @@ def _resolve_aberration(field: SphereField, aberration):
     )
 
 
-def focal_field(field: SphereField, positions_lambda, aberration=None) -> np.ndarray:
-    """Complex Cartesian field at positions given in wavelength units.
-
-    positions_lambda has shape (n, 3) or (3,); the result matches with a
-    trailing component axis. The overall normalization is arbitrary but
-    consistent between calls on the same quadrature grid. ``aberration``
-    takes the forms ``strehl`` documents. The sum runs over every node
-    and is the brute-force reference for the ring sums of ``strehl``.
-    """
-    pos = np.asarray(positions_lambda, dtype=float)
-    single = pos.ndim == 1
-    pos = np.atleast_2d(pos)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise DomainError("positions must have shape (n, 3)")
-    w = _resolve_aberration(field, aberration)
-    amp = (field.efield * (field.weight * np.exp(2j * math.pi * w))[..., None]).reshape(-1, 3)
-    s = field.propagation().reshape(-1, 3)
-    n_nodes = s.shape[0]
-    chunk = max(1, _CHUNK_ELEMENTS // n_nodes)
-    out = np.empty((pos.shape[0], 3), dtype=complex)
-    for k in range(0, pos.shape[0], chunk):
-        block = pos[k : k + chunk]
-        phase = np.exp(2j * math.pi * (s @ block.T))
-        out[k : k + chunk] = phase.T @ amp
-    return out[0] if single else out
-
-
 @dataclass(frozen=True)
 class StrehlResult:
     """Strehl ratio with its axial-search and convergence context.
@@ -338,11 +318,24 @@ class StrehlResult:
 
 def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResult:
     w = _resolve_aberration(field, aberration)
-    amp0 = field.efield * field.weight[..., None]
-    # the axial phase depends on theta only: sum each ring over phi once
-    rings0 = amp0.sum(axis=1)
-    rings = (np.exp(2j * math.pi * w)[:, None, :] @ amp0)[:, 0, :]
-    cos_theta = np.cos(field.theta[:, 0])
+    shape = (field.n_theta, field.n_phi)
+    phi = field.phi[0]
+    basis = _stack_last(np.cos(phi), np.sin(phi), 1.0)
+    st, ct = np.sin(field.theta), np.cos(field.theta)
+
+    def ring_sums(phase):
+        # the axial phase depends on theta only, so each ring is summed over
+        # phi once. With f and g the phased e_theta and e_phi amplitudes
+        # summed against (cos phi, sin phi, 1), e_theta adds
+        # (cos t f_cos, cos t f_sin, sin t f_1) and e_phi (-g_sin, g_cos, 0)
+        f = (phase * field.amp_theta) @ basis
+        g = (phase * field.amp_phi) @ basis
+        xyz = (ct * f[:, :1] - g[:, 1:2], ct * f[:, 1:2] + g[:, :1], st * f[:, 2:])
+        return field.weight * np.hstack(xyz)
+
+    rings0 = ring_sums(np.ones(shape))
+    rings = ring_sums(_phasor(w))
+    cos_theta = ct[:, 0]
 
     def intensity(sums, z):
         # |E|^2 at axial position(s) z from (n_theta, 3) ring sums
@@ -363,7 +356,7 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
                                f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
     ratio = peak / denom
 
-    q = field.weight * np.abs(field.efield[..., 2])
+    q = np.broadcast_to(field.weight * np.abs(field.amp_theta * st), shape)
     qsum = float(q.sum())
     if qsum > 0.0:
         mean = float(np.sum(q * w)) / qsum

@@ -3,7 +3,9 @@
 Everything here is written from first principles (explicit Mueller
 matrices, brute-force quadrature) rather than by calling back into the
 package code paths under test, so a disagreement points at the package
-and not at a shared helper.
+and not at a shared helper. The one exception is ``focal_field``, which
+resolves its aberration argument with the package's resolver: that input
+handling is what the focal-field tests exercise through it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from dipolemirror.errors import DomainError
+from dipolemirror.focalfield import _resolve_aberration
 from dipolemirror.geometry import rho_from_theta
 
 
@@ -288,16 +292,118 @@ def bilinear(values, rows, cols):
     return interp(np.stack([rows, cols], axis=-1))
 
 
+def _sphere_axes(field):
+    """sin and cos of theta and phi, broadcast to the (n_theta, n_phi) nodes."""
+    shape = (field.n_theta, field.n_phi)
+    theta = np.broadcast_to(field.theta, shape)
+    phi = np.broadcast_to(field.phi, shape)
+    return np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+
+
+def sphere_vector_field(source, field) -> np.ndarray:
+    """Cartesian field of ``source`` on the nodes of ``field``, (n_theta, n_phi, 3).
+
+    A point of the sphere at (theta, phi) sees the entrance plane at radius
+    rho = 2 tan(theta/2) (units of f) and azimuth phi, with apodization
+    sec^2(theta/2). A radial mode is amplitude(rho) along e_theta =
+    (cos t cos p, cos t sin p, sin t). A measured map gives the Jones
+    components Ex, Ey = sqrt(s0) (cos chi cos psi - i sin chi sin psi,
+    cos chi sin psi + i sin chi cos psi), signed +-1 by the half plane of
+    the pixel so they stay smooth where psi folds, bilinearly sampled
+    (plain, not mask weighted: the map must be valid where it is sampled)
+    and projected on e_theta (radial part) and e_phi = (-sin p, cos p, 0)
+    (azimuthal part).
+    """
+    st, ct, sp, cp = _sphere_axes(field)
+    theta = np.arccos(ct)
+    rho = 2.0 * np.tan(theta / 2.0)
+    apod = 1.0 / np.cos(theta / 2.0) ** 2
+    if hasattr(source, "amplitude"):
+        radial = np.asarray(source.amplitude(rho), dtype=float) * apod
+        azimuthal = np.zeros_like(radial)
+    else:
+        y = (np.arange(source.s0.shape[0])[:, None] - source.center[0]) * source.pixel_scale
+        amp = np.where(y >= 0.0, 1.0, -1.0) * np.sqrt(source.s0)
+        psi, chi = source.psi, source.chi
+        jones_x = amp * (np.cos(chi) * np.cos(psi) - 1j * np.sin(chi) * np.sin(psi))
+        jones_y = amp * (np.cos(chi) * np.sin(psi) + 1j * np.sin(chi) * np.cos(psi))
+        r = source.center[0] + rho * sp / source.pixel_scale
+        c = source.center[1] + rho * cp / source.pixel_scale
+        ex = bilinear(jones_x.real, r, c) + 1j * bilinear(jones_x.imag, r, c)
+        ey = bilinear(jones_y.real, r, c) + 1j * bilinear(jones_y.imag, r, c)
+        radial = apod * (ex * cp + ey * sp)
+        azimuthal = apod * (-ex * sp + ey * cp)
+    return np.stack([radial * ct * cp - azimuthal * sp,
+                     radial * ct * sp + azimuthal * cp,
+                     radial * st], axis=-1)
+
+
+def propagation(field) -> np.ndarray:
+    """Unit propagation vectors s = -r_hat = (-sin t cos p, -sin t sin p, cos t)."""
+    st, ct, sp, cp = _sphere_axes(field)
+    return np.stack([-st * cp, -st * sp, ct], axis=-1)
+
+
+# element count per chunk of the Debye phase matrix (memory bound)
+_CHUNK_ELEMENTS = 4_000_000
+
+
+def focal_field(field, positions_lambda, aberration=None) -> np.ndarray:
+    """Complex Cartesian field at positions given in wavelength units.
+
+    The Debye sum over every node: sum_nodes w * E * exp(i 2 pi W) *
+    exp(i 2 pi s . x), with E the oracle's ``sphere_vector_field`` of the
+    field's source. positions_lambda has shape (n, 3) or (3,); the result
+    matches with a trailing component axis. ``aberration`` takes the forms
+    ``strehl`` documents and is resolved by the package's own resolver,
+    whose input handling the focal-field tests exercise through it.
+    """
+    pos = np.asarray(positions_lambda, dtype=float)
+    single = pos.ndim == 1
+    pos = np.atleast_2d(pos)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise DomainError("positions must have shape (n, 3)")
+    w = _resolve_aberration(field, aberration)
+    vector = sphere_vector_field(field.source, field)
+    amp = (vector * (field.weight * np.exp(2j * math.pi * w))[..., None]).reshape(-1, 3)
+    s = propagation(field).reshape(-1, 3)
+    chunk = max(1, _CHUNK_ELEMENTS // s.shape[0])
+    out = np.empty((pos.shape[0], 3), dtype=complex)
+    for k in range(0, pos.shape[0], chunk):
+        block = pos[k : k + chunk]
+        out[k : k + chunk] = np.exp(2j * math.pi * (s @ block.T)).T @ amp
+    return out[0] if single else out
+
+
+def sphere_overlap(a, b) -> float:
+    """Normalized overlap of two sphere fields on a common node set.
+
+    Reads each field's own ``efield``; for modes it equals their
+    entrance-plane overlap, so it cross-checks the plane-to-sphere map.
+    """
+    ea, eb = a.efield, b.efield
+    if ea.shape != eb.shape or not np.allclose(a.theta, b.theta):
+        raise DomainError("sphere fields must share one quadrature grid")
+    num = float(np.real(np.sum(a.weight * np.sum(ea * np.conj(eb), axis=-1))))
+    na = float(np.sum(a.weight * np.sum(np.abs(ea) ** 2, axis=-1)))
+    nb = float(np.sum(b.weight * np.sum(np.abs(eb) ** 2, axis=-1)))
+    if na <= 0 or nb <= 0:
+        raise DomainError("zero-energy sphere field in overlap")
+    return num / math.sqrt(na * nb)
+
+
 def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
     """Strehl ratio by a full node sum at every axial position.
 
     The on-axis field is sum_nodes amp * exp(i 2 pi (W + z cos theta)),
-    amp the node weight times the vector amplitude. The maximum over z is
-    taken on 81 points over +-halfwidth and refined by golden section to
-    1e-6 wavelengths. Returns (ratio, nominal, z_peak).
+    amp the node weight times ``sphere_vector_field`` of the field's
+    source. The maximum over z is taken on 81 points over +-halfwidth and
+    refined by golden section to 1e-6 wavelengths. Returns (ratio,
+    nominal, z_peak).
     """
-    shape = field.efield.shape[:2]
-    amp0 = (field.efield * field.weight[..., None]).reshape(-1, 3)
+    vector = sphere_vector_field(field.source, field)
+    shape = vector.shape[:2]
+    amp0 = (vector * field.weight[..., None]).reshape(-1, 3)
     amp = amp0 * np.exp(2j * math.pi * np.broadcast_to(w_nodes, shape).ravel())[:, None]
     cos_theta = np.cos(np.broadcast_to(field.theta, shape).ravel())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import focal_field, sphere_overlap
 from dipolemirror import (
     ApertureSpec,
     ConvergenceError,
@@ -20,22 +22,22 @@ from dipolemirror import (
     aluminum,
     aluminum_rp,
     ellipse_angles,
-    focal_field,
     plane_to_sphere,
     reflectivity_weighted_optimum,
     reflectivity_weighted_overlap,
     spatial_overlap,
-    sphere_overlap,
     stokes_from_frames,
     strehl,
 )
 from dipolemirror.focalfield import (
     OpticalConstants,
+    _gauss_legendre,
     _sample_pixels,
     reflection_phase_waves,
     reflectivity_weight,
 )
 from dipolemirror.geometry import rho_from_theta
+from dipolemirror.polarimetry import PolarizationMap
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ def small_doughnut(aperture, waist_optimum):
 
 
 def test_sphere_field_geometry(doughnut_field):
-    s = doughnut_field.propagation()
+    s = oracles.propagation(doughnut_field)
     assert np.allclose(np.linalg.norm(s, axis=-1), 1.0, atol=1e-13)
     assert np.allclose(s[..., 2], np.cos(doughnut_field.theta), atol=1e-13)
     # quadrature weights integrate the annulus solid angle
@@ -68,6 +70,41 @@ def test_sphere_overlap_needs_common_grid(doughnut_field, aperture):
         sphere_overlap(doughnut_field, coarse)
 
 
+def test_radial_sphere_field_stores_only_axes(aperture):
+    # a radial mode is kept on the theta axis; the Cartesian field (12.6 MB
+    # of complex values at 512 x 512) exists only when asked for
+    field = plane_to_sphere(RadialMode.dipole(), aperture, n_theta=512, n_phi=512)
+    stored = [getattr(field, f.name) for f in dataclasses.fields(field)]
+    assert sum(a.nbytes for a in stored if isinstance(a, np.ndarray)) < 64 * 1024
+    assert field.efield.shape == (512, 512, 3)
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    u, w = _gauss_legendre(40)
+    again = _gauss_legendre(40)
+    assert again[0] is u and again[1] is w
+    for arr in (u, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_each_aperture_maps_the_rule_onto_its_own_nodes():
+    fields = [plane_to_sphere(RadialMode.dipole(), ap, n_theta=48, n_phi=8)
+              for ap in (ApertureSpec(), ApertureSpec(focal_length_mm=2.0, bore_radius_mm=1.0))]
+    assert not np.allclose(fields[0].theta, fields[1].theta)
+    for field in fields:
+        interval = field.aperture.angle_interval()
+        omega = 2.0 * math.pi * (math.cos(interval.theta_min) - math.cos(interval.theta_max))
+        assert field.weight.sum() * field.n_phi == pytest.approx(omega, rel=1e-12)
+    assert np.array_equal(_gauss_legendre(48)[0], np.polynomial.legendre.leggauss(48)[0])
+
+
+def test_efield_is_the_oracle_vector_field(small_doughnut, measured_map, aperture):
+    for field in (small_doughnut, plane_to_sphere(measured_map, aperture, n_theta=64, n_phi=64)):
+        want = oracles.sphere_vector_field(field.source, field)
+        assert np.abs(field.efield - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_plane_to_sphere_validation(aperture):
     with pytest.raises(DomainError):
         plane_to_sphere(RadialMode.dipole(), aperture, n_theta=1)
@@ -80,8 +117,9 @@ def test_focal_field_matches_direct_sum(aperture):
     rng = np.random.default_rng(9)
     pos = rng.uniform(-1.0, 1.0, (7, 3))
     got = focal_field(field, pos)
-    s = field.propagation().reshape(-1, 3)
-    amp = (field.efield * field.weight[..., None]).reshape(-1, 3)
+    s = oracles.propagation(field).reshape(-1, 3)
+    vector = oracles.sphere_vector_field(field.source, field)
+    amp = (vector * field.weight[..., None]).reshape(-1, 3)
     want = np.empty_like(got)
     for i, x in enumerate(pos):
         phase = np.exp(2j * math.pi * (s @ x))
@@ -168,6 +206,53 @@ def test_strehl_matches_node_sums(small_doughnut, aberration):
     assert res.ratio == pytest.approx(ratio, abs=1e-10)
     assert res.nominal == pytest.approx(nominal, abs=1e-10)
     assert z == pytest.approx(z_peak, abs=1e-5)
+
+
+def _elliptical_map(aperture, waist, size=128):
+    # a measured map, valid everywhere, whose ellipticity varies around the
+    # axis: its e_phi amplitude is complex and has azimuthal harmonics
+    half = 1.05 * aperture.rho_max
+    scale = 2.0 * half / size
+    center = ((size - 1) / 2.0, (size - 1) / 2.0)
+    y = (np.arange(size)[:, None] - center[0]) * scale
+    x = (np.arange(size)[None, :] - center[1]) * scale
+    rho, phi = np.hypot(x, y), np.arctan2(y, x)
+    s0 = (rho * np.exp(-(rho**2) / waist**2)) ** 2 * (1.0 + 0.3 * np.cos(phi))
+    chi = 0.2 + 0.15 * np.cos(phi) + 0.1 * np.sin(2.0 * phi)
+    return PolarizationMap(s0=s0, psi=np.mod(phi, math.pi), chi=chi,
+                           mask=np.ones(s0.shape, dtype=bool), pixel_scale=scale, center=center)
+
+
+@pytest.fixture(scope="module")
+def ring_sum_fields(aperture, waist_optimum):
+    sources = {"radial": RadialMode.doughnut(waist_optimum.waist),
+               "measured": _elliptical_map(aperture, waist_optimum.waist)}
+    return {name: plane_to_sphere(source, aperture, n_theta=64, n_phi=32)
+            for name, source in sources.items()}
+
+
+@st.composite
+def _expansions(draw):
+    degree = draw(st.integers(1, 6))
+    indices = [(n, m) for n in range(degree + 1) for m in range(-n, n + 1, 2)]
+    values = draw(st.lists(st.floats(-0.04, 0.04), min_size=len(indices),
+                           max_size=len(indices)))
+    return ZernikeExpansion(terms=tuple((n, m, v) for (n, m), v in zip(indices, values)),
+                            wavelength_nm=369.5)
+
+
+@pytest.mark.parametrize("source", ["radial", "measured"])
+@settings(max_examples=25, deadline=None)
+@given(exp=_expansions())
+def test_strehl_ring_sums_match_the_oracle(ring_sum_fields, source, exp):
+    # the measured map is the only source with an e_phi amplitude
+    res = strehl(ring_sum_fields[source], exp)
+    field = ring_sum_fields[source].with_resolution(res.n_theta, res.n_phi)
+    w = oracles.zernike_sum(exp, field.rho_unit, field.phi)
+    ratio, nominal, z_peak = oracles.axial_strehl(field, w)
+    assert res.ratio == pytest.approx(ratio, abs=1e-9)
+    assert res.nominal == pytest.approx(nominal, abs=1e-9)
+    assert res.peak_offset_lambda == pytest.approx(z_peak, abs=1e-9)
 
 
 def test_strehl_widens_a_window_that_cuts_the_peak(aperture, waist_optimum):
