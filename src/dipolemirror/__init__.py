@@ -72,7 +72,6 @@ from .focalfield import (
     aluminum_rp,
     plane_to_sphere,
     reflectivity_weighted_optimum,
-    reflectivity_weighted_overlap,
     strehl,
 )
 from .temporal import (

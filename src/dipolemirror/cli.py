@@ -50,6 +50,7 @@ from .geometry import ApertureSpec, rho_from_theta, weighted_fraction, weighted_
 from .modes import (
     CouplingFigures,
     RadialMode,
+    WeightedMode,
     load_sampled_mode,
     optimize_waist,
     spatial_overlap,
@@ -79,8 +80,8 @@ from .focalfield import (
     aluminum,
     plane_to_sphere,
     reflection_phase_waves,
+    reflectivity_weight,
     reflectivity_weighted_optimum,
-    reflectivity_weighted_overlap,
     strehl,
 )
 from .temporal import (
@@ -337,9 +338,9 @@ def cmd_solid_angle(args, config: ToolkitConfig):
 
 def cmd_optimize_waist(args, config: ToolkitConfig):
     aperture = config.aperture()
-    if config.get_bool("overlap", "weighted", False):
-        wavelength = config.get_float("overlap", "wavelength_nm", 369.5)
-        constants = _constants_from_config(config)
+    reflectivity = _reflectivity_from_config(config)
+    if reflectivity is not None:
+        wavelength, constants = reflectivity
         opt = reflectivity_weighted_optimum(aperture, constants, wavelength)
         extra = {
             "waist.eta_unweighted": _fmt(opt.eta_unweighted),
@@ -384,16 +385,23 @@ def _constants_from_config(config: ToolkitConfig):
     return _read_input(path, lambda: OpticalConstants.from_file(path))
 
 
+def _reflectivity_from_config(config: ToolkitConfig):
+    """(wavelength_nm, constants) of the |r_p| weighting; None unless [overlap] weighted."""
+    if not config.get_bool("overlap", "weighted", False):
+        return None
+    return config.get_float("overlap", "wavelength_nm", 369.5), _constants_from_config(config)
+
+
 def cmd_overlap(args, config: ToolkitConfig):
     aperture = config.aperture()
     mode, provenance = _mode_from_config(config, aperture)
-    if config.get_bool("overlap", "weighted", False):
-        wavelength = config.get_float("overlap", "wavelength_nm", 369.5)
-        constants = _constants_from_config(config)
-        eta = reflectivity_weighted_overlap(mode, aperture, constants, wavelength)
+    reflectivity = _reflectivity_from_config(config)
+    if reflectivity is not None:
+        wavelength, constants = reflectivity
+        # a constant reflectivity would cancel in the normalization
+        mode = WeightedMode(mode, reflectivity_weight(wavelength, constants))
         provenance += f", |r_p| weighted at {wavelength} nm"
-    else:
-        eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
+    eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
     body = [
         f"  mode:  {provenance}",
         f"  eta   = {eta:.6f}",
@@ -598,13 +606,7 @@ def cmd_report(args, config: ToolkitConfig):
         name: _resolve_factor(name, config, aperture, optimum)
         for name in ("omega_fraction", "eta", "strehl", "eta_t", "branching")
     }
-    figures = CouplingFigures.from_factors(
-        omega_fraction=factors["omega_fraction"].value,
-        eta=factors["eta"].value,
-        strehl=factors["strehl"].value,
-        eta_t=factors["eta_t"].value,
-        branching=factors["branching"].value,
-    )
+    figures = CouplingFigures(**{name: f.value for name, f in factors.items()})
     note = None
     matched = None
     probe = (figures.omega_fraction, figures.eta, figures.strehl, figures.eta_t)

@@ -4,7 +4,7 @@ The mirror converts the entrance-plane field into a converging spherical
 wave; the field near the focus follows from a Debye-type diffraction sum
 over that wave,
 
-    E(x) = sum_nodes w * A(theta, phi) * e(theta, phi)
+    E(x) = sum_nodes w * A(theta) * e_theta(theta, phi)
            * exp(i 2 pi W(theta, phi)) * exp(i 2 pi s . x),
 
 with positions x in units of the wavelength, propagation direction
@@ -31,23 +31,21 @@ shifted maximum (searched over an axial range) and at the nominal focus
 are reported, together with the amplitude-weighted RMS of the aberration.
 A SphereField stores the tensor-product node grid on its axes: theta,
 the weights and the pupil radius have shape (n_theta, 1) and phi has
-shape (1, n_phi). The field stays in the local basis, as its amplitudes
-along e_theta and e_phi: (n_theta, 1) for a radial mode, whose e_phi
-amplitude is zero, and (n_theta, n_phi) for a measured map; the
-Cartesian (n_theta, n_phi, 3) field is built only on request. So the map
-onto the sphere computes each quantity on the axis it depends on, and
-aberrations are evaluated on the same axes; a callable's result is a
-scalar or a 2-d array that broadcasts to (n_theta, n_phi). Measured
-pixel maps are sampled by mask-weighted bilinear interpolation. On the
-axis the phase exp(i 2 pi z cos(theta)) does not depend on phi, so each
-ring of constant theta is summed once: the aberrated e_theta and e_phi
-amplitudes go through the real basis (cos phi, sin phi, 1), and the
-Cartesian ring sums follow from e_theta and e_phi. Every axial
-evaluation then costs O(n_theta), and a scan of many axial positions is
-one matrix product. The Gauss-Legendre rule is computed once per node
-count. The quadrature is doubled to confirm the ratio and the peak
-position; disagreement raises instead of returning a number that depends
-on the grid.
+shape (1, n_phi). The source is a radially polarized mode, so the field
+is one real amplitude along e_theta, of shape (n_theta, 1); the Cartesian
+(n_theta, n_phi, 3) field is built only on request. Measured data do not
+enter here as pixels: a polarization map is scored in the entrance plane
+(polarimetry), and a phase map enters as its fitted Zernike expansion.
+Aberrations are evaluated on the same axes; a callable's result is a
+scalar or a 2-d array that broadcasts to (n_theta, n_phi). On the axis
+the phase exp(i 2 pi z cos(theta)) does not depend on phi, so each ring
+of constant theta is summed once: the aberrated e_theta amplitude goes
+through the real basis (cos phi, sin phi, 1), and the Cartesian ring
+sums follow from e_theta. Every axial evaluation then costs O(n_theta),
+and a scan of many axial positions is one matrix product. The
+Gauss-Legendre rule is computed once per node count. The quadrature is
+doubled to confirm the ratio and the peak position; disagreement raises
+instead of returning a number that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -64,13 +62,12 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConvergenceError, CoverageError, DomainError, ProvenanceError
+from .errors import ConvergenceError, DomainError, ProvenanceError
 from .geometry import ApertureSpec, incidence_angle, rho_from_theta, theta_from_rho
 from .gridio import read_table
-from .modes import RadialMode, WeightedMode, optimize_waist, spatial_overlap
-from .polarimetry import PolarizationMap, half_plane_sign
+from .modes import RadialMode, WeightedMode, optimize_waist
 from .search import argmax_bracketed
-from .wavefront import PhaseMap, ZernikeExpansion, zernike_eval
+from .wavefront import ZernikeExpansion, zernike_eval
 
 __all__ = [
     "SphereField",
@@ -84,7 +81,6 @@ __all__ = [
     "AluminumFocusStudy",
     "aluminum_phase_study",
     "reflectivity_weight",
-    "reflectivity_weighted_overlap",
     "reflectivity_weighted_optimum",
     "WeightedOptimum",
 ]
@@ -106,12 +102,10 @@ class SphereField:
     The nodes form a tensor-product grid, stored on its axes: polar angle,
     quadrature weight (including the solid-angle sine) and pupil radius in
     units of the aperture radius have shape (n_theta, 1), and the azimuth
-    has shape (1, n_phi). The field is kept in the local basis: its
-    amplitudes along e_theta and e_phi, apodization included, have shape
-    (n_theta, 1) for a radial mode, whose e_phi amplitude is zero, and
-    (n_theta, n_phi) for a measured map. ``source`` and ``aperture`` are
-    retained so the field can be rebuilt at a different resolution for
-    convergence checks.
+    has shape (1, n_phi). The source is a radially polarized mode, so the
+    field is its real amplitude along e_theta, apodization included, of
+    shape (n_theta, 1). ``source`` and ``aperture`` are retained so the
+    field can be rebuilt at a different resolution for convergence checks.
     """
 
     theta: np.ndarray
@@ -119,7 +113,6 @@ class SphereField:
     weight: np.ndarray
     rho_unit: np.ndarray
     amp_theta: np.ndarray
-    amp_phi: np.ndarray
     aperture: ApertureSpec
     source: object
 
@@ -134,10 +127,9 @@ class SphereField:
     @property
     def efield(self) -> np.ndarray:
         """Cartesian vector amplitude, shape (n_theta, n_phi, 3), built on demand."""
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        sp, cp = np.sin(self.phi), np.cos(self.phi)
-        a, b = self.amp_theta, self.amp_phi
-        return _stack_last(a * ct * cp - b * sp, a * ct * sp + b * cp, a * st)
+        a, ct = self.amp_theta, np.cos(self.theta)
+        return _stack_last(a * ct * np.cos(self.phi), a * ct * np.sin(self.phi),
+                           a * np.sin(self.theta))
 
     def with_resolution(self, n_theta: int, n_phi: int) -> "SphereField":
         return plane_to_sphere(self.source, self.aperture, n_theta=n_theta, n_phi=n_phi)
@@ -168,65 +160,23 @@ def _phasor(waves):
     return out
 
 
-def _pmap_components(pmap: PolarizationMap):
-    """Canonical transverse Jones components per pixel, NaN outside the mask.
-
-    The half-plane sign convention of the polarimetry module makes the
-    components of a near-radial beam smooth across the psi fold, so they
-    interpolate safely (angles themselves do not).
-    """
-    _, phi = pmap.grid_polar()
-    amp = half_plane_sign(phi) * np.sqrt(np.maximum(pmap.s0, 0.0))
-    cpsi, spsi = np.cos(pmap.psi), np.sin(pmap.psi)
-    cchi, schi = np.cos(pmap.chi), np.sin(pmap.chi)
-    return (amp * (cchi * cpsi - 1j * schi * spsi),
-            amp * (cchi * spsi + 1j * schi * cpsi))
-
-
-def _sample_pixels(maps, mask, rows, cols, what: str):
-    """Mask-weighted bilinear samples of pixel maps at fractional (row, col).
-
-    ``maps`` share the validity ``mask``. Each of the four neighbors weighs
-    its bilinear weight times its mask value; their sum is the coverage,
-    and a sample is the weighted sum of the neighbors over the coverage. A
-    position off the pixel grid or with coverage below 0.25 is uncovered;
-    any uncovered position raises CoverageError ("<what> covers only ...").
-    """
-    n_rows, n_cols = mask.shape
-    on_grid = (rows >= 0.0) & (rows <= n_rows - 1) & (cols >= 0.0) & (cols <= n_cols - 1)
-    r, c = np.where(on_grid, rows, 0.0), np.where(on_grid, cols, 0.0)
-    i, j = np.floor(r).astype(np.intp), np.floor(c).astype(np.intp)
-    fr, fc = r - i, c - j
-    i1, j1 = np.minimum(i + 1, n_rows - 1), np.minimum(j + 1, n_cols - 1)
-    corners = ((i, j, (1 - fr) * (1 - fc)), (i, j1, (1 - fr) * fc),
-               (i1, j, fr * (1 - fc)), (i1, j1, fr * fc))
-    weights = [w * mask[a, b] for a, b, w in corners]
-    cov = sum(weights)
-    bad = ~on_grid | (cov < 0.25)
-    if bad.any():
-        frac = float(bad.mean())
-        raise CoverageError(f"{what} covers only {1 - frac:.1%} of the mirror annulus",
-                            missing_fraction=frac)
-    valid = [np.where(mask, m, 0.0) for m in maps]
-    return [sum(w * v[a, b] for (a, b, _), w in zip(corners, weights)) / cov for v in valid]
-
-
 def plane_to_sphere(
     source,
     aperture: ApertureSpec,
     n_theta: int = _DEFAULT_NODES,
     n_phi: int = _DEFAULT_NODES,
 ) -> SphereField:
-    """Map an entrance-plane field onto the converging sphere.
+    """Map an entrance-plane mode onto the converging sphere.
 
-    ``source`` is a RadialMode (radially polarized by convention) or a
-    measured PolarizationMap. The angular domain is the mirror annulus
-    between bore and rim. A PolarizationMap, sampled by mask-weighted
-    bilinear interpolation, must cover that annulus; otherwise a
-    CoverageError reports the missing fraction.
+    ``source`` is a mode, an object with ``amplitude(rho)``: a RadialMode
+    (radially polarized by convention) or a WeightedMode. The angular
+    domain is the mirror annulus between bore and rim. Anything else
+    raises DomainError.
     """
     if n_theta < 2 or n_phi < 1:
         raise DomainError("need at least 2 polar and 1 azimuthal node")
+    if not hasattr(source, "amplitude"):
+        raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
     interval = aperture.angle_interval()
     u, wu = _gauss_legendre(n_theta)
     ulo = math.cos(interval.theta_max)
@@ -239,26 +189,10 @@ def plane_to_sphere(
     weight = wu[:, None] * (2.0 * math.pi / n_phi)
     rho = rho_from_theta(theta)
     apod = 1.0 / np.cos(0.5 * theta) ** 2
-
-    if isinstance(source, PolarizationMap):
-        sp, cp = np.sin(phi), np.cos(phi)
-        jx, jy = _sample_pixels(
-            _pmap_components(source), source.mask,
-            source.center[0] + rho * sp / source.pixel_scale,
-            source.center[1] + rho * cp / source.pixel_scale,
-            "measured map",
-        )
-        amp_theta = apod * (jx * cp + jy * sp)
-        amp_phi = apod * (-jx * sp + jy * cp)
-    elif hasattr(source, "amplitude"):
-        amp_theta = np.asarray(source.amplitude(rho), dtype=float) * apod
-        amp_phi = np.zeros_like(amp_theta)
-    else:
-        raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
-
     return SphereField(
         theta=theta, phi=phi, weight=weight, rho_unit=rho / aperture.rho_max,
-        amp_theta=amp_theta, amp_phi=amp_phi, aperture=aperture, source=source,
+        amp_theta=np.asarray(source.amplitude(rho), dtype=float) * apod,
+        aperture=aperture, source=source,
     )
 
 
@@ -269,19 +203,6 @@ def _resolve_aberration(field: SphereField, aberration):
         return np.zeros(shape)
     if isinstance(aberration, ZernikeExpansion):
         return zernike_eval(aberration, field.rho_unit, field.phi)
-    if isinstance(aberration, PhaseMap):
-        rows, cols = aberration.values.shape
-        x = field.rho_unit * np.cos(field.phi)
-        y = field.rho_unit * np.sin(field.phi)
-        # unit square [-1, 1]^2 of pixel centers; the clamp keeps rim nodes
-        # inside the half-pixel border where no center exists
-        (w,) = _sample_pixels(
-            [aberration.values], aberration.mask,
-            np.clip((y + 1.0) * rows / 2.0 - 0.5, 0.0, rows - 1.0),
-            np.clip((x + 1.0) * cols / 2.0 - 0.5, 0.0, cols - 1.0),
-            "phase map",
-        )
-        return w
     if not callable(aberration):
         raise DomainError(f"cannot interpret {type(aberration).__name__} as an aberration; "
                           "pass a callable W(theta, phi) in waves instead")
@@ -322,16 +243,13 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
     phi = field.phi[0]
     basis = _stack_last(np.cos(phi), np.sin(phi), 1.0)
     st, ct = np.sin(field.theta), np.cos(field.theta)
+    # e_theta = (cos t cos p, cos t sin p, sin t): each ring's sum against
+    # the basis (cos phi, sin phi, 1), scaled per ring, is its Cartesian sum
+    scale = np.hstack((ct, ct, st))
 
     def ring_sums(phase):
-        # the axial phase depends on theta only, so each ring is summed over
-        # phi once. With f and g the phased e_theta and e_phi amplitudes
-        # summed against (cos phi, sin phi, 1), e_theta adds
-        # (cos t f_cos, cos t f_sin, sin t f_1) and e_phi (-g_sin, g_cos, 0)
-        f = (phase * field.amp_theta) @ basis
-        g = (phase * field.amp_phi) @ basis
-        xyz = (ct * f[:, :1] - g[:, 1:2], ct * f[:, 1:2] + g[:, :1], st * f[:, 2:])
-        return field.weight * np.hstack(xyz)
+        # the axial phase depends on theta only, so each ring is summed over phi once
+        return field.weight * (((phase * field.amp_theta) @ basis) * scale)
 
     rings0 = ring_sums(np.ones(shape))
     rings = ring_sums(_phasor(w))
@@ -385,12 +303,12 @@ def strehl(
     peak offset by less than 1e-3 wavelengths; failing that raises
     ConvergenceError rather than returning a grid-dependent number.
 
-    ``aberration`` is a ZernikeExpansion, a PhaseMap or a callable
-    W(theta, phi) in waves, evaluated anew on every grid. The callable
-    receives the grid axes, theta of shape (n_theta, 1) and phi of shape
-    (1, n_phi), and returns a scalar or a 2-d array that broadcasts to
-    (n_theta, n_phi); any other shape, a 1-d vector included, or an array
-    of node samples raises DomainError.
+    ``aberration`` is None, a ZernikeExpansion or a callable W(theta, phi)
+    in waves, evaluated anew on every grid. The callable receives the grid
+    axes, theta of shape (n_theta, 1) and phi of shape (1, n_phi), and
+    returns a scalar or a 2-d array that broadcasts to (n_theta, n_phi);
+    any other shape, a 1-d vector included, raises DomainError, and so
+    does any other object, such as an array of node samples or a phase map.
     """
     res = _strehl_once(field, aberration, search_halfwidth_lambda)
     for _ in range(max_doublings):
@@ -544,23 +462,6 @@ def reflectivity_weight(wavelength_nm: float, constants: OpticalConstants | None
         return np.abs(aluminum_rp(theta_from_rho(rho), wavelength_nm, constants))
 
     return weight
-
-
-def reflectivity_weighted_overlap(
-    mode,
-    aperture: ApertureSpec,
-    constants: OpticalConstants | None = None,
-    wavelength_nm: float = 369.5,
-    reference=None,
-) -> float:
-    """Overlap of the mode after reflection with the dipole reference.
-
-    The incident mode is weighted by |r_p| at the local incidence angle;
-    a constant reflectivity cancels in the normalization.
-    """
-    weighted = WeightedMode(mode, reflectivity_weight(wavelength_nm, constants))
-    ref = RadialMode.dipole() if reference is None else reference
-    return spatial_overlap(weighted, ref, aperture)
 
 
 @dataclass(frozen=True)

@@ -302,43 +302,26 @@ def absorption_probability(g: float, eta_t: float, branching: float = 1.0) -> fl
 class CouplingFigures:
     """Assembled coupling figures for one transition.
 
-    G and P_a are always recomputed from the factors; construction fails if
-    handed inconsistent values.
+    G and P_a are computed from the factors whenever read; a factor outside
+    [0, 1] raises DomainError at construction.
     """
 
     omega_fraction: float
     eta: float
     strehl: float
     eta_t: float
-    branching: float
-    g: float
-    p_absorb: float
+    branching: float = 1.0
 
     def __post_init__(self):
-        g = coupling_strength(self.omega_fraction, self.eta, self.strehl)
-        p = absorption_probability(g, self.eta_t, self.branching)
-        if abs(g - self.g) > 1e-12 or abs(p - self.p_absorb) > 1e-12:
-            raise DomainError("inconsistent coupling figures")
+        self.p_absorb  # reading P_a runs the range check of every factor
 
-    @classmethod
-    def from_factors(
-        cls,
-        omega_fraction: float,
-        eta: float,
-        strehl: float,
-        eta_t: float,
-        branching: float = 1.0,
-    ) -> "CouplingFigures":
-        g = coupling_strength(omega_fraction, eta, strehl)
-        return cls(
-            omega_fraction=omega_fraction,
-            eta=eta,
-            strehl=strehl,
-            eta_t=eta_t,
-            branching=branching,
-            g=g,
-            p_absorb=absorption_probability(g, eta_t, branching),
-        )
+    @property
+    def g(self) -> float:
+        return coupling_strength(self.omega_fraction, self.eta, self.strehl)
+
+    @property
+    def p_absorb(self) -> float:
+        return absorption_probability(self.g, self.eta_t, self.branching)
 
 
 def load_sampled_mode(path) -> RadialMode:

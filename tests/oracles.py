@@ -14,7 +14,6 @@ import json
 import math
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from dipolemirror.errors import DomainError
 from dipolemirror.focalfield import _resolve_aberration
@@ -281,17 +280,6 @@ def temporal_overlap_scan(pulse, spec, shift_lifetimes: float = 10.0):
 # ------------------------------------------------------------ focal field
 
 
-def bilinear(values, rows, cols):
-    """Bilinear interpolation of a pixel map at fractional (row, col).
-
-    scipy's RegularGridInterpolator on the pixel-index grid; a position
-    off the grid gives nan.
-    """
-    grid = (np.arange(values.shape[0], dtype=float), np.arange(values.shape[1], dtype=float))
-    interp = RegularGridInterpolator(grid, values, bounds_error=False, fill_value=np.nan)
-    return interp(np.stack([rows, cols], axis=-1))
-
-
 def _sphere_axes(field):
     """sin and cos of theta and phi, broadcast to the (n_theta, n_phi) nodes."""
     shape = (field.n_theta, field.n_phi)
@@ -301,41 +289,18 @@ def _sphere_axes(field):
 
 
 def sphere_vector_field(source, field) -> np.ndarray:
-    """Cartesian field of ``source`` on the nodes of ``field``, (n_theta, n_phi, 3).
+    """Cartesian field of the mode ``source`` on the nodes of ``field``, (n_theta, n_phi, 3).
 
     A point of the sphere at (theta, phi) sees the entrance plane at radius
-    rho = 2 tan(theta/2) (units of f) and azimuth phi, with apodization
-    sec^2(theta/2). A radial mode is amplitude(rho) along e_theta =
-    (cos t cos p, cos t sin p, sin t). A measured map gives the Jones
-    components Ex, Ey = sqrt(s0) (cos chi cos psi - i sin chi sin psi,
-    cos chi sin psi + i sin chi cos psi), signed +-1 by the half plane of
-    the pixel so they stay smooth where psi folds, bilinearly sampled
-    (plain, not mask weighted: the map must be valid where it is sampled)
-    and projected on e_theta (radial part) and e_phi = (-sin p, cos p, 0)
-    (azimuthal part).
+    rho = 2 tan(theta/2) (units of f), with apodization sec^2(theta/2). A
+    radially polarized mode is amplitude(rho) along
+    e_theta = (cos t cos p, cos t sin p, sin t).
     """
     st, ct, sp, cp = _sphere_axes(field)
     theta = np.arccos(ct)
-    rho = 2.0 * np.tan(theta / 2.0)
-    apod = 1.0 / np.cos(theta / 2.0) ** 2
-    if hasattr(source, "amplitude"):
-        radial = np.asarray(source.amplitude(rho), dtype=float) * apod
-        azimuthal = np.zeros_like(radial)
-    else:
-        y = (np.arange(source.s0.shape[0])[:, None] - source.center[0]) * source.pixel_scale
-        amp = np.where(y >= 0.0, 1.0, -1.0) * np.sqrt(source.s0)
-        psi, chi = source.psi, source.chi
-        jones_x = amp * (np.cos(chi) * np.cos(psi) - 1j * np.sin(chi) * np.sin(psi))
-        jones_y = amp * (np.cos(chi) * np.sin(psi) + 1j * np.sin(chi) * np.cos(psi))
-        r = source.center[0] + rho * sp / source.pixel_scale
-        c = source.center[1] + rho * cp / source.pixel_scale
-        ex = bilinear(jones_x.real, r, c) + 1j * bilinear(jones_x.imag, r, c)
-        ey = bilinear(jones_y.real, r, c) + 1j * bilinear(jones_y.imag, r, c)
-        radial = apod * (ex * cp + ey * sp)
-        azimuthal = apod * (-ex * sp + ey * cp)
-    return np.stack([radial * ct * cp - azimuthal * sp,
-                     radial * ct * sp + azimuthal * cp,
-                     radial * st], axis=-1)
+    radial = np.asarray(source.amplitude(2.0 * np.tan(theta / 2.0)), dtype=float)
+    radial = radial / np.cos(theta / 2.0) ** 2
+    return np.stack([radial * ct * cp, radial * ct * sp, radial * st], axis=-1)
 
 
 def propagation(field) -> np.ndarray:

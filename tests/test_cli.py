@@ -205,6 +205,10 @@ def test_report_rejects_bad_factor(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--config", config)
     assert code == 2
     assert "error:" in err and "eta" in err
+    config = write_config(tmp_path, "[report]\neta = 1.5\n", name="range.ini")
+    code, out, err = run(capsys, "report", "--config", config)
+    assert code == 2 and out == ""
+    assert "eta must lie in [0, 1], got 1.5" in err
 
 
 def test_report_strehl_compute_needs_inputs(tmp_path, capsys):

@@ -11,9 +11,7 @@ from oracles import focal_field, sphere_overlap
 from dipolemirror import (
     ApertureSpec,
     ConvergenceError,
-    CoverageError,
     DomainError,
-    FrameStack,
     PhaseMap,
     ProvenanceError,
     RadialMode,
@@ -21,18 +19,14 @@ from dipolemirror import (
     ZernikeExpansion,
     aluminum,
     aluminum_rp,
-    ellipse_angles,
     plane_to_sphere,
     reflectivity_weighted_optimum,
-    reflectivity_weighted_overlap,
-    spatial_overlap,
-    stokes_from_frames,
     strehl,
 )
+from dipolemirror.cli import main
 from dipolemirror.focalfield import (
     OpticalConstants,
     _gauss_legendre,
-    _sample_pixels,
     reflection_phase_waves,
     reflectivity_weight,
 )
@@ -71,11 +65,15 @@ def test_sphere_overlap_needs_common_grid(doughnut_field, aperture):
 
 
 def test_radial_sphere_field_stores_only_axes(aperture):
-    # a radial mode is kept on the theta axis; the Cartesian field (12.6 MB
-    # of complex values at 512 x 512) exists only when asked for
+    # a radial mode is kept on the theta axis; the Cartesian field (6.3 MB
+    # at 512 x 512) exists only when asked for
     field = plane_to_sphere(RadialMode.dipole(), aperture, n_theta=512, n_phi=512)
-    stored = [getattr(field, f.name) for f in dataclasses.fields(field)]
+    names = [f.name for f in dataclasses.fields(field)]
+    stored = [getattr(field, name) for name in names]
     assert sum(a.nbytes for a in stored if isinstance(a, np.ndarray)) < 64 * 1024
+    # the field itself is one real amplitude along e_theta
+    assert [name for name in names if name.startswith("amp")] == ["amp_theta"]
+    assert field.amp_theta.shape == (512, 1) and field.amp_theta.dtype == np.float64
     assert field.efield.shape == (512, 512, 3)
 
 
@@ -99,10 +97,9 @@ def test_each_aperture_maps_the_rule_onto_its_own_nodes():
     assert np.array_equal(_gauss_legendre(48)[0], np.polynomial.legendre.leggauss(48)[0])
 
 
-def test_efield_is_the_oracle_vector_field(small_doughnut, measured_map, aperture):
-    for field in (small_doughnut, plane_to_sphere(measured_map, aperture, n_theta=64, n_phi=64)):
-        want = oracles.sphere_vector_field(field.source, field)
-        assert np.abs(field.efield - want).max() <= 1e-12 * np.abs(want).max()
+def test_efield_is_the_oracle_vector_field(small_doughnut):
+    want = oracles.sphere_vector_field(small_doughnut.source, small_doughnut)
+    assert np.abs(small_doughnut.efield - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_plane_to_sphere_validation(aperture):
@@ -110,6 +107,19 @@ def test_plane_to_sphere_validation(aperture):
         plane_to_sphere(RadialMode.dipole(), aperture, n_theta=1)
     with pytest.raises(DomainError):
         plane_to_sphere("beam", aperture)
+
+
+def test_measured_maps_are_not_sphere_inputs(aperture, small_doughnut):
+    # the sphere takes modes and the Strehl takes expansions or callables;
+    # measured maps reach the coupling figures through stokes and zernike
+    ones = np.ones((8, 8))
+    pmap = PolarizationMap(s0=ones, psi=0 * ones, chi=0 * ones, mask=ones > 0,
+                           pixel_scale=1.0, center=(3.5, 3.5))
+    with pytest.raises(DomainError, match="cannot map PolarizationMap onto the sphere"):
+        plane_to_sphere(pmap, aperture)
+    exp = ZernikeExpansion(terms=((2, 2, 0.06),), wavelength_nm=369.5)
+    with pytest.raises(DomainError, match=r"callable W\(theta, phi\)"):
+        strehl(small_doughnut, PhaseMap.from_expansion(exp, size=64))
 
 
 def test_focal_field_matches_direct_sum(aperture):
@@ -208,25 +218,11 @@ def test_strehl_matches_node_sums(small_doughnut, aberration):
     assert z == pytest.approx(z_peak, abs=1e-5)
 
 
-def _elliptical_map(aperture, waist, size=128):
-    # a measured map, valid everywhere, whose ellipticity varies around the
-    # axis: its e_phi amplitude is complex and has azimuthal harmonics
-    half = 1.05 * aperture.rho_max
-    scale = 2.0 * half / size
-    center = ((size - 1) / 2.0, (size - 1) / 2.0)
-    y = (np.arange(size)[:, None] - center[0]) * scale
-    x = (np.arange(size)[None, :] - center[1]) * scale
-    rho, phi = np.hypot(x, y), np.arctan2(y, x)
-    s0 = (rho * np.exp(-(rho**2) / waist**2)) ** 2 * (1.0 + 0.3 * np.cos(phi))
-    chi = 0.2 + 0.15 * np.cos(phi) + 0.1 * np.sin(2.0 * phi)
-    return PolarizationMap(s0=s0, psi=np.mod(phi, math.pi), chi=chi,
-                           mask=np.ones(s0.shape, dtype=bool), pixel_scale=scale, center=center)
-
-
 @pytest.fixture(scope="module")
 def ring_sum_fields(aperture, waist_optimum):
-    sources = {"radial": RadialMode.doughnut(waist_optimum.waist),
-               "measured": _elliptical_map(aperture, waist_optimum.waist)}
+    doughnut = RadialMode.doughnut(waist_optimum.waist)
+    sources = {"radial": doughnut,
+               "weighted": WeightedMode(doughnut, reflectivity_weight(369.5))}
     return {name: plane_to_sphere(source, aperture, n_theta=64, n_phi=32)
             for name, source in sources.items()}
 
@@ -241,11 +237,11 @@ def _expansions(draw):
                             wavelength_nm=369.5)
 
 
-@pytest.mark.parametrize("source", ["radial", "measured"])
+@pytest.mark.parametrize("source", ["radial", "weighted"])
 @settings(max_examples=25, deadline=None)
 @given(exp=_expansions())
 def test_strehl_ring_sums_match_the_oracle(ring_sum_fields, source, exp):
-    # the measured map is the only source with an e_phi amplitude
+    # both kinds of mode the sphere takes
     res = strehl(ring_sum_fields[source], exp)
     field = ring_sum_fields[source].with_resolution(res.n_theta, res.n_phi)
     w = oracles.zernike_sum(exp, field.rho_unit, field.phi)
@@ -372,88 +368,6 @@ def test_strehl_is_invariant_under_pupil_rotation(rotation_field, values, k):
     assert rot.peak_offset_lambda == pytest.approx(base.peak_offset_lambda, abs=1e-5)
 
 
-def test_phase_map_aberration_matches_expansion(small_doughnut):
-    exp = ZernikeExpansion(terms=((2, 2, 0.06), (4, 0, -0.04)), wavelength_nm=369.5)
-    # render slightly past the pupil rim, as a detector map that sees the
-    # whole beam would; a mask cropped exactly at the rim under-covers the
-    # outermost quadrature ring and trips the coverage guard
-    pmap = PhaseMap.from_expansion(exp, size=512, annulus=(0.0, 1.02))
-    pos = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, -0.3]])
-    want = focal_field(small_doughnut, pos, aberration=exp)
-    got = focal_field(small_doughnut, pos, aberration=pmap)
-    assert np.allclose(got, want, atol=2e-3 * np.abs(want).max())
-
-
-def test_phase_map_coverage_guard(small_doughnut):
-    exp = ZernikeExpansion(terms=((2, 2, 0.06),), wavelength_nm=369.5)
-    cropped = PhaseMap.from_expansion(exp, size=64, annulus=(0.0, 0.3))
-    with pytest.raises(CoverageError):
-        focal_field(small_doughnut, np.zeros(3), aberration=cropped)
-
-
-@st.composite
-def _pixel_samples(draw):
-    # a random map and mask, and positions in and around the pixel grid
-    n_rows, n_cols = draw(st.integers(2, 40)), draw(st.integers(2, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.uniform(-1.0, 1.0, (n_rows, n_cols)) * 10.0 ** draw(st.integers(-3, 3))
-    mask = rng.random((n_rows, n_cols)) < draw(st.sampled_from([1.0, 0.9, 0.6, 0.3]))
-    n = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.floats(-1.0, n_rows), min_size=n, max_size=n))
-    cols = draw(st.lists(st.floats(-1.0, n_cols), min_size=n, max_size=n))
-    return values, mask, np.array(rows), np.array(cols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=_pixel_samples())
-def test_sample_pixels_is_mask_weighted_bilinear(case):
-    values, mask, rows, cols = case
-    cov = oracles.bilinear(mask.astype(float), rows, cols)
-    uncovered = np.isnan(cov) | (cov < 0.25)
-    if uncovered.any():
-        with pytest.raises(CoverageError) as err:
-            _sample_pixels([values], mask, rows, cols, "map")
-        assert err.value.missing_fraction == pytest.approx(uncovered.mean())
-        return
-    (got,) = _sample_pixels([values], mask, rows, cols, "map")
-    tol = 1e-14 * np.abs(values).max()
-    if mask.all():
-        assert np.abs(got - oracles.bilinear(values, rows, cols)).max() <= tol
-    # a convex combination of the valid pixels that carry bilinear weight
-    pixel_rows, pixel_cols = np.indices(mask.shape)
-    for r, c, sample in zip(rows, cols, got):
-        near = values[mask & (np.abs(pixel_rows - r) < 1) & (np.abs(pixel_cols - c) < 1)]
-        assert near.min() - tol <= sample <= near.max() + tol
-
-
-@pytest.fixture(scope="module")
-def measured_map(aperture, waist_optimum):
-    angles, frames, pixel_scale, center, _ = oracles.radial_doughnut_stack(
-        aperture, waist_optimum.waist, size=256
-    )
-    stack = FrameStack(angles_rad=angles, frames=frames,
-                       pixel_scale=pixel_scale, center=center)
-    return ellipse_angles(stokes_from_frames(stack), noise_floor=0.0)
-
-
-def test_measured_map_on_sphere(measured_map, aperture, dipole_field, waist_optimum):
-    field = plane_to_sphere(measured_map, aperture)
-    eta = sphere_overlap(field, dipole_field)
-    assert eta == pytest.approx(waist_optimum.eta, abs=1e-3)
-
-
-def test_measured_map_coverage_guard(aperture, waist_optimum):
-    angles, frames, pixel_scale, center, _ = oracles.radial_doughnut_stack(
-        aperture, waist_optimum.waist, size=128, margin=0.5
-    )
-    stack = FrameStack(angles_rad=angles, frames=frames,
-                       pixel_scale=pixel_scale, center=center)
-    pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=0.0)
-    with pytest.raises(CoverageError) as err:
-        plane_to_sphere(pmap, aperture)
-    assert err.value.missing_fraction > 0.0
-
-
 def test_aluminum_table_provenance_and_range():
     table = aluminum()
     assert table.source
@@ -484,12 +398,18 @@ def test_reflection_phase_reference_points():
         reflection_phase_waves(-0.1, 251.8)
 
 
-def test_reflectivity_weighted_overlap_consistency(aperture, waist_optimum):
-    mode = RadialMode.doughnut(waist_optimum.waist)
-    direct = spatial_overlap(
-        WeightedMode(mode, reflectivity_weight(369.5)), RadialMode.dipole(), aperture
-    )
-    assert reflectivity_weighted_overlap(mode, aperture) == pytest.approx(direct, abs=1e-12)
+def test_reflectivity_weighted_overlap_consistency(aperture, tmp_path, capsys):
+    # the weighted eta of the overlap command against a brute-force
+    # trapezoid of the doughnut times |r_p| with the dipole mode
+    config = tmp_path / "toolkit.ini"
+    config.write_text("[overlap]\nwaist = 1.13\nweighted = true\n")
+    assert main(["overlap", "--config", str(config)]) == 0
+    eta = float(capsys.readouterr().out.split("overlap.eta = ")[1].split()[0])
+    mode, weight = RadialMode.doughnut(1.13), reflectivity_weight(369.5)
+    want = oracles.annulus_overlap(lambda rho: mode.amplitude(rho) * weight(rho),
+                                   RadialMode.dipole().amplitude,
+                                   aperture.rho_bore, aperture.rho_max)
+    assert eta == pytest.approx(want, abs=1e-8)
 
 
 def test_reflectivity_weighted_optimum(aperture, waist_optimum):

@@ -203,11 +203,12 @@ def test_coupling_arguments_must_be_fractions():
 
 
 def test_coupling_figures_consistency():
-    fig = CouplingFigures.from_factors(0.94, 0.975, 0.99, 0.99)
+    fig = CouplingFigures(0.94, 0.975, 0.99, 0.99)
+    assert fig.branching == 1.0
     assert fig.g == pytest.approx(0.94 * 0.975**2 * 0.99, rel=1e-12)
     assert fig.p_absorb == pytest.approx(fig.g * 0.99**2, rel=1e-12)
+    # G and P_a are computed, never stored, so only a factor can be wrong
     with pytest.raises(DomainError):
-        CouplingFigures(
-            omega_fraction=0.94, eta=0.975, strehl=0.99, eta_t=0.99,
-            branching=1.0, g=0.5, p_absorb=0.5,
-        )
+        CouplingFigures(omega_fraction=0.94, eta=0.975, strehl=1.2, eta_t=0.99)
+    with pytest.raises(DomainError):
+        CouplingFigures(omega_fraction=0.94, eta=0.975, strehl=0.99, eta_t=0.99, branching=-0.1)
