@@ -531,17 +531,19 @@ def cmd_strehl(args, config: ToolkitConfig):
     result = _strehl_from_config(config, aperture, lambda: optimize_waist(aperture))
     if result is None:
         raise ConfigError("a [strehl] section is required")
+    # the axial search resolves 1e-6 lambda; below that the offset is 0, never -0
+    offset = round(result.peak_offset_lambda, 6) + 0.0
     body = [
         f"  Strehl (axial maximum)  = {result.ratio:.6f}",
         f"  Strehl (nominal focus)  = {result.nominal:.6f}",
-        f"  axial peak offset       = {result.peak_offset_lambda:+.4f} lambda",
+        f"  axial peak offset       = {offset:+.4f} lambda",
         f"  weighted aberration RMS = {result.rms_waves:.6f} waves",
         f"  quadrature              = {result.n_theta} x {result.n_phi}",
     ]
     machine = {
         "strehl.ratio": _fmt(result.ratio),
         "strehl.nominal": _fmt(result.nominal),
-        "strehl.peak_offset_lambda": _fmt(result.peak_offset_lambda),
+        "strehl.peak_offset_lambda": _fmt(offset),
         "strehl.rms_waves": _fmt(result.rms_waves),
     }
     return "focal-field Strehl ratio", body, machine, "strehl.txt"

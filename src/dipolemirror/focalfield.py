@@ -67,7 +67,7 @@ from .geometry import ApertureSpec, incidence_angle, rho_from_theta, theta_from_
 from .gridio import read_table
 from .modes import RadialMode, WeightedMode, optimize_waist
 from .search import argmax_bracketed
-from .wavefront import ZernikeExpansion, zernike_eval
+from .wavefront import ZernikeExpansion, _unit_phasor, zernike_eval
 
 __all__ = [
     "SphereField",
@@ -149,15 +149,6 @@ def _gauss_legendre(n: int):
     u, w = np.polynomial.legendre.leggauss(n)
     u.flags.writeable = w.flags.writeable = False
     return u, w
-
-
-def _phasor(waves):
-    """exp(i 2 pi waves) from one cosine and one sine, faster than complex np.exp."""
-    turns = 2.0 * math.pi * np.asarray(waves, dtype=float)
-    out = np.empty(turns.shape, dtype=complex)
-    np.cos(turns, out=out.real)
-    np.sin(turns, out=out.imag)
-    return out
 
 
 def plane_to_sphere(
@@ -251,8 +242,9 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
         # the axial phase depends on theta only, so each ring is summed over phi once
         return field.weight * (((phase * field.amp_theta) @ basis) * scale)
 
-    rings0 = ring_sums(np.ones(shape))
-    rings = ring_sums(_phasor(w))
+    # unaberrated, each ring's sum is its amplitude times the summed basis
+    rings0 = field.weight * ((field.amp_theta * basis.sum(axis=0)) * scale)
+    rings = ring_sums(_unit_phasor(2.0 * math.pi * w))
     cos_theta = ct[:, 0]
 
     def intensity(sums, z):

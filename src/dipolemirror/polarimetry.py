@@ -303,8 +303,8 @@ def write_pgm(path, values):
         fh.write(data.tobytes())
 
 
-def read_pgm(path):
-    """Read a binary PGM into floats in [0, 1]."""
+def _pgm_pixels(path):
+    """The (rows, cols) integer pixels of a binary PGM and its maxval."""
     raw = Path(path).read_bytes()
     m = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", raw)
     if not m:
@@ -312,7 +312,13 @@ def read_pgm(path):
     cols, rows, maxval = (int(m.group(i)) for i in (1, 2, 3))
     dtype = ">u2" if maxval > 255 else "u1"
     pixels = np.frombuffer(raw[m.end():], dtype=dtype, count=rows * cols)
-    return pixels.reshape(rows, cols).astype(float) / maxval
+    return pixels.reshape(rows, cols), maxval
+
+
+def read_pgm(path):
+    """Read a binary PGM into floats in [0, 1]."""
+    pixels, maxval = _pgm_pixels(path)
+    return pixels.astype(float) / maxval
 
 
 def save_frame_stack(stack: FrameStack, directory):
@@ -351,8 +357,17 @@ def load_frame_stack(directory) -> FrameStack:
     if not rows:
         raise DomainError(f"{manifest}: manifest lists no frames")
     angles = [math.radians(float(angle)) for _, angle in rows]
-    loaded = [read_pgm(directory / name) for name, _ in rows]
-    frames = np.stack(loaded) * float(header.get("intensity_scale", 1.0))
+    # each frame is decoded straight into its slot of one array, scaled in place
+    frames = None
+    for k, (name, _) in enumerate(rows):
+        pixels, maxval = _pgm_pixels(directory / name)
+        if frames is None:
+            frames = np.empty((len(rows),) + pixels.shape)
+        elif pixels.shape != frames.shape[1:]:
+            raise DomainError(f"{directory / name}: frame shape {pixels.shape} differs "
+                              f"from the first frame's {frames.shape[1:]}")
+        np.divide(pixels, maxval, out=frames[k])
+    frames *= float(header.get("intensity_scale", 1.0))
     return FrameStack(angles_rad=tuple(angles), frames=frames,
                       pixel_scale=float(header["pixel_scale"]), center=center)
 

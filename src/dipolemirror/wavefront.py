@@ -14,11 +14,17 @@ unnormalized: a coefficient a on (2,2) means a wavefront a*rho^2*cos(2phi)
 with peak-to-valley 2a over the unit disk. Coefficients and maps are in
 waves at the wavelength they are tagged with.
 
-Phase maps live on a square grid of pixel centers spanning [-1, 1] in
+Phase maps live on a grid of pixel centers spanning [-1, 1] in
 aperture-normalized coordinates (rho_unit = rho/rho_max), with a boolean
-validity mask. Fitting uses plain least squares on the valid pixels; no
+validity mask. Fitting is plain least squares on the valid pixels; no
 annular re-orthogonalization is applied, so coefficients are reported in
-the standard disk basis regardless of the mask.
+the standard disk basis regardless of the mask. The pixel centers form a
+tensor grid, so the normal equations are assembled from separable sums of
+Legendre products in x and y over the mask. A fixed matrix per degree
+then takes them to the Zernike basis. No (pixels x terms) design matrix
+is built. Evaluation takes the angular factors from powers of
+exp(i phi). On the axes of a polar grid, it sums the azimuthal orders in
+one matrix product.
 
 Interferometer maps measure the mirror in double pass; ``single_pass``
 halves a measured map. The misalignment set {piston, tip, tilt, defocus}
@@ -48,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ProvenanceError
+from .errors import ConvergenceError, DomainError, ProvenanceError
 from .gridio import read_grid, read_table, write_grid
 
 __all__ = [
@@ -88,31 +94,79 @@ def _radial_coeffs(n: int, m: int) -> tuple:
     )
 
 
+def _radial(coeffs, u):
+    """Horner evaluation of sum_j coeffs[j] * u^j."""
+    out = np.full(u.shape, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out *= u
+        out += c
+    return out
+
+
+def _harmonics(orders: dict, step):
+    """(m, angular) for each order m present, from the powers of step.
+
+    angular is the real part of step^|m| for m >= 0 and its imaginary part
+    for m < 0: one complex multiply per order instead of a cosine and a
+    sine each.
+    """
+    power = np.ones(step.shape, dtype=complex)
+    for m in range(max(abs(k) for k in orders) + 1):
+        if m:
+            power = power * step
+        if m in orders:
+            yield m, power.real
+        if m and -m in orders:
+            yield -m, power.imag
+
+
+def _unit_phasor(phi):
+    """exp(i phi) from one cosine and one sine, faster than complex np.exp."""
+    out = np.empty(phi.shape, dtype=complex)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    return out
+
+
+# points per pass of the elementwise sum, so that each order's temporaries
+# stay in cache
+_BLOCK = 1 << 14
+
+
 def _sum_orders(orders: dict, rho, phi):
     """Sum of rho^|m| * P_m(rho^2) * (cos(m phi) | 1 | sin(|m| phi)) over m.
 
     orders maps each azimuthal order m to the coefficients of P_m in
-    ascending powers of rho^2. Each order costs one Horner evaluation on
-    rho and one product with its angular factor on phi; both stay on their
-    own (possibly broadcast) axes until that product.
+    ascending powers of rho^2. Each order costs one Horner evaluation in
+    rho^2 and one product with its angular factor. With rho of shape
+    (n, 1) and phi of shape (1, k) both stay on their axes, and the sum
+    over orders is one (n x K) @ (K x k) product of radial columns and
+    angular rows. Any other layout sums the products order by order over
+    the broadcast points, a block of them at a time.
     """
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    out = np.zeros(np.broadcast_shapes(rho.shape, phi.shape))
-    u = rho * rho
-    for m, coeffs in orders.items():
-        radial = np.full(rho.shape, coeffs[-1])
-        for c in reversed(coeffs[:-1]):
-            radial *= u
-            radial += c
-        if m:
-            radial *= rho ** abs(m)
-        if m > 0:
-            out += radial * np.cos(m * phi)
-        elif m < 0:
-            out += radial * np.sin(-m * phi)
-        else:
-            out += radial
+    shape = np.broadcast_shapes(rho.shape, phi.shape)
+    if not orders:
+        return np.zeros(shape)
+    if rho.ndim == phi.ndim == 2 and rho.shape[1] == phi.shape[0] == 1:
+        u = rho * rho
+        radials, angulars = [], []
+        for m, angular in _harmonics(orders, _unit_phasor(phi)):
+            radials.append(_radial(orders[m], u) * rho ** abs(m))
+            angulars.append(angular)
+        return np.hstack(radials) @ np.vstack(angulars)
+    out = np.zeros(shape)
+    flat = out.reshape(-1)
+    rho, phi = (np.broadcast_to(a, shape).reshape(-1) for a in (rho, phi))
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        r, acc = rho[block], flat[block]
+        u = r * r
+        term = np.empty(acc.shape)
+        # the powers of rho exp(i phi) carry rho^|m| as well
+        for m, angular in _harmonics(orders, r * _unit_phasor(phi[block])):
+            acc += np.multiply(_radial(orders[m], u), angular, out=term)
     return out
 
 
@@ -174,9 +228,11 @@ def zernike_eval(expansion: ZernikeExpansion, rho, phi):
     """Evaluate an expansion at unit-disk polar coordinates; arrays broadcast.
 
     Terms of one azimuthal order share their angular factor, so their
-    radial polynomials are summed into one before evaluation. Passing the
-    axes of a tensor-product grid, rho of shape (n, 1) and phi of shape
-    (1, k), evaluates each radial and angular factor on its axis only.
+    radial polynomials are summed into one before evaluation. The angular
+    factors come from powers of exp(i phi), not from one cosine and sine
+    per order. Passing the axes of a tensor-product grid, rho of shape
+    (n, 1) and phi of shape (1, k), evaluates each radial and angular
+    factor on its axis only and sums the orders in one matrix product.
     """
     orders = {}
     for n, m, v in expansion.terms:
@@ -189,11 +245,16 @@ def zernike_eval(expansion: ZernikeExpansion, rho, phi):
     return _sum_orders(orders, rho, phi)
 
 
+def _pixel_axes(rows: int, cols: int):
+    """x of each pixel column and y of each pixel row of a rows x cols map."""
+    x = -1.0 + (np.arange(cols) + 0.5) * 2.0 / cols
+    y = -1.0 + (np.arange(rows) + 0.5) * 2.0 / rows
+    return x, y
+
+
 def _pixel_polar(rows: int, cols: int):
     """(rho_unit, phi) of the pixel centers of a rows x cols phase map."""
-    y = -1.0 + (np.arange(rows) + 0.5) * 2.0 / rows
-    x = -1.0 + (np.arange(cols) + 0.5) * 2.0 / cols
-    xx, yy = np.meshgrid(x, y)
+    xx, yy = np.meshgrid(*_pixel_axes(rows, cols))
     return np.hypot(xx, yy), np.arctan2(yy, xx)
 
 
@@ -245,34 +306,47 @@ class PhaseMap:
         return cls(values=values, mask=mask, wavelength_nm=expansion.wavelength_nm)
 
 
-def _design_matrix(rho, phi, degree):
-    """Zernike design matrix on 1-d pixel coordinates, terms in (n, m) order.
+def _zernike_index(degree: int):
+    """Every (n, m) with n <= degree, in the order zernike_fit reports them."""
+    return [(n, m) for n in range(degree + 1) for m in range(-n, n + 1, 2)]
 
-    Terms of one |m| share rho^|m| (by recurrence) and cos/sin(|m| phi);
-    the cos and sin columns of one (n, |m|) share their radial polynomial,
-    evaluated once by Horner in rho^2.
+
+def _legendre_table(x, degree: int):
+    """Columns P_0(x) .. P_degree(x), by the three-term recurrence."""
+    table = np.empty((x.size, degree + 1))
+    table[:, 0] = 1.0
+    if degree:
+        table[:, 1] = x
+    for k in range(1, degree):
+        table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _legendre_transform(degree: int):
+    """(degree+1)^2 x n_terms matrix from Zernike coefficients to Legendre products.
+
+    The terms with n <= degree span the polynomials of total degree <=
+    degree, so each is exactly sum_(k,i) T[k*(degree+1) + i, j] P_k(y) P_i(x).
+    (degree+1)-point Gauss-Legendre quadrature on each axis integrates
+    every product P_i * Z_j exactly. Computed once per degree, read-only.
     """
-    index = [(n, m) for n in range(degree + 1) for m in range(-n, n + 1, 2)]
-    column = {nm: j for j, nm in enumerate(index)}
-    a = np.empty((rho.size, len(index)), order="F")
-    u = rho * rho
-    rho_m = np.ones_like(rho)
-    for m in range(degree + 1):
-        if m:
-            rho_m *= rho
-            cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
-        for n in range(m, degree + 1, 2):
-            coeffs = _radial_coeffs(n, m)
-            radial = a[:, column[(n, m)]]
-            radial.fill(coeffs[-1])
-            for c in reversed(coeffs[:-1]):
-                radial *= u
-                radial += c
-            if m:
-                radial *= rho_m
-                np.multiply(radial, sin_m, out=a[:, column[(n, -m)]])
-                radial *= cos_m
-    return a, index
+    nodes, weights = np.polynomial.legendre.leggauss(degree + 1)
+    # row i: (i + 1/2) w_a P_i(x_a), the projection onto P_i
+    project = _legendre_table(nodes, degree).T * weights * (np.arange(degree + 1) + 0.5)[:, None]
+    rho = np.hypot(nodes[None, :], nodes[:, None])
+    phi = np.arctan2(nodes[:, None], nodes[None, :])
+    # values[b, a, j] = Z_j(x_a, y_b); project along x, then along y
+    values = np.stack([zernike_term(n, m, rho, phi) for n, m in _zernike_index(degree)], axis=-1)
+    transform = np.tensordot(project, project @ values, axes=(1, 0))
+    transform = transform.reshape((degree + 1) ** 2, -1)
+    transform.flags.writeable = False
+    return transform
+
+
+def _axis_products(table):
+    """Per-point products P_k * P_l of a Legendre table, column k*(degree+1) + l."""
+    return (table[:, :, None] * table[:, None, :]).reshape(table.shape[0], -1)
 
 
 # condition number of the unit-diagonal Gram matrix, cond(A)^2, beyond
@@ -280,36 +354,59 @@ def _design_matrix(rho, phi, degree):
 # keeps fewer than four significant digits
 _MAX_GRAM_CONDITION = 1e12
 
+# refinement in zernike_fit: a correction below _SETTLED of the coefficients
+# leaves the next one below rounding; one that no longer halves has reached
+# the rounding floor of the data, accepted below _FLOOR of the coefficients
+_SETTLED = math.sqrt(np.finfo(float).eps)
+_FLOOR = 1e-6
+_MAX_REFINEMENTS = 30
+
 
 def zernike_fit(phase_map: PhaseMap, degree: int = _DEFAULT_DEGREE) -> ZernikeExpansion:
     """Least-squares Zernike fit of the valid pixels.
 
     All (n, m) with n <= degree are fitted simultaneously. The valid-pixel
-    count must comfortably exceed the number of terms. The fit solves the
-    normal equations by Cholesky after scaling the Gram matrix to a unit
-    diagonal. A mask on which the terms are (nearly) linearly dependent,
-    such as a thin ring, raises DomainError rather than returning one of
-    many equally good coefficient sets.
+    count must comfortably exceed the number of terms. The pixel centers
+    lie on a tensor grid, so the normal equations are assembled from
+    separable moments: sums over the mask of Legendre products P_i(x)
+    P_k(y), mapped to the Zernike basis by one fixed matrix per degree.
+    No (pixels x terms) design matrix is built.
+    The fit solves the normal equations by Cholesky after scaling the Gram
+    matrix to a unit diagonal, then refines the solution on its residual,
+    taken in the Zernike basis. A mask on which the terms are (nearly)
+    linearly dependent, such as a thin ring, raises DomainError rather than
+    returning one of many equally good coefficient sets. The transform
+    grows with the degree (its column sums reach 3e5 at degree 16), and
+    each refinement step shrinks the error less. A refinement whose
+    corrections stop halving above a millionth of the coefficients raises
+    ConvergenceError.
     """
     if degree < 0:
         raise DomainError("degree must be >= 0")
     rho, phi = phase_map.grid_polar()
     sel = phase_map.mask & (rho <= 1.0)
-    nterms = (degree + 1) * (degree + 2) // 2
-    if sel.sum() < 2 * nterms:
+    index = _zernike_index(degree)
+    count = int(np.count_nonzero(sel))
+    if count < 2 * len(index):
         raise DomainError(
-            f"only {int(sel.sum())} valid pixels for {nterms} terms; mask too small"
+            f"only {count} valid pixels for {len(index)} terms; mask too small"
         )
     rr = rho[sel]
-    a, index = _design_matrix(rr, phi[sel], degree)
-    gram = a.T @ a
+    x, y = _pixel_axes(*phase_map.values.shape)
+    vx, vy = _legendre_table(x, degree), _legendre_table(y, degree)
+    # sum over the mask of P_k P_k'(y) P_i P_i'(x), reordered to [(k, i), (k', i')]
+    d = degree + 1
+    moments = _axis_products(vy).T @ sel.astype(float) @ _axis_products(vx)
+    moments = moments.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    transform = _legendre_transform(degree)
+    gram = transform.T @ moments @ transform
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = 1.0 / np.sqrt(np.diag(gram))
         gram *= np.outer(scale, scale)
     annulus = (float(rr.min()), float(rr.max()))
     singular = DomainError(
         f"degree-{degree} Zernike terms are not independent on the mask "
-        f"({int(sel.sum())} pixels, rho {annulus[0]:.4f} to {annulus[1]:.4f})"
+        f"({count} pixels, rho {annulus[0]:.4f} to {annulus[1]:.4f})"
     )
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _MAX_GRAM_CONDITION:
         raise singular
@@ -318,16 +415,38 @@ def zernike_fit(phase_map: PhaseMap, degree: int = _DEFAULT_DEGREE) -> ZernikeEx
     except np.linalg.LinAlgError as exc:
         raise singular from exc
 
-    def solve(y):
-        return scale * np.linalg.solve(lower.T, np.linalg.solve(lower, scale * (a.T @ y)))
+    def solve(grid):
+        # grid holds the data on the selected pixels and zero elsewhere
+        rhs = transform.T @ (vy.T @ grid @ vx).ravel()
+        return scale * np.linalg.solve(lower.T, np.linalg.solve(lower, scale * rhs))
 
-    # one refinement step on the residual brings the error from cond(a)^2
-    # down to about cond(a) times the rounding of the data
-    values = phase_map.values[sel]
-    coef = solve(values)
-    coef += solve(values - a @ coef)
-    terms = tuple((n, m, float(c)) for (n, m), c in zip(index, coef))
-    return ZernikeExpansion(terms=terms, wavelength_nm=phase_map.wavelength_nm, annulus=annulus)
+    def expansion(coef):
+        return ZernikeExpansion(terms=tuple((n, m, float(c)) for (n, m), c in zip(index, coef)),
+                                wavelength_nm=phase_map.wavelength_nm, annulus=annulus)
+
+    # refinement on the residual, taken in the Zernike basis where the
+    # transform's rounding does not reach, brings the error down to about
+    # cond(a) times the rounding of the data. Each step shrinks the error by
+    # about the relative size of its correction: degree 10 settles after one
+    # step, the larger transforms from degree 16 on take two or more.
+    grid = np.where(sel, phase_map.values, 0.0)
+    coef = solve(grid)
+    values, phi = phase_map.values[sel], phi[sel]
+    previous = np.inf
+    for _ in range(_MAX_REFINEMENTS):
+        grid[sel] = values - zernike_eval(expansion(coef), rr, phi)
+        step = solve(grid)
+        coef += step
+        size, stalled = np.abs(step).max(), np.abs(step).max() > previous / 2
+        if size <= (_FLOOR if stalled else _SETTLED) * np.abs(coef).max():
+            return expansion(coef)
+        if stalled:
+            break
+        previous = size
+    raise ConvergenceError(
+        f"degree-{degree} Zernike fit still moving by {size:.1e} waves per "
+        f"refinement step; fit a lower degree"
+    )
 
 
 def remove_misalignment(expansion: ZernikeExpansion, terms=MISALIGNMENT_TERMS) -> ZernikeExpansion:
@@ -359,7 +478,7 @@ def _expansion_moments(expansion, annulus):
     wu = 0.5 * (hi - lo) * wu
     n_phi = max(4 * degree + 4, 16)
     phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    rr, pp = np.meshgrid(np.sqrt(u), phi, indexing="ij")
+    rr, pp = np.meshgrid(np.sqrt(u), phi, indexing="ij", sparse=True)
     vals = zernike_eval(expansion, rr, pp)
     w = wu[:, None] / n_phi  # du/2 * dphi/(2 pi), normalized measure
     mean = float(np.sum(vals * w)) / (hi - lo)

@@ -138,17 +138,22 @@ def grid_text(values, header: dict) -> str:
 # -------------------------------------------------------------- wavefront
 
 
-def zernike_radial(n: int, m: int, rho) -> np.ndarray:
-    """R_n^|m|(rho) as a sum of powers:
-    sum_k (-1)^k (n-k)! / (k! ((n+m)/2-k)! ((n-m)/2-k)!) rho^(n-2k)."""
+def _radial_powers(n: int, m: int):
+    """(c_k, n - 2k) of R_n^|m|(rho) = sum_k c_k rho^(n-2k),
+    c_k = (-1)^k (n-k)! / (k! ((n+m)/2-k)! ((n-m)/2-k)!)."""
     a = abs(m)
+    return [((-1) ** k * math.factorial(n - k)
+             / (math.factorial(k) * math.factorial((n + a) // 2 - k)
+                * math.factorial((n - a) // 2 - k)), n - 2 * k)
+            for k in range((n - a) // 2 + 1)]
+
+
+def zernike_radial(n: int, m: int, rho) -> np.ndarray:
+    """R_n^|m|(rho) as a sum of powers."""
     rho = np.asarray(rho, dtype=float)
     radial = np.zeros_like(rho)
-    for k in range((n - a) // 2 + 1):
-        c = ((-1) ** k * math.factorial(n - k)
-             / (math.factorial(k) * math.factorial((n + a) // 2 - k)
-                * math.factorial((n - a) // 2 - k)))
-        radial = radial + c * rho ** (n - 2 * k)
+    for c, power in _radial_powers(n, m):
+        radial = radial + c * rho ** power
     return radial
 
 
@@ -167,6 +172,21 @@ def zernike_sum(expansion, rho, phi) -> np.ndarray:
     out = np.zeros(np.broadcast(np.asarray(rho), np.asarray(phi)).shape)
     for n, m, v in expansion.terms:
         out = out + v * zernike_radial(n, m, rho) * zernike_angular(m, phi)
+    return out
+
+
+def zernike_abs_sum(expansion, rho) -> np.ndarray:
+    """sum over terms and powers of |value * c_k| rho^(n-2k).
+
+    Rounding bounds any term-by-term evaluation of the expansion to a
+    small multiple of eps times this sum. It exceeds the values by orders
+    of magnitude at high degree, where the powers of R_n^m cancel.
+    """
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros_like(rho)
+    for n, m, v in expansion.terms:
+        for c, power in _radial_powers(n, m):
+            out = out + abs(v * c) * rho ** power
     return out
 
 

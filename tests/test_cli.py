@@ -70,11 +70,12 @@ def test_version(capsys):
 
 def test_cli_import_loads_no_scipy():
     # structure, not wall time: a fresh process that imports the CLI pays
-    # for no scipy module
+    # for no scipy module, nor for numpy.polynomial
     src = str(Path(dipolemirror.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import sys, dipolemirror.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))")
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
@@ -505,6 +506,29 @@ def test_strehl_convergence_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "strehl", "--config", config)
     assert code == 4
     assert "never settled" in err
+
+
+def test_strehl_prints_the_offset_at_search_resolution(tmp_path, capsys, monkeypatch):
+    import dipolemirror.cli as cli
+    from dipolemirror.focalfield import StrehlResult
+
+    def offset_strehl(offset):
+        return lambda *args, **kwargs: StrehlResult(
+            ratio=0.99, nominal=0.98, peak_offset_lambda=offset, rms_waves=0.01,
+            n_theta=512, n_phi=512)
+
+    config = write_config(tmp_path, "[strehl]\nwaist = 2.2636\n")
+    # the search resolves 1e-6 lambda: rounding noise of either sign prints as 0
+    for noise in (2.2e-16, -2.2e-16, -4e-7):
+        monkeypatch.setattr(cli, "strehl", offset_strehl(noise))
+        code, out, _ = run(capsys, "strehl", "--config", config)
+        assert code == 0
+        assert "axial peak offset       = +0.0000 lambda" in out
+        assert machine_pairs(out)["strehl.peak_offset_lambda"] == "0"
+    monkeypatch.setattr(cli, "strehl", offset_strehl(-0.01234567891))
+    _, out, _ = run(capsys, "strehl", "--config", config)
+    assert "axial peak offset       = -0.0123 lambda" in out
+    assert machine_pairs(out)["strehl.peak_offset_lambda"] == "-0.012346"
 
 
 def test_output_mirror_is_byte_identical(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,11 @@ def test_frame_stack_file_roundtrip(tmp_path, doughnut_stack):
     via_manifest = load_frame_stack(tmp_path / "stack" / "manifest.txt")
     assert np.array_equal(via_manifest.frames, back.frames)
     assert via_manifest.angles_rad == back.angles_rad
+    # the in-place decode is bit for bit the per-frame read, stacked and scaled
+    manifest = (tmp_path / "stack" / "manifest.txt").read_text()
+    intensity = float(re.search(r"intensity_scale: (\S+)", manifest).group(1))
+    per_frame = np.stack([read_pgm(p) for p in sorted((tmp_path / "stack").glob("*.pgm"))])
+    assert np.array_equal(back.frames, per_frame * intensity)
 
 
 def test_frame_stack_manifest_errors(tmp_path):
@@ -288,6 +294,14 @@ def test_frame_stack_manifest_errors(tmp_path):
         "# pixel_scale: 0.01\n# center: 1.0 1.0\n")
     with pytest.raises(DomainError):
         load_frame_stack(no_frames)
+    ragged = tmp_path / "c"
+    ragged.mkdir()
+    write_pgm(ragged / "frame_000.pgm", np.zeros((4, 5)))
+    write_pgm(ragged / "frame_001.pgm", np.zeros((5, 4)))
+    (ragged / "manifest.txt").write_text(
+        "# pixel_scale: 0.01\n# center: 1.0 1.0\nframe_000.pgm 0.0\nframe_001.pgm 90.0\n")
+    with pytest.raises(DomainError, match="frame_001.pgm: frame shape"):
+        load_frame_stack(ragged)
 
 
 def test_export_polarization(tmp_path, doughnut_stack):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from dipolemirror import (
+    ConvergenceError,
     DomainError,
     PhaseMap,
     ProvenanceError,
@@ -60,26 +62,45 @@ def _random_expansion(seed, degree=10):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_zernike_eval_matches_per_term_sum(seed):
-    # grouping by azimuthal order and Horner in rho^2 only reorders the
-    # arithmetic: agreement to 1e-13 of the value scale
-    exp = _random_expansion(seed)
+    # grouping by azimuthal order, Horner in rho^2, angular factors from
+    # powers of exp(i phi) and the matrix product on tensor axes only
+    # reorder the arithmetic
     rng = np.random.default_rng(seed + 100)
     rho_axis = np.linspace(0.0, 1.0, 97)[:, None]
     phi_axis = rng.uniform(-math.pi, math.pi, 61)[None, :]
-    pmap = PhaseMap.from_expansion(exp, size=64, annulus=(0.071, 1.0))
-    annular_rho, annular_phi = (g[pmap.mask] for g in pmap.grid_polar())
-    inputs = [
-        (RHO, PHI),
-        (rho_axis, phi_axis),
-        (np.broadcast_to(rho_axis, (97, 61)), np.broadcast_to(phi_axis, (97, 61))),
-        (annular_rho, annular_phi),
-        (0.5, 0.25),
-    ]
-    for rho, phi in inputs:
-        got = zernike_eval(exp, rho, phi)
-        want = oracles.zernike_sum(exp, rho, phi)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # more points than one block of the elementwise sum, and a partial block
+    scattered = rng.uniform(0.0, 1.0, 40_000), rng.uniform(-math.pi, math.pi, 40_000)
+    eps = np.finfo(float).eps
+    for degree in (10, 16):
+        exp = _random_expansion(seed, degree)
+        pmap = PhaseMap.from_expansion(exp, size=64, annulus=(0.071, 1.0))
+        annular_rho, annular_phi = (g[pmap.mask] for g in pmap.grid_polar())
+        inputs = [
+            (RHO, PHI),
+            (rho_axis, phi_axis),
+            (np.broadcast_to(rho_axis, (97, 61)), np.broadcast_to(phi_axis, (97, 61))),
+            (rho_axis, np.broadcast_to(phi_axis, (97, 61))),
+            (annular_rho, annular_phi),
+            scattered,
+            (0.5, 0.25),
+        ]
+        for rho, phi in inputs:
+            got = zernike_eval(exp, rho, phi)
+            want = oracles.zernike_sum(exp, rho, phi)
+            assert got.shape == want.shape
+            if degree == 10:
+                # agreement to 1e-13 of the value scale
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            else:
+                # at degree 16 the powers of R_n^m cancel, and the oracle
+                # itself is 2e-12 of the value scale from the exact sum:
+                # both stay within the rounding bound of a term-by-term sum
+                bound = 16 * eps * oracles.zernike_abs_sum(exp, rho)
+                assert np.all(np.abs(got - want) <= bound)
+        # the one matrix product on tensor axes is the elementwise sum to rounding
+        separable = zernike_eval(exp, rho_axis, phi_axis)
+        elementwise = zernike_eval(exp, *np.broadcast_arrays(rho_axis, phi_axis))
+        assert np.abs(separable - elementwise).max() <= 1e-13 * np.abs(elementwise).max()
 
 
 def test_zernike_eval_keeps_the_broadcast_shape():
@@ -165,6 +186,48 @@ def test_fit_roundtrip_on_annuli(degree, bore, seed):
     assert np.abs(got - oracles.zernike_fit_lstsq(pmap, degree)).max() < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(24, 72), cols=st.integers(24, 72), degree=st.integers(0, 8),
+       keep=st.floats(0.5, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_fit_on_non_square_random_masks_matches_lstsq(rows, cols, degree, keep, seed):
+    """The moment assembly on rows != cols grids with asymmetric masks.
+
+    The data is a random expansion plus noise, so the least-squares
+    weighting matters: a swapped x/y axis in the moment tables, or a mask
+    read transposed, moves the coefficients far beyond the bound.
+    """
+    assume(rows != cols)
+    rng = np.random.default_rng(seed)
+    terms = tuple((n, m, rng.uniform(-0.1, 0.1))
+                  for n in range(degree + 1) for m in range(-n, n + 1, 2))
+    rho, phi = PhaseMap(values=np.zeros((rows, cols)), mask=np.zeros((rows, cols), bool),
+                        wavelength_nm=632.8).grid_polar()
+    # random pixels, with the lower right quadrant thinned further
+    mask = rng.uniform(size=(rows, cols)) < keep
+    mask[rows // 2:, cols // 2:] &= rng.uniform(size=(rows - rows // 2, cols - cols // 2)) < 0.5
+    exp = ZernikeExpansion(terms=terms, wavelength_nm=632.8)
+    values = oracles.zernike_sum(exp, rho, phi) + rng.normal(0.0, 0.02, (rows, cols))
+    pmap = PhaseMap(values=np.where(mask, values, np.nan), mask=mask, wavelength_nm=632.8)
+    fitted = zernike_fit(pmap, degree=degree)
+    got = np.array([v for _, _, v in fitted.terms])
+    assert np.abs(got - oracles.zernike_fit_lstsq(pmap, degree)).max() < 1e-10
+
+
+def test_fit_allocates_no_design_matrix():
+    # a (pixels x terms) design matrix alone is 109 MB on this map; the
+    # moment assembly needs a few map-sized arrays
+    rng = np.random.default_rng(11)
+    terms = tuple((n, m, rng.uniform(-0.1, 0.1)) for n in range(11) for m in range(-n, n + 1, 2))
+    pmap = PhaseMap.from_expansion(ZernikeExpansion(terms=terms, wavelength_nm=632.8), size=512)
+    tracemalloc.start()
+    try:
+        zernike_fit(pmap, degree=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
 def test_fit_refuses_a_thin_ring():
     # on a ring the radial polynomials of one azimuthal order are nearly
     # parallel; lstsq would return its minimum-norm pick among many fits
@@ -173,6 +236,17 @@ def test_fit_refuses_a_thin_ring():
     with pytest.raises(DomainError, match="degree-10.*not independent"):
         zernike_fit(pmap, degree=10)
     assert zernike_fit(pmap, degree=2).coefficient(2, 0) == pytest.approx(0.1, abs=1e-9)
+
+
+def test_fit_refuses_an_unsettled_refinement():
+    # the moment assembly maps Legendre products to Zernike terms through a
+    # transform whose entries grow with the degree; where refinement cannot
+    # make up its rounding, the fit raises instead of returning the drift
+    rng = np.random.default_rng(1)
+    terms = tuple((n, m, rng.uniform(-0.1, 0.1)) for n in range(25) for m in range(-n, n + 1, 2))
+    pmap = PhaseMap.from_expansion(ZernikeExpansion(terms=terms, wavelength_nm=632.8), size=128)
+    with pytest.raises(ConvergenceError, match="degree-24 Zernike fit still moving"):
+        zernike_fit(pmap, degree=24)
 
 
 def test_fit_rejects_tiny_masks():
