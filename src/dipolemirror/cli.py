@@ -291,10 +291,7 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec,
     if name == "strehl":
         result = _strehl_from_config(config, aperture, optimum)
         if result is None:
-            raise ConfigError(
-                "missing factor strehl: 'compute' needs a [strehl] section "
-                "with a zernike_file"
-            )
+            raise ConfigError("missing factor strehl: 'compute' needs a [strehl] section")
         return _Factor(name, result.ratio, "computed: focal-field Strehl of [strehl] inputs")
     if name == "eta_t":
         if "pulse" not in config.sections:
@@ -421,14 +418,17 @@ def cmd_stokes(args, config: ToolkitConfig):
     trim = args.trim_outer if args.trim_outer is not None else config.get_float(
         "stokes", "trim_outer", 0.0
     )
-    pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=noise_floor)
+    frame_info = f"{len(stack.angles_rad)} at {stack.frames.shape[1]}x{stack.frames.shape[2]} px"
+    stokes = stokes_from_frames(stack)
+    # the frames are read no further; free them before the scoring temporaries
+    del stack
+    pmap = ellipse_angles(stokes, noise_floor=noise_floor)
     scored = measured_overlap(pmap, aperture, trim_outer=trim)
     out = _out_dir(args)
     if out is not None:
         export_polarization(pmap, out / "stokes")
     body = [
-        f"  frames: {len(stack.angles_rad)} at {stack.frames.shape[1]}x{stack.frames.shape[2]} px, "
-        f"manifest {manifest}",
+        f"  frames: {frame_info}, manifest {manifest}",
         f"  annulus coverage: {scored.coverage:.4f} ({scored.n_pixels} px), outer trim {trim}",
         f"  scoring: {'rectified |projection|' if args.rectify else 'measured orientation'}",
         "",
@@ -452,9 +452,9 @@ def cmd_zernike(args, config: ToolkitConfig):
     phase_map = _read_input(map_file, lambda: load_phase_map(map_file))
     degree = config.get_int("zernike", "degree", 10)
     halve = config.get_bool("zernike", "double_pass", False)
-    if halve:
-        phase_map = single_pass(phase_map)
     fit = zernike_fit(phase_map, degree=degree)
+    if halve:
+        fit = single_pass(fit)
     pv_fit, rms_fit = pv_rms(fit)
     drop_misalignment = config.get_bool("zernike", "remove_misalignment", True)
     cleaned = remove_misalignment(fit) if drop_misalignment else fit

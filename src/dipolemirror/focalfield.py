@@ -244,7 +244,9 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
 
     # unaberrated, each ring's sum is its amplitude times the summed basis
     rings0 = field.weight * ((field.amp_theta * basis.sum(axis=0)) * scale)
-    rings = ring_sums(_unit_phasor(2.0 * math.pi * w))
+    # without an aberration the field is its own reference: the ratios are
+    # then 1 at the focus and at most 1 beside it, never 1 plus rounding
+    rings = rings0 if aberration is None else ring_sums(_unit_phasor(2.0 * math.pi * w))
     cos_theta = ct[:, 0]
 
     def intensity(sums, z):
@@ -362,13 +364,12 @@ def aluminum() -> OpticalConstants:
         return OpticalConstants.from_file(p)
 
 
-def aluminum_rp(theta, wavelength_nm: float, constants: OpticalConstants | None = None):
+def aluminum_rp(theta, wavelength_nm: float, constants: OpticalConstants):
     """Complex Fresnel r_p on the mirror at polar angle(s) theta.
 
     The local incidence angle is theta/2; at the vertex this reduces to
     the normal-incidence coefficient (n - 1)/(n + 1).
     """
-    constants = aluminum() if constants is None else constants
     n = constants.index(wavelength_nm)
     alpha = incidence_angle(theta)
     ca = np.cos(alpha)
@@ -376,11 +377,7 @@ def aluminum_rp(theta, wavelength_nm: float, constants: OpticalConstants | None 
     return (n**2 * ca - root) / (n**2 * ca + root)
 
 
-def reflection_phase_waves(
-    theta,
-    wavelength_nm: float,
-    constants: OpticalConstants | None = None,
-):
+def reflection_phase_waves(theta, wavelength_nm: float, constants: OpticalConstants):
     """Phase of r_p in waves, unwrapped in theta and zeroed at the vertex.
 
     Suitable directly as a Strehl aberration: the reflected wavefront
@@ -411,26 +408,18 @@ class AluminumFocusStudy:
     strehl: StrehlResult
 
 
-def aluminum_phase_study(
-    aperture: ApertureSpec | None = None,
-    wavelength_nm: float = 251.8,
-    constants: OpticalConstants | None = None,
-    waist: float | None = None,
-    n_theta: int = _DEFAULT_NODES,
-    n_phi: int = _DEFAULT_NODES,
-) -> AluminumFocusStudy:
+def aluminum_phase_study(wavelength_nm: float) -> AluminumFocusStudy:
     """Focal shift and intensity loss from the aluminum reflection phase.
 
-    The input is the optimal-waist doughnut (or the given waist) with the
-    phase of r_p applied as the only aberration; amplitudes stay ideal so
-    the numbers isolate the phase effect.
+    The input is the optimal-waist doughnut of the default aperture with
+    the phase of r_p, from the shipped aluminum table, applied as the only
+    aberration; amplitudes stay ideal so the numbers isolate the phase
+    effect. The Strehl search starts on the default 256^2 quadrature.
     """
-    aperture = ApertureSpec() if aperture is None else aperture
-    if waist is None:
-        waist = optimize_waist(aperture).waist
-    constants = aluminum() if constants is None else constants
-    field = plane_to_sphere(RadialMode.doughnut(waist), aperture,
-                            n_theta=n_theta, n_phi=n_phi)
+    aperture = ApertureSpec()
+    waist = optimize_waist(aperture).waist
+    constants = aluminum()
+    field = plane_to_sphere(RadialMode.doughnut(waist), aperture)
 
     def aberration(theta, phi):
         return reflection_phase_waves(theta, wavelength_nm, constants)
@@ -446,9 +435,8 @@ def aluminum_phase_study(
     )
 
 
-def reflectivity_weight(wavelength_nm: float, constants: OpticalConstants | None = None):
+def reflectivity_weight(wavelength_nm: float, constants: OpticalConstants):
     """Callable |r_p| as a function of entrance-plane radius rho."""
-    constants = aluminum() if constants is None else constants
 
     def weight(rho):
         return np.abs(aluminum_rp(theta_from_rho(rho), wavelength_nm, constants))
@@ -472,7 +460,7 @@ class WeightedOptimum:
 
 def reflectivity_weighted_optimum(
     aperture: ApertureSpec,
-    constants: OpticalConstants | None = None,
+    constants: OpticalConstants,
     wavelength_nm: float = 369.5,
 ) -> WeightedOptimum:
     """Re-optimize the doughnut waist with the reflectivity weighting on."""

@@ -3,12 +3,12 @@
 The ideal focusing mode is the time-reversed far-field of a linear dipole,
 expressed in the entrance plane of the parabola as
 
-    E_dip(rho) = E0 * rho / ((rho/2)^2 + 1)^2,
+    E_dip(rho) = rho / ((rho/2)^2 + 1)^2,
 
 with rho = r/f. The laboratory approximation is the radially polarized
 doughnut
 
-    E_dn(rho) = E0 * rho * exp(-rho^2 / w^2),
+    E_dn(rho) = rho * exp(-rho^2 / w^2),
 
 where w is the beam waist in units of f. The spatial overlap between two
 radial profiles a, b over the aperture annulus is the normalized scalar
@@ -16,10 +16,12 @@ product
 
     eta = int a b rho drho / sqrt(int a^2 rho drho * int b^2 rho drho),
 
-azimuthal factors cancelling for co-polarized radial fields. Coupling
-figures assemble into the coupling strength G = Omega_fraction * eta^2 * S
-(S the Strehl ratio) and the absorption probability
-P_a = G * eta_t^2 * branching.
+azimuthal factors cancelling for co-polarized radial fields. A constant
+factor on either profile cancels as well, so the profiles carry no
+amplitude factor; a radius-dependent weight, such as the mirror's
+reflectivity, enters through ``WeightedMode``. Coupling figures assemble
+into the coupling strength G = Omega_fraction * eta^2 * S (S the Strehl
+ratio) and the absorption probability P_a = G * eta_t^2 * branching.
 """
 
 from __future__ import annotations
@@ -60,17 +62,17 @@ _ETA_RTOL = 1e-9
 _WAIST_XTOL = 1e-8
 
 
-def dipole_profile(rho, amplitude: float = 1.0):
+def dipole_profile(rho):
     """Entrance-plane amplitude of the linear-dipole mode.
 
     Maximum at rho = 2/sqrt(3); zero on axis.
     """
     rho = np.asarray(rho, dtype=float)
-    out = amplitude * rho / ((rho / 2.0) ** 2 + 1.0) ** 2
+    out = rho / ((rho / 2.0) ** 2 + 1.0) ** 2
     return float(out) if out.ndim == 0 else out
 
 
-def doughnut_profile(rho, waist: float, amplitude: float = 1.0):
+def doughnut_profile(rho, waist: float):
     """Radially polarized doughnut amplitude with waist in units of f.
 
     Maximum at rho = waist/sqrt(2); zero on axis.
@@ -78,7 +80,7 @@ def doughnut_profile(rho, waist: float, amplitude: float = 1.0):
     if waist <= 0:
         raise DomainError(f"waist must be positive, got {waist}")
     rho = np.asarray(rho, dtype=float)
-    out = amplitude * rho * np.exp(-(rho**2) / waist**2)
+    out = rho * np.exp(-(rho**2) / waist**2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -92,23 +94,22 @@ class RadialMode:
     """
 
     kind: str
-    scale: float = 1.0
     waist: Optional[float] = None
     rho_samples: Optional[np.ndarray] = field(default=None, repr=False)
     amp_samples: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
-    def dipole(cls, scale: float = 1.0) -> "RadialMode":
-        return cls(kind="dipole", scale=scale)
+    def dipole(cls) -> "RadialMode":
+        return cls(kind="dipole")
 
     @classmethod
-    def doughnut(cls, waist: float, scale: float = 1.0) -> "RadialMode":
+    def doughnut(cls, waist: float) -> "RadialMode":
         if waist <= 0:
             raise DomainError(f"waist must be positive, got {waist}")
-        return cls(kind="doughnut", scale=scale, waist=waist)
+        return cls(kind="doughnut", waist=waist)
 
     @classmethod
-    def sampled(cls, rho, amplitude, scale: float = 1.0) -> "RadialMode":
+    def sampled(cls, rho, amplitude) -> "RadialMode":
         rho = np.asarray(rho, dtype=float)
         amp = np.asarray(amplitude, dtype=float)
         if rho.ndim != 1 or rho.shape != amp.shape or rho.size < 2:
@@ -117,18 +118,16 @@ class RadialMode:
             raise DomainError("sample radii must be non-negative and strictly increasing")
         if not np.all(np.isfinite(amp)):
             raise DomainError("sample amplitudes must be finite")
-        return cls(kind="sampled", scale=scale, rho_samples=rho, amp_samples=amp)
+        return cls(kind="sampled", rho_samples=rho, amp_samples=amp)
 
     def amplitude(self, rho):
         rho = np.asarray(rho, dtype=float)
         if self.kind == "dipole":
-            out = dipole_profile(rho, self.scale)
+            out = dipole_profile(rho)
         elif self.kind == "doughnut":
-            out = doughnut_profile(rho, self.waist, self.scale)
+            out = doughnut_profile(rho, self.waist)
         elif self.kind == "sampled":
-            out = self.scale * np.interp(
-                rho, self.rho_samples, self.amp_samples, left=0.0, right=0.0
-            )
+            out = np.interp(rho, self.rho_samples, self.amp_samples, left=0.0, right=0.0)
         else:
             raise DomainError(f"unknown mode kind {self.kind!r}")
         return float(out) if np.ndim(out) == 0 else out
@@ -241,19 +240,15 @@ class WaistOptimum:
 
 def optimize_waist(
     aperture: ApertureSpec,
-    reference=None,
     bracket: tuple[float, float] | None = None,
     transform: Callable | None = None,
 ) -> WaistOptimum:
-    """Doughnut waist maximizing the overlap with a reference profile.
+    """Doughnut waist maximizing the overlap with the dipole mode.
 
     Parameters
     ----------
     aperture : ApertureSpec
         Integration annulus.
-    reference : optional
-        Profile to match; defaults to the dipole mode. Any object with an
-        ``amplitude(rho)`` method works.
     bracket : (float, float), optional
         Waist search interval in units of f; defaults to (0.1, rho_max).
     transform : callable, optional
@@ -265,7 +260,7 @@ def optimize_waist(
     A best waist on either end of the bracket raises ConvergenceError: the
     optimum may lie outside it, and the bracket is not widened.
     """
-    ref = reference if reference is not None else RadialMode.dipole()
+    dipole = RadialMode.dipole()
     lo, hi = bracket if bracket is not None else (0.1, aperture.rho_max)
     if not 0 < lo < hi:
         raise DomainError(f"bad waist bracket ({lo}, {hi})")
@@ -276,7 +271,7 @@ def optimize_waist(
         candidate = RadialMode.doughnut(w)
         if transform is not None:
             candidate = transform(candidate)
-        return spatial_overlap(candidate, ref, aperture, rtol=1e-10)
+        return spatial_overlap(candidate, dipole, aperture, rtol=1e-10)
 
     waist, eta = argmax_bracketed(score, np.linspace(lo, hi, 65), _WAIST_XTOL)
     return WaistOptimum(waist=waist, eta=eta)
@@ -338,7 +333,7 @@ def save_sampled_mode(mode: RadialMode, path, aperture: ApertureSpec | None = No
     if none given).
     """
     if mode.kind == "sampled":
-        rho, amp = mode.rho_samples, mode.scale * mode.amp_samples
+        rho, amp = mode.rho_samples, mode.amp_samples
     else:
         ap = aperture if aperture is not None else ApertureSpec()
         rho = np.linspace(ap.rho_bore, ap.rho_max, n)

@@ -215,13 +215,9 @@ def radial_projection(pmap: PolarizationMap):
     return np.where(pmap.mask, _project(pmap.psi, pmap.chi, phi), np.nan)
 
 
-def half_plane_sign(phi):
-    """+1 in the upper half plane (sin(phi) >= 0), -1 in the lower one."""
-    return np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
-
-
 def _project(psi, chi, phi):
-    return half_plane_sign(phi) * np.cos(chi) * np.cos(psi - phi)
+    # sgn of the module docstring: +1 in the upper half plane, -1 in the lower
+    return np.where(np.sin(phi) >= 0.0, 1.0, -1.0) * np.cos(chi) * np.cos(psi - phi)
 
 
 @dataclass(frozen=True)

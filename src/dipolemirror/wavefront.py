@@ -26,11 +26,15 @@ is built. Evaluation takes the angular factors from powers of
 exp(i phi). On the axes of a polar grid, it sums the azimuthal orders in
 one matrix product.
 
-Interferometer maps measure the mirror in double pass; ``single_pass``
-halves a measured map. The misalignment set {piston, tip, tilt, defocus}
-is removed after fitting by default: tilts and defocus are alignment
-freedoms of the test cavity (a displaced reference sphere shows up as
-defocus), not mirror figure error.
+A phase map enters only through ``zernike_fit``; PV/RMS, halving, the
+plate and its wavelength rescaling take the fitted expansion, and any
+other object raises DomainError. Interferometer maps measure the mirror
+in double pass; ``single_pass`` halves the fit. The fit is linear in the
+map and halving is exact, so this is bitwise the fit of the halved map.
+The misalignment set {piston, tip, tilt, defocus} is removed after
+fitting by default: tilts and defocus are alignment freedoms of the test
+cavity (a displaced reference sphere shows up as defocus), not mirror
+figure error.
 
 Phase plates are etched for a design wavelength. At another wavelength the
 plate's optical path scales with the material dispersion n(lambda) - 1
@@ -213,14 +217,6 @@ class ZernikeExpansion:
         wl = self.wavelength_nm if wavelength_nm is None else wavelength_nm
         return ZernikeExpansion(
             tuple((n, m, v * factor) for n, m, v in self.terms), wl, self.annulus
-        )
-
-    def without(self, indices) -> "ZernikeExpansion":
-        drop = set(indices)
-        return ZernikeExpansion(
-            tuple(t for t in self.terms if (t[0], t[1]) not in drop),
-            self.wavelength_nm,
-            self.annulus,
         )
 
 
@@ -449,11 +445,10 @@ def zernike_fit(phase_map: PhaseMap, degree: int = _DEFAULT_DEGREE) -> ZernikeEx
     )
 
 
-def remove_misalignment(expansion: ZernikeExpansion, terms=MISALIGNMENT_TERMS) -> ZernikeExpansion:
-    """Zero the alignment terms (piston, tip, tilt, defocus by default)."""
-    drop = set(terms)
+def remove_misalignment(expansion: ZernikeExpansion) -> ZernikeExpansion:
+    """Zero the alignment terms: piston, tip, tilt and defocus."""
     return ZernikeExpansion(
-        tuple((n, m, 0.0 if (n, m) in drop else v) for n, m, v in expansion.terms),
+        tuple((n, m, 0.0 if (n, m) in MISALIGNMENT_TERMS else v) for n, m, v in expansion.terms),
         expansion.wavelength_nm,
         expansion.annulus,
     )
@@ -486,47 +481,38 @@ def _expansion_moments(expansion, annulus):
     return mean, meansq
 
 
-def pv_rms(obj, annulus: tuple | None = None) -> tuple[float, float]:
-    """Peak-to-valley and RMS (about the mean) of a wavefront, in waves.
+def _expansion(obj) -> ZernikeExpansion:
+    """obj itself if it is a ZernikeExpansion; anything else, a PhaseMap too, raises."""
+    if not isinstance(obj, ZernikeExpansion):
+        raise DomainError(f"expected a ZernikeExpansion, got {type(obj).__name__}; "
+                          "fit a phase map with zernike_fit first")
+    return obj
 
-    Accepts a PhaseMap (statistics over the mask) or a ZernikeExpansion.
-    For expansions the RMS quadrature is exact for the polynomial basis;
+
+def pv_rms(expansion: ZernikeExpansion) -> tuple[float, float]:
+    """Peak-to-valley and RMS (about the mean) of an expansion, in waves.
+
+    The statistics run over the expansion's annulus, the full unit disk if
+    it records none. The RMS quadrature is exact for the polynomial basis;
     the PV comes from a dense polar sampling that includes the annulus
     boundaries, where the extremes of low-order modes sit.
     """
-    if isinstance(obj, PhaseMap):
-        vals = obj.values[obj.mask]
-        if vals.size == 0:
-            raise DomainError("empty mask")
-        return float(vals.max() - vals.min()), float(vals.std())
-    if isinstance(obj, ZernikeExpansion):
-        ann = annulus if annulus is not None else (obj.annulus or (0.0, 1.0))
-        rho, phi = _expansion_sample_grid(ann)
-        vals = zernike_eval(obj, rho, phi)
-        pv = float(vals.max() - vals.min())
-        mean, meansq = _expansion_moments(obj, ann)
-        rms = math.sqrt(max(meansq - mean**2, 0.0))
-        return pv, rms
-    raise DomainError(f"cannot compute PV/RMS of {type(obj).__name__}")
+    ann = _expansion(expansion).annulus or (0.0, 1.0)
+    rho, phi = _expansion_sample_grid(ann)
+    vals = zernike_eval(expansion, rho, phi)
+    pv = float(vals.max() - vals.min())
+    mean, meansq = _expansion_moments(expansion, ann)
+    return pv, math.sqrt(max(meansq - mean**2, 0.0))
 
 
-def _scale_phase(obj, factor: float, wavelength_nm: float | None = None):
-    if isinstance(obj, ZernikeExpansion):
-        return obj.scaled(factor, wavelength_nm)
-    if isinstance(obj, PhaseMap):
-        wl = obj.wavelength_nm if wavelength_nm is None else wavelength_nm
-        return PhaseMap(values=obj.values * factor, mask=obj.mask, wavelength_nm=wl)
-    raise DomainError(f"cannot scale {type(obj).__name__}")
-
-
-def make_phase_plate(aberration):
+def make_phase_plate(aberration: ZernikeExpansion) -> ZernikeExpansion:
     """Phase profile a plate must imprint to cancel an aberration."""
-    return _scale_phase(aberration, -1.0)
+    return _expansion(aberration).scaled(-1.0)
 
 
-def single_pass(measured):
-    """Halve a double-pass interferometer measurement."""
-    return _scale_phase(measured, 0.5)
+def single_pass(measured: ZernikeExpansion) -> ZernikeExpansion:
+    """Halve the fit of a double-pass interferometer measurement."""
+    return _expansion(measured).scaled(0.5)
 
 
 _SELLMEIER_KEYS = ("b1", "b2", "b3", "c1_um2", "c2_um2", "c3_um2")
@@ -595,7 +581,8 @@ def fused_silica() -> SellmeierModel:
         return SellmeierModel.from_file(p)
 
 
-def rescale_wavelength(plate, target_nm: float, model: SellmeierModel):
+def rescale_wavelength(plate: ZernikeExpansion, target_nm: float,
+                       model: SellmeierModel) -> ZernikeExpansion:
     """Residual wavefront of a compensated system at another wavelength.
 
     ``plate`` is the phase profile (waves) the plate imprints at its design
@@ -606,16 +593,11 @@ def rescale_wavelength(plate, target_nm: float, model: SellmeierModel):
 
         residual = plate * (l0/l1) * ((n(l1)-1)/(n(l0)-1) - 1).
     """
-    if isinstance(plate, ZernikeExpansion):
-        l0 = plate.wavelength_nm
-    elif isinstance(plate, PhaseMap):
-        l0 = plate.wavelength_nm
-    else:
-        raise DomainError(f"cannot rescale {type(plate).__name__}")
+    l0 = _expansion(plate).wavelength_nm
     n0 = model.index(l0)
     n1 = model.index(target_nm)
     factor = (l0 / target_nm) * ((n1 - 1.0) / (n0 - 1.0) - 1.0)
-    return _scale_phase(plate, factor, wavelength_nm=target_nm)
+    return plate.scaled(factor, target_nm)
 
 
 def save_expansion(expansion: ZernikeExpansion, path):

@@ -214,9 +214,14 @@ def test_report_rejects_bad_factor(tmp_path, capsys):
 
 def test_report_strehl_compute_needs_inputs(tmp_path, capsys):
     config = write_config(tmp_path, "[report]\nstrehl = compute\n")
-    code, _, err = run(capsys, "report", "--config", config)
-    assert code == 2
-    assert "missing factor strehl" in err
+    code, out, err = run(capsys, "report", "--config", config)
+    assert code == 2 and out == ""
+    assert err == "error: missing factor strehl: 'compute' needs a [strehl] section\n"
+    # a section without a zernike_file is enough: the unaberrated focus
+    config = write_config(tmp_path, "[report]\nstrehl = compute\n[strehl]\n", name="bare.ini")
+    code, out, _ = run(capsys, "report", "--config", config)
+    assert code == 0
+    assert machine_pairs(out)["factor.strehl"] == "1"
 
 
 def test_pulse_defaults(tmp_path, capsys):

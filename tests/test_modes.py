@@ -53,7 +53,7 @@ def test_overlap_is_symmetric_and_scale_invariant(aperture):
     eta_ab = spatial_overlap(a, b, aperture)
     eta_ba = spatial_overlap(b, a, aperture)
     assert eta_ab == pytest.approx(eta_ba, abs=1e-12)
-    scaled = RadialMode.doughnut(1.7, scale=17.0)
+    scaled = WeightedMode(a, lambda rho: np.full_like(rho, 17.0))
     assert spatial_overlap(scaled, b, aperture) == pytest.approx(eta_ab, abs=1e-12)
 
 
