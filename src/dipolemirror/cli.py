@@ -531,7 +531,7 @@ def cmd_strehl(args, config: ToolkitConfig):
     result = _strehl_from_config(config, aperture, lambda: optimize_waist(aperture))
     if result is None:
         raise ConfigError("a [strehl] section is required")
-    # the axial search resolves 1e-6 lambda; below that the offset is 0, never -0
+    # the offset prints to 1e-6 lambda; below that it is 0, never -0
     offset = round(result.peak_offset_lambda, 6) + 0.0
     body = [
         f"  Strehl (axial maximum)  = {result.ratio:.6f}",

@@ -91,6 +91,10 @@ _DEFAULT_NODES = 256
 _MAX_WIDENINGS = 3
 _RATIO_TOL = 1e-4
 _OFFSET_TOL = 1e-3
+# golden-section bracket of the axial peak in wavelengths, and the Newton
+# steps that refine the peak inside it
+_SECTION_TOL = 1e-6
+_NEWTON_STEPS = 2
 # points on which the reflection phase is unwrapped
 _PHASE_GRID = 4096
 
@@ -215,9 +219,9 @@ class StrehlResult:
     """Strehl ratio with its axial-search and convergence context.
 
     ratio is taken at the axial intensity maximum, nominal at the focal
-    point itself; peak_offset_lambda locates the maximum. rms_waves is the
-    aberration RMS weighted by each node's contribution to the on-axis
-    field (quadrature weight times axial field amplitude).
+    point itself; peak_offset_lambda locates the maximum, to rounding.
+    rms_waves is the aberration RMS weighted by each node's contribution to
+    the on-axis field (quadrature weight times axial field amplitude).
     """
 
     ratio: float
@@ -254,18 +258,36 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
         e = np.exp(2j * math.pi * np.multiply.outer(z, cos_theta)) @ sums
         return np.sum(e.real**2 + e.imag**2, axis=-1)
 
+    def newton_step(z):
+        # -I'/I'' of I = |E|^2, E(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
+        k = 2.0 * math.pi * cos_theta
+        p = np.exp(1j * k * z)
+        e, e1, e2 = p @ rings, (1j * k * p) @ rings, (-(k**2) * p) @ rings
+        d1 = 2.0 * np.vdot(e, e1).real
+        d2 = 2.0 * (np.vdot(e1, e1).real + np.vdot(e, e2).real)
+        return float(-d1 / d2) if d2 < 0.0 else 0.0
+
     denom = float(intensity(rings0, 0.0))
     if denom <= 0.0:
         raise DomainError("on-axis reference field vanishes; Strehl undefined")
     nominal = float(intensity(rings, 0.0)) / denom
 
     try:
-        z_peak, peak = argmax_bracketed(lambda z: intensity(rings, z),
-                                        np.linspace(-halfwidth, halfwidth, 81), 1e-6,
-                                        widenings=_MAX_WIDENINGS)
+        z_peak, _ = argmax_bracketed(lambda z: intensity(rings, z),
+                                     np.linspace(-halfwidth, halfwidth, 81), _SECTION_TOL,
+                                     widenings=_MAX_WIDENINGS)
     except ConvergenceError as exc:
         raise ConvergenceError(f"axial intensity {exc} lambda at "
                                f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
+    # the section leaves the maximum within its 1e-6 bracket, at a point that
+    # rounding in near-equal comparisons picks; Newton steps on the analytic
+    # derivative then place it to rounding
+    for _ in range(_NEWTON_STEPS):
+        step = newton_step(z_peak)
+        if abs(step) > _SECTION_TOL:
+            break
+        z_peak += step
+    peak = float(intensity(rings, z_peak))
     ratio = peak / denom
 
     q = np.broadcast_to(field.weight * np.abs(field.amp_theta * st), shape)

@@ -382,9 +382,10 @@ def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
 
     The on-axis field is sum_nodes amp * exp(i 2 pi (W + z cos theta)),
     amp the node weight times ``sphere_vector_field`` of the field's
-    source. The maximum over z is taken on 81 points over +-halfwidth and
-    refined by golden section to 1e-6 wavelengths. Returns (ratio,
-    nominal, z_peak).
+    source. The maximum over z is taken on 81 points over +-halfwidth,
+    refined by golden section to 1e-6 wavelengths and then by two Newton
+    steps on the analytic dI/dz, each node summed on its own. Returns
+    (ratio, nominal, z_peak).
     """
     vector = sphere_vector_field(field.source, field)
     shape = vector.shape[:2]
@@ -397,6 +398,13 @@ def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
         return float(np.real(np.vdot(e, e)))
 
     denom = intensity(amp0, 0.0)
-    peak, z = scan_then_golden(lambda z: intensity(amp, z),
-                               np.linspace(-halfwidth, halfwidth, 81), 1e-6)
-    return peak / denom, intensity(amp, 0.0) / denom, z
+    _, z = scan_then_golden(lambda z: intensity(amp, z),
+                            np.linspace(-halfwidth, halfwidth, 81), 1e-6)
+    k = 2.0 * math.pi * cos_theta
+    for _ in range(2):
+        p = np.exp(1j * k * z)
+        e, e1, e2 = p @ amp, (1j * k * p) @ amp, (-(k**2) * p) @ amp
+        d1 = 2.0 * np.real(np.vdot(e, e1))
+        d2 = 2.0 * np.real(np.vdot(e1, e1) + np.vdot(e, e2))
+        z -= d1 / d2
+    return intensity(amp, z) / denom, intensity(amp, 0.0) / denom, z
