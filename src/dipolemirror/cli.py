@@ -420,9 +420,11 @@ def cmd_stokes(args, config: ToolkitConfig):
     )
     frame_info = f"{len(stack.angles_rad)} at {stack.frames.shape[1]}x{stack.frames.shape[2]} px"
     stokes = stokes_from_frames(stack)
-    # the frames are read no further; free them before the scoring temporaries
+    # the frames, and then the Stokes rows, are read no further; free them
+    # before the scoring temporaries
     del stack
     pmap = ellipse_angles(stokes, noise_floor=noise_floor)
+    del stokes
     scored = measured_overlap(pmap, aperture, trim_outer=trim)
     out = _out_dir(args)
     if out is not None:

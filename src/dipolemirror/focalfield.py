@@ -63,9 +63,11 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ProvenanceError
-from .geometry import ApertureSpec, incidence_angle, rho_from_theta, theta_from_rho
+from .geometry import (
+    ApertureSpec, _gauss_legendre, incidence_angle, rho_from_theta, theta_from_rho,
+)
 from .gridio import read_table
-from .modes import RadialMode, WeightedMode, optimize_waist
+from .modes import RadialMode, optimize_waist
 from .search import argmax_bracketed
 from .wavefront import ZernikeExpansion, _unit_phasor, zernike_eval
 
@@ -91,10 +93,9 @@ _DEFAULT_NODES = 256
 _MAX_WIDENINGS = 3
 _RATIO_TOL = 1e-4
 _OFFSET_TOL = 1e-3
-# golden-section bracket of the axial peak in wavelengths, and the Newton
-# steps that refine the peak inside it
+# golden-section bracket of the axial peak in wavelengths; Newton steps on
+# the analytic dI/dz then refine the peak inside it
 _SECTION_TOL = 1e-6
-_NEWTON_STEPS = 2
 # points on which the reflection phase is unwrapped
 _PHASE_GRID = 4096
 
@@ -142,17 +143,6 @@ class SphereField:
 def _stack_last(*parts):
     # components that broadcast against each other, stacked on a last axis
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
-
-
-@lru_cache(maxsize=16)
-def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
-
-    The arrays are shared by every caller, so they are read-only.
-    """
-    u, w = np.polynomial.legendre.leggauss(n)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
 
 
 def plane_to_sphere(
@@ -273,21 +263,12 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
     nominal = float(intensity(rings, 0.0)) / denom
 
     try:
-        z_peak, _ = argmax_bracketed(lambda z: intensity(rings, z),
-                                     np.linspace(-halfwidth, halfwidth, 81), _SECTION_TOL,
-                                     widenings=_MAX_WIDENINGS)
+        z_peak, peak = argmax_bracketed(lambda z: intensity(rings, z),
+                                        np.linspace(-halfwidth, halfwidth, 81), _SECTION_TOL,
+                                        widenings=_MAX_WIDENINGS, step=newton_step)
     except ConvergenceError as exc:
         raise ConvergenceError(f"axial intensity {exc} lambda at "
                                f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
-    # the section leaves the maximum within its 1e-6 bracket, at a point that
-    # rounding in near-equal comparisons picks; Newton steps on the analytic
-    # derivative then place it to rounding
-    for _ in range(_NEWTON_STEPS):
-        step = newton_step(z_peak)
-        if abs(step) > _SECTION_TOL:
-            break
-        z_peak += step
-    peak = float(intensity(rings, z_peak))
     ratio = peak / denom
 
     q = np.broadcast_to(field.weight * np.abs(field.amp_theta * st), shape)
@@ -488,7 +469,7 @@ def reflectivity_weighted_optimum(
     """Re-optimize the doughnut waist with the reflectivity weighting on."""
     weight = reflectivity_weight(wavelength_nm, constants)
     plain = optimize_waist(aperture)
-    weighted = optimize_waist(aperture, transform=lambda mode: WeightedMode(mode, weight))
+    weighted = optimize_waist(aperture, weight=weight)
     return WeightedOptimum(
         waist=weighted.waist, eta=weighted.eta,
         waist_unweighted=plain.waist, eta_unweighted=plain.eta,

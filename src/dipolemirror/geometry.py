@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +47,17 @@ __all__ = [
     "weighted_solid_angle",
     "weighted_fraction",
 ]
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    u, w = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,25 @@ product
 azimuthal factors cancelling for co-polarized radial fields. A constant
 factor on either profile cancels as well, so the profiles carry no
 amplitude factor; a radius-dependent weight, such as the mirror's
-reflectivity, enters through ``WeightedMode``. Coupling figures assemble
-into the coupling strength G = Omega_fraction * eta^2 * S (S the Strehl
-ratio) and the absorption probability P_a = G * eta_t^2 * branching.
+reflectivity, enters through ``WeightedMode``.
+
+The integrals run on composite Gauss-Legendre panels over the annulus.
+Analytic profiles are smooth there, so they need one panel; a sampled
+profile is piecewise linear, so it gets one panel between each pair of
+its samples. The first rule shares 64 Gauss-Legendre nodes among the
+panels; a rule is accepted once doubling its nodes, by cutting each
+Gauss-Legendre block in two, moves eta by no more than 1e-12. The waist
+search evaluates the dipole profile and its norm once
+on its rule; each candidate waist then costs one exponential per node,
+and its derivative in the waist is analytic.
+
+Coupling figures assemble into the coupling strength
+G = Omega_fraction * eta^2 * S (S the Strehl ratio) and the absorption
+probability P_a = G * eta_t^2 * branching.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -34,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UndefinedOverlapError
-from .geometry import ApertureSpec
+from .geometry import ApertureSpec, _gauss_legendre
 from .gridio import read_table
 from .search import argmax_bracketed
 
@@ -53,13 +64,20 @@ __all__ = [
     "save_sampled_mode",
 ]
 
-# Quadrature defaults: composite Simpson starting at this interval count,
-# doubled until the overlap changes by less than the tolerance.
-_SIMPSON_N0 = 4096
-_SIMPSON_NMAX = 1 << 19
-_ETA_RTOL = 1e-9
-# golden-section tolerance of the waist search, in units of f
-_WAIST_XTOL = 1e-8
+# Composite Gauss-Legendre quadrature: nodes of the first rule, shared
+# among the panels but at least 8 per panel, the most blocks a panel may be
+# cut into, and the change in eta between a rule and its doubling that
+# accepts the finer one
+_GL_NODES = 64
+_MIN_PANEL_NODES = 8
+_MAX_BLOCKS = 16
+_ETA_TOL = 1e-12
+# waists on the coarse scan, and the golden-section tolerance of the waist
+# search in units of f. eta is so flat at its maximum (d2 log eta/dw2 =
+# -0.27) that comparisons within about 3e-8 f of it are rounding noise;
+# Newton steps on the analytic derivative refine the waist from there
+_WAIST_SCAN = 65
+_WAIST_XTOL = 1e-6
 
 
 def dipole_profile(rho):
@@ -133,11 +151,12 @@ class RadialMode:
         return float(out) if np.ndim(out) == 0 else out
 
     @property
-    def breaks(self) -> tuple:
-        """Radii where the amplitude may jump: the ends of a sampled range."""
+    def breaks(self) -> np.ndarray:
+        """Radii where the amplitude is not smooth: every sample of a sampled
+        mode, which is linear between samples and zero past its ends."""
         if self.kind != "sampled":
-            return ()
-        return (float(self.rho_samples[0]), float(self.rho_samples[-1]))
+            return np.empty(0)
+        return self.rho_samples
 
 
 @dataclass(frozen=True)
@@ -158,15 +177,8 @@ class WeightedMode:
         return float(out) if np.ndim(out) == 0 else out
 
     @property
-    def breaks(self) -> tuple:
+    def breaks(self) -> np.ndarray:
         return self.mode.breaks
-
-
-def _simpson(values: np.ndarray, h: float) -> float:
-    # values on an odd number of equally spaced points
-    return (h / 3.0) * float(
-        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
-    )
 
 
 def _amp(mode, rho):
@@ -174,60 +186,128 @@ def _amp(mode, rho):
     return np.asarray(mode.amplitude(rho), dtype=float)
 
 
-def _pieces(a, b, lo: float, hi: float) -> list:
-    # [lo, hi] cut where either profile may jump, so that each piece is smooth
-    cuts = sorted({x for mode in (a, b) for x in getattr(mode, "breaks", ()) if lo < x < hi})
-    return list(zip([lo, *cuts], [*cuts, hi]))
+def _panel_edges(aperture: ApertureSpec, *modes) -> np.ndarray:
+    # [rho_bore, rho_max] cut wherever a profile is not smooth
+    lo, hi = aperture.rho_bore, aperture.rho_max
+    breaks = np.concatenate([np.empty(0), *(getattr(m, "breaks", ()) for m in modes)])
+    cuts = np.sort(breaks[(breaks > lo) & (breaks < hi)])
+    # a radius shared by both profiles cuts once (np.unique would import numpy.ma)
+    return np.concatenate([[lo], cuts[np.diff(cuts, prepend=lo) > 0], [hi]])
 
 
-def _overlap_on_grid(a, b, pieces: list, n: int) -> float:
-    num = na = nb = 0.0
-    for lo, hi in pieces:
-        rho = np.linspace(lo, hi, n + 1)
-        # at a cut, take the profile's limit from inside the piece
-        if lo != pieces[0][0]:
-            rho[0] = np.nextafter(lo, hi)
-        if hi != pieces[-1][1]:
-            rho[-1] = np.nextafter(hi, lo)
-        fa = _amp(a, rho)
-        fb = _amp(b, rho)
-        h = (hi - lo) / n
-        num += _simpson(fa * fb * rho, h)
-        na += _simpson(fa * fa * rho, h)
-        nb += _simpson(fb * fb * rho, h)
-    if na <= 0.0 or nb <= 0.0:
+def _nodes(edges: np.ndarray, blocks: int):
+    """Nodes and quadrature weights for the measure rho drho: each panel
+    cut into ``blocks`` equal blocks, with n-point Gauss-Legendre on each.
+
+    n is 64 for one panel, and 64 shared among more, at least 8 each: a
+    panel between two samples of a sampled mode is short, and the mode is
+    linear on it.
+    """
+    cuts = (edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(blocks) / blocks)).ravel()
+    cuts = np.append(cuts, edges[-1])
+    u, w = _gauss_legendre(max(_GL_NODES // (edges.size - 1), _MIN_PANEL_NODES))
+    half = 0.5 * np.diff(cuts)[:, None]
+    rho = (0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * u).ravel()
+    return rho, (half * w).ravel() * rho
+
+
+def _certified(make, score, edges: np.ndarray):
+    """(rule, scores) of the first rule whose scores its doubling confirms.
+
+    ``make(rho, quad)`` builds a rule from nodes and quadrature weights, and
+    ``score(rule)`` gives a float or an array of overlaps on it. Each
+    doubling halves every block; the rule returned is the finer of the
+    first two that agree to 1e-12.
+    """
+    blocks = 1
+    last = score(make(*_nodes(edges, blocks)))
+    while blocks < _MAX_BLOCKS:
+        blocks *= 2
+        rule = make(*_nodes(edges, blocks))
+        scores = score(rule)
+        if np.max(np.abs(scores - last)) <= _ETA_TOL:
+            return rule, scores
+        last = scores
+    raise ConvergenceError(
+        f"overlap quadrature did not settle to {_ETA_TOL} with {_MAX_BLOCKS} Gauss-Legendre "
+        f"blocks per panel ({edges.size - 1} panels)"
+    )
+
+
+def _normalized(cross, norm_a, norm_b):
+    if np.any(norm_a <= 0.0) or np.any(norm_b <= 0.0):
         raise UndefinedOverlapError("zero-norm mode over the aperture annulus")
-    return num / math.sqrt(na * nb)
+    return cross / np.sqrt(norm_a * norm_b)
 
 
-def spatial_overlap(a, b, aperture: ApertureSpec, rtol: float = _ETA_RTOL) -> float:
+def spatial_overlap(a, b, aperture: ApertureSpec) -> float:
     """Normalized overlap of two radial profiles over the aperture annulus.
 
-    Integrates with composite Simpson on [rho_bore, rho_max], doubling the
-    grid until the result changes by less than ``rtol``. Where a sampled
-    profile's range ends inside the annulus its amplitude jumps to zero;
-    the interval is cut there and each piece integrated on its own, since
-    Simpson's rule converges only slowly across a jump.
+    Integrates by composite Gauss-Legendre on [rho_bore, rho_max], cut
+    into panels at every sample of a sampled profile: between samples it
+    is linear, and past its range it is zero. A first rule of 64 nodes
+    (at least 8 per panel) is checked against its doubling, each panel cut
+    into two blocks of as many nodes, and the blocks halve until two rules
+    agree to 1e-12.
 
     Raises
     ------
     UndefinedOverlapError
         If either profile has zero norm on the annulus.
     ConvergenceError
-        If doubling exhausts the grid budget without stabilizing.
+        If 16 blocks per panel do not agree with 8.
     """
-    pieces = _pieces(a, b, aperture.rho_bore, aperture.rho_max)
-    n = _SIMPSON_N0
-    prev = _overlap_on_grid(a, b, pieces, n)
-    while n <= _SIMPSON_NMAX:
-        n *= 2
-        cur = _overlap_on_grid(a, b, pieces, n)
-        if abs(cur - prev) < rtol:
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"overlap quadrature did not stabilize to {rtol} within {_SIMPSON_NMAX} intervals"
-    )
+    def overlap(rule):
+        rho, quad = rule
+        fa, fb = _amp(a, rho), _amp(b, rho)
+        return _normalized(quad @ (fa * fb), quad @ (fa * fa), quad @ (fb * fb))
+
+    _, eta = _certified(lambda rho, quad: (rho, quad), overlap, _panel_edges(aperture, a, b))
+    return float(eta)
+
+
+@dataclass(frozen=True)
+class _WaistRule:
+    """Overlap of the weighted doughnut q rho exp(-rho^2/w^2) with the dipole
+    on one rule, as a function of the waist w.
+
+    Everything but the exponential is evaluated once on the nodes: with W
+    the quadrature weights and d the dipole profile, the overlap weights
+    W q d rho, the candidate norm weights W q^2 rho^2 and the dipole norm.
+    """
+
+    rho2: np.ndarray
+    cross: np.ndarray
+    self_weight: np.ndarray
+    dipole_norm: float
+
+    @classmethod
+    def on(cls, rho, quad, weight) -> "_WaistRule":
+        q = 1.0 if weight is None else np.asarray(weight(rho), dtype=float)
+        d = dipole_profile(rho)
+        return cls(rho2=rho * rho, cross=quad * q * d * rho,
+                   self_weight=quad * (q * rho) ** 2, dipole_norm=float(quad @ (d * d)))
+
+    def eta(self, waist):
+        """eta at a waist, or at each of an array of waists in one product."""
+        e = np.exp(-np.multiply.outer(1.0 / np.square(waist), self.rho2))
+        return _normalized(e @ self.cross, np.square(e) @ self.self_weight, self.dipole_norm)
+
+    def newton_step(self, waist: float) -> float:
+        """-f'/f'' of f = log eta in the waist; 0 where f is not concave.
+
+        With g = q rho exp(-rho^2/w^2), dg/dw = g s and d2g/dw2 =
+        g (s^2 - 3 s/w), s = 2 rho^2/w^3.
+        """
+        e = np.exp(-self.rho2 / waist**2)
+        s = 2.0 * self.rho2 / waist**3
+        powers = np.stack([np.ones_like(s), s, s * s])
+        m0, m1, m2 = powers @ (e * self.cross)
+        p0, p1, p2 = powers @ (e * e * self.self_weight)
+        d1 = m1 / m0 - p1 / p0
+        d2 = ((m2 - 3.0 * m1 / waist) / m0 - (m1 / m0) ** 2
+              - (2.0 * p2 - 3.0 * p1 / waist) / p0 + 2.0 * (p1 / p0) ** 2)
+        return float(-d1 / d2) if d2 < 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -241,7 +321,7 @@ class WaistOptimum:
 def optimize_waist(
     aperture: ApertureSpec,
     bracket: tuple[float, float] | None = None,
-    transform: Callable | None = None,
+    weight: Callable | None = None,
 ) -> WaistOptimum:
     """Doughnut waist maximizing the overlap with the dipole mode.
 
@@ -251,29 +331,28 @@ def optimize_waist(
         Integration annulus.
     bracket : (float, float), optional
         Waist search interval in units of f; defaults to (0.1, rho_max).
-    transform : callable, optional
-        Applied to each candidate doughnut before scoring, e.g. a
-        reflectivity weighting; must return an object with ``amplitude``.
+    weight : callable, optional
+        Amplitude weight of rho applied to every candidate doughnut, e.g.
+        the mirror's reflectivity; vectorized, and evaluated once on the
+        quadrature nodes.
 
-    A coarse scan of 65 waists brackets the maximum before golden-section
-    refinement to 1e-8 f, so a secondary shoulder cannot trap the search.
-    A best waist on either end of the bracket raises ConvergenceError: the
-    optimum may lie outside it, and the bracket is not widened.
+    A coarse scan of 65 waists brackets the maximum, so a secondary
+    shoulder cannot trap the search; the rule is the one whose doubling
+    moves no scanned eta by more than 1e-12, and it scores the whole scan
+    in one matrix product. Golden section then narrows the bracket to
+    1e-6 f, and two Newton steps on the analytic derivative of log eta
+    place the waist to rounding. A best waist on either end of the
+    bracket raises ConvergenceError: the optimum may lie outside it, and
+    the bracket is not widened.
     """
-    dipole = RadialMode.dipole()
     lo, hi = bracket if bracket is not None else (0.1, aperture.rho_max)
     if not 0 < lo < hi:
         raise DomainError(f"bad waist bracket ({lo}, {hi})")
-
-    def score(w):
-        if np.ndim(w):
-            return np.array([score(x) for x in w])
-        candidate = RadialMode.doughnut(w)
-        if transform is not None:
-            candidate = transform(candidate)
-        return spatial_overlap(candidate, dipole, aperture, rtol=1e-10)
-
-    waist, eta = argmax_bracketed(score, np.linspace(lo, hi, 65), _WAIST_XTOL)
+    scan = np.linspace(lo, hi, _WAIST_SCAN)
+    # the doughnut and the dipole are smooth on the annulus: one panel
+    rule, _ = _certified(lambda rho, quad: _WaistRule.on(rho, quad, weight),
+                         lambda rule: rule.eta(scan), _panel_edges(aperture))
+    waist, eta = argmax_bracketed(rule.eta, scan, _WAIST_XTOL, step=rule.newton_step)
     return WaistOptimum(waist=waist, eta=eta)
 
 

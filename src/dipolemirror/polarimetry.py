@@ -57,11 +57,9 @@ __all__ = [
     "qwp_intensity",
     "stokes_from_frames",
     "ellipse_angles",
-    "radial_projection",
     "measured_overlap",
     "OverlapResult",
     "write_pgm",
-    "read_pgm",
     "save_frame_stack",
     "load_frame_stack",
     "export_polarization",
@@ -201,18 +199,10 @@ def ellipse_angles(stokes: StokesMap, noise_floor: float = 0.01) -> Polarization
         chi = 0.5 * np.arcsin(np.clip(stokes.s3 / stokes.s0, -1.0, 1.0))
     psi = np.where(mask, psi, np.nan)
     chi = np.where(mask, chi, np.nan)
-    return PolarizationMap(s0=stokes.s0, psi=psi, chi=chi, mask=mask,
+    # s0 may be a row of the inversion's coefficient block; a copy keeps
+    # the map from holding S1-S3 alive with it
+    return PolarizationMap(s0=stokes.s0.copy(), psi=psi, chi=chi, mask=mask,
                            pixel_scale=stokes.pixel_scale, center=stokes.center)
-
-
-def radial_projection(pmap: PolarizationMap):
-    """Per-pixel projection of the measured polarization on the radial target.
-
-    NaN outside the mask. See the module docstring for the half-plane sign
-    canonicalization.
-    """
-    _, phi = pmap.grid_polar()
-    return np.where(pmap.mask, _project(pmap.psi, pmap.chi, phi), np.nan)
 
 
 def _project(psi, chi, phi):
@@ -309,12 +299,6 @@ def _pgm_pixels(path):
     dtype = ">u2" if maxval > 255 else "u1"
     pixels = np.frombuffer(raw[m.end():], dtype=dtype, count=rows * cols)
     return pixels.reshape(rows, cols), maxval
-
-
-def read_pgm(path):
-    """Read a binary PGM into floats in [0, 1]."""
-    pixels, maxval = _pgm_pixels(path)
-    return pixels.astype(float) / maxval
 
 
 def save_frame_stack(stack: FrameStack, directory):

@@ -23,7 +23,9 @@ envelope U0(t) = arcsin(exp(t/(2*tau))), so that the diffracted intensity
 sin^2(U0) follows exp(t/tau) exactly. The finite build-up/decay of the
 optical grating in the modulator is modeled as a first-order low-pass on
 the field envelope (time constant = build-up time); the model is a design
-choice and deliberately simple.
+choice and deliberately simple. Its exact per-bin update runs as a blocked
+scan: one Toeplitz matrix product per block of bins, and one carry per
+block between them.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ __all__ = [
 # maximum may double it
 _SHIFT_LIFETIMES = 10.0
 _SHIFT_WIDENINGS = 3
-# modulator tail modeled past the input, in build-up times
+# modulator tail modeled past the input, in build-up times, and the bins
+# per block of its blocked scan
 _TAIL_BUILDUPS = 5.0
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -238,22 +242,38 @@ def aom_response(envelope: PulseEnvelope, model: AomModel) -> PulseEnvelope:
     """First-order low-pass response of the modulator to a field envelope.
 
     Applies y' = (x - y)/tau_b with tau_b = buildup_time to the input
-    envelope (exact zero-order-hold update per bin) and extends the time
-    axis past the input by 5 tau_b to capture the smeared falling edge.
-    buildup_time = 0 returns the input unchanged.
+    envelope (exact zero-order-hold update per bin,
+    y_i = a y_(i-1) + (1 - a) x_i with a = exp(-dt/tau_b)) and extends the
+    time axis past the input by 5 tau_b to capture the smeared falling
+    edge. buildup_time = 0 returns the input unchanged.
+
+    The recursion runs as a blocked scan: within each block of 64 bins the
+    response to the block's own input is one product with the
+    lower-triangular Toeplitz matrix (1 - a) a^(j-k); the output carried
+    in from the block before decays as a^(j+1) across the block, and the
+    carries follow one recursion per block. Only powers a^m with m >= 0
+    appear, so none overflows when dt/tau_b is large and a tends to 0.
     """
     if model.buildup_time_ns == 0.0:
         return envelope
     dt = envelope.bin_width_ns
     n_tail = int(math.ceil(_TAIL_BUILDUPS * model.buildup_time_ns / dt))
-    x = np.concatenate([envelope.samples, np.zeros(n_tail)])
+    n = envelope.samples.size + n_tail
+    blocks = -(-n // _SCAN_BLOCK)
+    x = np.zeros(blocks * _SCAN_BLOCK)
+    x[:envelope.samples.size] = envelope.samples
     decay = math.exp(-dt / model.buildup_time_ns)
-    y = np.empty_like(x)
-    acc = 0.0
-    for i, xi in enumerate(x):
-        acc = acc * decay + xi * (1.0 - decay)
-        y[i] = acc
-    return PulseEnvelope(y, dt, envelope.t_end_ns + n_tail * dt)
+    powers = decay ** np.arange(_SCAN_BLOCK + 1)
+    lag = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
+    toeplitz = np.tril((1.0 - decay) * powers[np.abs(lag)])
+    # each block's response from rest, then the output carried in from the
+    # block before, which holds that block's own carry decayed across it
+    y = x.reshape(blocks, _SCAN_BLOCK) @ toeplitz.T
+    across, carries = float(powers[-1]), [0.0]
+    for block_last in y[:-1, -1].tolist():
+        carries.append(block_last + across * carries[-1])
+    y += np.multiply.outer(carries, powers[1:])
+    return PulseEnvelope(y.ravel()[:n], dt, envelope.t_end_ns + n_tail * dt)
 
 
 def histogram_to_envelope(counts, bin_width_ns: float, reverse: bool = False,

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -123,6 +126,34 @@ def stokes_lstsq(angles, frames) -> np.ndarray:
     return coef.reshape(4, rows, cols)
 
 
+def radial_projection(pmap) -> np.ndarray:
+    """Per-pixel projection sgn * cos(chi) * cos(psi - phi) of a polarization
+    map on the radial direction, NaN outside its mask.
+
+    phi is the azimuth of each pixel centre about the map's centre; sgn is
+    +1 where sin(phi) >= 0 and -1 below, so that a radial pattern, whose
+    orientation psi is folded into [0, pi), scores +1 everywhere.
+    """
+    rows, cols = pmap.psi.shape
+    y = (np.arange(rows) - pmap.center[0])[:, None]
+    x = (np.arange(cols) - pmap.center[1])[None, :]
+    phi = np.arctan2(y, x)
+    sgn = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
+    return np.where(pmap.mask, sgn * np.cos(pmap.chi) * np.cos(pmap.psi - phi), np.nan)
+
+
+def read_pgm(path) -> np.ndarray:
+    """A binary 8- or 16-bit PGM as floats in [0, 1]: pixels over maxval."""
+    raw = Path(path).read_bytes()
+    m = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    if not m:
+        raise DomainError(f"{path}: not a binary PGM")
+    cols, rows, maxval = (int(m.group(i)) for i in (1, 2, 3))
+    pixels = np.frombuffer(raw[m.end():], dtype=">u2" if maxval > 255 else "u1",
+                           count=rows * cols)
+    return pixels.reshape(rows, cols).astype(float) / maxval
+
+
 # ------------------------------------------------------------------ grids
 
 
@@ -213,14 +244,59 @@ def zernike_fit_lstsq(phase_map, degree: int) -> np.ndarray:
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def annulus_overlap(f, g, lo: float, hi: float, n: int = 200_001) -> float:
-    """Brute-force trapezoid of the normalized radial overlap integral."""
-    rho = np.linspace(lo, hi, n)
-    fa, fb = f(rho), g(rho)
-    num = trapezoid(fa * fb * rho, rho)
-    na = trapezoid(fa * fa * rho, rho)
-    nb = trapezoid(fb * fb * rho, rho)
+def annulus_overlap(f, g, lo: float, hi: float, n: int = 200_001, cuts=()) -> float:
+    """Brute-force trapezoid of the normalized radial overlap integral.
+
+    [lo, hi] is cut at ``cuts`` (radii where a profile has a kink or a
+    jump), and each piece takes n points, its ends nudged one ulp inward
+    so that a profile's value there is its limit from inside the piece.
+    """
+    edges = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
+    num = na = nb = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        rho = np.linspace(a, b, n)
+        rho[0], rho[-1] = np.nextafter(a, b), np.nextafter(b, a)
+        fa, fb = f(rho), g(rho)
+        num += trapezoid(fa * fb * rho, rho)
+        na += trapezoid(fa * fa * rho, rho)
+        nb += trapezoid(fb * fb * rho, rho)
     return float(num / math.sqrt(na * nb))
+
+
+def doughnut_waist_root(lo: float, hi: float, bracket, weight=None, n: int = 200_001) -> float:
+    """Root in (bracket) of d eta / dw for the doughnut q rho exp(-rho^2/w^2)
+    against the dipole rho / ((rho/2)^2 + 1)^2 on [lo, hi].
+
+    With g the doughnut, dg/dw = 2 rho^3/w^3 exp(-rho^2/w^2) q, and eta =
+    N / sqrt(A D) gives d log(eta)/dw = N'/N - A'/(2A), each integral a
+    trapezoid at n points. The root is bisected to the last bit.
+    """
+    rho = np.linspace(lo, hi, n)
+    q = np.ones_like(rho) if weight is None else np.asarray(weight(rho), dtype=float)
+    dipole = rho / ((rho / 2.0) ** 2 + 1.0) ** 2
+
+    def slope(w):
+        g = q * rho * np.exp(-(rho**2) / w**2)
+        g_w = g * 2.0 * rho**2 / w**3
+        cross = trapezoid(g * dipole * rho, rho)
+        cross_w = trapezoid(g_w * dipole * rho, rho)
+        norm = trapezoid(g * g * rho, rho)
+        norm_w = 2.0 * trapezoid(g * g_w * rho, rho)
+        return cross_w / cross - 0.5 * norm_w / norm
+
+    a, b = bracket
+    fa = slope(a)
+    if fa * slope(b) > 0:
+        raise DomainError("bracket does not enclose a root of d eta / dw")
+    while True:
+        m = 0.5 * (a + b)
+        if m in (a, b):
+            return float(m)
+        fm = slope(m)
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
 
 
 def weighted_sigma(expansion, aperture) -> float:
@@ -295,6 +371,30 @@ def temporal_overlap_scan(pulse, spec, shift_lifetimes: float = 10.0):
     span = shift_lifetimes * tau
     scan = np.linspace(-span, span, 801)
     return scan_then_golden(project, scan, 1e-10 * tau)
+
+
+def aom_lowpass(envelope, buildup_time_ns: float) -> np.ndarray:
+    """Modulator low-pass by its per-bin recursion, in 40-digit decimals.
+
+    y_i = a y_(i-1) + (1 - a) x_i over the samples followed by
+    ceil(5 tau_b / dt) empty bins, a = exp(-dt/tau_b), with a and 1 - a the
+    doubles a double-precision recursion would use. In doubles the
+    recursion itself drifts by up to 8e-15 of the peak over a long, slow
+    response, so the reference carries 40 digits and rounds each output
+    to a double once.
+    """
+    dt = envelope.bin_width_ns
+    n_tail = int(math.ceil(5.0 * buildup_time_ns / dt))
+    decay = math.exp(-dt / buildup_time_ns)
+    out = np.empty(envelope.samples.size + n_tail)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, c = Decimal(decay), Decimal(1.0 - decay)
+        acc = Decimal(0)
+        for i, x in enumerate(envelope.samples.tolist() + [0.0] * n_tail):
+            acc = acc * a + Decimal(x) * c
+            out[i] = float(acc)
+    return out
 
 
 # ------------------------------------------------------------ focal field

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import annulus_overlap
+from oracles import annulus_overlap, doughnut_waist_root
 
 from dipolemirror import (
     ApertureSpec,
@@ -21,6 +21,7 @@ from dipolemirror import (
     optimize_waist,
     spatial_overlap,
 )
+from dipolemirror import modes
 from dipolemirror.modes import load_sampled_mode, save_sampled_mode
 
 
@@ -87,10 +88,39 @@ def test_waist_optimum_is_a_maximum(aperture, waist_optimum):
         assert eta < waist_optimum.eta
 
 
-def test_optimize_waist_identity_transform(aperture, waist_optimum):
-    opt = optimize_waist(aperture, transform=lambda mode: mode)
-    assert opt.waist == pytest.approx(waist_optimum.waist, abs=1e-7)
-    assert opt.eta == pytest.approx(waist_optimum.eta, abs=1e-10)
+def test_optimize_waist_constant_weight_cancels(aperture, waist_optimum):
+    for level in (1.0, 17.0):
+        opt = optimize_waist(aperture, weight=lambda rho: np.full_like(rho, level))
+        assert opt.waist == pytest.approx(waist_optimum.waist, abs=1e-12)
+        assert opt.eta == pytest.approx(waist_optimum.eta, abs=1e-14)
+
+
+def _ramp(aperture):
+    # smooth ramp from 1.0 down to 0.6 beyond the annulus midpoint, the
+    # shape of a reflectivity roll-off toward grazing rim angles
+    cut = 0.5 * (aperture.rho_bore + aperture.rho_max)
+    return lambda rho: 0.8 - 0.2 * np.tanh(2.0 * (np.asarray(rho) - cut))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "ramp"])
+def test_waist_is_the_root_of_the_analytic_slope(aperture, weighted):
+    weight = _ramp(aperture) if weighted else None
+    opt = optimize_waist(aperture, weight=weight)
+    root = doughnut_waist_root(aperture.rho_bore, aperture.rho_max, (1.5, 3.5), weight)
+    # the golden section alone stops where eta comparisons turn to noise,
+    # about 3e-8 f from the maximum; the Newton polish removes that
+    assert opt.waist == pytest.approx(root, abs=1e-9)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "ramp"])
+def test_waist_does_not_depend_on_the_rule(aperture, monkeypatch, weighted):
+    weight = _ramp(aperture) if weighted else None
+    coarse = optimize_waist(aperture, weight=weight)
+    # 128-node blocks: the certified rule has 256 nodes in place of 128
+    monkeypatch.setattr(modes, "_GL_NODES", 128)
+    fine = optimize_waist(aperture, weight=weight)
+    assert fine.waist == pytest.approx(coarse.waist, abs=1e-12)
+    assert fine.eta == pytest.approx(coarse.eta, abs=1e-14)
 
 
 def test_optimize_waist_bad_bracket(aperture):
@@ -129,13 +159,7 @@ def test_weighted_mode_constant_weight_cancels(aperture):
 
 
 def test_weighted_mode_ramp_weight_against_brute_force(aperture):
-    # smooth ramp from 1.0 down to 0.6 beyond the annulus midpoint, the
-    # shape of a reflectivity roll-off toward grazing rim angles
-    cut = 0.5 * (aperture.rho_bore + aperture.rho_max)
-
-    def ramp(rho):
-        return 0.8 - 0.2 * np.tanh(2.0 * (np.asarray(rho) - cut))
-
+    ramp = _ramp(aperture)
     weighted = WeightedMode(RadialMode.doughnut(2.0), ramp)
     eta = spatial_overlap(weighted, RadialMode.dipole(), aperture)
     brute = annulus_overlap(
@@ -152,6 +176,44 @@ def test_zero_mode_overlap_is_undefined(aperture):
     zero = RadialMode.sampled([0.0, 10.0], [0.0, 0.0])
     with pytest.raises(UndefinedOverlapError):
         spatial_overlap(zero, RadialMode.dipole(), aperture)
+
+
+def test_overlap_refuses_an_unsettled_rule(aperture):
+    # thousands of oscillations over the annulus: no rule up to 16 blocks
+    # of 64 nodes resolves them
+    wiggly = WeightedMode(RadialMode.doughnut(2.0), lambda rho: 2.0 + np.cos(1e4 * rho))
+    with pytest.raises(ConvergenceError,
+                       match="did not settle to 1e-12 with 16 Gauss-Legendre blocks per panel"):
+        spatial_overlap(wiggly, RadialMode.dipole(), aperture)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["doughnut", "ramp", "sampled"]), waist=st.floats(0.5, 6.0),
+       seed=st.integers(0, 2**32 - 1), samples=st.integers(2, 12),
+       start=st.floats(0.0, 0.9), end=st.floats(0.15, 0.95))
+def test_overlap_matches_the_brute_force_oracle(aperture, kind, waist, seed, samples,
+                                                start, end):
+    lo, hi = aperture.rho_bore, aperture.rho_max
+    cuts = ()
+    if kind == "sampled":
+        # piecewise linear, ending inside the annulus where it jumps to zero
+        end = lo + end * (hi - lo)
+        rho = np.linspace(start * end, end, samples)
+        amp = np.random.default_rng(seed).uniform(0.0, 1.0, samples)
+        amp[-1] = max(amp[-1], 0.1)
+        mode = RadialMode.sampled(rho, amp)
+        cuts = rho
+    elif kind == "ramp":
+        mode = WeightedMode(RadialMode.doughnut(waist), _ramp(aperture))
+    else:
+        mode = RadialMode.doughnut(waist)
+    try:
+        eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
+    except UndefinedOverlapError:
+        assert not np.any(mode.amplitude(np.linspace(lo, hi, 10_001)) > 0.0)
+        return
+    brute = annulus_overlap(mode.amplitude, dipole_profile, lo, hi, cuts=cuts)
+    assert eta == pytest.approx(brute, abs=1e-9)
 
 
 def test_sampled_mode_interpolates_and_vanishes_outside():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -192,6 +192,25 @@ def test_aom_response_matches_exact_step_response():
     # the tail keeps discharging toward zero
     assert out.samples.size > env.samples.size
     assert out.samples[-1] < 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5000), log_ratio=st.floats(-4.0, 2.0), seed=st.integers(0, 2**32 - 1),
+       sparse=st.floats(0.0, 0.9))
+@example(n=2, log_ratio=2.0, seed=0, sparse=0.0)  # decay -> 0: a = e^-100
+@example(n=5000, log_ratio=-4.0, seed=1, sparse=0.0)  # 50 000 tail bins, slow decay
+@example(n=63, log_ratio=0.0, seed=2, sparse=0.5)  # 68 bins: one full block and 4
+def test_aom_response_matches_the_per_bin_recursion(n, log_ratio, seed, sparse):
+    # dt / tau_b = 10^log_ratio; random non-negative envelopes, some bins empty
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) >= sparse)
+    envelope = PulseEnvelope(samples, 1.0, t_end_ns=-3.0)
+    buildup = 10.0 ** -log_ratio
+    out = aom_response(envelope, AomModel(buildup_time_ns=buildup))
+    reference = oracles.aom_lowpass(envelope, buildup)
+    assert out.samples.shape == reference.shape
+    assert out.t_end_ns == envelope.t_end_ns + (reference.size - n)
+    assert np.max(np.abs(out.samples - reference)) <= 1e-14 * np.max(reference)
 
 
 def test_aom_response_smears_the_truncation_edge():
