@@ -71,7 +71,6 @@ from .focalfield import (
     aluminum_phase_study,
     aluminum_rp,
     plane_to_sphere,
-    reflectivity_weighted_optimum,
     strehl,
 )
 from .temporal import (

@@ -47,6 +47,7 @@ from .errors import (
     UndefinedOverlapError,
 )
 from .geometry import ApertureSpec, rho_from_theta, weighted_fraction, weighted_solid_angle
+from .gridio import write_table
 from .modes import (
     CouplingFigures,
     RadialMode,
@@ -81,7 +82,6 @@ from .focalfield import (
     plane_to_sphere,
     reflection_phase_waves,
     reflectivity_weight,
-    reflectivity_weighted_optimum,
     strehl,
 )
 from .temporal import (
@@ -338,18 +338,20 @@ def cmd_optimize_waist(args, config: ToolkitConfig):
     reflectivity = _reflectivity_from_config(config)
     if reflectivity is not None:
         wavelength, constants = reflectivity
-        opt = reflectivity_weighted_optimum(aperture, constants, wavelength)
+        plain = optimize_waist(aperture)
+        opt = optimize_waist(aperture, weight=reflectivity_weight(wavelength, constants))
+        delta_eta = opt.eta - plain.eta
         extra = {
-            "waist.eta_unweighted": _fmt(opt.eta_unweighted),
-            "waist.waist_unweighted": _fmt(opt.waist_unweighted),
-            "waist.delta_eta": _fmt(opt.delta_eta),
+            "waist.eta_unweighted": _fmt(plain.eta),
+            "waist.waist_unweighted": _fmt(plain.waist),
+            "waist.delta_eta": _fmt(delta_eta),
         }
         body = [
             f"  optimal waist (reflectivity weighted at {wavelength} nm)",
             f"  w_opt = {opt.waist:.6f} f",
             f"  eta   = {opt.eta:.6f}",
-            f"  unweighted: w_opt = {opt.waist_unweighted:.6f} f, eta = {opt.eta_unweighted:.6f}",
-            f"  delta eta = {opt.delta_eta:+.6f}",
+            f"  unweighted: w_opt = {plain.waist:.6f} f, eta = {plain.eta:.6f}",
+            f"  delta eta = {delta_eta:+.6f}",
         ]
     else:
         opt = optimize_waist(aperture)
@@ -579,11 +581,10 @@ def cmd_pulse(args, config: ToolkitConfig):
     transition, overlap = pulse.transition, pulse.overlap
     out = _out_dir(args)
     if out is not None:
-        pulse.drive.save(out / "aom_drive.txt")
-        times = pulse.envelope.times()
-        lines_env = ["# modeled post-modulator field envelope: t_ns amplitude"]
-        lines_env += [f"{t:.9e} {a:.9e}" for t, a in zip(times, pulse.envelope.samples)]
-        (out / "envelope.txt").write_text("\n".join(lines_env) + "\n")
+        write_table(out / "aom_drive.txt", "AOM drive envelope: t_ns U0_rad",
+                    pulse.drive.times_ns, pulse.drive.u0_rad)
+        write_table(out / "envelope.txt", "modeled post-modulator field envelope: t_ns amplitude",
+                    pulse.envelope.times(), pulse.envelope.samples)
     body = [
         f"  transition: {transition.label} ({transition.wavelength_nm} nm, "
         f"lifetime {transition.lifetime_ns} ns)",

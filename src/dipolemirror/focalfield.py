@@ -43,9 +43,11 @@ of constant theta is summed once: the aberrated e_theta amplitude goes
 through the real basis (cos phi, sin phi, 1), and the Cartesian ring
 sums follow from e_theta. Every axial evaluation then costs O(n_theta),
 and a scan of many axial positions is one matrix product. The
-Gauss-Legendre rule is computed once per node count. The quadrature is
-doubled to confirm the ratio and the peak position; disagreement raises
-instead of returning a number that depends on the grid.
+Gauss-Legendre rule comes from the one cached source in geometry,
+computed once per node count and mapped onto the cos(theta) interval of
+the mirror annulus. The quadrature is doubled to confirm the ratio and
+the peak position; disagreement raises instead of returning a number
+that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -64,7 +66,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ProvenanceError
 from .geometry import (
-    ApertureSpec, _gauss_legendre, incidence_angle, rho_from_theta, theta_from_rho,
+    ApertureSpec, _gauss_legendre_on, incidence_angle, rho_from_theta, theta_from_rho,
 )
 from .gridio import read_table
 from .modes import RadialMode, optimize_waist
@@ -83,8 +85,6 @@ __all__ = [
     "AluminumFocusStudy",
     "aluminum_phase_study",
     "reflectivity_weight",
-    "reflectivity_weighted_optimum",
-    "WeightedOptimum",
 ]
 
 _DEFAULT_NODES = 256
@@ -163,13 +163,9 @@ def plane_to_sphere(
     if not hasattr(source, "amplitude"):
         raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
     interval = aperture.angle_interval()
-    u, wu = _gauss_legendre(n_theta)
-    ulo = math.cos(interval.theta_max)
-    uhi = math.cos(interval.theta_min)
-    uu = 0.5 * (uhi - ulo) * u + 0.5 * (uhi + ulo)
-    wu = 0.5 * (uhi - ulo) * wu
-
-    theta = np.arccos(uu)[:, None]
+    u, wu = _gauss_legendre_on(n_theta, math.cos(interval.theta_max),
+                               math.cos(interval.theta_min))
+    theta = np.arccos(u)[:, None]
     phi = (np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :]
     weight = wu[:, None] * (2.0 * math.pi / n_phi)
     rho = rho_from_theta(theta)
@@ -445,33 +441,3 @@ def reflectivity_weight(wavelength_nm: float, constants: OpticalConstants):
         return np.abs(aluminum_rp(theta_from_rho(rho), wavelength_nm, constants))
 
     return weight
-
-
-@dataclass(frozen=True)
-class WeightedOptimum:
-    """Waist optimization with and without reflectivity weighting."""
-
-    waist: float
-    eta: float
-    waist_unweighted: float
-    eta_unweighted: float
-
-    @property
-    def delta_eta(self) -> float:
-        return self.eta - self.eta_unweighted
-
-
-def reflectivity_weighted_optimum(
-    aperture: ApertureSpec,
-    constants: OpticalConstants,
-    wavelength_nm: float = 369.5,
-) -> WeightedOptimum:
-    """Re-optimize the doughnut waist with the reflectivity weighting on."""
-    weight = reflectivity_weight(wavelength_nm, constants)
-    plain = optimize_waist(aperture)
-    weighted = optimize_waist(aperture, weight=weight)
-    return WeightedOptimum(
-        waist=weighted.waist, eta=weighted.eta,
-        waist_unweighted=plain.waist, eta_unweighted=plain.eta,
-    )
-

@@ -60,6 +60,17 @@ def _gauss_legendre(n: int):
     return u, w
 
 
+def _gauss_legendre_on(n: int, lo, hi):
+    """The cached n-point rule mapped onto [lo, hi]: (nodes, weights).
+
+    lo and hi broadcast against the rule: columns of shape (k, 1) give the
+    rule on each of k intervals, as (k, n) arrays.
+    """
+    u, w = _gauss_legendre(n)
+    half = 0.5 * (hi - lo)
+    return half * u + 0.5 * (lo + hi), half * w
+
+
 @dataclass(frozen=True)
 class ApertureSpec:
     """Physical aperture of the mirror.

@@ -4,15 +4,20 @@ One grid per file: a first line '# {...}' carrying metadata (rows, cols,
 and whatever the owning type needs), then one whitespace-separated row of
 values per line. Invalid pixels are written as nan.
 
-A column table (sampled modes, histograms, Zernike expansions, optical
-constants, frame manifests) has one whitespace-separated row per line and
-'# key: value' comment lines for its metadata; ``read_table`` reads them
-all.
+A column table (sampled modes, pulse shapes, histograms, Zernike
+expansions, optical constants, frame manifests) has one whitespace-separated
+row per line and '# key: value' comment lines for its metadata;
+``read_table`` reads them all.
 
-Every value is written as Python's ``f"{v:.9e}"`` would write it, byte for
-byte. The writer builds that text with array operations: each value gets a
-fixed slot of bytes in a ``uint8`` buffer, the unused bytes of each slot
-are zero, and the zeros are dropped before the block is written.
+Each format has one reader and one writer: ``write_grid`` and
+``read_grid`` for grids, ``write_table`` and ``read_table`` for column
+tables of floats. Tables with other columns, Zernike expansions (integer
+indices) and frame manifests (file names), are written by their owners'
+save functions. Both writers write every value as Python's
+``f"{v:.9e}"`` would, byte for byte, through one row writer. It builds
+that text with array operations: each value gets a fixed slot of bytes
+in a ``uint8`` buffer, the unused bytes of each slot are zero, and the
+zeros are dropped before the block is written.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["write_grid", "read_grid", "read_table"]
+__all__ = ["write_grid", "read_grid", "write_table", "read_table"]
 
 # one slot of five 4-byte words per value; 17 bytes fit the longest '.9e'
 # text, '-1.000000000e-308', and byte 18 holds the separator:
@@ -103,22 +108,31 @@ def _format_block(values: np.ndarray) -> bytes:
     return text[text != 0].tobytes()
 
 
-def write_grid(path, values: np.ndarray, header: dict):
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise DomainError("grid must be two-dimensional")
+def _write_file(path, first_line: str, values: np.ndarray):
+    """Write one comment line, then the rows of a 2-d array, a block of rows at a time."""
     rows, cols = values.shape
-    meta = dict(header)
-    meta["rows"] = int(rows)
-    meta["cols"] = int(cols)
     with open(path, "wb") as fh:
-        fh.write(("# " + json.dumps(meta, sort_keys=True) + "\n").encode("ascii"))
+        fh.write(("# " + first_line + "\n").encode("ascii"))
         if cols == 0:
             fh.write(b"\n" * rows)
             return
         block_rows = max(1, _BLOCK_VALUES // cols)
         for start in range(0, rows, block_rows):
             fh.write(_format_block(values[start:start + block_rows]))
+
+
+def write_grid(path, values: np.ndarray, header: dict):
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise DomainError("grid must be two-dimensional")
+    meta = dict(header)
+    meta["rows"], meta["cols"] = (int(k) for k in values.shape)
+    _write_file(path, json.dumps(meta, sort_keys=True), values)
+
+
+def write_table(path, comment: str, *columns):
+    """Write equal-length columns side by side under the line '# comment'."""
+    _write_file(path, comment, np.column_stack(columns).astype(float))
 
 
 def read_grid(path):

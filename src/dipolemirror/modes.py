@@ -25,7 +25,8 @@ The integrals run on composite Gauss-Legendre panels over the annulus.
 Analytic profiles are smooth there, so they need one panel; a sampled
 profile is piecewise linear, so it gets one panel between each pair of
 its samples. The first rule shares 64 Gauss-Legendre nodes among the
-panels; a rule is accepted once doubling its nodes, by cutting each
+panels, mapped onto each block from the one cached rule in geometry; a
+rule is accepted once doubling its nodes, by cutting each
 Gauss-Legendre block in two, moves eta by no more than 1e-12. The waist
 search evaluates the dipole profile and its norm once
 on its rule; each candidate waist then costs one exponential per node,
@@ -39,14 +40,13 @@ probability P_a = G * eta_t^2 * branching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UndefinedOverlapError
-from .geometry import ApertureSpec, _gauss_legendre
-from .gridio import read_table
+from .geometry import ApertureSpec, _gauss_legendre_on
+from .gridio import read_table, write_table
 from .search import argmax_bracketed
 
 __all__ = [
@@ -205,10 +205,10 @@ def _nodes(edges: np.ndarray, blocks: int):
     """
     cuts = (edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(blocks) / blocks)).ravel()
     cuts = np.append(cuts, edges[-1])
-    u, w = _gauss_legendre(max(_GL_NODES // (edges.size - 1), _MIN_PANEL_NODES))
-    half = 0.5 * np.diff(cuts)[:, None]
-    rho = (0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * u).ravel()
-    return rho, (half * w).ravel() * rho
+    rho, w = _gauss_legendre_on(max(_GL_NODES // (edges.size - 1), _MIN_PANEL_NODES),
+                                cuts[:-1, None], cuts[1:, None])
+    rho = rho.ravel()
+    return rho, w.ravel() * rho
 
 
 def _certified(make, score, edges: np.ndarray):
@@ -417,6 +417,4 @@ def save_sampled_mode(mode: RadialMode, path, aperture: ApertureSpec | None = No
         ap = aperture if aperture is not None else ApertureSpec()
         rho = np.linspace(ap.rho_bore, ap.rho_max, n)
         amp = mode.amplitude(rho)
-    lines = ["# radial mode samples: rho amplitude"]
-    lines += [f"{r:.9e} {a:.9e}" for r, a in zip(rho, amp)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, "radial mode samples: rho amplitude", rho, amp)

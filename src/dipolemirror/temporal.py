@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -122,9 +121,6 @@ class PulseEnvelope:
         """Integral of the squared envelope (amplitude^2 * ns)."""
         return float(np.sum(self.samples**2) * self.bin_width_ns)
 
-    def shifted(self, delta_ns: float) -> "PulseEnvelope":
-        return PulseEnvelope(self.samples, self.bin_width_ns, self.t_end_ns + delta_ns)
-
 
 def _bin_centers(duration_ns: float, bin_width_ns: float) -> np.ndarray:
     """Centers of the (at least two) uniform bins that fill [-duration, 0]."""
@@ -213,11 +209,6 @@ class DriveWaveform:
     times_ns: np.ndarray
     u0_rad: np.ndarray
     bin_width_ns: float
-
-    def save(self, path):
-        lines = ["# AOM drive envelope: t_ns U0_rad"]
-        lines += [f"{t:.9e} {u:.9e}" for t, u in zip(self.times_ns, self.u0_rad)]
-        Path(path).write_text("\n".join(lines) + "\n")
 
     def field_envelope(self) -> PulseEnvelope:
         """Field envelope implied by the drive: sin(U0), so intensity sin^2(U0)."""

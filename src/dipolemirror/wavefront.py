@@ -22,7 +22,9 @@ the standard disk basis regardless of the mask. The pixel centers form a
 tensor grid, so the normal equations are assembled from separable sums of
 Legendre products in x and y over the mask. A fixed matrix per degree
 then takes them to the Zernike basis. No (pixels x terms) design matrix
-is built. Evaluation takes the angular factors from powers of
+is built. The fixed matrix and the exact RMS moments integrate on
+Gauss-Legendre rules from the one cached source in geometry, computed
+once per node count. Evaluation takes the angular factors from powers of
 exp(i phi). On the axes of a polar grid, it sums the azimuthal orders in
 one matrix product.
 
@@ -59,12 +61,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ProvenanceError
+from .geometry import _gauss_legendre, _gauss_legendre_on
 from .gridio import read_grid, read_table, write_grid
 
 __all__ = [
     "ZernikeExpansion",
     "PhaseMap",
-    "zernike_term",
     "zernike_eval",
     "zernike_fit",
     "remove_misalignment",
@@ -172,16 +174,6 @@ def _sum_orders(orders: dict, rho, phi):
         for m, angular in _harmonics(orders, r * _unit_phasor(phi[block])):
             acc += np.multiply(_radial(orders[m], u), angular, out=term)
     return out
-
-
-def zernike_term(n: int, m: int, rho, phi):
-    """Evaluate the unnormalized Zernike polynomial (n, m).
-
-    rho is the unit-disk radius, phi the azimuth; arrays broadcast.
-    """
-    if n < 0 or abs(m) > n or (n - abs(m)) % 2:
-        raise DomainError(f"invalid Zernike index (n={n}, m={m})")
-    return _sum_orders({m: _radial_coeffs(n, abs(m))}, rho, phi)
 
 
 @dataclass(frozen=True)
@@ -327,13 +319,14 @@ def _legendre_transform(degree: int):
     (degree+1)-point Gauss-Legendre quadrature on each axis integrates
     every product P_i * Z_j exactly. Computed once per degree, read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(degree + 1)
+    nodes, weights = _gauss_legendre(degree + 1)
     # row i: (i + 1/2) w_a P_i(x_a), the projection onto P_i
     project = _legendre_table(nodes, degree).T * weights * (np.arange(degree + 1) + 0.5)[:, None]
     rho = np.hypot(nodes[None, :], nodes[:, None])
     phi = np.arctan2(nodes[:, None], nodes[None, :])
     # values[b, a, j] = Z_j(x_a, y_b); project along x, then along y
-    values = np.stack([zernike_term(n, m, rho, phi) for n, m in _zernike_index(degree)], axis=-1)
+    values = np.stack([_sum_orders({m: _radial_coeffs(n, abs(m))}, rho, phi)
+                       for n, m in _zernike_index(degree)], axis=-1)
     transform = np.tensordot(project, project @ values, axes=(1, 0))
     transform = transform.reshape((degree + 1) ** 2, -1)
     transform.flags.writeable = False
@@ -467,10 +460,8 @@ def _expansion_moments(expansion, annulus):
     # leaves only integer powers of u), uniform trapezoid in phi
     inner, outer = annulus
     degree = max((n for n, _, _ in expansion.terms), default=0)
-    u, wu = np.polynomial.legendre.leggauss(max(degree + 1, 4))
     lo, hi = inner**2, outer**2
-    u = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-    wu = 0.5 * (hi - lo) * wu
+    u, wu = _gauss_legendre_on(max(degree + 1, 4), lo, hi)
     n_phi = max(4 * degree + 4, 16)
     phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
     rr, pp = np.meshgrid(np.sqrt(u), phi, indexing="ij", sparse=True)

@@ -166,6 +166,13 @@ def grid_text(values, header: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def table_text(comment: str, *columns) -> str:
+    """A column table written one value at a time with f"{v:.9e}"."""
+    lines = ["# " + comment]
+    lines += [" ".join(f"{v:.9e}" for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
 # -------------------------------------------------------------- wavefront
 
 

@@ -11,14 +11,18 @@ import pytest
 import dipolemirror
 import oracles
 from dipolemirror import (
+    AomModel,
     ConvergenceError,
     FrameStack,
     PhaseMap,
     ZernikeExpansion,
+    aom_drive,
+    aom_response,
 )
 from dipolemirror.cli import main
 from dipolemirror.modes import save_sampled_mode
 from dipolemirror.polarimetry import ellipse_angles, load_frame_stack, stokes_from_frames
+from dipolemirror.temporal import T1, T2
 from dipolemirror.wavefront import load_expansion, save_phase_map
 
 EMPTY_DIGEST = "sha256:" + hashlib.sha256(b"").hexdigest()
@@ -45,6 +49,24 @@ def write_config(tmp_path, text, name="toolkit.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def assert_pulse_exports(out_dir, spec, bin_width_ns):
+    """Check the drive and envelope exports of a default 5-lifetime pulse
+    byte for byte against the same pulse written one value at a time."""
+    drive = aom_drive(spec, 5.0 * spec.lifetime_ns, bin_width_ns)
+    envelope = aom_response(drive.field_envelope(), AomModel(buildup_time_ns=5.0))
+    text = (out_dir / "aom_drive.txt").read_bytes()
+    assert text == oracles.table_text("AOM drive envelope: t_ns U0_rad",
+                                      drive.times_ns, drive.u0_rad).encode("ascii")
+    rows = [line.split() for line in text.decode().splitlines() if not line.startswith("#")]
+    assert len(rows) == drive.times_ns.size
+    assert float(rows[0][0]) == pytest.approx(drive.times_ns[0])
+    assert float(rows[-1][1]) == pytest.approx(drive.u0_rad[-1])
+    assert (out_dir / "envelope.txt").read_bytes() == oracles.table_text(
+        "modeled post-modulator field envelope: t_ns amplitude",
+        envelope.times(), envelope.samples).encode("ascii")
+    return drive
 
 
 @pytest.fixture(scope="module")
@@ -233,22 +255,22 @@ def test_pulse_defaults(tmp_path, capsys):
     assert float(pairs["pulse.eta_t"]) == pytest.approx(0.9434455741, abs=1e-8)
     assert float(pairs["pulse.shift_ns"]) < 0.0
     assert (out_dir / "pulse.txt").read_text() == out
-    drive_rows = [l for l in (out_dir / "aom_drive.txt").read_text().splitlines()
-                  if l and not l.startswith("#")]
-    assert len(drive_rows) > 1000
-    assert (out_dir / "envelope.txt").exists()
+    drive = assert_pulse_exports(out_dir, T1, T1.lifetime_ns / 2000.0)
+    assert drive.times_ns.size > 1000
 
 
 def test_pulse_slow_transition(tmp_path, capsys):
     config = write_config(tmp_path, (
         "[transition]\nlabel = T2\n[pulse]\nbin_width_ns = 0.02\n"
     ))
-    code, out, _ = run(capsys, "pulse", "--config", config)
+    out_dir = tmp_path / "artifacts"
+    code, out, _ = run(capsys, "pulse", "--config", config, "--out", str(out_dir))
     assert code == 0
     pairs = machine_pairs(out)
     assert pairs["pulse.transition"] == "T2"
     # 5 ns build-up barely dents a 230 ns lifetime pulse
     assert float(pairs["pulse.eta_t"]) > 0.99
+    assert_pulse_exports(out_dir, T2, 0.02)
 
 
 def test_custom_transition(tmp_path, capsys):

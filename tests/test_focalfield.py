@@ -19,18 +19,17 @@ from dipolemirror import (
     ZernikeExpansion,
     aluminum,
     aluminum_rp,
+    optimize_waist,
     plane_to_sphere,
-    reflectivity_weighted_optimum,
     strehl,
 )
 from dipolemirror.cli import main
 from dipolemirror.focalfield import (
     OpticalConstants,
-    _gauss_legendre,
     reflection_phase_waves,
     reflectivity_weight,
 )
-from dipolemirror.geometry import rho_from_theta
+from dipolemirror.geometry import _gauss_legendre, rho_from_theta
 from dipolemirror.polarimetry import PolarizationMap
 
 
@@ -414,13 +413,14 @@ def test_reflectivity_weighted_overlap_consistency(aperture, tmp_path, capsys):
 
 
 def test_reflectivity_weighted_optimum(aperture, waist_optimum):
-    opt = reflectivity_weighted_optimum(aperture, aluminum())
-    assert opt.waist_unweighted == pytest.approx(waist_optimum.waist, abs=1e-9)
-    assert opt.eta_unweighted == pytest.approx(waist_optimum.eta, abs=1e-12)
+    plain = optimize_waist(aperture)
+    opt = optimize_waist(aperture, weight=reflectivity_weight(369.5, aluminum()))
+    assert plain.waist == pytest.approx(waist_optimum.waist, abs=1e-9)
+    assert plain.eta == pytest.approx(waist_optimum.eta, abs=1e-12)
     # the reflectivity dip at grazing rim angles favors a slightly larger waist
     assert opt.waist == pytest.approx(2.278148, abs=1e-4)
     assert opt.eta == pytest.approx(0.982757, abs=1e-5)
-    assert opt.delta_eta == pytest.approx(0.000331, abs=2e-5)
+    assert opt.eta - plain.eta == pytest.approx(0.000331, abs=2e-5)
 
 
 def test_optical_constants_file_validation(tmp_path):

@@ -15,6 +15,7 @@ from dipolemirror import (
     weighted_fraction,
     weighted_solid_angle,
 )
+from dipolemirror.geometry import _gauss_legendre_on
 
 
 def test_angle_maps_invert_each_other():
@@ -106,3 +107,15 @@ def test_incidence_angle_is_half_theta():
         incidence_angle(-0.01)
     with pytest.raises(DomainError):
         incidence_angle(math.pi + 0.01)
+
+
+def test_mapped_rule_is_exact_on_each_interval():
+    lo = np.array([[-1.0], [0.2], [3.0]])
+    hi = np.array([[1.0], [0.7], [10.0]])
+    x, w = _gauss_legendre_on(6, lo, hi)
+    assert x.shape == w.shape == (3, 6)
+    # six nodes integrate x^11 exactly, on every interval at once
+    assert np.allclose(np.sum(w * x**11, axis=1), (hi**12 - lo**12)[:, 0] / 12, rtol=1e-13)
+    for k in range(3):
+        one = _gauss_legendre_on(6, float(lo[k, 0]), float(hi[k, 0]))
+        assert np.array_equal(one[0], x[k]) and np.array_equal(one[1], w[k])

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from dipolemirror import DomainError
-from dipolemirror.gridio import read_grid, write_grid
+from dipolemirror.gridio import read_grid, write_grid, write_table
 
 HEADER = {"kind": "test", "wavelength_nm": 633.0}
 
@@ -48,6 +48,15 @@ def written_bytes(tmp_path, grid):
 def test_write_grid_matches_per_value_text(tmp_path_factory, grid):
     tmp_path = tmp_path_factory.mktemp("grid")
     assert written_bytes(tmp_path, grid) == oracles.grid_text(grid, HEADER).encode("ascii")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 3)),
+                    elements=values))
+def test_write_table_matches_per_value_text(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "table.txt"
+    write_table(path, "columns: a b c", *table.T)
+    assert path.read_bytes() == oracles.table_text("columns: a b c", *table.T).encode("ascii")
 
 
 def test_write_grid_spans_row_blocks(tmp_path):

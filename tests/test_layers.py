@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,64 @@ def test_public_functions_and_classes_are_exactly_all(name):
                if not attr.startswith("_") and callable(value)
                and getattr(value, "__module__", None) == module.__name__}
     assert defined == {attr for attr in exported if callable(getattr(module, attr))}
+
+
+# Defaulted parameters of public functions and of the methods of public
+# classes, across every module of the package; a name with a leading
+# underscore is not public, and dataclass fields are not counted. A new
+# default is added here on purpose or not at all.
+DEFAULTED = {
+    "cli.ToolkitConfig.get(default)",
+    "cli.ToolkitConfig.get_bool(default)",
+    "cli.ToolkitConfig.get_float(default)",
+    "cli.ToolkitConfig.get_int(default)",
+    "cli.main(argv)",
+    "focalfield.plane_to_sphere(n_phi)",
+    "focalfield.plane_to_sphere(n_theta)",
+    "focalfield.strehl(aberration)",
+    "focalfield.strehl(max_doublings)",
+    "focalfield.strehl(search_halfwidth_lambda)",
+    "geometry.ApertureSpec.angle_interval(include_bore)",
+    "modes.absorption_probability(branching)",
+    "modes.optimize_waist(bracket)",
+    "modes.optimize_waist(weight)",
+    "modes.save_sampled_mode(aperture)",
+    "modes.save_sampled_mode(n)",
+    "polarimetry.ellipse_angles(noise_floor)",
+    "polarimetry.measured_overlap(max_missing)",
+    "polarimetry.measured_overlap(reference)",
+    "polarimetry.measured_overlap(trim_outer)",
+    "search.argmax_bracketed(step)",
+    "search.argmax_bracketed(widenings)",
+    "temporal.histogram_to_envelope(reverse)",
+    "temporal.histogram_to_envelope(t_end_ns)",
+    "wavefront.PhaseMap.from_expansion(annulus)",
+    "wavefront.PhaseMap.from_expansion(size)",
+    "wavefront.ZernikeExpansion.scaled(wavelength_nm)",
+    "wavefront.zernike_fit(degree)",
+}
+
+
+def _defaulted(function) -> list:
+    args = function.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return names
+
+
+def test_defaulted_public_parameters_are_pinned():
+    found = set()
+    for path in sorted(Path(dipolemirror.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                owners = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                owners = [(f"{node.name}.{m.name}", m) for m in node.body
+                          if isinstance(m, ast.FunctionDef)]
+            else:
+                continue
+            found |= {f"{path.stem}.{name}({arg})" for name, fn in owners
+                      if not any(part.startswith("_") for part in name.split("."))
+                      for arg in _defaulted(fn)}
+    assert found == DEFAULTED

@@ -29,7 +29,6 @@ from dipolemirror.wavefront import (
     save_expansion,
     save_phase_map,
     zernike_eval,
-    zernike_term,
 )
 
 RNG = np.random.default_rng(7)
@@ -51,7 +50,8 @@ PHI = RNG.uniform(-math.pi, math.pi, 64)
     ],
 )
 def test_zernike_term_closed_forms(n, m, closed_form):
-    assert np.allclose(zernike_term(n, m, RHO, PHI), closed_form(RHO, PHI), atol=1e-13)
+    term = ZernikeExpansion(terms=((n, m, 1.0),), wavelength_nm=632.8)
+    assert np.allclose(zernike_eval(term, RHO, PHI), closed_form(RHO, PHI), atol=1e-13)
 
 
 def _random_expansion(seed, degree=10):
@@ -114,7 +114,7 @@ def test_zernike_eval_keeps_the_broadcast_shape():
 def test_zernike_term_rejects_bad_indices():
     for n, m in ((2, 1), (1, 2), (-1, 1), (3, -2)):
         with pytest.raises(DomainError):
-            zernike_term(n, m, 0.5, 0.0)
+            ZernikeExpansion(terms=((n, m, 1.0),), wavelength_nm=632.8)
 
 
 def test_expansion_validation():
