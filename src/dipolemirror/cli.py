@@ -662,7 +662,9 @@ def cmd_report(args, config: ToolkitConfig):
 # -------------------------------------------------------------- entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; each call of main parses its own argv
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
     common.add_argument("--out", metavar="DIR", help="directory for output files")

@@ -42,12 +42,19 @@ the phase exp(i 2 pi z cos(theta)) does not depend on phi, so each ring
 of constant theta is summed once: the aberrated e_theta amplitude goes
 through the real basis (cos phi, sin phi, 1), and the Cartesian ring
 sums follow from e_theta. Every axial evaluation then costs O(n_theta),
-and a scan of many axial positions is one matrix product. The
-Gauss-Legendre rule comes from the one cached source in geometry,
-computed once per node count and mapped onto the cos(theta) interval of
-the mirror annulus. The quadrature is doubled to confirm the ratio and
-the peak position; disagreement raises instead of returning a number
-that depends on the grid.
+and a scan of many axial positions is one matrix product. A pass does
+only what depends on the aberration on the full grid: its phasor, the
+product with the amplitude, the ring sums and the RMS deviations run over
+blocks of rings of about 64 KiB, so each temporary is a reused buffer
+that stays in cache. The RMS weight depends on theta only, so the RMS
+comes from per-ring sums. The scan phasors exp(i 2 pi z cos(theta)) of a
+search window do not depend on the aberration; they are cached per node
+count, cos(theta) interval and window, and a widened window is computed
+when it is first needed. The Gauss-Legendre rule comes from the one
+cached source in geometry, computed once per node count and mapped onto
+the cos(theta) interval of the mirror annulus. The quadrature is doubled
+to confirm the ratio and the peak position; disagreement raises instead
+of returning a number that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -71,7 +78,7 @@ from .geometry import (
 from .gridio import read_table
 from .modes import RadialMode, optimize_waist
 from .search import argmax_bracketed
-from .wavefront import ZernikeExpansion, _unit_phasor, zernike_eval
+from .wavefront import ZernikeExpansion, zernike_eval
 
 __all__ = [
     "SphereField",
@@ -98,6 +105,10 @@ _OFFSET_TOL = 1e-3
 _SECTION_TOL = 1e-6
 # points on which the reflection phase is unwrapped
 _PHASE_GRID = 4096
+# nodes per block of rings in a Strehl pass: a block's complex phasor is
+# 64 KiB, so it and its temporaries stay in cache and below the
+# allocator's mmap threshold
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -162,9 +173,7 @@ def plane_to_sphere(
         raise DomainError("need at least 2 polar and 1 azimuthal node")
     if not hasattr(source, "amplitude"):
         raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
-    interval = aperture.angle_interval()
-    u, wu = _gauss_legendre_on(n_theta, math.cos(interval.theta_max),
-                               math.cos(interval.theta_min))
+    u, wu = _gauss_legendre_on(n_theta, *_cos_interval(aperture))
     theta = np.arccos(u)[:, None]
     phi = (np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :]
     weight = wu[:, None] * (2.0 * math.pi / n_phi)
@@ -175,6 +184,12 @@ def plane_to_sphere(
         amp_theta=np.asarray(source.amplitude(rho), dtype=float) * apod,
         aperture=aperture, source=source,
     )
+
+
+def _cos_interval(aperture: ApertureSpec):
+    """The mirror annulus as the cos(theta) interval (lo, hi) of the quadrature."""
+    interval = aperture.angle_interval()
+    return math.cos(interval.theta_max), math.cos(interval.theta_min)
 
 
 def _resolve_aberration(field: SphereField, aberration):
@@ -220,29 +235,39 @@ class StrehlResult:
 
 def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResult:
     w = _resolve_aberration(field, aberration)
-    shape = (field.n_theta, field.n_phi)
     phi = field.phi[0]
     basis = _stack_last(np.cos(phi), np.sin(phi), 1.0)
     st, ct = np.sin(field.theta), np.cos(field.theta)
     # e_theta = (cos t cos p, cos t sin p, sin t): each ring's sum against
     # the basis (cos phi, sin phi, 1), scaled per ring, is its Cartesian sum
     scale = np.hstack((ct, ct, st))
-
-    def ring_sums(phase):
-        # the axial phase depends on theta only, so each ring is summed over phi once
-        return field.weight * (((phase * field.amp_theta) @ basis) * scale)
-
     # unaberrated, each ring's sum is its amplitude times the summed basis
     rings0 = field.weight * ((field.amp_theta * basis.sum(axis=0)) * scale)
-    # without an aberration the field is its own reference: the ratios are
-    # then 1 at the focus and at most 1 beside it, never 1 plus rounding
-    rings = rings0 if aberration is None else ring_sums(_unit_phasor(2.0 * math.pi * w))
     cos_theta = ct[:, 0]
+    lo, hi = _cos_interval(field.aperture)
 
     def intensity(sums, z):
-        # |E|^2 at axial position(s) z from (n_theta, 3) ring sums
-        e = np.exp(2j * math.pi * np.multiply.outer(z, cos_theta)) @ sums
+        # |E|^2 at axial position(s) z from (n_theta, 3) ring sums; a scan
+        # window's phasors are computed once per quadrature
+        if np.ndim(z):
+            p = _axial_scan(field.n_theta, lo, hi, float(z[0]), float(z[-1]), z.size)
+        else:
+            p = np.exp(2j * math.pi * np.multiply.outer(z, cos_theta))
+        e = p @ sums
         return np.sum(e.real**2 + e.imag**2, axis=-1)
+
+    denom = float(intensity(rings0, 0.0))
+    if denom <= 0.0:
+        raise DomainError("on-axis reference field vanishes; Strehl undefined")
+    # the RMS weight depends on theta only, so the mean comes from ring
+    # sums; the weights cannot all vanish once the reference field is nonzero
+    q = (field.weight * np.abs(field.amp_theta * st))[:, 0]
+    qsum = field.n_phi * float(q.sum())
+    mean = float(q @ w.sum(axis=1)) / qsum
+    sums, spread = _ring_pass(w, field.amp_theta, basis.astype(complex), mean)
+    # without an aberration the field is its own reference: the ratios are
+    # then 1 at the focus and at most 1 beside it, never 1 plus rounding
+    rings = rings0 if aberration is None else field.weight * (sums * scale)
 
     def newton_step(z):
         # -I'/I'' of I = |E|^2, E(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
@@ -253,9 +278,6 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
         d2 = 2.0 * (np.vdot(e1, e1).real + np.vdot(e, e2).real)
         return float(-d1 / d2) if d2 < 0.0 else 0.0
 
-    denom = float(intensity(rings0, 0.0))
-    if denom <= 0.0:
-        raise DomainError("on-axis reference field vanishes; Strehl undefined")
     nominal = float(intensity(rings, 0.0)) / denom
 
     try:
@@ -265,19 +287,53 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
     except ConvergenceError as exc:
         raise ConvergenceError(f"axial intensity {exc} lambda at "
                                f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
-    ratio = peak / denom
-
-    q = np.broadcast_to(field.weight * np.abs(field.amp_theta * st), shape)
-    qsum = float(q.sum())
-    if qsum > 0.0:
-        mean = float(np.sum(q * w)) / qsum
-        rms = math.sqrt(float(np.sum(q * (w - mean) ** 2)) / qsum)
-    else:
-        rms = float("nan")
     return StrehlResult(
-        ratio=ratio, nominal=nominal, peak_offset_lambda=z_peak,
-        rms_waves=rms, n_theta=field.n_theta, n_phi=field.n_phi,
+        ratio=peak / denom, nominal=nominal, peak_offset_lambda=z_peak,
+        rms_waves=math.sqrt(float(q @ spread) / qsum),
+        n_theta=field.n_theta, n_phi=field.n_phi,
     )
+
+
+def _ring_pass(w, amp, basis, mean: float):
+    """Per-ring sums of the aberrated e_theta amplitude and of (W - mean)^2.
+
+    Returns the (n_theta, 3) sums of amp * exp(i 2 pi W), amp of shape
+    (n_theta, 1), against the complex basis and the (n_theta,) sums of the squared deviation. The
+    rings go in blocks of about _BLOCK nodes, so every temporary is a
+    reused block buffer.
+    """
+    n_theta, n_phi = w.shape
+    rows = max(1, _BLOCK // n_phi)
+    arg = np.empty((min(rows, n_theta), n_phi))
+    phasor = np.empty(arg.shape, dtype=complex)
+    sums = np.empty((n_theta, 3), dtype=complex)
+    spread = np.empty(n_theta)
+    for start in range(0, n_theta, rows):
+        block = slice(start, start + rows)
+        a, p = arg[:n_theta - start], phasor[:n_theta - start]
+        np.multiply(w[block], 2.0 * math.pi, out=a)
+        np.cos(a, out=p.real)
+        np.sin(a, out=p.imag)
+        p *= amp[block]
+        np.matmul(p, basis, out=sums[block])
+        np.subtract(w[block], mean, out=a)
+        np.sum(np.square(a, out=a), axis=1, out=spread[block])
+    return sums, spread
+
+
+@lru_cache(maxsize=8)
+def _axial_scan(n_theta: int, lo: float, hi: float, z0: float, z1: float, points: int):
+    """exp(i 2 pi z cos(theta)) on an axial scan window, shape (points, n_theta).
+
+    The rows are z = linspace(z0, z1, points); the columns are the nodes
+    plane_to_sphere puts on the cos(theta) interval [lo, hi]. The phasors
+    do not depend on the aberration, so each quadrature and window is
+    computed once; the array is shared by every pass, so it is read-only.
+    """
+    cos_theta = np.cos(np.arccos(_gauss_legendre_on(n_theta, lo, hi)[0]))
+    out = np.exp(2j * math.pi * np.multiply.outer(np.linspace(z0, z1, points), cos_theta))
+    out.flags.writeable = False
+    return out
 
 
 def strehl(

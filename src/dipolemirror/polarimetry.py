@@ -361,7 +361,6 @@ def export_polarization(pmap: PolarizationMap, basepath):
         "center_col": pmap.center[1],
     }
     write_grid(base.with_suffix(".s0.txt"), pmap.s0, {**meta, "kind": "intensity"})
-    write_grid(base.with_suffix(".psi.txt"), np.where(pmap.mask, pmap.psi, np.nan),
-               {**meta, "kind": "orientation_rad"})
-    write_grid(base.with_suffix(".chi.txt"), np.where(pmap.mask, pmap.chi, np.nan),
-               {**meta, "kind": "ellipticity_rad"})
+    # psi and chi are already NaN outside the mask
+    write_grid(base.with_suffix(".psi.txt"), pmap.psi, {**meta, "kind": "orientation_rad"})
+    write_grid(base.with_suffix(".chi.txt"), pmap.chi, {**meta, "kind": "ellipticity_rad"})

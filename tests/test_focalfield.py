@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dipolemirror.focalfield as ff
 import oracles
 from oracles import focal_field, sphere_overlap
 from dipolemirror import (
@@ -250,6 +252,73 @@ def test_strehl_ring_sums_match_the_oracle(ring_sum_fields, source, exp):
     assert res.peak_offset_lambda == pytest.approx(z_peak, abs=1e-9)
 
 
+# (n_theta, n_phi) at the edges of the ring blocks of one Strehl pass
+_BLOCK_SHAPES = {"ragged": (100, 96), "sub-block": (24, 16), "single-ring": (6, 4500)}
+_BLOCK_ABERRATIONS = {
+    "zernike": ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)),
+                                wavelength_nm=369.5),
+    # theta only, unwrapped on a grid set by the largest theta
+    "aluminum": lambda th, ph: reflection_phase_waves(th, 369.5, aluminum()),
+    "constant": lambda th, ph: 0.1,
+}
+
+
+@pytest.mark.parametrize("aberration", list(_BLOCK_ABERRATIONS))
+@pytest.mark.parametrize("shape", list(_BLOCK_SHAPES))
+def test_strehl_pass_matches_the_oracle_across_ring_blocks(aperture, waist_optimum, shape,
+                                                          aberration):
+    n_theta, n_phi = _BLOCK_SHAPES[shape]
+    rows = max(1, ff._BLOCK // n_phi)
+    assert {"ragged": n_theta > rows and n_theta % rows != 0,
+            "sub-block": n_theta < rows, "single-ring": rows == 1}[shape]
+    field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
+                            n_theta=n_theta, n_phi=n_phi)
+    ab = _BLOCK_ABERRATIONS[aberration]
+    res = ff._strehl_once(field, ab, 2.0)
+    if callable(ab):
+        w = np.broadcast_to(ab(field.theta, field.phi), (n_theta, n_phi))
+    else:
+        w = oracles.zernike_sum(ab, field.rho_unit, field.phi)
+    ratio, nominal, z_peak = oracles.axial_strehl(field, w)
+    assert res.ratio == pytest.approx(ratio, abs=1e-10)
+    assert res.nominal == pytest.approx(nominal, abs=1e-10)
+    assert res.peak_offset_lambda == pytest.approx(z_peak, abs=1e-9)
+    # node weight times the on-axis (z) component of the field
+    vector = oracles.sphere_vector_field(field.source, field)
+    q = np.abs(vector[..., 2]) * field.weight
+    mean = np.sum(q * w) / np.sum(q)
+    rms = math.sqrt(np.sum(q * (w - mean) ** 2) / np.sum(q))
+    assert res.rms_waves == pytest.approx(rms, rel=1e-12, abs=1e-15)
+
+
+def test_axial_scan_is_the_fields_own_phasor(small_doughnut):
+    # cached per quadrature, yet bit-equal to the expression on the field's nodes
+    lo, hi = ff._cos_interval(small_doughnut.aperture)
+    scan = ff._axial_scan(small_doughnut.n_theta, lo, hi, -4.0, 4.0, 161)
+    assert scan is ff._axial_scan(small_doughnut.n_theta, lo, hi, -4.0, 4.0, 161)
+    assert not scan.flags.writeable
+    cos_theta = np.cos(small_doughnut.theta)[:, 0]
+    direct = np.exp(2j * math.pi * np.multiply.outer(np.linspace(-4.0, 4.0, 161), cos_theta))
+    assert np.array_equal(scan, direct)
+
+
+def test_strehl_pass_allocates_blocks_not_grids(aperture, waist_optimum):
+    # structural, not wall time: beside the 2 MiB aberration grid a 512^2
+    # pass holds only ring-block buffers and per-ring vectors
+    field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
+                            n_theta=512, n_phi=512)
+    exp = ZernikeExpansion(terms=tuple((n, m, 0.01) for n in range(11)
+                                       for m in range(-n, n + 1, 2)), wavelength_nm=633.0)
+    ff._strehl_once(field, exp, 2.0)  # the scan phasors are cached once per quadrature
+    tracemalloc.start()
+    try:
+        ff._strehl_once(field, exp, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 8 + (1 << 20)
+
+
 def test_strehl_widens_a_window_that_cuts_the_peak(aperture, waist_optimum):
     # 6 waves of Zernike defocus move the axial maximum to about +2.53
     # lambda, outside the default +-2 lambda window
@@ -274,8 +343,6 @@ def test_strehl_edge_of_widest_window_raises(small_doughnut):
 
 
 def test_strehl_convergence_covers_the_peak_offset(small_doughnut, monkeypatch):
-    import dipolemirror.focalfield as ff
-
     real = ff._strehl_once
 
     def drifting(field, aberration, halfwidth):
