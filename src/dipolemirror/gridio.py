@@ -15,9 +15,20 @@ tables of floats. Tables with other columns, Zernike expansions (integer
 indices) and frame manifests (file names), are written by their owners'
 save functions. Both writers write every value as Python's
 ``f"{v:.9e}"`` would, byte for byte, through one row writer. It builds
-that text with array operations: each value gets a fixed slot of bytes
-in a ``uint8`` buffer, the unused bytes of each slot are zero, and the
-zeros are dropped before the block is written.
+that text a block of rows at a time with array operations. Each value
+gets a 16-byte record of four ``uint32`` words, gathered from lookup
+tables by its digits and exponent:
+
+    [d0 '.' d1 d2] [d3 d4 d5 d6] [d7 d8 d9 'e'] [exponent sign, tens, ones, separator]
+
+The separator is ' ', or '\\n' after a row's last value. A block whose
+values are all finite, unsigned and written with two-digit exponents is
+written as its records stand. Any other block gives each record a
+prefix word, '\\0\\0\\0-' or zero, and has its zero bytes dropped: nan
+and inf take a blank entry of the digit tables and the words 'nan ' and
+'inf ' of the exponent table, and values that Python formats (ties,
+three-digit exponents, an estimated exponent off by one) fill their slot
+from the right.
 """
 
 from __future__ import annotations
@@ -32,80 +43,86 @@ from .errors import DomainError
 
 __all__ = ["write_grid", "read_grid", "write_table", "read_table"]
 
-# one slot of five 4-byte words per value; 17 bytes fit the longest '.9e'
-# text, '-1.000000000e-308', and byte 18 holds the separator:
-#   [sign, 0, d0, '.'] [d1..d4] [d5..d8] [d9, 'e', exponent sign, 0]
-#   [exponent tens, exponent ones, separator, 0]
-_SLOT_WORDS = 5
-_SEPARATOR = 18
 _BLOCK_VALUES = 1 << 16
-# scaled = |v| * 10**(9 - e) for the decimal exponents e with two digits
-_POW10_MIN = 9 - 99
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 9 + 99 + 1)])
+# scaled = |v| * 10**(9 - e) for the estimated exponents e in [-100, 100]
+_POW10 = np.array([float(f"1e{9 - e}") for e in range(-100, 101)])  # [e + 100]
 # |scaled - true scaled| stays below 3e-6 (two roundings of a value < 1e10);
 # values whose fraction lies closer than this to .5 take the exact path
 _TIE_MARGIN = 1e-5
 
 
-def _words(texts) -> np.ndarray:
-    """4-byte ASCII strings as one uint32 word each."""
-    return np.frombuffer(b"".join(t.encode("ascii") for t in texts), np.uint32)
+def _words(text: str) -> np.ndarray:
+    """ASCII text as uint32 words of four bytes each."""
+    return np.frombuffer(text.encode("ascii"), np.uint32)
 
 
-_LEAD = _words(f"{s}\0{d}." for s in ("\0", "-") for d in range(10))  # [negative * 10 + d0]
-_DIGITS4 = (np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
-            + ord("0")).copy().view(np.uint32).ravel()  # [0..9999]
-_LAST = _words(f"{d}e{s}\0" for d in range(10) for s in "+-")  # [d9 * 2 + (e < 0)]
-_EXPONENT = _words(f"{k:02d} \0" for k in range(100))
-_NAN, _INF = _words(["\0\0na", "n\0\0\0"]), _words(["\0\0in", "f\0\0\0"])
-_BLANK, _MINUS = _words(["\0\0 \0", "-\0\0\0"])
+def _digit_words(template: bytes) -> np.ndarray:
+    """The 4-byte template with its '#'s set to the digits of 0, 1, 2, ..., then a blank word."""
+    places = template.count(b"#")
+    digits = iter(np.indices((10,) * places, dtype=np.uint8).reshape(places, -1) + ord("0"))
+    columns = [next(digits) if c == ord("#") else np.full(10 ** places, c, np.uint8)
+               for c in template]
+    return np.append(np.stack(columns, axis=1).view(np.uint32), np.uint32(0))
 
 
-def _format_block(values: np.ndarray) -> bytes:
-    """'.9e' text of a 2-d block, values separated by ' ' and rows ended by '\\n'."""
+# the four words of a record; index -1 of the digit tables is blank, and
+# the exponent table starts with nan's word (e = -100) and ends with inf's (e = 100)
+_HEAD = _digit_words(b"#.##")  # [q // 10**7]
+_DIGITS4 = _digit_words(b"####")  # [q // 1000 % 10**4]
+_TAIL = _digit_words(b"###e")  # [q % 1000]
+_EXPONENT = np.concatenate([_words("nan "), _digit_words(b"-## ")[99:0:-1],
+                            _digit_words(b"+## ")[:100], _words("inf ")])  # [e + 100]
+_MINUS = _words("\0\0\0-")[0]
+
+
+def _format_block(values: np.ndarray):
+    """'.9e' text of a 2-d block, values separated by ' ' and rows ended by '\\n'.
+
+    Returns the text as bytes, or as the array of its 16-byte records.
+    """
     rows, cols = values.shape
     v = values.ravel()
     a = np.abs(v)
-    nan = np.isnan(v)
-    inf = np.isinf(v)
-    nonzero = (a != 0.0) & ~nan & ~inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
-        scaled = a * _POW10[np.clip(9 - e - _POW10_MIN, 0, _POW10.size - 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+        # zero, nan and inf take the exponents 0, -100 and 100
+        np.nan_to_num(e, copy=False, nan=-100.0, posinf=100.0, neginf=0.0)
+        np.clip(e, -100.0, 100.0, out=e)
+        k = (e + 100.0).astype(np.intp)
+        scaled = a * _POW10[k]
         q = np.rint(scaled)
-        tie = np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_MARGIN
-    carry = q == 1e10
-    q[carry] = 1e9
-    e += carry
-    # Python formats these: estimated exponent off by one, a tie, or a
-    # three-digit exponent
-    exact = nonzero & ((scaled < 1e9) | (scaled >= 1e10) | tie | (np.abs(e) > 99))
-    plain = ~(nan | inf | exact)
-    q = np.where(plain, q, 0.0).astype(np.int64)
-    e = np.where(plain, e, 0)
-    d0, rest = np.divmod(q, 1000000000)
-    d1_4, rest = np.divmod(rest, 100000)
-    d5_8, d9 = np.divmod(rest, 10)
-
-    words = np.empty((v.size, _SLOT_WORDS), dtype=np.uint32)
-    words[:, 0] = _LEAD[np.signbit(v) * 10 + d0]
-    words[:, 1] = _DIGITS4[d1_4]
-    words[:, 2] = _DIGITS4[d5_8]
-    words[:, 3] = _LAST[d9 * 2 + (e < 0)]
-    words[:, 4] = _EXPONENT[np.abs(e)]
-    for mask, text in ((inf, _INF), (nan, _NAN)):
-        words[mask, :2] = text
-        words[mask, 2:4] = 0
-        words[mask, 4] = _BLANK
-    words[inf & (v < 0), 0] |= _MINUS
-    text = words.view(np.uint8).reshape(rows, cols, 4 * _SLOT_WORDS)
-    for i in np.flatnonzero(exact):
-        exact_text = format(float(v[i]), ".9e").encode("ascii")
-        slot = text[i // cols, i % cols]
-        slot[:_SEPARATOR] = 0
-        slot[:len(exact_text)] = np.frombuffer(exact_text, np.uint8)
-    text[:, -1, _SEPARATOR] = ord("\n")
-    return text[text != 0].tobytes()
+        # Python formats the rest: estimated exponent off by one, a tie,
+        # or a three-digit exponent
+        array = (((scaled >= 1e9) | (scaled == 0.0)) & (q < 1e10)
+                 & (np.abs(scaled - q) < 0.5 - _TIE_MARGIN) & (np.abs(e) < 100.0))
+    other = np.flatnonzero(~array)
+    q[other] = 0.0
+    # an integer q < 1e10 splits exactly into q // 10**7, then 4 and 3 more digits
+    hi = (q * 1e-7).astype(np.intp)
+    rest = q - 1e7 * hi
+    mid = (rest * 1e-3).astype(np.intp)
+    lo = (rest - 1e3 * mid).astype(np.intp)
+    hi[other] = mid[other] = lo[other] = -1
+    exact = other[np.isfinite(v[other])]
+    texts = [format(x, ".9e").encode("ascii") for x in v[exact].tolist()]
+    sign = np.signbit(v)
+    sign[other[np.isnan(v[other])]] = False  # Python writes nan unsigned
+    # unsigned finite values whose texts fit in 15 bytes are written as
+    # their records stand; any other block has its zero bytes dropped
+    compact = exact.size < other.size or sign.any() or any(len(t) > 15 for t in texts)
+    words = np.empty((v.size, 5 if compact else 4), dtype=np.uint32)
+    if compact:
+        words[:, 0] = sign * _MINUS
+    words[:, -4] = _HEAD[hi]
+    words[:, -3] = _DIGITS4[mid]
+    words[:, -2] = _TAIL[lo]
+    words[:, -1] = _EXPONENT[k]
+    text = words.view(np.uint8).reshape(v.size, -1)
+    for i, exact_text in zip(exact, texts):
+        text[i, :-1] = 0
+        text[i, -1 - len(exact_text):-1] = np.frombuffer(exact_text, np.uint8)
+    text.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
+    return words.tobytes().translate(None, b"\0") if compact else words
 
 
 def _write_file(path, first_line: str, values: np.ndarray):
@@ -139,18 +156,20 @@ def read_grid(path):
     """Return (values, header) from a grid file written by write_grid."""
     with open(path) as fh:
         first = fh.readline()
-    if not first.startswith("# {"):
-        raise DomainError(f"{path}: missing JSON header line")
-    header = json.loads(first[2:])
+        if not first.startswith("# {"):
+            raise DomainError(f"{path}: missing JSON header line")
+        header = json.loads(first[2:])
+        shape = (header.get("rows"), header.get("cols"))
+        # a grid without values leaves loadtxt nothing to read
+        sized = all(isinstance(n, int) and n >= 0 for n in shape)
+        if sized and 0 in shape and not fh.read().split():
+            return np.empty(shape), header
     try:
         values = np.loadtxt(path, dtype=float, comments="#", ndmin=2)
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from exc
-    if values.shape != (header.get("rows"), header.get("cols")):
-        raise DomainError(
-            f"{path}: grid shape {values.shape} disagrees with header "
-            f"({header.get('rows')}, {header.get('cols')})"
-        )
+    if values.shape != shape:
+        raise DomainError(f"{path}: grid shape {values.shape} disagrees with header {shape}")
     return values, header
 
 

@@ -296,8 +296,14 @@ def _pgm_pixels(path):
     if not m:
         raise DomainError(f"{path}: not a binary PGM")
     cols, rows, maxval = (int(m.group(i)) for i in (1, 2, 3))
-    dtype = ">u2" if maxval > 255 else "u1"
-    pixels = np.frombuffer(raw[m.end():], dtype=dtype, count=rows * cols)
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise DomainError(f"{path}: PGM maxval {maxval} outside 1-{PGM_MAXVAL}")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    expected, found = rows * cols * dtype.itemsize, len(raw) - m.end()
+    if found < expected:
+        raise DomainError(f"{path}: truncated PGM: {rows} x {cols} pixels need "
+                          f"{expected} bytes, found {found}")
+    pixels = np.frombuffer(raw, dtype=dtype, count=rows * cols, offset=m.end())
     return pixels.reshape(rows, cols), maxval
 
 

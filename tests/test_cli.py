@@ -374,6 +374,21 @@ def test_stokes_malformed_manifest(tmp_path, capsys):
     assert "no frames" in err
 
 
+def test_stokes_truncated_frame(tmp_path, capsys, stack_dir):
+    broken = tmp_path / "stack"
+    broken.mkdir()
+    for path in stack_dir.iterdir():
+        (broken / path.name).write_bytes(path.read_bytes())
+    frame = broken / "frame_004.pgm"
+    raw = frame.read_bytes()
+    frame.write_bytes(raw[:len(raw) // 2])
+    config = write_config(tmp_path, f"[stokes]\nmanifest = {broken / 'manifest.txt'}\n")
+    code, _, err = run(capsys, "stokes", "--config", config)
+    assert code == 3
+    assert f"{frame}: truncated PGM: 256 x 256 pixels need 131072 bytes, found" in err
+    assert "buffer is smaller" not in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "solid-angle", "--config", "/nonexistent/toolkit.ini")
     assert code == 3

@@ -26,7 +26,6 @@ from dipolemirror.polarimetry import (
     save_frame_stack,
     write_pgm,
 )
-from dipolemirror.gridio import read_grid
 
 ANGLES_OK = tuple(math.radians(22.5 * k) for k in range(9))
 
@@ -314,14 +313,35 @@ def test_frame_stack_manifest_errors(tmp_path):
         load_frame_stack(ragged)
 
 
+def test_frame_stack_refuses_truncated_frames_and_bad_maxval(tmp_path, doughnut_stack):
+    stack, _ = doughnut_stack
+    save_frame_stack(stack, tmp_path)
+    frame = tmp_path / "frame_004.pgm"
+    raw = frame.read_bytes()
+    rows, cols = stack.frames.shape[1:]
+    payload = 2 * rows * cols
+    frame.write_bytes(raw[:len(raw) - payload // 2])
+    with pytest.raises(DomainError, match="truncated") as err:
+        load_frame_stack(tmp_path)
+    message = str(err.value)
+    assert message.startswith(str(frame))
+    assert f"{payload} bytes, found {payload - payload // 2}" in message
+    for maxval in (0, 65536):
+        frame.write_bytes(raw.replace(b"\n65535\n", f"\n{maxval}\n".encode(), 1))
+        with pytest.raises(DomainError, match=f"maxval {maxval} outside 1-65535"):
+            load_frame_stack(tmp_path)
+
+
 def test_export_polarization(tmp_path, doughnut_stack):
     stack, _ = doughnut_stack
-    pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=0.0)
+    pmap = ellipse_angles(stokes_from_frames(stack))
+    # psi carries nan outside the mask and chi takes both signs
+    assert np.isnan(pmap.psi).any() and (pmap.chi < 0).any()
     export_polarization(pmap, tmp_path / "beam")
-    for suffix, reference in ((".s0.txt", pmap.s0), (".psi.txt", pmap.psi),
-                              (".chi.txt", pmap.chi)):
-        values, header = read_grid(tmp_path / ("beam" + suffix))
-        assert values.shape == pmap.s0.shape
-        assert float(header["pixel_scale"]) == pytest.approx(pmap.pixel_scale)
-        finite = np.isfinite(reference)
-        assert np.allclose(values[finite], reference[finite], atol=1e-9)
+    meta = {"pixel_scale": pmap.pixel_scale, "center_row": pmap.center[0],
+            "center_col": pmap.center[1]}
+    for suffix, values, kind in ((".s0.txt", pmap.s0, "intensity"),
+                                 (".psi.txt", pmap.psi, "orientation_rad"),
+                                 (".chi.txt", pmap.chi, "ellipticity_rad")):
+        expected = oracles.grid_text(values, {**meta, "kind": kind})
+        assert (tmp_path / ("beam" + suffix)).read_bytes() == expected.encode("ascii")
