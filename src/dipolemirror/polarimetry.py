@@ -206,8 +206,10 @@ def ellipse_angles(stokes: StokesMap, noise_floor: float = 0.01) -> Polarization
 
 
 def _project(psi, chi, phi):
-    # sgn of the module docstring: +1 in the upper half plane, -1 in the lower
-    return np.where(np.sin(phi) >= 0.0, 1.0, -1.0) * np.cos(chi) * np.cos(psi - phi)
+    # sgn of the module docstring: +1 in the upper half plane, -1 in the lower.
+    # phi comes from arctan2, in [-pi, pi], where the float sin(phi) >= 0
+    # exactly when phi >= 0 (sin(+-pi) rounds to +-1.2e-16), so no sine is taken
+    return np.where(phi >= 0.0, 1.0, -1.0) * np.cos(chi) * np.cos(psi - phi)
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,21 @@ def test_strehl_convergence_guard(small_doughnut):
         strehl(small_doughnut, max_doublings=0)
 
 
+def test_default_strehl_certifies_on_the_first_doubling(doughnut_field):
+    # a smooth figure settles at once: 128^2 nodes, then 256^2 to confirm
+    exp = ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)),
+                           wavelength_nm=369.5)
+    res = strehl(doughnut_field, exp)
+    assert (doughnut_field.n_theta, doughnut_field.n_phi) == (128, 128)
+    assert (res.n_theta, res.n_phi) == (256, 256)
+
+
+def test_unsettled_figure_is_refused_at_1024_nodes(doughnut_field):
+    # a phase that oscillates faster than any grid resolves aliases anew on each
+    with pytest.raises(ConvergenceError, match="at 1024x1024 quadrature nodes"):
+        strehl(doughnut_field, lambda th, ph: 0.2 * np.sin(1e4 * th))
+
+
 def _axial_ratio(field, aberration, z):
     # brute-force node sum: on-axis intensity at z over the unaberrated focus
     on_axis = focal_field(field, np.array([0.0, 0.0, z]), aberration=aberration)
@@ -257,7 +272,7 @@ _BLOCK_SHAPES = {"ragged": (100, 96), "sub-block": (24, 16), "single-ring": (6, 
 _BLOCK_ABERRATIONS = {
     "zernike": ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)),
                                 wavelength_nm=369.5),
-    # theta only, unwrapped on a grid set by the largest theta
+    # theta only; its 2 pi branch is picked on a grid set by the largest theta
     "aluminum": lambda th, ph: reflection_phase_waves(th, 369.5, aluminum()),
     "constant": lambda th, ph: 0.1,
 }
@@ -451,6 +466,59 @@ def test_aluminum_rp_normal_incidence_limit():
         assert aluminum_rp(0.0, wavelength, table) == pytest.approx(expected, abs=1e-12)
     theta = np.linspace(0.0, math.radians(134.0), 200)
     assert np.all(np.abs(aluminum_rp(theta, 369.5, table)) <= 1.0)
+
+
+def _dense_unwrapped_phase(theta, wavelength_nm, table):
+    # arg(r_p) unwrapped on 2^16 points from the vertex, in waves
+    grid = np.linspace(0.0, max(float(np.max(theta)), 1e-6), 1 << 16)
+    phase = np.unwrap(np.angle(aluminum_rp(grid, wavelength_nm, table)))
+    return np.interp(theta, grid, (phase - phase[0]) / (2.0 * math.pi))
+
+
+@settings(max_examples=50, deadline=None)
+@given(fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+       wavelength=st.floats(150.0, 1000.0))
+def test_reflection_phase_is_exact_at_each_angle(aperture, fractions, wavelength):
+    table = aluminum()
+    interval = aperture.angle_interval()
+    theta = interval.theta_min + np.array(fractions) * (interval.theta_max
+                                                        - interval.theta_min)
+    phase = reflection_phase_waves(theta, wavelength, table)
+    vertex = np.conj(aluminum_rp(0.0, wavelength, table))
+    exact = np.angle(aluminum_rp(theta, wavelength, table) * vertex) / (2.0 * math.pi)
+    assert np.allclose(phase, exact, rtol=0.0, atol=1e-15)
+    # the table only picks the branch; its own error is far below half a wave
+    assert np.allclose(phase, _dense_unwrapped_phase(theta, wavelength, table),
+                       rtol=0.0, atol=1e-6)
+
+
+_FIGURE = ZernikeExpansion(
+    terms=tuple((n, m, 0.02 * math.sin(1.0 + 7.0 * n + m)) for n in range(11)
+                for m in range(-n, n + 1, 2)),
+    wavelength_nm=369.5)
+
+
+@pytest.mark.parametrize("figure", [False, True], ids=["alone", "with-figure"])
+@pytest.mark.parametrize("wavelength", [369.5, 251.8])
+def test_aluminum_phase_strehl_is_grid_independent(aperture, waist_optimum, wavelength,
+                                                   figure):
+    table = aluminum()
+
+    def aberration(theta, phi):
+        w = reflection_phase_waves(theta, wavelength, table)
+        if figure:
+            w = w + oracles.zernike_sum(_FIGURE, rho_from_theta(theta) / aperture.rho_max,
+                                        phi)
+        return w
+
+    doughnut = RadialMode.doughnut(waist_optimum.waist)
+    results = [ff._strehl_once(plane_to_sphere(doughnut, aperture, n_theta=n, n_phi=n),
+                               aberration, 2.0) for n in (128, 256, 512)]
+    for res in results[1:]:
+        assert res.ratio == pytest.approx(results[0].ratio, abs=1e-13)
+        assert res.nominal == pytest.approx(results[0].nominal, abs=1e-13)
+        assert res.peak_offset_lambda == pytest.approx(results[0].peak_offset_lambda,
+                                                       abs=1e-13)
 
 
 def test_reflection_phase_reference_points():

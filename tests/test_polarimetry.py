@@ -20,6 +20,7 @@ from dipolemirror import (
     stokes_from_frames,
 )
 from dipolemirror.polarimetry import (
+    _project,
     export_polarization,
     load_frame_stack,
     qwp_intensity,
@@ -217,6 +218,20 @@ def test_radial_projection_of_azimuthal_beam(aperture, waist_optimum):
     pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=0.0)
     proj = oracles.radial_projection(pmap)
     assert np.nanmax(np.abs(proj[pmap.mask])) < 1e-8
+
+
+def test_projection_sign_follows_the_half_plane_of_arctan2():
+    # the azimuths arctan2 returns at and beside the edges of the half planes
+    tiny = 5e-324
+    phi = np.array([-math.pi, np.nextafter(-math.pi, 0.0), -tiny, -0.0, 0.0, tiny,
+                    np.nextafter(math.pi, 0.0), math.pi, -math.pi / 2.0, math.pi / 2.0])
+    edges = np.arctan2(np.array([0.0, -0.0, 0.0, -0.0, tiny, -tiny, tiny, -tiny]),
+                       np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]))
+    phi = np.concatenate((phi, edges))
+    psi = np.linspace(0.1, 3.0, phi.size)
+    chi = np.linspace(-0.7, 0.7, phi.size)
+    sgn = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
+    assert np.array_equal(_project(psi, chi, phi), sgn * np.cos(chi) * np.cos(psi - phi))
 
 
 def test_measured_overlap_of_ideal_doughnut(doughnut_stack, aperture, waist_optimum):
