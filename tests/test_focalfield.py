@@ -202,7 +202,7 @@ def test_default_strehl_certifies_on_the_first_doubling(doughnut_field):
 
 
 def test_unsettled_figure_is_refused_at_1024_nodes(doughnut_field):
-    # a phase that oscillates faster than any grid resolves aliases anew on each
+    # a phase that oscillates faster than any grid resolves aliases differently on each
     with pytest.raises(ConvergenceError, match="at 1024x1024 quadrature nodes"):
         strehl(doughnut_field, lambda th, ph: 0.2 * np.sin(1e4 * th))
 
