@@ -53,9 +53,10 @@ count, cos(theta) interval and window, and a widened window is computed
 when it is first needed. The Gauss-Legendre rule comes from the one
 cached source in geometry, computed once per node count and mapped onto
 the cos(theta) interval of the mirror annulus. The quadrature starts on
-128^2 nodes and is doubled to confirm the ratio and the peak position,
-up to 1024^2; disagreement raises instead of returning a number that
-depends on the grid.
+32 x 64 nodes (n_theta x n_phi), because the integrand resolves faster
+in theta than in phi, and both axes are doubled to confirm the ratio and
+the peak position, up to 512 x 1024; disagreement raises instead of
+returning a number that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -97,7 +98,9 @@ __all__ = [
     "reflectivity_weight",
 ]
 
-_DEFAULT_NODES = 128
+# the default quadrature, n_theta x n_phi: the integrand resolves faster in
+# theta than in phi
+_DEFAULT_THETA, _DEFAULT_PHI = 32, 64
 # doublings of the axial search window; the quadrature-convergence
 # tolerances of the Strehl ratios and of the peak offset in wavelengths
 _MAX_WIDENINGS = 3
@@ -162,8 +165,8 @@ def _stack_last(*parts):
 def plane_to_sphere(
     source,
     aperture: ApertureSpec,
-    n_theta: int = _DEFAULT_NODES,
-    n_phi: int = _DEFAULT_NODES,
+    n_theta: int = _DEFAULT_THETA,
+    n_phi: int = _DEFAULT_PHI,
 ) -> SphereField:
     """Map an entrance-plane mode onto the converging sphere.
 
@@ -343,7 +346,7 @@ def strehl(
     field: SphereField,
     aberration=None,
     search_halfwidth_lambda: float = 2.0,
-    max_doublings: int = 3,
+    max_doublings: int = 4,
 ) -> StrehlResult:
     """Strehl ratio of the aberrated focus, quadrature-verified.
 
@@ -353,9 +356,10 @@ def strehl(
     nominal-focus ratio is reported alongside. The quadrature is doubled
     until the ratio and the nominal ratio move by less than 1e-4 and the
     peak offset by less than 1e-3 wavelengths; failing that raises
-    ConvergenceError rather than returning a grid-dependent number. From
-    the default 128^2 field a smooth figure is certified on 256^2 nodes,
-    and the last grid tried is 1024^2.
+    ConvergenceError rather than returning a grid-dependent number. Each
+    doubling doubles both axes. From the default 32 x 64 field (n_theta x
+    n_phi) a smooth figure is certified on 64 x 128 nodes, and the last
+    grid tried is 512 x 1024.
 
     ``aberration`` is None, a ZernikeExpansion or a callable W(theta, phi)
     in waves, evaluated anew on every grid. The callable receives the grid
@@ -477,7 +481,7 @@ def aluminum_phase_study(wavelength_nm: float) -> AluminumFocusStudy:
     The input is the optimal-waist doughnut of the default aperture with
     the phase of r_p, from the shipped aluminum table, applied as the only
     aberration; amplitudes stay ideal so the numbers isolate the phase
-    effect. The Strehl search starts on the default 128^2 quadrature.
+    effect. The Strehl search starts on the default 32 x 64 quadrature.
     """
     aperture = ApertureSpec()
     waist = optimize_waist(aperture).waist

@@ -1,13 +1,11 @@
 """Bracketed one-dimensional maximum search.
 
-The doughnut waist, the axial Strehl focus and the temporal pulse shift
-are each the maximum of a function of one variable: a coarse scan
-brackets it, so that a secondary shoulder cannot trap the search, and
-golden section refines it. Near a flat maximum the section's end point
-is set by rounding in near-equal comparisons, so a smooth objective may
-also pass a Newton step on its analytic derivatives; two such steps then
-place the maximum to rounding. The temporal shift has kinks at bin edges
-and passes none.
+The doughnut waist and the axial Strehl focus are each the maximum of a
+function of one variable: a coarse scan brackets it, so that a secondary
+shoulder cannot trap the search, and golden section refines it. Near a
+flat maximum the section's end point is set by rounding in near-equal
+comparisons, so a smooth objective may also pass a Newton step on its
+analytic derivatives; two such steps then place the maximum to rounding.
 """
 
 from __future__ import annotations

@@ -16,16 +16,18 @@ rising exponential.
 
 Envelopes are sampled at bin centers (midpoint rule); the projection
 evaluates the ideal envelope's integral over each bin analytically, which
-keeps the sharp t=0 cutoff from biasing the discretization.
+keeps the sharp t=0 cutoff from biasing the discretization. The best
+shift puts a bin edge at t = 0, so the maximum over all shifts is exact
+and comes from one first-order recursion over the bins.
 
 Pulse shaping uses an acousto-optic modulator driven by an RF signal with
 envelope U0(t) = arcsin(exp(t/(2*tau))), so that the diffracted intensity
 sin^2(U0) follows exp(t/tau) exactly. The finite build-up/decay of the
 optical grating in the modulator is modeled as a first-order low-pass on
 the field envelope (time constant = build-up time); the model is a design
-choice and deliberately simple. Its exact per-bin update runs as a blocked
-scan: one Toeplitz matrix product per block of bins, and one carry per
-block between them.
+choice and deliberately simple. Its exact per-bin update and the overlap's
+recursion run as one blocked scan: one Toeplitz matrix product per block
+of bins, and one carry per block between them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 
 from .errors import DomainError, UndefinedOverlapError
 from .gridio import read_table
-from .search import argmax_bracketed
 
 __all__ = [
     "TransitionSpec",
@@ -55,12 +56,8 @@ __all__ = [
     "load_histogram",
 ]
 
-# half-width of the initial shift scan in lifetimes, and how often an edge
-# maximum may double it
-_SHIFT_LIFETIMES = 10.0
-_SHIFT_WIDENINGS = 3
 # modulator tail modeled past the input, in build-up times, and the bins
-# per block of its blocked scan
+# per block of the blocked decay scan
 _TAIL_BUILDUPS = 5.0
 _SCAN_BLOCK = 64
 
@@ -149,11 +146,20 @@ def temporal_overlap(
     """Temporal overlap of a pulse with the ideal rising exponential.
 
     The incident envelope is displaced by a shift s (E_inc(t - s) against
-    the fixed ideal envelope) chosen to maximize the projection. The search
-    scans 801 shifts over +-10 tau and refines with golden section to
-    1e-10 tau. A best shift on the edge of the scan doubles its span, at
-    most three times, before raising ConvergenceError, so a pulse far from
-    t = 0 is still scored at its best shift.
+    the fixed ideal envelope) chosen to maximize the projection. While no
+    bin edge crosses t = 0, the projection is C0 + C1 exp(gamma s/2),
+    monotone in s; so its maximum over all shifts lies where some bin's
+    right edge sits at t = 0, at s_k = -(t_k + dt/2). There the bins up to
+    k are whole and the rest contribute nothing:
+
+        eta_t(s_k) = (2/gamma) (1 - r) y_k / norm,
+        y_k = r y_(k-1) + e_k,  r = exp(-gamma dt/2),
+
+    where (2/gamma) (1 - r) is the ideal envelope's integral over the bin
+    [-dt, 0] and norm = sqrt(int E_inc^2 dt / gamma). One pass of that
+    recursion scores every edge; where several score the same, the first
+    is returned. No window bounds the shift, and no term overflows,
+    whatever the extent of the pulse or its t_end.
 
     Returns the overlap and the maximizing shift. Raises
     UndefinedOverlapError for a zero-energy pulse.
@@ -162,33 +168,40 @@ def temporal_overlap(
     if energy <= 0.0:
         raise UndefinedOverlapError("zero-energy pulse")
     gamma = spec.gamma
-    tau = spec.lifetime_ns
-    t = pulse.times()
-    e = pulse.samples
-    half = 0.5 * pulse.bin_width_ns
-    norm = math.sqrt(energy / gamma)
-    # A bin wholly before the cutoff at shift s contributes
-    # e_i * exp(gamma*(t_i + s)/2) * whole_bin; those are the first k(s)
-    # bins, so one prefix sum serves every shift. It is kept as a log so
-    # that no pulse extent overflows or underflows it.
-    whole_bin = (4.0 / gamma) * math.sinh(gamma * pulse.bin_width_ns / 4.0)
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(e) + 0.5 * gamma * t
-    log_prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(log_terms)])
+    dt = pulse.bin_width_ns
+    n = pulse.samples.size
+    gain = (-2.0 / gamma) * math.expm1(-0.5 * gamma * dt) / math.sqrt(energy / gamma)
+    eta = _decay_scan(pulse.samples, n, math.exp(-0.5 * gamma * dt), gain)
+    k = int(np.argmax(eta))
+    t_k = pulse.t_end_ns - dt * (n - 1 - k)
+    return TemporalOverlapResult(eta_t=float(eta[k]), shift_ns=-(t_k + 0.5 * dt))
 
-    def project(s):
-        k = np.searchsorted(t, -s - half, side="right")
-        whole = whole_bin * np.exp(log_prefix[k] + 0.5 * gamma * s)
-        # the bin straddling the cutoff, if any, is integrated up to t = 0
-        j = np.minimum(k, t.size - 1)
-        lo = np.minimum(t[j] + s - half, 0.0)
-        edge = np.where(k < t.size, e[j] * (-2.0 / gamma) * np.expm1(0.5 * gamma * lo), 0.0)
-        return (whole + edge) / norm
 
-    span = _SHIFT_LIFETIMES * tau
-    shift, eta_t = argmax_bracketed(project, np.linspace(-span, span, 801), 1e-10 * tau,
-                                    widenings=_SHIFT_WIDENINGS)
-    return TemporalOverlapResult(eta_t=eta_t, shift_ns=shift)
+def _decay_scan(x, n: int, decay: float, gain: float) -> np.ndarray:
+    """y_i = decay y_(i-1) + gain x_i for i < n, from y_(-1) = 0.
+
+    ``x`` holds at most n inputs; the inputs past its end are zero. The
+    recursion runs as a blocked scan: within each block of 64 bins the
+    response to the block's own input is one product with the
+    lower-triangular Toeplitz matrix gain decay^(j-k); the output carried
+    in from the block before decays as decay^(j+1) across the block, and
+    the carries follow one recursion per block. Only powers decay^m with
+    m >= 0 appear, so none overflows when decay tends to 0.
+    """
+    blocks = -(-n // _SCAN_BLOCK)
+    padded = np.zeros(blocks * _SCAN_BLOCK)
+    padded[:x.size] = x
+    powers = decay ** np.arange(_SCAN_BLOCK + 1)
+    lag = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
+    toeplitz = np.tril(gain * powers[np.abs(lag)])
+    # each block's response from rest, then the output carried in from the
+    # block before, which holds that block's own carry decayed across it
+    y = padded.reshape(blocks, _SCAN_BLOCK) @ toeplitz.T
+    across, carries = float(powers[-1]), [0.0]
+    for block_last in y[:-1, -1].tolist():
+        carries.append(block_last + across * carries[-1])
+    y += np.multiply.outer(carries, powers[1:])
+    return y.ravel()[:n]
 
 
 @dataclass(frozen=True)
@@ -238,33 +251,15 @@ def aom_response(envelope: PulseEnvelope, model: AomModel) -> PulseEnvelope:
     time axis past the input by 5 tau_b to capture the smeared falling
     edge. buildup_time = 0 returns the input unchanged.
 
-    The recursion runs as a blocked scan: within each block of 64 bins the
-    response to the block's own input is one product with the
-    lower-triangular Toeplitz matrix (1 - a) a^(j-k); the output carried
-    in from the block before decays as a^(j+1) across the block, and the
-    carries follow one recursion per block. Only powers a^m with m >= 0
-    appear, so none overflows when dt/tau_b is large and a tends to 0.
+    The recursion is the shared blocked scan of temporal_overlap.
     """
     if model.buildup_time_ns == 0.0:
         return envelope
     dt = envelope.bin_width_ns
     n_tail = int(math.ceil(_TAIL_BUILDUPS * model.buildup_time_ns / dt))
-    n = envelope.samples.size + n_tail
-    blocks = -(-n // _SCAN_BLOCK)
-    x = np.zeros(blocks * _SCAN_BLOCK)
-    x[:envelope.samples.size] = envelope.samples
     decay = math.exp(-dt / model.buildup_time_ns)
-    powers = decay ** np.arange(_SCAN_BLOCK + 1)
-    lag = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
-    toeplitz = np.tril((1.0 - decay) * powers[np.abs(lag)])
-    # each block's response from rest, then the output carried in from the
-    # block before, which holds that block's own carry decayed across it
-    y = x.reshape(blocks, _SCAN_BLOCK) @ toeplitz.T
-    across, carries = float(powers[-1]), [0.0]
-    for block_last in y[:-1, -1].tolist():
-        carries.append(block_last + across * carries[-1])
-    y += np.multiply.outer(carries, powers[1:])
-    return PulseEnvelope(y.ravel()[:n], dt, envelope.t_end_ns + n_tail * dt)
+    y = _decay_scan(envelope.samples, envelope.samples.size + n_tail, decay, 1.0 - decay)
+    return PulseEnvelope(y, dt, envelope.t_end_ns + n_tail * dt)
 
 
 def histogram_to_envelope(counts, bin_width_ns: float, reverse: bool = False,

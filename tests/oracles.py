@@ -355,29 +355,39 @@ def scan_then_golden(f, grid, xtol):
 # --------------------------------------------------------------- temporal
 
 
-def temporal_overlap_scan(pulse, spec, shift_lifetimes: float = 10.0):
-    """eta_t and shift by brute force: every bin integrated at every shift.
+def overlap_at_shift(pulse, spec, shift_ns):
+    """Projection of the pulse, displaced by shift_ns, on the ideal envelope.
 
-    Each bin's integral of the ideal exp(gamma t/2) heaviside(-t) is taken
-    from its edges, on a scan of 801 shifts over +-shift_lifetimes tau,
-    refined by golden section to 1e-10 tau. Returns (eta_t, shift_ns).
+    Each bin [t_i + s - dt/2, t_i + s + dt/2] is cut at t = 0 and the
+    rising exponential exp(gamma t/2) is integrated over what remains,
+    exactly: (2/gamma) exp(gamma lo/2) expm1(gamma (hi - lo)/2), so a short
+    bin does not cancel. The sum is normalized by sqrt(int E^2 dt / gamma).
+    ``shift_ns`` may be an array; the result then has its shape.
     """
     gamma = 1.0 / spec.lifetime_ns
-    tau = spec.lifetime_ns
     e = np.asarray(pulse.samples, dtype=float)
     width = pulse.bin_width_ns
     t = pulse.t_end_ns - width * np.arange(e.size - 1, -1, -1)
     norm = math.sqrt(float(np.sum(e**2) * width) / gamma)
+    centers = t + np.asarray(shift_ns, dtype=float)[..., None]
+    hi = np.minimum(centers + 0.5 * width, 0.0)
+    lo = np.minimum(centers - 0.5 * width, 0.0)
+    integrals = (2.0 / gamma) * np.exp(0.5 * gamma * lo) * np.expm1(0.5 * gamma * (hi - lo))
+    out = integrals @ e / norm
+    return float(out) if np.ndim(shift_ns) == 0 else out
 
-    def project(s):
-        hi = np.minimum(t + s + 0.5 * width, 0.0)
-        lo = np.minimum(t + s - 0.5 * width, 0.0)
-        integrals = (2.0 / gamma) * (np.exp(gamma * hi / 2.0) - np.exp(gamma * lo / 2.0))
-        return float(np.dot(e, integrals)) / norm
 
+def temporal_overlap_scan(pulse, spec, shift_lifetimes: float = 10.0):
+    """eta_t and shift by brute force: every bin integrated at every shift.
+
+    Each bin's integral is overlap_at_shift's, on a scan of 801 shifts over
+    +-shift_lifetimes tau, refined by golden section to 1e-10 tau. Returns
+    (eta_t, shift_ns).
+    """
+    tau = spec.lifetime_ns
     span = shift_lifetimes * tau
     scan = np.linspace(-span, span, 801)
-    return scan_then_golden(project, scan, 1e-10 * tau)
+    return scan_then_golden(lambda s: overlap_at_shift(pulse, spec, s), scan, 1e-10 * tau)
 
 
 def aom_lowpass(envelope, buildup_time_ns: float) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -79,7 +79,7 @@ def test_decaying_exponential_closed_form():
 def test_overlap_shift_invariance():
     pulse = ideal_envelope(T1, 5.0 * T1.lifetime_ns, 0.01)
     base = temporal_overlap(pulse, T1)
-    # +-20 tau lies outside the first +-10 tau shift scan
+    # no window bounds the shift, so +-20 tau moves it as far
     for delta in (3.7, 20.0 * T1.lifetime_ns, -20.0 * T1.lifetime_ns):
         moved = temporal_overlap(PulseEnvelope(pulse.samples, pulse.bin_width_ns,
                                                pulse.t_end_ns + delta), T1)
@@ -144,6 +144,54 @@ def test_overlap_matches_brute_force_scan(make_pulse, spec):
     assert math.isfinite(result.eta_t) and math.isfinite(result.shift_ns)
     assert result.eta_t == pytest.approx(eta_t, abs=1e-10)
     assert result.shift_ns == pytest.approx(shift, abs=1e-6 * spec.lifetime_ns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 300), bumps=st.integers(1, 4), bin_lifetimes=st.floats(1e-3, 0.5),
+       end_lifetimes=st.floats(-200.0, 200.0), seed=st.integers(0, 2**32 - 1))
+def test_overlap_is_the_maximum_over_every_shift(n, bumps, bin_lifetimes, end_lifetimes, seed):
+    # several bumps of random place, width and height, with 30 % of the bins
+    # empty, and a time axis whose end lies far from t = 0
+    rng = np.random.default_rng(seed)
+    bins = np.arange(n)
+    samples = np.zeros(n)
+    for _ in range(bumps):
+        center, width = rng.uniform(0.0, n), rng.uniform(0.5, 1.0 + n / 4.0)
+        samples += rng.uniform(0.05, 1.0) * np.exp(-0.5 * ((bins - center) / width) ** 2)
+    samples *= rng.uniform(0.0, 1.0, n) >= 0.3
+    dt = bin_lifetimes * T1.lifetime_ns
+    pulse = PulseEnvelope(samples, dt, end_lifetimes * T1.lifetime_ns)
+    assume(pulse.energy() > 0.0)
+    result = temporal_overlap(pulse, T1)
+    # every shift that puts a bin edge at t = 0, and a dense scan from
+    # before the last bin's edge to past the first bin
+    edges = -(pulse.times() + 0.5 * dt)
+    scan = np.concatenate([edges, np.linspace(edges[-1] - 5.0 * T1.lifetime_ns,
+                                              edges[0] + dt, 2001)])
+    assert np.all(oracles.overlap_at_shift(pulse, T1, scan) <= result.eta_t + 1e-12)
+    assert result.eta_t == pytest.approx(oracles.overlap_at_shift(pulse, T1, result.shift_ns),
+                                         abs=1e-12)
+
+
+def _late_bump():
+    # a T1 modulator pulse, 150 ns of 2 % background, then a bump of peak
+    # 0.3 and width 1.5 ns in the last 10 ns; the last bin is centered on 0
+    drive = aom_drive(T1, 5.0 * T1.lifetime_ns, 0.1)
+    modulated = aom_response(drive.field_envelope(), AomModel(buildup_time_ns=5.0))
+    t = 0.1 * np.arange(100)
+    bump = 0.3 * np.exp(-0.5 * ((t - t.mean()) / 1.5) ** 2)
+    return PulseEnvelope(np.concatenate([modulated.samples, np.full(1500, 0.02), bump]), 0.1)
+
+
+def test_a_late_bump_does_not_hide_the_pulse():
+    # near a shift of 2.35 ns the late bump makes a local maximum of 0.155;
+    # a search that brackets only the maxima near t = 0 returns that one
+    pulse = _late_bump()
+    result = temporal_overlap(pulse, T1)
+    assert oracles.overlap_at_shift(pulse, T1, 2.35) == pytest.approx(0.155, abs=1e-3)
+    assert result.shift_ns == pytest.approx(181.85, abs=1e-9)
+    assert result.eta_t == pytest.approx(oracles.overlap_at_shift(pulse, T1, 181.85), abs=1e-12)
+    assert result.eta_t == pytest.approx(0.921, abs=1e-3)
 
 
 def test_zero_pulse_overlap_undefined():
