@@ -132,9 +132,10 @@ class ToolkitConfig:
     @classmethod
     def load(cls, path) -> "ToolkitConfig":
         parser = configparser.ConfigParser(interpolation=None)
-        text = Path(path).read_text()
         try:
-            parser.read_string(text, source=str(path))
+            parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         sections = {s: dict(parser.items(s)) for s in parser.sections()}
@@ -152,12 +153,15 @@ class ToolkitConfig:
         if raw is None:
             return default
         try:
-            return parse(raw)
+            value = parse(raw)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from exc
+        return value
 
     def get_float(self, section: str, key: str, default: float | None = None):
-        return self._parsed(section, key, default, float, "a number")
+        return self._parsed(section, key, default, float, "a finite number")
 
     def get_int(self, section: str, key: str, default: int | None = None):
         return self._parsed(section, key, default, int, "an integer")

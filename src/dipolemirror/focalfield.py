@@ -106,9 +106,6 @@ _DEFAULT_THETA, _DEFAULT_PHI = 32, 64
 _MAX_WIDENINGS = 3
 _RATIO_TOL = 1e-4
 _OFFSET_TOL = 1e-3
-# golden-section bracket of the axial peak in wavelengths; Newton steps on
-# the analytic dI/dz then refine the peak inside it
-_SECTION_TOL = 1e-6
 # points on which the reflection phase is unwrapped to pick its 2 pi branch
 _PHASE_GRID = 4096
 # nodes per block of rings in a Strehl pass: a block's complex phasor is
@@ -249,20 +246,18 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
     scale = np.hstack((ct, ct, st))
     # unaberrated, each ring's sum is its amplitude times the summed basis
     rings0 = field.weight * ((field.amp_theta * basis.sum(axis=0)) * scale)
-    cos_theta = ct[:, 0]
+    k = 2.0 * math.pi * ct[:, 0]
     lo, hi = _cos_interval(field.aperture)
 
-    def intensity(sums, z):
-        # |E|^2 at axial position(s) z from (n_theta, 3) ring sums; a scan
-        # window's phasors are computed once per quadrature
-        if np.ndim(z):
-            p = _axial_scan(field.n_theta, lo, hi, float(z[0]), float(z[-1]), z.size)
-        else:
-            p = np.exp(2j * math.pi * np.multiply.outer(z, cos_theta))
-        e = p @ sums
-        return np.sum(e.real**2 + e.imag**2, axis=-1)
+    def axial(sums, z):
+        # I = |E|^2 and its first two derivatives in z from (n_theta, 3)
+        # ring sums S: E(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
+        p = np.exp(1j * k * z)
+        e, e1, e2 = p @ sums, (1j * k * p) @ sums, (-(k**2) * p) @ sums
+        return (np.vdot(e, e).real, 2.0 * np.vdot(e, e1).real,
+                2.0 * (np.vdot(e1, e1).real + np.vdot(e, e2).real))
 
-    denom = float(intensity(rings0, 0.0))
+    denom = float(axial(rings0, 0.0)[0])
     if denom <= 0.0:
         raise DomainError("on-axis reference field vanishes; Strehl undefined")
     # the RMS weight depends on theta only, so the mean comes from ring
@@ -275,26 +270,20 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
     # then 1 at the focus and at most 1 beside it, never 1 plus rounding
     rings = rings0 if aberration is None else field.weight * (sums * scale)
 
-    def newton_step(z):
-        # -I'/I'' of I = |E|^2, E(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
-        k = 2.0 * math.pi * cos_theta
-        p = np.exp(1j * k * z)
-        e, e1, e2 = p @ rings, (1j * k * p) @ rings, (-(k**2) * p) @ rings
-        d1 = 2.0 * np.vdot(e, e1).real
-        d2 = 2.0 * (np.vdot(e1, e1).real + np.vdot(e, e2).real)
-        return float(-d1 / d2) if d2 < 0.0 else 0.0
-
-    nominal = float(intensity(rings, 0.0)) / denom
+    def scan(z):
+        # |E|^2 on a scan window, whose phasors are computed once per quadrature
+        e = _axial_scan(field.n_theta, lo, hi, float(z[0]), float(z[-1]), z.size) @ rings
+        return np.sum(e.real**2 + e.imag**2, axis=-1)
 
     try:
-        z_peak, peak = argmax_bracketed(lambda z: intensity(rings, z),
-                                        np.linspace(-halfwidth, halfwidth, 81), _SECTION_TOL,
-                                        widenings=_MAX_WIDENINGS, step=newton_step)
+        z_peak, peak = argmax_bracketed(scan, np.linspace(-halfwidth, halfwidth, 81),
+                                        lambda z: axial(rings, z), widenings=_MAX_WIDENINGS)
     except ConvergenceError as exc:
         raise ConvergenceError(f"axial intensity {exc} lambda at "
                                f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
     return StrehlResult(
-        ratio=peak / denom, nominal=nominal, peak_offset_lambda=z_peak,
+        ratio=peak / denom, nominal=float(axial(rings, 0.0)[0]) / denom,
+        peak_offset_lambda=z_peak,
         rms_waves=math.sqrt(float(q @ spread) / qsum),
         n_theta=field.n_theta, n_phi=field.n_phi,
     )

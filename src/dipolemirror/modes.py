@@ -29,8 +29,9 @@ panels, mapped onto each block from the one cached rule in geometry; a
 rule is accepted once doubling its nodes, by cutting each
 Gauss-Legendre block in two, moves eta by no more than 1e-12. The waist
 search evaluates the dipole profile and its norm once
-on its rule; each candidate waist then costs one exponential per node,
-and its derivative in the waist is analytic.
+on its rule; each candidate waist then costs one exponential per node. A
+scan of waists brackets the best one, and Newton steps on the analytic
+first and second derivatives of log eta in the waist place it.
 
 Coupling figures assemble into the coupling strength
 G = Omega_fraction * eta^2 * S (S the Strehl ratio) and the absorption
@@ -72,12 +73,9 @@ _GL_NODES = 64
 _MIN_PANEL_NODES = 8
 _MAX_BLOCKS = 16
 _ETA_TOL = 1e-12
-# waists on the coarse scan, and the golden-section tolerance of the waist
-# search in units of f. eta is so flat at its maximum (d2 log eta/dw2 =
-# -0.27) that comparisons within about 3e-8 f of it are rounding noise;
-# Newton steps on the analytic derivative refine the waist from there
+# waists on the coarse scan that brackets the maximum; eta is so flat there
+# (d2 log eta/dw2 = -0.27) that only its derivatives place the waist
 _WAIST_SCAN = 65
-_WAIST_XTOL = 1e-6
 
 
 def dipole_profile(rho):
@@ -293,8 +291,8 @@ class _WaistRule:
         e = np.exp(-np.multiply.outer(1.0 / np.square(waist), self.rho2))
         return _normalized(e @ self.cross, np.square(e) @ self.self_weight, self.dipole_norm)
 
-    def newton_step(self, waist: float) -> float:
-        """-f'/f'' of f = log eta in the waist; 0 where f is not concave.
+    def local(self, waist: float):
+        """(eta, d log eta/dw, d2 log eta/dw2) at one waist.
 
         With g = q rho exp(-rho^2/w^2), dg/dw = g s and d2g/dw2 =
         g (s^2 - 3 s/w), s = 2 rho^2/w^3.
@@ -307,7 +305,7 @@ class _WaistRule:
         d1 = m1 / m0 - p1 / p0
         d2 = ((m2 - 3.0 * m1 / waist) / m0 - (m1 / m0) ** 2
               - (2.0 * p2 - 3.0 * p1 / waist) / p0 + 2.0 * (p1 / p0) ** 2)
-        return float(-d1 / d2) if d2 < 0.0 else 0.0
+        return float(_normalized(m0, p0, self.dipole_norm)), float(d1), float(d2)
 
 
 @dataclass(frozen=True)
@@ -339,9 +337,9 @@ def optimize_waist(
     A coarse scan of 65 waists brackets the maximum, so a secondary
     shoulder cannot trap the search; the rule is the one whose doubling
     moves no scanned eta by more than 1e-12, and it scores the whole scan
-    in one matrix product. Golden section then narrows the bracket to
-    1e-6 f, and two Newton steps on the analytic derivative of log eta
-    place the waist to rounding. A best waist on either end of the
+    in one matrix product. Safeguarded Newton steps on the analytic
+    derivatives of log eta then place the waist to rounding inside the
+    bracket of the best scanned waist. A best waist on either end of the
     bracket raises ConvergenceError: the optimum may lie outside it, and
     the bracket is not widened.
     """
@@ -352,7 +350,7 @@ def optimize_waist(
     # the doughnut and the dipole are smooth on the annulus: one panel
     rule, _ = _certified(lambda rho, quad: _WaistRule.on(rho, quad, weight),
                          lambda rule: rule.eta(scan), _panel_edges(aperture))
-    waist, eta = argmax_bracketed(rule.eta, scan, _WAIST_XTOL, step=rule.newton_step)
+    waist, eta = argmax_bracketed(rule.eta, scan, rule.local)
     return WaistOptimum(waist=waist, eta=eta)
 
 

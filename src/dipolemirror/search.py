@@ -1,16 +1,13 @@
 """Bracketed one-dimensional maximum search.
 
 The doughnut waist and the axial Strehl focus are each the maximum of a
-function of one variable: a coarse scan brackets it, so that a secondary
-shoulder cannot trap the search, and golden section refines it. Near a
-flat maximum the section's end point is set by rounding in near-equal
-comparisons, so a smooth objective may also pass a Newton step on its
-analytic derivatives; two such steps then place the maximum to rounding.
+smooth function of one variable with analytic derivatives. A coarse scan
+brackets the maximum, so that a secondary shoulder cannot trap the
+search, and safeguarded Newton steps on the derivatives place it to
+rounding (``rtsafe``; Press et al., Numerical Recipes, section 9.4).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,57 +15,61 @@ from .errors import ConvergenceError
 
 __all__ = ["argmax_bracketed"]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Newton steps after the golden section
-_NEWTON_STEPS = 2
+# Newton or bisection steps. Bisection alone halves the bracket, two grid
+# spacings wide, to a step of eps times the spacing within 53; at a
+# degenerate maximum (d2 = 0 there) Newton converges linearly, and the
+# search alternates Newton steps and bisections, about twice as many
+_MAX_STEPS = 128
 
 
-def argmax_bracketed(f, grid, xtol: float, widenings: int = 0, step=None):
-    """Maximum of ``f``: argmax on ``grid``, golden section, then Newton.
+def argmax_bracketed(scan, grid, local, widenings: int = 0):
+    """Maximum of an objective: argmax on ``grid``, then safeguarded Newton.
 
-    ``f`` is called once on the whole grid array and then on scalars. The
-    golden section runs between the grid neighbours of the argmax until
-    they are ``xtol`` apart; the result is their midpoint x and ``f(x)``
-    as a float.
-
-    ``step(x)``, if given, returns the Newton step -f'(x)/f''(x) of the
-    objective (or of a monotone function of it, such as its log). Up to
-    two steps move x from the midpoint; a step longer than ``xtol`` leaves
-    the section's bracket and is refused, ending the polish.
+    ``scan(grid)`` scores every point of the grid array at once.
+    ``local(x)`` returns (value, d1, d2) at a scalar x: the objective, or
+    any increasing function of it (such as its log), with its first and
+    second derivatives. From the grid argmax, Newton steps -d1/d2 run
+    inside the bracket of its grid neighbours, and the sign of d1 at each
+    x moves one end of the bracket to x. A Newton point outside the
+    bracket, one where d2 >= 0, or one more than half the last step away
+    is replaced by the bracket's midpoint. The search stops when a step is
+    within rounding of x, eps (|x| + grid spacing), and returns x with
+    ``local``'s value there, as floats. The bracket must hold a single
+    maximum: of two that the grid does not separate, either may be found.
 
     A grid maximum on either end may lie outside the grid: the window
     (lo, hi) then becomes (2 lo, 2 hi) at the same spacing, at most
     ``widenings`` times, before ConvergenceError is raised.
     """
     grid = np.asarray(grid, dtype=float)
-    k = int(np.argmax(f(grid)))
+    k = int(np.argmax(scan(grid)))
     for _ in range(widenings):
         if 0 < k < grid.size - 1:
             break
         grid = np.linspace(2.0 * grid[0], 2.0 * grid[-1], 2 * grid.size - 1)
-        k = int(np.argmax(f(grid)))
+        k = int(np.argmax(scan(grid)))
     if not 0 < k < grid.size - 1:
         raise ConvergenceError(
             f"maximum on the edge of the search window [{grid[0]:g}, {grid[-1]:g}]"
         )
-    a, b = grid[k - 1], grid[k + 1]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+    a, x, b = grid[k - 1:k + 2]
+    eps, spacing = np.finfo(float).eps, grid[1] - grid[0]
+    step = b - a
+    value, d1, d2 = local(x)
+    for _ in range(_MAX_STEPS):
+        if d1 > 0.0:
+            a = x
+        elif d1 < 0.0:
+            b = x
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    if step is not None:
-        for _ in range(_NEWTON_STEPS):
-            dx = step(x)
-            if abs(dx) > xtol:
-                break
-            x += dx
-    return float(x), float(f(x))
+            break
+        newton = -d1 / d2 if d2 < 0.0 else np.inf
+        if a <= x + newton <= b and abs(newton) <= 0.5 * abs(step):
+            step = newton
+        else:
+            step = 0.5 * (a + b) - x
+        if abs(step) <= eps * (abs(x) + spacing):
+            break
+        x += step
+        value, d1, d2 = local(x)
+    return float(x), float(value)

@@ -123,6 +123,8 @@ def _bin_centers(duration_ns: float, bin_width_ns: float) -> np.ndarray:
     """Centers of the (at least two) uniform bins that fill [-duration, 0]."""
     if duration_ns <= 0:
         raise DomainError(f"duration must be positive, got {duration_ns}")
+    if bin_width_ns <= 0:
+        raise DomainError(f"bin width must be positive, got {bin_width_ns}")
     n = max(int(round(duration_ns / bin_width_ns)), 2)
     return -0.5 * bin_width_ns - bin_width_ns * np.arange(n - 1, -1, -1)
 
@@ -232,12 +234,10 @@ def aom_drive(spec: TransitionSpec, duration_ns: float, bin_width_ns: float) -> 
     """Drive envelope U0(t) = arcsin(exp(t/(2*tau))) on [-duration, 0].
 
     sin^2(U0(t)) = exp(t/tau) recovers the target intensity exactly;
-    U0(0-) = pi/2. Evaluation beyond t = 0 is a domain error (the arcsin
-    argument would exceed 1).
+    U0(0-) = pi/2. The bins end at t = 0, beyond which the arcsin argument
+    would exceed 1.
     """
     t = _bin_centers(duration_ns, bin_width_ns)
-    if np.any(t > 0):
-        raise DomainError("drive is only defined for t <= 0")
     u0 = np.arcsin(np.exp(t / (2.0 * spec.lifetime_ns)))
     return DriveWaveform(times_ns=t, u0_rad=u0, bin_width_ns=bin_width_ns)
 

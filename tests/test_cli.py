@@ -395,6 +395,27 @@ def test_missing_config_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[pulse]\nbin_width_ns = 0\n", "bin width must be positive, got 0.0"),
+    ("[pulse]\nbin_width_ns = -0.1\n", "bin width must be positive, got -0.1"),
+    ("[pulse]\nbin_width_ns = nan\n", "[pulse] bin_width_ns = 'nan' is not a finite number"),
+    ("[pulse]\nbuildup_ns = nan\n", "[pulse] buildup_ns = 'nan' is not a finite number"),
+    ("[pulse]\nduration_lifetimes = inf\n",
+     "[pulse] duration_lifetimes = 'inf' is not a finite number"),
+    (b"[pulse]\nbuildup_ns = 5 # \xb5s\n", "not UTF-8 text (byte 25)"),
+], ids=["zero-bin", "negative-bin", "nan-bin", "nan-buildup", "inf-duration", "latin-1"])
+def test_malformed_numbers_exit_2_with_one_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "toolkit.ini"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, out, err = run(capsys, "pulse", "--config", str(path))
+    assert code == 2 and out == ""
+    [line] = err.splitlines()  # one line, no traceback
+    assert line.startswith("error: ") and message in line
+
+
 @pytest.fixture(scope="module")
 def zernike_artifacts(tmp_path_factory):
     base = tmp_path_factory.mktemp("wavefront")
@@ -560,7 +581,7 @@ def test_strehl_prints_the_offset_at_search_resolution(tmp_path, capsys, monkeyp
             n_theta=512, n_phi=512)
 
     config = write_config(tmp_path, "[strehl]\nwaist = 2.2636\n")
-    # the search resolves 1e-6 lambda: rounding noise of either sign prints as 0
+    # the offset prints at 1e-6 lambda: rounding noise of either sign prints as 0
     for noise in (2.2e-16, -2.2e-16, -4e-7):
         monkeypatch.setattr(cli, "strehl", offset_strehl(noise))
         code, out, _ = run(capsys, "strehl", "--config", config)

@@ -53,7 +53,6 @@ DEFAULTED = {
     "polarimetry.measured_overlap(max_missing)",
     "polarimetry.measured_overlap(reference)",
     "polarimetry.measured_overlap(trim_outer)",
-    "search.argmax_bracketed(step)",
     "search.argmax_bracketed(widenings)",
     "temporal.histogram_to_envelope(reverse)",
     "temporal.histogram_to_envelope(t_end_ns)",

@@ -107,8 +107,8 @@ def test_waist_is_the_root_of_the_analytic_slope(aperture, weighted):
     weight = _ramp(aperture) if weighted else None
     opt = optimize_waist(aperture, weight=weight)
     root = doughnut_waist_root(aperture.rho_bore, aperture.rho_max, (1.5, 3.5), weight)
-    # the golden section alone stops where eta comparisons turn to noise,
-    # about 3e-8 f from the maximum; the Newton polish removes that
+    # comparisons of eta turn to noise about 3e-8 f from the maximum; Newton
+    # steps on the analytic derivatives place the waist well inside that
     assert opt.waist == pytest.approx(root, abs=1e-9)
 
 
