@@ -7,6 +7,11 @@ the spatial overlap, ``stokes`` onto the polarimetric pipeline,
 onto the focal-field Strehl evaluation, ``pulse`` onto the temporal
 model, and ``report`` onto the assembled coupling figures.
 
+The layers are bound as modules and called as ``modes.optimize_waist``,
+``focalfield.strehl`` and so on. The package registers them lazily, so a
+subcommand loads only the layers it runs: ``solid-angle`` loads
+``geometry``, and ``pulse`` loads ``temporal`` and ``gridio``.
+
 Configuration is a line-oriented key=value file with [section] headers.
 Command-line flags override file values; built-in defaults fill the rest,
 so commands that only need the default mirror run without any config.
@@ -36,7 +41,7 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
+from . import __version__, focalfield, geometry, gridio, modes, polarimetry, temporal, wavefront
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -45,56 +50,6 @@ from .errors import (
     DomainError,
     ProvenanceError,
     UndefinedOverlapError,
-)
-from .geometry import ApertureSpec, rho_from_theta, weighted_fraction, weighted_solid_angle
-from .gridio import write_table
-from .modes import (
-    CouplingFigures,
-    RadialMode,
-    WeightedMode,
-    load_sampled_mode,
-    optimize_waist,
-    spatial_overlap,
-)
-from .polarimetry import (
-    ellipse_angles,
-    export_polarization,
-    load_frame_stack,
-    measured_overlap,
-    stokes_from_frames,
-)
-from .wavefront import (
-    fused_silica,
-    load_expansion,
-    load_phase_map,
-    make_phase_plate,
-    pv_rms,
-    remove_misalignment,
-    rescale_wavelength,
-    save_expansion,
-    single_pass,
-    zernike_eval,
-    zernike_fit,
-)
-from .focalfield import (
-    OpticalConstants,
-    aluminum,
-    plane_to_sphere,
-    reflection_phase_waves,
-    reflectivity_weight,
-    strehl,
-)
-from .temporal import (
-    T1,
-    T2,
-    AomModel,
-    DriveWaveform,
-    PulseEnvelope,
-    TemporalOverlapResult,
-    TransitionSpec,
-    aom_drive,
-    aom_response,
-    temporal_overlap,
 )
 
 # Published factor sets reproduced for comparison in reports. When a report's
@@ -178,16 +133,16 @@ class ToolkitConfig:
         )
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
-    def aperture(self) -> ApertureSpec:
-        return ApertureSpec(
+    def aperture(self) -> geometry.ApertureSpec:
+        return geometry.ApertureSpec(
             focal_length_mm=self.get_float("aperture", "focal_length_mm", 2.1),
             outer_radius_mm=self.get_float("aperture", "outer_radius_mm", 10.0),
             bore_radius_mm=self.get_float("aperture", "bore_radius_mm", 0.75),
         )
 
-    def transition(self) -> TransitionSpec:
+    def transition(self) -> temporal.TransitionSpec:
         label = self.get("transition", "label", "T1")
-        base = {spec.label: spec for spec in (T1, T2)}.get(label)
+        base = {spec.label: spec for spec in (temporal.T1, temporal.T2)}.get(label)
         wavelength = self.get_float(
             "transition", "wavelength_nm", base.wavelength_nm if base else None
         )
@@ -199,7 +154,7 @@ class ToolkitConfig:
                 f"transition {label!r} is not a preset; "
                 "set [transition] wavelength_nm and lifetime_ns"
             )
-        return TransitionSpec(label, wavelength, lifetime)
+        return temporal.TransitionSpec(label, wavelength, lifetime)
 
 
 def _read_input(label: str, loader):
@@ -261,7 +216,7 @@ class _Factor:
     provenance: str
 
 
-def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec,
+def _resolve_factor(name: str, config: ToolkitConfig, aperture: geometry.ApertureSpec,
                     optimum) -> _Factor:
     """A coupling factor from the [report] section: a number or 'compute'.
 
@@ -286,7 +241,7 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: ApertureSpec,
         return _Factor(name, value, f"config [report] {name}")
 
     if name == "omega_fraction":
-        value = weighted_fraction(aperture.angle_interval())
+        value = geometry.weighted_fraction(aperture.angle_interval())
         return _Factor(name, value, "computed: dipole-weighted solid angle of the mirror annulus")
     if name == "eta":
         opt = optimum()
@@ -316,8 +271,8 @@ def cmd_solid_angle(args, config: ToolkitConfig):
     aperture = config.aperture()
     annulus = aperture.angle_interval()
     full = aperture.angle_interval(include_bore=True)
-    frac_annulus = weighted_fraction(annulus)
-    frac_full = weighted_fraction(full)
+    frac_annulus = geometry.weighted_fraction(annulus)
+    frac_full = geometry.weighted_fraction(full)
     body = [
         f"  aperture: f = {aperture.focal_length_mm} mm, rim {aperture.outer_radius_mm} mm, "
         f"bore {aperture.bore_radius_mm} mm",
@@ -332,7 +287,7 @@ def cmd_solid_angle(args, config: ToolkitConfig):
         "solid_angle.fraction": _fmt(frac_annulus),
         "solid_angle.fraction_bore_filled": _fmt(frac_full),
         "solid_angle.bore_cost": _fmt(frac_full - frac_annulus),
-        "solid_angle.omega_sr": _fmt(weighted_solid_angle(annulus)),
+        "solid_angle.omega_sr": _fmt(geometry.weighted_solid_angle(annulus)),
     }
     return "dipole-weighted solid angle", body, machine, "solid_angle.txt"
 
@@ -342,8 +297,9 @@ def cmd_optimize_waist(args, config: ToolkitConfig):
     reflectivity = _reflectivity_from_config(config)
     if reflectivity is not None:
         wavelength, constants = reflectivity
-        plain = optimize_waist(aperture)
-        opt = optimize_waist(aperture, weight=reflectivity_weight(wavelength, constants))
+        plain = modes.optimize_waist(aperture)
+        weight = focalfield.reflectivity_weight(wavelength, constants)
+        opt = modes.optimize_waist(aperture, weight=weight)
         delta_eta = opt.eta - plain.eta
         extra = {
             "waist.eta_unweighted": _fmt(plain.eta),
@@ -358,7 +314,7 @@ def cmd_optimize_waist(args, config: ToolkitConfig):
             f"  delta eta = {delta_eta:+.6f}",
         ]
     else:
-        opt = optimize_waist(aperture)
+        opt = modes.optimize_waist(aperture)
         extra = {}
         body = [
             f"  w_opt = {opt.waist:.6f} f",
@@ -369,23 +325,23 @@ def cmd_optimize_waist(args, config: ToolkitConfig):
     return "doughnut waist optimization", body, machine, "optimize_waist.txt"
 
 
-def _mode_from_config(config: ToolkitConfig, aperture: ApertureSpec):
+def _mode_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec):
     mode_file = config.get("overlap", "mode_file")
     if mode_file is not None:
-        mode = _read_input(mode_file, lambda: load_sampled_mode(mode_file))
+        mode = _read_input(mode_file, lambda: modes.load_sampled_mode(mode_file))
         return mode, f"sampled mode from {mode_file}"
     waist = config.get_float("overlap", "waist")
     if waist is None:
-        opt = optimize_waist(aperture)
-        return RadialMode.doughnut(opt.waist), f"optimal doughnut w = {opt.waist:.6f} f"
-    return RadialMode.doughnut(waist), f"doughnut w = {waist} f"
+        opt = modes.optimize_waist(aperture)
+        return modes.RadialMode.doughnut(opt.waist), f"optimal doughnut w = {opt.waist:.6f} f"
+    return modes.RadialMode.doughnut(waist), f"doughnut w = {waist} f"
 
 
 def _constants_from_config(config: ToolkitConfig):
     path = config.get("optics", "constants_file")
     if path is None:
-        return aluminum()
-    return _read_input(path, lambda: OpticalConstants.from_file(path))
+        return focalfield.aluminum()
+    return _read_input(path, lambda: focalfield.OpticalConstants.from_file(path))
 
 
 def _reflectivity_from_config(config: ToolkitConfig):
@@ -402,9 +358,9 @@ def cmd_overlap(args, config: ToolkitConfig):
     if reflectivity is not None:
         wavelength, constants = reflectivity
         # a constant reflectivity would cancel in the normalization
-        mode = WeightedMode(mode, reflectivity_weight(wavelength, constants))
+        mode = modes.WeightedMode(mode, focalfield.reflectivity_weight(wavelength, constants))
         provenance += f", |r_p| weighted at {wavelength} nm"
-    eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
+    eta = modes.spatial_overlap(mode, modes.RadialMode.dipole(), aperture)
     body = [
         f"  mode:  {provenance}",
         f"  eta   = {eta:.6f}",
@@ -419,22 +375,22 @@ def cmd_stokes(args, config: ToolkitConfig):
     manifest = config.get("stokes", "manifest")
     if manifest is None:
         raise ConfigError("[stokes] manifest is required")
-    stack = _read_input(manifest, lambda: load_frame_stack(manifest))
+    stack = _read_input(manifest, lambda: polarimetry.load_frame_stack(manifest))
     noise_floor = config.get_float("stokes", "noise_floor", 0.01)
     trim = args.trim_outer if args.trim_outer is not None else config.get_float(
         "stokes", "trim_outer", 0.0
     )
     frame_info = f"{len(stack.angles_rad)} at {stack.frames.shape[1]}x{stack.frames.shape[2]} px"
-    stokes = stokes_from_frames(stack)
+    stokes = polarimetry.stokes_from_frames(stack)
     # the frames, and then the Stokes rows, are read no further; free them
     # before the scoring temporaries
     del stack
-    pmap = ellipse_angles(stokes, noise_floor=noise_floor)
+    pmap = polarimetry.ellipse_angles(stokes, noise_floor=noise_floor)
     del stokes
-    scored = measured_overlap(pmap, aperture, trim_outer=trim)
+    scored = polarimetry.measured_overlap(pmap, aperture, trim_outer=trim)
     out = _out_dir(args)
     if out is not None:
-        export_polarization(pmap, out / "stokes")
+        polarimetry.export_polarization(pmap, out / "stokes")
     body = [
         f"  frames: {frame_info}, manifest {manifest}",
         f"  annulus coverage: {scored.coverage:.4f} ({scored.n_pixels} px), outer trim {trim}",
@@ -457,22 +413,22 @@ def cmd_zernike(args, config: ToolkitConfig):
     map_file = config.get("zernike", "map_file")
     if map_file is None:
         raise ConfigError("[zernike] map_file is required")
-    phase_map = _read_input(map_file, lambda: load_phase_map(map_file))
+    phase_map = _read_input(map_file, lambda: wavefront.load_phase_map(map_file))
     degree = config.get_int("zernike", "degree", 10)
     halve = config.get_bool("zernike", "double_pass", False)
-    fit = zernike_fit(phase_map, degree=degree)
+    fit = wavefront.zernike_fit(phase_map, degree=degree)
     if halve:
-        fit = single_pass(fit)
-    pv_fit, rms_fit = pv_rms(fit)
+        fit = wavefront.single_pass(fit)
+    pv_fit, rms_fit = wavefront.pv_rms(fit)
     drop_misalignment = config.get_bool("zernike", "remove_misalignment", True)
-    cleaned = remove_misalignment(fit) if drop_misalignment else fit
-    pv_cln, rms_cln = pv_rms(cleaned)
-    plate = make_phase_plate(cleaned)
+    cleaned = wavefront.remove_misalignment(fit) if drop_misalignment else fit
+    pv_cln, rms_cln = wavefront.pv_rms(cleaned)
+    plate = wavefront.make_phase_plate(cleaned)
     out = _out_dir(args)
     if out is not None:
-        save_expansion(fit, out / "zernike_fit.txt")
-        save_expansion(cleaned, out / "zernike_figure.txt")
-        save_expansion(plate, out / "phase_plate.txt")
+        wavefront.save_expansion(fit, out / "zernike_fit.txt")
+        wavefront.save_expansion(cleaned, out / "zernike_figure.txt")
+        wavefront.save_expansion(plate, out / "phase_plate.txt")
     body = [
         f"  map: {map_file} at {phase_map.wavelength_nm} nm"
         + (" (double pass halved)" if halve else ""),
@@ -490,7 +446,7 @@ def cmd_zernike(args, config: ToolkitConfig):
     return "wavefront fit", body, machine, "zernike.txt"
 
 
-def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec, optimum):
+def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec, optimum):
     """Strehl result from the [strehl] section, or None without inputs.
 
     ``optimum`` returns the optimal-waist result, used without a waist key.
@@ -501,20 +457,20 @@ def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec, optimum):
     zfile = config.get("strehl", "zernike_file")
     aberration = None
     if zfile is not None:
-        aberration = _read_input(zfile, lambda: load_expansion(zfile))
+        aberration = _read_input(zfile, lambda: wavefront.load_expansion(zfile))
     evaluate_nm = config.get_float("strehl", "evaluate_nm")
     if aberration is not None and evaluate_nm is not None \
             and evaluate_nm != aberration.wavelength_nm:
         if config.get_bool("strehl", "compensate", True):
-            plate = make_phase_plate(aberration)
-            aberration = rescale_wavelength(plate, evaluate_nm, fused_silica())
+            plate = wavefront.make_phase_plate(aberration)
+            aberration = wavefront.rescale_wavelength(plate, evaluate_nm, wavefront.fused_silica())
         else:
             factor = aberration.wavelength_nm / evaluate_nm
             aberration = aberration.scaled(factor, evaluate_nm)
     waist = config.get_float("strehl", "waist")
     if waist is None:
         waist = optimum().waist
-    field = plane_to_sphere(RadialMode.doughnut(waist), aperture)
+    field = focalfield.plane_to_sphere(modes.RadialMode.doughnut(waist), aperture)
     if config.get_bool("strehl", "aluminum_phase", False):
         wl = evaluate_nm
         if wl is None and aberration is not None:
@@ -525,18 +481,19 @@ def _strehl_from_config(config: ToolkitConfig, aperture: ApertureSpec, optimum):
         base = aberration
 
         def combined(theta, phi):
-            w = reflection_phase_waves(theta, wl, constants)
+            w = focalfield.reflection_phase_waves(theta, wl, constants)
             if base is not None:
-                w = w + zernike_eval(base, rho_from_theta(theta) / aperture.rho_max, phi)
+                rho = geometry.rho_from_theta(theta) / aperture.rho_max
+                w = w + wavefront.zernike_eval(base, rho, phi)
             return w
 
         aberration = combined
-    return strehl(field, aberration)
+    return focalfield.strehl(field, aberration)
 
 
 def cmd_strehl(args, config: ToolkitConfig):
     aperture = config.aperture()
-    result = _strehl_from_config(config, aperture, lambda: optimize_waist(aperture))
+    result = _strehl_from_config(config, aperture, lambda: modes.optimize_waist(aperture))
     if result is None:
         raise ConfigError("a [strehl] section is required")
     # the offset prints to 1e-6 lambda; below that it is 0, never -0
@@ -561,11 +518,11 @@ def cmd_strehl(args, config: ToolkitConfig):
 class _Pulse:
     """The modeled excitation pulse of the [transition] and [pulse] sections."""
 
-    transition: TransitionSpec
-    model: AomModel
-    drive: DriveWaveform
-    envelope: PulseEnvelope
-    overlap: TemporalOverlapResult
+    transition: temporal.TransitionSpec
+    model: temporal.AomModel
+    drive: temporal.DriveWaveform
+    envelope: temporal.PulseEnvelope
+    overlap: temporal.TemporalOverlapResult
 
 
 def _pulse_from_config(config: ToolkitConfig) -> _Pulse:
@@ -574,10 +531,11 @@ def _pulse_from_config(config: ToolkitConfig) -> _Pulse:
     default_bin = min(0.02, transition.lifetime_ns / 2000.0)
     bin_width = config.get_float("pulse", "bin_width_ns", default_bin)
     buildup = config.get_float("pulse", "buildup_ns", 5.0)
-    drive = aom_drive(transition, duration * transition.lifetime_ns, bin_width)
-    model = AomModel(buildup_time_ns=buildup)
-    envelope = aom_response(drive.field_envelope(), model)
-    return _Pulse(transition, model, drive, envelope, temporal_overlap(envelope, transition))
+    drive = temporal.aom_drive(transition, duration * transition.lifetime_ns, bin_width)
+    model = temporal.AomModel(buildup_time_ns=buildup)
+    envelope = temporal.aom_response(drive.field_envelope(), model)
+    overlap = temporal.temporal_overlap(envelope, transition)
+    return _Pulse(transition, model, drive, envelope, overlap)
 
 
 def cmd_pulse(args, config: ToolkitConfig):
@@ -585,10 +543,11 @@ def cmd_pulse(args, config: ToolkitConfig):
     transition, overlap = pulse.transition, pulse.overlap
     out = _out_dir(args)
     if out is not None:
-        write_table(out / "aom_drive.txt", "AOM drive envelope: t_ns U0_rad",
-                    pulse.drive.times_ns, pulse.drive.u0_rad)
-        write_table(out / "envelope.txt", "modeled post-modulator field envelope: t_ns amplitude",
-                    pulse.envelope.times(), pulse.envelope.samples)
+        gridio.write_table(out / "aom_drive.txt", "AOM drive envelope: t_ns U0_rad",
+                           pulse.drive.times_ns, pulse.drive.u0_rad)
+        gridio.write_table(out / "envelope.txt",
+                           "modeled post-modulator field envelope: t_ns amplitude",
+                           pulse.envelope.times(), pulse.envelope.samples)
     body = [
         f"  transition: {transition.label} ({transition.wavelength_nm} nm, "
         f"lifetime {transition.lifetime_ns} ns)",
@@ -610,12 +569,12 @@ def cmd_pulse(args, config: ToolkitConfig):
 def cmd_report(args, config: ToolkitConfig):
     aperture = config.aperture()
     transition = config.transition()
-    optimum = functools.cache(lambda: optimize_waist(aperture))
+    optimum = functools.cache(lambda: modes.optimize_waist(aperture))
     factors = {
         name: _resolve_factor(name, config, aperture, optimum)
         for name in ("omega_fraction", "eta", "strehl", "eta_t", "branching")
     }
-    figures = CouplingFigures(**{name: f.value for name, f in factors.items()})
+    figures = modes.CouplingFigures(**{name: f.value for name, f in factors.items()})
     note = None
     matched = None
     probe = (figures.omega_fraction, figures.eta, figures.strehl, figures.eta_t)

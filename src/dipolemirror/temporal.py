@@ -18,7 +18,9 @@ Envelopes are sampled at bin centers (midpoint rule); the projection
 evaluates the ideal envelope's integral over each bin analytically, which
 keeps the sharp t=0 cutoff from biasing the discretization. The best
 shift puts a bin edge at t = 0, so the maximum over all shifts is exact
-and comes from one first-order recursion over the bins.
+and comes from one first-order recursion over the bins. A modeled pulse
+spans at most 10,000,000 bins, the modulator tail included; a duration,
+bin width or build-up time that asks for more raises DomainError.
 
 Pulse shaping uses an acousto-optic modulator driven by an RF signal with
 envelope U0(t) = arcsin(exp(t/(2*tau))), so that the diffracted intensity
@@ -60,6 +62,9 @@ __all__ = [
 # per block of the blocked decay scan
 _TAIL_BUILDUPS = 5.0
 _SCAN_BLOCK = 64
+# bins one modeled pulse may span, the modulator tail included: 170 times
+# the 58,750 of a default T2 pulse, and 80 MB per array of them
+_MAX_BINS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,23 @@ class PulseEnvelope:
         return float(np.sum(self.samples**2) * self.bin_width_ns)
 
 
+def _check_bins(bins: float) -> None:
+    if bins > _MAX_BINS:
+        raise DomainError(f"a pulse of {bins:.3g} bins exceeds the limit of {_MAX_BINS:,} bins")
+
+
 def _bin_centers(duration_ns: float, bin_width_ns: float) -> np.ndarray:
-    """Centers of the (at least two) uniform bins that fill [-duration, 0]."""
+    """Centers of the (at least two) uniform bins that fill [-duration, 0].
+
+    Raises DomainError for more than _MAX_BINS bins.
+    """
     if duration_ns <= 0:
         raise DomainError(f"duration must be positive, got {duration_ns}")
     if bin_width_ns <= 0:
         raise DomainError(f"bin width must be positive, got {bin_width_ns}")
-    n = max(int(round(duration_ns / bin_width_ns)), 2)
+    bins = duration_ns / bin_width_ns
+    _check_bins(bins)
+    n = max(int(round(bins)), 2)
     return -0.5 * bin_width_ns - bin_width_ns * np.arange(n - 1, -1, -1)
 
 
@@ -249,14 +264,17 @@ def aom_response(envelope: PulseEnvelope, model: AomModel) -> PulseEnvelope:
     envelope (exact zero-order-hold update per bin,
     y_i = a y_(i-1) + (1 - a) x_i with a = exp(-dt/tau_b)) and extends the
     time axis past the input by 5 tau_b to capture the smeared falling
-    edge. buildup_time = 0 returns the input unchanged.
+    edge. buildup_time = 0 returns the input unchanged. Raises DomainError
+    when input and tail together span more than _MAX_BINS bins.
 
     The recursion is the shared blocked scan of temporal_overlap.
     """
     if model.buildup_time_ns == 0.0:
         return envelope
     dt = envelope.bin_width_ns
-    n_tail = int(math.ceil(_TAIL_BUILDUPS * model.buildup_time_ns / dt))
+    tail = _TAIL_BUILDUPS * model.buildup_time_ns / dt
+    _check_bins(envelope.samples.size + tail)
+    n_tail = int(math.ceil(tail))
     decay = math.exp(-dt / model.buildup_time_ns)
     y = _decay_scan(envelope.samples, envelope.samples.size + n_tail, decay, 1.0 - decay)
     return PulseEnvelope(y, dt, envelope.t_end_ns + n_tail * dt)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -101,6 +102,52 @@ def test_cli_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(dipolemirror.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+# The package modules whose body runs in a process that runs one
+# subcommand, besides cli: each loads on its first attribute access.
+@pytest.mark.parametrize("argv, config, loaded", [
+    (["solid-angle"], "", ["errors", "geometry"]),
+    (["pulse"], "[transition]\nlabel = T2\n", ["errors", "gridio", "temporal"]),
+    (["optimize-waist"], "", ["errors", "geometry", "gridio", "modes", "search"]),
+    (["overlap"], "", ["errors", "geometry", "gridio", "modes", "search"]),
+    (["optimize-waist"], "[overlap]\nweighted = true\n",
+     ["data", "errors", "focalfield", "geometry", "gridio", "modes", "search", "wavefront"]),
+], ids=["solid-angle", "pulse", "optimize-waist", "overlap", "weighted-waist"])
+def test_a_subcommand_runs_only_its_layers(tmp_path, argv, config, loaded):
+    argv = [*argv, "--config", write_config(tmp_path, config)]
+    # a lazy module keeps its placeholder class until its body runs
+    code = ("import contextlib, io, sys, types\n"
+            "import dipolemirror.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(sorted(name for name, m in sys.modules.items()\n"
+            "             if name.startswith('dipolemirror.') and type(m) is types.ModuleType))")
+    run = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == str([f"dipolemirror.{name}" for name in ["cli", *loaded]])
+
+
+def test_traced_pulse_wraps_the_lazy_layers(tmp_path):
+    # the benchmark's tracer finds the layers in sys.modules and reads their
+    # namespaces, which runs their bodies; its spans must still see the calls
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spans = tmp_path / "spans.json"
+    config = write_config(tmp_path, "[transition]\nlabel = T1\n[pulse]\nbuildup_ns = 3\n")
+    run = subprocess.run([sys.executable, str(child), "--spans", str(spans), "--",
+                          "pulse", "--config", config],
+                         env=fresh_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "pulse.eta_t = " in run.stdout
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"cli.main", "temporal.temporal_overlap"} <= names
 
 
 def test_subcommand_required():
@@ -403,7 +450,15 @@ def test_missing_config_file(capsys):
     ("[pulse]\nduration_lifetimes = inf\n",
      "[pulse] duration_lifetimes = 'inf' is not a finite number"),
     (b"[pulse]\nbuildup_ns = 5 # \xb5s\n", "not UTF-8 text (byte 25)"),
-], ids=["zero-bin", "negative-bin", "nan-bin", "nan-buildup", "inf-duration", "latin-1"])
+    # bin counts past the limit are refused before anything is allocated
+    ("[pulse]\nduration_lifetimes = 1e300\n",
+     "a pulse of 2e+303 bins exceeds the limit of 10,000,000 bins"),
+    ("[pulse]\nbin_width_ns = 1e-300\n",
+     "a pulse of 4.05e+301 bins exceeds the limit of 10,000,000 bins"),
+    ("[pulse]\nbuildup_ns = 1e300\n",
+     "a pulse of 1.23e+303 bins exceeds the limit of 10,000,000 bins"),
+], ids=["zero-bin", "negative-bin", "nan-bin", "nan-buildup", "inf-duration", "latin-1",
+        "huge-duration", "tiny-bin", "huge-buildup"])
 def test_malformed_numbers_exit_2_with_one_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "toolkit.ini"
     if isinstance(text, bytes):
@@ -517,7 +572,7 @@ def test_strehl_cli_compensation_story(tmp_path, capsys):
 
 
 def test_report_optimizes_the_waist_once(tmp_path, capsys, monkeypatch):
-    import dipolemirror.cli as cli
+    from dipolemirror import modes
     from dipolemirror.wavefront import save_expansion
 
     zfile = tmp_path / "figure.txt"
@@ -528,13 +583,13 @@ def test_report_optimizes_the_waist_once(tmp_path, capsys, monkeypatch):
     ))
     _, reference, _ = run(capsys, "strehl", "--config", config)
     calls = []
-    real = cli.optimize_waist
+    real = modes.optimize_waist
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "optimize_waist", counting)
+    monkeypatch.setattr(modes, "optimize_waist", counting)
     code, out, _ = run(capsys, "report", "--config", config)
     assert code == 0
     assert len(calls) == 1  # shared by eta and the [strehl] waist
@@ -559,12 +614,12 @@ def test_strehl_requires_section(capsys):
 
 
 def test_strehl_convergence_exit_code(tmp_path, capsys, monkeypatch):
-    import dipolemirror.cli as cli
+    from dipolemirror import focalfield
 
     def exploding_strehl(*args, **kwargs):
         raise ConvergenceError("synthetic: quadrature never settled")
 
-    monkeypatch.setattr(cli, "strehl", exploding_strehl)
+    monkeypatch.setattr(focalfield, "strehl", exploding_strehl)
     config = write_config(tmp_path, "[strehl]\nwaist = 2.2636\n")
     code, _, err = run(capsys, "strehl", "--config", config)
     assert code == 4
@@ -572,7 +627,7 @@ def test_strehl_convergence_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_strehl_prints_the_offset_at_search_resolution(tmp_path, capsys, monkeypatch):
-    import dipolemirror.cli as cli
+    from dipolemirror import focalfield
     from dipolemirror.focalfield import StrehlResult
 
     def offset_strehl(offset):
@@ -583,12 +638,12 @@ def test_strehl_prints_the_offset_at_search_resolution(tmp_path, capsys, monkeyp
     config = write_config(tmp_path, "[strehl]\nwaist = 2.2636\n")
     # the offset prints at 1e-6 lambda: rounding noise of either sign prints as 0
     for noise in (2.2e-16, -2.2e-16, -4e-7):
-        monkeypatch.setattr(cli, "strehl", offset_strehl(noise))
+        monkeypatch.setattr(focalfield, "strehl", offset_strehl(noise))
         code, out, _ = run(capsys, "strehl", "--config", config)
         assert code == 0
         assert "axial peak offset       = +0.0000 lambda" in out
         assert machine_pairs(out)["strehl.peak_offset_lambda"] == "0"
-    monkeypatch.setattr(cli, "strehl", offset_strehl(-0.01234567891))
+    monkeypatch.setattr(focalfield, "strehl", offset_strehl(-0.01234567891))
     _, out, _ = run(capsys, "strehl", "--config", config)
     assert "axial peak offset       = -0.0123 lambda" in out
     assert machine_pairs(out)["strehl.peak_offset_lambda"] == "-0.012346"

@@ -28,6 +28,49 @@ def test_public_functions_and_classes_are_exactly_all(name):
     assert defined == {attr for attr in exported if callable(getattr(module, attr))}
 
 
+# Every name the package root exports, by the module that defines it. The
+# root loads a module on the first use of one of its names.
+ROOT_EXPORTS = {
+    "errors": ["ConfigError", "ConvergenceError", "CoverageError", "DeterminacyError",
+               "DomainError", "ProvenanceError", "UndefinedOverlapError"],
+    "geometry": ["AngleInterval", "ApertureSpec", "OMEGA_MAX", "incidence_angle",
+                 "rho_from_theta", "theta_from_rho", "weighted_fraction",
+                 "weighted_solid_angle"],
+    "modes": ["CouplingFigures", "RadialMode", "WaistOptimum", "WeightedMode",
+              "absorption_probability", "coupling_strength", "dipole_profile",
+              "doughnut_profile", "optimize_waist", "spatial_overlap"],
+    "polarimetry": ["FrameStack", "OverlapResult", "PolarizationMap", "StokesMap",
+                    "ellipse_angles", "measured_overlap", "stokes_from_frames"],
+    "wavefront": ["PhaseMap", "SellmeierModel", "ZernikeExpansion", "fused_silica",
+                  "make_phase_plate", "pv_rms", "remove_misalignment",
+                  "rescale_wavelength", "single_pass", "zernike_fit"],
+    "focalfield": ["OpticalConstants", "SphereField", "StrehlResult", "aluminum",
+                   "aluminum_phase_study", "aluminum_rp", "plane_to_sphere", "strehl"],
+    "temporal": ["AomModel", "PulseEnvelope", "TransitionSpec", "aom_drive",
+                 "aom_response", "ideal_envelope", "temporal_overlap"],
+}
+
+
+def test_root_exports_are_pinned():
+    names = [name for group in ROOT_EXPORTS.values() for name in group]
+    assert len(names) == 57
+    assert sorted(dipolemirror.__all__) == sorted(names)
+    assert set(names) | set(ROOT_EXPORTS) <= set(dir(dipolemirror))
+    for module, group in ROOT_EXPORTS.items():
+        for name in group:
+            namespace = {}
+            exec(f"from dipolemirror import {name}", namespace)
+            defining = importlib.import_module(f"dipolemirror.{module}")
+            assert namespace[name] is getattr(defining, name), name
+
+
+def test_unknown_root_name_is_refused():
+    with pytest.raises(AttributeError, match="'dipolemirror' has no attribute 'no_such_name'"):
+        dipolemirror.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from dipolemirror import no_such_name", {})
+
+
 # Defaulted parameters of public functions and of the methods of public
 # classes, across every module of the package; a name with a leading
 # underscore is not public, and dataclass fields are not counted. A new
