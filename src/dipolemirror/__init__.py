@@ -50,12 +50,12 @@ _EXPORTS = {
         "single_pass", "zernike_fit",
     ),
     "focalfield": (
-        "OpticalConstants", "SphereField", "StrehlResult", "aluminum",
-        "aluminum_phase_study", "aluminum_rp", "plane_to_sphere", "strehl",
+        "OpticalConstants", "SphereField", "StrehlResult", "aluminum", "aluminum_rp",
+        "plane_to_sphere", "strehl",
     ),
     "temporal": (
-        "AomModel", "PulseEnvelope", "TransitionSpec", "aom_drive", "aom_response",
-        "ideal_envelope", "temporal_overlap",
+        "PulseEnvelope", "TransitionSpec", "aom_drive", "aom_response", "ideal_envelope",
+        "temporal_overlap",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

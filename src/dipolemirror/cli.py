@@ -519,7 +519,7 @@ class _Pulse:
     """The modeled excitation pulse of the [transition] and [pulse] sections."""
 
     transition: temporal.TransitionSpec
-    model: temporal.AomModel
+    buildup_ns: float
     drive: temporal.DriveWaveform
     envelope: temporal.PulseEnvelope
     overlap: temporal.TemporalOverlapResult
@@ -532,10 +532,9 @@ def _pulse_from_config(config: ToolkitConfig) -> _Pulse:
     bin_width = config.get_float("pulse", "bin_width_ns", default_bin)
     buildup = config.get_float("pulse", "buildup_ns", 5.0)
     drive = temporal.aom_drive(transition, duration * transition.lifetime_ns, bin_width)
-    model = temporal.AomModel(buildup_time_ns=buildup)
-    envelope = temporal.aom_response(drive.field_envelope(), model)
+    envelope = temporal.aom_response(drive.field_envelope(), buildup)
     overlap = temporal.temporal_overlap(envelope, transition)
-    return _Pulse(transition, model, drive, envelope, overlap)
+    return _Pulse(transition, buildup, drive, envelope, overlap)
 
 
 def cmd_pulse(args, config: ToolkitConfig):
@@ -551,7 +550,7 @@ def cmd_pulse(args, config: ToolkitConfig):
     body = [
         f"  transition: {transition.label} ({transition.wavelength_nm} nm, "
         f"lifetime {transition.lifetime_ns} ns)",
-        f"  modulator build-up: {pulse.model.buildup_time_ns} ns",
+        f"  modulator build-up: {pulse.buildup_ns} ns",
         "",
         f"  eta_t   = {overlap.eta_t:.6f}",
         f"  eta_t^2 = {overlap.eta_t**2:.6f}",

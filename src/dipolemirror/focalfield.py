@@ -80,7 +80,6 @@ from .geometry import (
     ApertureSpec, _gauss_legendre_on, incidence_angle, rho_from_theta, theta_from_rho,
 )
 from .gridio import read_table
-from .modes import RadialMode, optimize_waist
 from .search import argmax_bracketed
 from .wavefront import ZernikeExpansion, zernike_eval
 
@@ -93,8 +92,6 @@ __all__ = [
     "aluminum",
     "aluminum_rp",
     "reflection_phase_waves",
-    "AluminumFocusStudy",
-    "aluminum_phase_study",
     "reflectivity_weight",
 ]
 
@@ -450,45 +447,6 @@ def reflection_phase_waves(theta, wavelength_nm: float, constants: OpticalConsta
     table = np.interp(theta, grid, (phase - phase[0]) / (2.0 * math.pi))
     out = exact + np.round(table - exact)
     return float(out) if np.ndim(theta) == 0 else out
-
-
-@dataclass(frozen=True)
-class AluminumFocusStudy:
-    """Effect of the metal's reflection phase on an otherwise perfect focus."""
-
-    wavelength_nm: float
-    waist: float
-    shift_lambda: float
-    nominal_reduction: float
-    peak_reduction: float
-    strehl: StrehlResult
-
-
-def aluminum_phase_study(wavelength_nm: float) -> AluminumFocusStudy:
-    """Focal shift and intensity loss from the aluminum reflection phase.
-
-    The input is the optimal-waist doughnut of the default aperture with
-    the phase of r_p, from the shipped aluminum table, applied as the only
-    aberration; amplitudes stay ideal so the numbers isolate the phase
-    effect. The Strehl search starts on the default 32 x 64 quadrature.
-    """
-    aperture = ApertureSpec()
-    waist = optimize_waist(aperture).waist
-    constants = aluminum()
-    field = plane_to_sphere(RadialMode.doughnut(waist), aperture)
-
-    def aberration(theta, phi):
-        return reflection_phase_waves(theta, wavelength_nm, constants)
-
-    res = strehl(field, aberration)
-    return AluminumFocusStudy(
-        wavelength_nm=wavelength_nm,
-        waist=waist,
-        shift_lambda=res.peak_offset_lambda,
-        nominal_reduction=1.0 - res.nominal,
-        peak_reduction=1.0 - res.ratio,
-        strehl=res,
-    )
 
 
 def reflectivity_weight(wavelength_nm: float, constants: OpticalConstants):

@@ -4,10 +4,10 @@ One grid per file: a first line '# {...}' carrying metadata (rows, cols,
 and whatever the owning type needs), then one whitespace-separated row of
 values per line. Invalid pixels are written as nan.
 
-A column table (sampled modes, pulse shapes, histograms, Zernike
-expansions, optical constants, frame manifests) has one whitespace-separated
-row per line and '# key: value' comment lines for its metadata;
-``read_table`` reads them all.
+A column table (sampled modes, pulse shapes, Zernike expansions, optical
+constants, frame manifests) has one whitespace-separated row per line
+and '# key: value' comment lines for its metadata; ``read_table`` reads
+them all.
 
 Each format has one reader and one writer: ``write_grid`` and
 ``read_grid`` for grids, ``write_table`` and ``read_table`` for column

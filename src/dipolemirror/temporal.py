@@ -40,22 +40,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedOverlapError
-from .gridio import read_table
 
 __all__ = [
     "TransitionSpec",
     "T1",
     "T2",
     "PulseEnvelope",
-    "AomModel",
     "ideal_envelope",
     "temporal_overlap",
     "TemporalOverlapResult",
     "aom_drive",
     "DriveWaveform",
     "aom_response",
-    "histogram_to_envelope",
-    "load_histogram",
 ]
 
 # modulator tail modeled past the input, in build-up times, and the bins
@@ -222,17 +218,6 @@ def _decay_scan(x, n: int, decay: float, gain: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AomModel:
-    """Acousto-optic modulator response parameters."""
-
-    buildup_time_ns: float = 5.0
-
-    def __post_init__(self):
-        if self.buildup_time_ns < 0:
-            raise DomainError(f"buildup time must be >= 0, got {self.buildup_time_ns}")
-
-
-@dataclass(frozen=True)
 class DriveWaveform:
     """RF drive envelope U0(t) in radians, sampled at bin centers."""
 
@@ -257,7 +242,7 @@ def aom_drive(spec: TransitionSpec, duration_ns: float, bin_width_ns: float) -> 
     return DriveWaveform(times_ns=t, u0_rad=u0, bin_width_ns=bin_width_ns)
 
 
-def aom_response(envelope: PulseEnvelope, model: AomModel) -> PulseEnvelope:
+def aom_response(envelope: PulseEnvelope, buildup_time_ns: float) -> PulseEnvelope:
     """First-order low-pass response of the modulator to a field envelope.
 
     Applies y' = (x - y)/tau_b with tau_b = buildup_time to the input
@@ -265,48 +250,19 @@ def aom_response(envelope: PulseEnvelope, model: AomModel) -> PulseEnvelope:
     y_i = a y_(i-1) + (1 - a) x_i with a = exp(-dt/tau_b)) and extends the
     time axis past the input by 5 tau_b to capture the smeared falling
     edge. buildup_time = 0 returns the input unchanged. Raises DomainError
-    when input and tail together span more than _MAX_BINS bins.
+    for a negative build-up time, and when input and tail together span
+    more than _MAX_BINS bins.
 
     The recursion is the shared blocked scan of temporal_overlap.
     """
-    if model.buildup_time_ns == 0.0:
+    if buildup_time_ns < 0:
+        raise DomainError(f"buildup time must be >= 0, got {buildup_time_ns}")
+    if buildup_time_ns == 0.0:
         return envelope
     dt = envelope.bin_width_ns
-    tail = _TAIL_BUILDUPS * model.buildup_time_ns / dt
+    tail = _TAIL_BUILDUPS * buildup_time_ns / dt
     _check_bins(envelope.samples.size + tail)
     n_tail = int(math.ceil(tail))
-    decay = math.exp(-dt / model.buildup_time_ns)
+    decay = math.exp(-dt / buildup_time_ns)
     y = _decay_scan(envelope.samples, envelope.samples.size + n_tail, decay, 1.0 - decay)
     return PulseEnvelope(y, dt, envelope.t_end_ns + n_tail * dt)
-
-
-def histogram_to_envelope(counts, bin_width_ns: float, reverse: bool = False,
-                          t_end_ns: float = 0.0) -> PulseEnvelope:
-    """Field envelope from a photon-count histogram: amplitude = sqrt(counts).
-
-    With ``reverse`` the bin order is flipped, undoing a start-stop
-    acquisition that records time backwards. Total counts are preserved as
-    the sum of squared amplitudes. An all-zero histogram is accepted here
-    and flagged downstream by temporal_overlap.
-    """
-    counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise DomainError("counts must be non-negative")
-    if reverse:
-        counts = counts[::-1]
-    return PulseEnvelope(np.sqrt(counts), bin_width_ns, t_end_ns)
-
-
-def load_histogram(path):
-    """Read a two-column (bin_start_ns, counts) text file.
-
-    Returns (counts, bin_width_ns). Bins must be uniform.
-    """
-    _, rows = read_table(path, "bin_start_ns counts")
-    if len(rows) < 2:
-        raise DomainError(f"{path}: need at least two bins")
-    table = np.array(rows, dtype=float)
-    widths = np.diff(table[:, 0])
-    if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
-        raise DomainError(f"{path}: bins are not uniform")
-    return table[:, 1], float(widths[0])

@@ -91,13 +91,22 @@ _DEFAULT_DEGREE = 10
 
 @lru_cache(maxsize=None)
 def _radial_coeffs(n: int, m: int) -> tuple:
-    # R_n^m(rho) = rho^m * sum_j c_j * rho^(2j), m = |m|; returns (c_0, c_1, ...)
-    half = (n - m) // 2
-    return tuple(
-        (-1) ** (half - j) * math.factorial(n - half + j)
-        / (math.factorial(half - j) * math.factorial(m + j) * math.factorial(j))
-        for j in range(half + 1)
-    )
+    """(c_0, c_1, ...) of R_n^m(rho) = rho^|m| * sum_j c_j * rho^(2j).
+
+    Raises DomainError when a coefficient exceeds the float range, as from
+    n = 814 for m = 0.
+    """
+    order = abs(m)
+    half = (n - order) // 2
+    try:
+        return tuple(
+            (-1) ** (half - j) * math.factorial(n - half + j)
+            / (math.factorial(half - j) * math.factorial(order + j) * math.factorial(j))
+            for j in range(half + 1)
+        )
+    except OverflowError:
+        raise DomainError(f"Zernike term (n={n}, m={m}): its radial coefficients exceed "
+                          "the float range") from None
 
 
 def _radial(coeffs, u):
@@ -225,7 +234,7 @@ def zernike_eval(expansion: ZernikeExpansion, rho, phi):
     orders = {}
     for n, m, v in expansion.terms:
         if v != 0.0:
-            coeffs = _radial_coeffs(n, abs(m))
+            coeffs = _radial_coeffs(n, m)
             poly = orders.setdefault(m, [])
             poly.extend([0.0] * (len(coeffs) - len(poly)))
             for j, c in enumerate(coeffs):
@@ -325,7 +334,7 @@ def _legendre_transform(degree: int):
     rho = np.hypot(nodes[None, :], nodes[:, None])
     phi = np.arctan2(nodes[:, None], nodes[None, :])
     # values[b, a, j] = Z_j(x_a, y_b); project along x, then along y
-    values = np.stack([_sum_orders({m: _radial_coeffs(n, abs(m))}, rho, phi)
+    values = np.stack([_sum_orders({m: _radial_coeffs(n, m)}, rho, phi)
                        for n, m in _zernike_index(degree)], axis=-1)
     transform = np.tensordot(project, project @ values, axes=(1, 0))
     transform = transform.reshape((degree + 1) ** 2, -1)

@@ -15,14 +15,12 @@ import pytest
 import oracles
 from dipolemirror import (
     AngleInterval,
-    AomModel,
     FrameStack,
     PhaseMap,
     PulseEnvelope,
     TransitionSpec,
     ZernikeExpansion,
     aluminum,
-    aluminum_phase_study,
     aom_drive,
     aom_response,
     coupling_strength,
@@ -129,7 +127,7 @@ def test_criterion_06_aom_buildup():
         spec = TransitionSpec("x", 369.5, lifetime)
         bin_width = min(0.02, lifetime / 2000.0)
         drive = aom_drive(spec, 5.0 * lifetime, bin_width)
-        envelope = aom_response(drive.field_envelope(), AomModel(buildup_time_ns=5.0))
+        envelope = aom_response(drive.field_envelope(), 5.0)
         eta_t = temporal_overlap(envelope, spec).eta_t
         assert eta_t == pytest.approx(center, abs=width)
 
@@ -241,8 +239,12 @@ def test_criterion_11_zernike_roundtrip():
     assert rms == pytest.approx(a / math.sqrt(6.0), abs=1e-6)
 
 
-def test_criterion_12_aluminum_phase_study():
+def test_criterion_12_aluminum_phase_study(tmp_path, capsys):
+    # the optimal-waist doughnut with the phase of r_p as its only aberration
     assert aluminum().source  # constants carry their citation
-    study = aluminum_phase_study(wavelength_nm=251.8)
-    assert abs(study.shift_lambda) < 0.1
-    assert study.nominal_reduction <= 0.03
+    config = tmp_path / "aluminum.ini"
+    config.write_text("[strehl]\nevaluate_nm = 251.8\naluminum_phase = true\n")
+    assert main(["strehl", "--config", str(config)]) == 0
+    pairs = _machine_pairs(capsys.readouterr().out)
+    assert abs(float(pairs["strehl.peak_offset_lambda"])) < 0.1
+    assert 1.0 - float(pairs["strehl.nominal"]) <= 0.03

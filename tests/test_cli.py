@@ -12,7 +12,6 @@ import pytest
 import dipolemirror
 import oracles
 from dipolemirror import (
-    AomModel,
     ConvergenceError,
     FrameStack,
     PhaseMap,
@@ -56,7 +55,7 @@ def assert_pulse_exports(out_dir, spec, bin_width_ns):
     """Check the drive and envelope exports of a default 5-lifetime pulse
     byte for byte against the same pulse written one value at a time."""
     drive = aom_drive(spec, 5.0 * spec.lifetime_ns, bin_width_ns)
-    envelope = aom_response(drive.field_envelope(), AomModel(buildup_time_ns=5.0))
+    envelope = aom_response(drive.field_envelope(), 5.0)
     text = (out_dir / "aom_drive.txt").read_bytes()
     assert text == oracles.table_text("AOM drive envelope: t_ns U0_rad",
                                       drive.times_ns, drive.u0_rad).encode("ascii")
@@ -115,7 +114,7 @@ def fresh_env() -> dict:
 # subcommand, besides cli: each loads on its first attribute access.
 @pytest.mark.parametrize("argv, config, loaded", [
     (["solid-angle"], "", ["errors", "geometry"]),
-    (["pulse"], "[transition]\nlabel = T2\n", ["errors", "gridio", "temporal"]),
+    (["pulse"], "[transition]\nlabel = T2\n", ["errors", "temporal"]),
     (["optimize-waist"], "", ["errors", "geometry", "gridio", "modes", "search"]),
     (["overlap"], "", ["errors", "geometry", "gridio", "modes", "search"]),
     (["optimize-waist"], "[overlap]\nweighted = true\n",
@@ -548,6 +547,16 @@ def test_strehl_cli_marechal_consistency(tmp_path, capsys):
     nominal = float(pairs["strehl.nominal"])
     assert nominal == pytest.approx(math.exp(-((2.0 * math.pi * sigma) ** 2)), abs=5e-3)
     assert 0.0 < float(pairs["strehl.ratio"]) <= 1.0
+
+
+def test_strehl_cli_refuses_a_term_beyond_the_float_range(tmp_path, capsys):
+    zfile = tmp_path / "figure.txt"
+    zfile.write_text("# wavelength_nm: 632.8\n900 0 0.01\n")
+    config = write_config(tmp_path, f"[strehl]\nzernike_file = {zfile}\n")
+    code, out, err = run(capsys, "strehl", "--config", config)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()  # one line, no traceback
+    assert line == "error: Zernike term (n=900, m=0): its radial coefficients exceed the float range"
 
 
 def test_strehl_cli_compensation_story(tmp_path, capsys):

@@ -45,15 +45,15 @@ ROOT_EXPORTS = {
                   "make_phase_plate", "pv_rms", "remove_misalignment",
                   "rescale_wavelength", "single_pass", "zernike_fit"],
     "focalfield": ["OpticalConstants", "SphereField", "StrehlResult", "aluminum",
-                   "aluminum_phase_study", "aluminum_rp", "plane_to_sphere", "strehl"],
-    "temporal": ["AomModel", "PulseEnvelope", "TransitionSpec", "aom_drive",
-                 "aom_response", "ideal_envelope", "temporal_overlap"],
+                   "aluminum_rp", "plane_to_sphere", "strehl"],
+    "temporal": ["PulseEnvelope", "TransitionSpec", "aom_drive", "aom_response",
+                 "ideal_envelope", "temporal_overlap"],
 }
 
 
 def test_root_exports_are_pinned():
     names = [name for group in ROOT_EXPORTS.values() for name in group]
-    assert len(names) == 57
+    assert len(names) == 55
     assert sorted(dipolemirror.__all__) == sorted(names)
     assert set(names) | set(ROOT_EXPORTS) <= set(dir(dipolemirror))
     for module, group in ROOT_EXPORTS.items():
@@ -97,8 +97,6 @@ DEFAULTED = {
     "polarimetry.measured_overlap(reference)",
     "polarimetry.measured_overlap(trim_outer)",
     "search.argmax_bracketed(widenings)",
-    "temporal.histogram_to_envelope(reverse)",
-    "temporal.histogram_to_envelope(t_end_ns)",
     "wavefront.PhaseMap.from_expansion(annulus)",
     "wavefront.PhaseMap.from_expansion(size)",
     "wavefront.ZernikeExpansion.scaled(wavelength_nm)",
@@ -129,3 +127,38 @@ def test_defaulted_public_parameters_are_pinned():
                       if not any(part.startswith("_") for part in name.split("."))
                       for arg in _defaulted(fn)}
     assert found == DEFAULTED
+
+
+# The package modules each module imports from, by its relative imports
+# anywhere in its source. A name of `from . import` that is no module of
+# the package (`__version__`) comes from the package root, `__init__`.
+IMPORT_GRAPH = {
+    "__init__": [],
+    "cli": ["__init__", "errors", "focalfield", "geometry", "gridio", "modes",
+            "polarimetry", "temporal", "wavefront"],
+    "errors": [],
+    "focalfield": ["errors", "geometry", "gridio", "search", "wavefront"],
+    "geometry": ["errors"],
+    "gridio": ["errors"],
+    "modes": ["errors", "geometry", "gridio", "search"],
+    "polarimetry": ["errors", "geometry", "gridio", "modes"],
+    "search": ["errors"],
+    "temporal": ["errors"],
+    "wavefront": ["errors", "geometry", "gridio"],
+}
+
+
+def test_import_graph_is_pinned():
+    package = Path(dipolemirror.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        edges = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is not None:
+                    edges.add(node.module)
+                else:
+                    edges |= {a.name if a.name in modules else "__init__" for a in node.names}
+        graph[name] = sorted(edges)
+    assert graph == IMPORT_GRAPH

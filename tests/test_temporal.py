@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from dipolemirror import (
-    AomModel,
     DomainError,
     PulseEnvelope,
     TransitionSpec,
@@ -17,12 +16,7 @@ from dipolemirror import (
     ideal_envelope,
     temporal_overlap,
 )
-from dipolemirror.temporal import (
-    T1,
-    T2,
-    histogram_to_envelope,
-    load_histogram,
-)
+from dipolemirror.temporal import T1, T2
 
 
 def decaying_envelope(tau: float, duration: float, bin_width: float) -> PulseEnvelope:
@@ -102,14 +96,14 @@ def test_overlap_of_nonnegative_envelopes_is_at_most_one(samples, bin_lifetimes,
 def _modulated(spec, buildup_ns):
     bin_width = min(0.02, spec.lifetime_ns / 2000.0)
     drive = aom_drive(spec, 5.0 * spec.lifetime_ns, bin_width)
-    return aom_response(drive.field_envelope(), AomModel(buildup_time_ns=buildup_ns))
+    return aom_response(drive.field_envelope(), buildup_ns)
 
 
 def _histogram_pulse():
     rng = np.random.default_rng(5)
     t = (np.arange(4000) + 0.5) * 0.01 - 30.0
     counts = rng.poisson(1000.0 * np.exp(np.minimum(t, 0.0) / T1.lifetime_ns)) * (t < 0.5)
-    return histogram_to_envelope(counts, 0.01, t_end_ns=float(t[-1]))
+    return PulseEnvelope(np.sqrt(counts), 0.01, float(t[-1]))
 
 
 # a 1 ns lifetime keeps the brute-force scan short; 1600 lifetimes put
@@ -177,7 +171,7 @@ def _late_bump():
     # a T1 modulator pulse, 150 ns of 2 % background, then a bump of peak
     # 0.3 and width 1.5 ns in the last 10 ns; the last bin is centered on 0
     drive = aom_drive(T1, 5.0 * T1.lifetime_ns, 0.1)
-    modulated = aom_response(drive.field_envelope(), AomModel(buildup_time_ns=5.0))
+    modulated = aom_response(drive.field_envelope(), 5.0)
     t = 0.1 * np.arange(100)
     bump = 0.3 * np.exp(-0.5 * ((t - t.mean()) / 1.5) ** 2)
     return PulseEnvelope(np.concatenate([modulated.samples, np.full(1500, 0.02), bump]), 0.1)
@@ -213,7 +207,7 @@ def test_drive_waveform_recovers_exponential_intensity():
 
 def test_aom_response_zero_buildup_is_identity():
     env = ideal_envelope(T1, 3.0 * T1.lifetime_ns, 0.01)
-    assert aom_response(env, AomModel(buildup_time_ns=0.0)) is env
+    assert aom_response(env, 0.0) is env
 
 
 def test_aom_response_matches_exact_step_response():
@@ -222,7 +216,7 @@ def test_aom_response_matches_exact_step_response():
     tau_b = 5.0
     dt = 0.25
     env = PulseEnvelope(np.ones(200), dt, t_end_ns=0.0)
-    out = aom_response(env, AomModel(buildup_time_ns=tau_b))
+    out = aom_response(env, tau_b)
     k = np.arange(1, 201)
     expected = 1.0 - np.exp(-k * dt / tau_b)
     assert np.allclose(out.samples[:200], expected, atol=1e-12)
@@ -243,7 +237,7 @@ def test_aom_response_matches_the_per_bin_recursion(n, log_ratio, seed, sparse):
     samples = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) >= sparse)
     envelope = PulseEnvelope(samples, 1.0, t_end_ns=-3.0)
     buildup = 10.0 ** -log_ratio
-    out = aom_response(envelope, AomModel(buildup_time_ns=buildup))
+    out = aom_response(envelope, buildup)
     reference = oracles.aom_lowpass(envelope, buildup)
     assert out.samples.shape == reference.shape
     assert out.t_end_ns == envelope.t_end_ns + (reference.size - n)
@@ -253,35 +247,14 @@ def test_aom_response_matches_the_per_bin_recursion(n, log_ratio, seed, sparse):
 def test_aom_response_smears_the_truncation_edge():
     drive = aom_drive(T1, 5.0 * T1.lifetime_ns, 0.004)
     clean = drive.field_envelope()
-    smeared = aom_response(clean, AomModel(buildup_time_ns=5.0))
+    smeared = aom_response(clean, 5.0)
     eta_clean = temporal_overlap(clean, T1).eta_t
     eta_smeared = temporal_overlap(smeared, T1).eta_t
     assert eta_smeared < eta_clean
     assert max(smeared.samples) < max(clean.samples) + 1e-12
 
 
-def test_aom_model_validation():
-    with pytest.raises(DomainError):
-        AomModel(buildup_time_ns=-1.0)
-
-
-def test_histogram_to_envelope():
-    env = histogram_to_envelope([4.0, 1.0, 0.0], 0.5)
-    assert np.allclose(env.samples, [2.0, 1.0, 0.0])
-    rev = histogram_to_envelope([4.0, 1.0, 0.0], 0.5, reverse=True)
-    assert np.allclose(rev.samples, [0.0, 1.0, 2.0])
-    with pytest.raises(DomainError):
-        histogram_to_envelope([-1.0, 2.0], 0.5)
-
-
-def test_load_histogram(tmp_path):
-    path = tmp_path / "hist.txt"
-    path.write_text("# t counts\n0.0 10\n0.5 20\n1.0 5\n")
-    counts, width = load_histogram(path)
-    assert np.allclose(counts, [10.0, 20.0, 5.0])
-    assert width == pytest.approx(0.5)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0.0 10\n0.5 20\n1.2 5\n")
-    with pytest.raises(DomainError):
-        load_histogram(bad)
-
+def test_aom_response_refuses_negative_buildup():
+    env = ideal_envelope(T1, 3.0 * T1.lifetime_ns, 0.01)
+    with pytest.raises(DomainError, match="buildup time must be >= 0, got -1.0"):
+        aom_response(env, -1.0)

@@ -117,6 +117,13 @@ def test_zernike_term_rejects_bad_indices():
             ZernikeExpansion(terms=((n, m, 1.0),), wavelength_nm=632.8)
 
 
+def test_zernike_term_beyond_the_float_range_is_refused():
+    # from n = 814 (m = 0) a radial coefficient exceeds the float range
+    high = ZernikeExpansion(terms=((900, 0, 0.01),), wavelength_nm=632.8)
+    with pytest.raises(DomainError, match=r"\(n=900, m=0\)"):
+        zernike_eval(high, RHO, PHI)
+
+
 def test_expansion_validation():
     with pytest.raises(DomainError):
         ZernikeExpansion(terms=((2, 1, 0.1),), wavelength_nm=633.0)
