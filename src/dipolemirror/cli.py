@@ -385,7 +385,7 @@ def cmd_stokes(args, config: ToolkitConfig):
     # the frames, and then the Stokes rows, are read no further; free them
     # before the scoring temporaries
     del stack
-    pmap = polarimetry.ellipse_angles(stokes, noise_floor=noise_floor)
+    pmap = polarimetry.ellipse_angles(stokes, noise_floor)
     del stokes
     scored = polarimetry.measured_overlap(pmap, aperture, trim_outer=trim)
     out = _out_dir(args)
@@ -416,7 +416,7 @@ def cmd_zernike(args, config: ToolkitConfig):
     phase_map = _read_input(map_file, lambda: wavefront.load_phase_map(map_file))
     degree = config.get_int("zernike", "degree", 10)
     halve = config.get_bool("zernike", "double_pass", False)
-    fit = wavefront.zernike_fit(phase_map, degree=degree)
+    fit = wavefront.zernike_fit(phase_map, degree)
     if halve:
         fit = wavefront.single_pass(fit)
     pv_fit, rms_fit = wavefront.pv_rms(fit)
@@ -459,6 +459,8 @@ def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec, 
     if zfile is not None:
         aberration = _read_input(zfile, lambda: wavefront.load_expansion(zfile))
     evaluate_nm = config.get_float("strehl", "evaluate_nm")
+    if evaluate_nm is not None and evaluate_nm <= 0.0:
+        raise ConfigError(f"[strehl] evaluate_nm = {evaluate_nm:g} is not a positive wavelength")
     if aberration is not None and evaluate_nm is not None \
             and evaluate_nm != aberration.wavelength_nm:
         if config.get_bool("strehl", "compensate", True):

@@ -98,11 +98,11 @@ __all__ = [
 # the default quadrature, n_theta x n_phi: the integrand resolves faster in
 # theta than in phi
 _DEFAULT_THETA, _DEFAULT_PHI = 32, 64
-# doublings of the axial search window; the quadrature-convergence
+# the first axial window's half-width and spacing in wavelengths, and its
+# doublings at that spacing; the doublings of the quadrature, and its
 # tolerances of the Strehl ratios and of the peak offset in wavelengths
-_MAX_WIDENINGS = 3
-_RATIO_TOL = 1e-4
-_OFFSET_TOL = 1e-3
+_SEARCH_HALFWIDTH, _SEARCH_STEP, _MAX_WIDENINGS = 2.0, 0.05, 3
+_MAX_DOUBLINGS, _RATIO_TOL, _OFFSET_TOL = 4, 1e-4, 1e-3
 # points on which the reflection phase is unwrapped to pick its 2 pi branch
 _PHASE_GRID = 4096
 # nodes per block of rings in a Strehl pass: a block's complex phasor is
@@ -233,7 +233,7 @@ class StrehlResult:
     n_phi: int
 
 
-def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResult:
+def _strehl_once(field: SphereField, aberration) -> StrehlResult:
     w = _resolve_aberration(field, aberration)
     phi = field.phi[0]
     basis = _stack_last(np.cos(phi), np.sin(phi), 1.0)
@@ -267,17 +267,26 @@ def _strehl_once(field: SphereField, aberration, halfwidth: float) -> StrehlResu
     # then 1 at the focus and at most 1 beside it, never 1 plus rounding
     rings = rings0 if aberration is None else field.weight * (sums * scale)
 
-    def scan(z):
-        # |E|^2 on a scan window, whose phasors are computed once per quadrature
-        e = _axial_scan(field.n_theta, lo, hi, float(z[0]), float(z[-1]), z.size) @ rings
-        return np.sum(e.real**2 + e.imag**2, axis=-1)
-
-    try:
-        z_peak, peak = argmax_bracketed(scan, np.linspace(-halfwidth, halfwidth, 81),
-                                        lambda z: axial(rings, z), widenings=_MAX_WIDENINGS)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"axial intensity {exc} lambda at "
-                               f"{field.n_theta}x{field.n_phi} quadrature nodes") from None
+    # the axial main lobe is 1/(hi - lo) lambda wide: a scanned maximum within
+    # two lobes of an end may be a sidelobe of a focus outside the window; the
+    # middle third of a window stays clear, or a shallow mirror's lobe fills it
+    lobes = 2.0 / (hi - lo)
+    for widening in range(_MAX_WIDENINGS + 1):
+        halfwidth = _SEARCH_HALFWIDTH * 2**widening
+        points = round(2.0 * halfwidth / _SEARCH_STEP) + 1
+        reach = min(lobes, 2.0 * halfwidth / 3.0)
+        margin = int(reach / _SEARCH_STEP)
+        # |E|^2 on the window, whose phasors are computed once per quadrature
+        e = _axial_scan(field.n_theta, lo, hi, -halfwidth, halfwidth, points) @ rings
+        values = np.sum(e.real**2 + e.imag**2, axis=-1)
+        if margin < int(np.argmax(values)) < points - 1 - margin:
+            break
+    else:
+        raise ConvergenceError(f"axial intensity maximum within {reach:.3g} lambda of the edge "
+                               f"of the search window [-{halfwidth:g}, {halfwidth:g}] lambda "
+                               f"at {field.n_theta}x{field.n_phi} quadrature nodes")
+    z_peak, peak = argmax_bracketed(np.linspace(-halfwidth, halfwidth, points), values,
+                                    lambda z: axial(rings, z))
     return StrehlResult(
         ratio=peak / denom, nominal=float(axial(rings, 0.0)[0]) / denom,
         peak_offset_lambda=z_peak,
@@ -328,20 +337,19 @@ def _axial_scan(n_theta: int, lo: float, hi: float, z0: float, z1: float, points
     return out
 
 
-def strehl(
-    field: SphereField,
-    aberration=None,
-    search_halfwidth_lambda: float = 2.0,
-    max_doublings: int = 4,
-) -> StrehlResult:
+def strehl(field: SphereField, aberration=None) -> StrehlResult:
     """Strehl ratio of the aberrated focus, quadrature-verified.
 
-    The intensity maximum is searched along the axis over plus/minus
-    ``search_halfwidth_lambda``; a maximum on the edge of that window
-    doubles it, at most three times, before raising ConvergenceError. The
-    nominal-focus ratio is reported alongside. The quadrature is doubled
-    until the ratio and the nominal ratio move by less than 1e-4 and the
-    peak offset by less than 1e-3 wavelengths; failing that raises
+    The intensity maximum is scanned along the axis over plus/minus 2
+    wavelengths, 0.05 lambda apart. A scanned maximum within two main
+    lobes, 2/(cos theta_min - cos theta_max) wavelengths, of either end may
+    be a sidelobe of a focus outside the window, so the window doubles at
+    the same spacing, at most three times, before raising ConvergenceError.
+    The margin is at most a third of the window, so a shallow mirror, whose
+    main lobe is wider than the window, keeps a maximum in its middle.
+    The nominal-focus ratio is reported alongside. The quadrature is
+    doubled until the ratio and the nominal ratio move by less than 1e-4
+    and the peak offset by less than 1e-3 wavelengths; failing that raises
     ConvergenceError rather than returning a grid-dependent number. Each
     doubling doubles both axes. From the default 32 x 64 field (n_theta x
     n_phi) a smooth figure is certified on 64 x 128 nodes, and the last
@@ -354,10 +362,10 @@ def strehl(
     any other shape, a 1-d vector included, raises DomainError, and so
     does any other object, such as an array of node samples or a phase map.
     """
-    res = _strehl_once(field, aberration, search_halfwidth_lambda)
-    for _ in range(max_doublings):
+    res = _strehl_once(field, aberration)
+    for _ in range(_MAX_DOUBLINGS):
         field = field.with_resolution(2 * field.n_theta, 2 * field.n_phi)
-        fine = _strehl_once(field, aberration, search_halfwidth_lambda)
+        fine = _strehl_once(field, aberration)
         if (abs(fine.ratio - res.ratio) < _RATIO_TOL
                 and abs(fine.nominal - res.nominal) < _RATIO_TOL
                 and abs(fine.peak_offset_lambda - res.peak_offset_lambda) < _OFFSET_TOL):

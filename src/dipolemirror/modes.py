@@ -73,9 +73,10 @@ _GL_NODES = 64
 _MIN_PANEL_NODES = 8
 _MAX_BLOCKS = 16
 _ETA_TOL = 1e-12
-# waists on the coarse scan that brackets the maximum; eta is so flat there
-# (d2 log eta/dw2 = -0.27) that only its derivatives place the waist
-_WAIST_SCAN = 65
+# waists on the coarse scan that brackets the maximum, from the smallest one
+# (in units of f) to the rim; eta is so flat there (d2 log eta/dw2 = -0.27)
+# that only its derivatives place the waist
+_WAIST_SCAN, _WAIST_MIN = 65, 0.1
 
 
 def dipole_profile(rho):
@@ -316,41 +317,29 @@ class WaistOptimum:
     eta: float
 
 
-def optimize_waist(
-    aperture: ApertureSpec,
-    bracket: tuple[float, float] | None = None,
-    weight: Callable | None = None,
-) -> WaistOptimum:
+def optimize_waist(aperture: ApertureSpec, weight: Callable | None = None) -> WaistOptimum:
     """Doughnut waist maximizing the overlap with the dipole mode.
 
-    Parameters
-    ----------
-    aperture : ApertureSpec
-        Integration annulus.
-    bracket : (float, float), optional
-        Waist search interval in units of f; defaults to (0.1, rho_max).
-    weight : callable, optional
-        Amplitude weight of rho applied to every candidate doughnut, e.g.
-        the mirror's reflectivity; vectorized, and evaluated once on the
-        quadrature nodes.
-
-    A coarse scan of 65 waists brackets the maximum, so a secondary
-    shoulder cannot trap the search; the rule is the one whose doubling
-    moves no scanned eta by more than 1e-12, and it scores the whole scan
-    in one matrix product. Safeguarded Newton steps on the analytic
-    derivatives of log eta then place the waist to rounding inside the
-    bracket of the best scanned waist. A best waist on either end of the
-    bracket raises ConvergenceError: the optimum may lie outside it, and
-    the bracket is not widened.
+    ``weight``, a vectorized amplitude weight of rho such as the mirror's
+    reflectivity, multiplies every candidate doughnut; it is evaluated
+    once on the quadrature nodes. A coarse scan of 65 waists from 0.1 f to
+    the rim radius rho_max brackets the maximum, so a secondary shoulder
+    cannot trap the search; a rim at or inside 0.1 f raises DomainError.
+    The rule is the one whose doubling moves no scanned eta by more than
+    1e-12, and it scores the whole scan in one matrix product. Safeguarded
+    Newton steps on the analytic derivatives of log eta then place the
+    waist to rounding inside the bracket of the best scanned waist. A best
+    waist on either end of the scan raises ConvergenceError: the optimum
+    may lie outside it, and the scan is not widened.
     """
-    lo, hi = bracket if bracket is not None else (0.1, aperture.rho_max)
-    if not 0 < lo < hi:
-        raise DomainError(f"bad waist bracket ({lo}, {hi})")
-    scan = np.linspace(lo, hi, _WAIST_SCAN)
+    if not aperture.rho_max > _WAIST_MIN:
+        raise DomainError(f"rim radius rho_max = {aperture.rho_max:g} f leaves no waist "
+                          f"scan above {_WAIST_MIN:g} f")
+    scan = np.linspace(_WAIST_MIN, aperture.rho_max, _WAIST_SCAN)
     # the doughnut and the dipole are smooth on the annulus: one panel
-    rule, _ = _certified(lambda rho, quad: _WaistRule.on(rho, quad, weight),
-                         lambda rule: rule.eta(scan), _panel_edges(aperture))
-    waist, eta = argmax_bracketed(rule.eta, scan, rule.local)
+    rule, etas = _certified(lambda rho, quad: _WaistRule.on(rho, quad, weight),
+                            lambda rule: rule.eta(scan), _panel_edges(aperture))
+    waist, eta = argmax_bracketed(scan, etas, rule.local)
     return WaistOptimum(waist=waist, eta=eta)
 
 
@@ -362,7 +351,7 @@ def coupling_strength(omega_fraction: float, eta: float, strehl: float) -> float
     return omega_fraction * eta**2 * strehl
 
 
-def absorption_probability(g: float, eta_t: float, branching: float = 1.0) -> float:
+def absorption_probability(g: float, eta_t: float, branching: float) -> float:
     """Absorption probability P_a = G * eta_t^2 * branching."""
     for name, v in (("g", g), ("eta_t", eta_t), ("branching", branching)):
         if not 0.0 <= v <= 1.0:

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import CoverageError, DeterminacyError, DomainError
 from .geometry import ApertureSpec
 from .gridio import read_table, write_grid
-from .modes import RadialMode
+from .modes import dipole_profile
 
 __all__ = [
     "FrameStack",
@@ -67,6 +67,9 @@ __all__ = [
 
 MIN_FRAMES = 5
 PGM_MAXVAL = 65535
+# the largest fraction of the aperture annulus that may be masked out
+# before an overlap is refused as an extrapolation
+_MAX_MISSING = 0.05
 
 
 def qwp_intensity(stokes, theta):
@@ -178,7 +181,7 @@ class PolarizationMap:
         return np.hypot(xx, yy), np.arctan2(yy, xx)
 
 
-def ellipse_angles(stokes: StokesMap, noise_floor: float = 0.01) -> PolarizationMap:
+def ellipse_angles(stokes: StokesMap, noise_floor: float) -> PolarizationMap:
     """Convert Stokes parameters to orientation and ellipticity angles.
 
     Pixels with s0 below noise_floor times the peak are masked out; pass
@@ -226,30 +229,23 @@ class OverlapResult:
     n_pixels: int
 
 
-def measured_overlap(
-    pmap: PolarizationMap,
-    aperture: ApertureSpec,
-    reference: RadialMode | None = None,
-    trim_outer: float = 0.0,
-    max_missing: float = 0.05,
-) -> OverlapResult:
+def measured_overlap(pmap: PolarizationMap, aperture: ApertureSpec,
+                     trim_outer: float = 0.0) -> OverlapResult:
     """Overlap of the measured beam with the ideal mode over the aperture.
 
     The measured field amplitude is sqrt(s0) times the radial projection
-    of its polarization; the reference defaults to the mode a linear
-    dipole radiates into the mirror. All three sums run over the annulus
-    pixels that survive the validity mask:
+    of its polarization; the reference b is the mode a linear dipole
+    radiates into the mirror. All three sums run over the annulus pixels
+    that survive the validity mask:
 
         eta = sum(a p b) / sqrt(sum(a^2) sum(b^2)),
 
     and eta_rectified is the same sum with |p| in place of p.
 
     trim_outer shrinks the outer annulus radius by that fraction to drop
-    rim artifacts. If more than max_missing of the annulus is masked out
-    the estimate is refused (CoverageError carries the missing fraction).
+    rim artifacts. If more than 5 % of the annulus is masked out the
+    estimate is refused (CoverageError carries the missing fraction).
     """
-    if reference is None:
-        reference = RadialMode.dipole()
     if not 0.0 <= trim_outer < 1.0:
         raise DomainError("trim_outer must be in [0, 1)")
     rho, phi = pmap.grid_polar()
@@ -260,15 +256,15 @@ def measured_overlap(
         raise CoverageError("no pixels fall inside the aperture annulus", missing_fraction=1.0)
     valid = annulus & pmap.mask
     missing = 1.0 - valid.sum() / n_annulus
-    if missing > max_missing:
+    if missing > _MAX_MISSING:
         raise CoverageError(
             f"{missing:.1%} of the aperture annulus is masked out "
-            f"(limit {max_missing:.1%}); refusing an extrapolated overlap",
+            f"(limit {_MAX_MISSING:.1%}); refusing an extrapolated overlap",
             missing_fraction=float(missing),
         )
     a = np.sqrt(np.maximum(pmap.s0[valid], 0.0))
     p = _project(pmap.psi[valid], pmap.chi[valid], phi[valid])
-    b = reference.amplitude(rho[valid])
+    b = dipole_profile(rho[valid])
     denom = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
     if denom == 0.0:
         raise DomainError("zero-energy field in overlap")

@@ -1,10 +1,11 @@
 """Bracketed one-dimensional maximum search.
 
 The doughnut waist and the axial Strehl focus are each the maximum of a
-smooth function of one variable with analytic derivatives. A coarse scan
-brackets the maximum, so that a secondary shoulder cannot trap the
-search, and safeguarded Newton steps on the derivatives place it to
-rounding (``rtsafe``; Press et al., Numerical Recipes, section 9.4).
+smooth function of one variable with analytic derivatives. The caller
+scans a grid, which brackets the maximum so that a secondary shoulder
+cannot trap the search, and safeguarded Newton steps on the derivatives
+place it to rounding (``rtsafe``; Press et al., Numerical Recipes,
+section 9.4). The search never widens the grid.
 """
 
 from __future__ import annotations
@@ -22,36 +23,28 @@ __all__ = ["argmax_bracketed"]
 _MAX_STEPS = 128
 
 
-def argmax_bracketed(scan, grid, local, widenings: int = 0):
-    """Maximum of an objective: argmax on ``grid``, then safeguarded Newton.
+def argmax_bracketed(grid, values, local):
+    """Maximum of an objective: argmax of its scan, then safeguarded Newton.
 
-    ``scan(grid)`` scores every point of the grid array at once.
-    ``local(x)`` returns (value, d1, d2) at a scalar x: the objective, or
-    any increasing function of it (such as its log), with its first and
-    second derivatives. From the grid argmax, Newton steps -d1/d2 run
-    inside the bracket of its grid neighbours, and the sign of d1 at each
-    x moves one end of the bracket to x. A Newton point outside the
-    bracket, one where d2 >= 0, or one more than half the last step away
-    is replaced by the bracket's midpoint. The search stops when a step is
-    within rounding of x, eps (|x| + grid spacing), and returns x with
-    ``local``'s value there, as floats. The bracket must hold a single
-    maximum: of two that the grid does not separate, either may be found.
+    ``values`` holds the objective on every point of the increasing
+    ``grid``, scanned beforehand by the caller. ``local(x)`` returns
+    (value, d1, d2) at a scalar x: the objective, or any increasing
+    function of it (such as its log), with its first and second
+    derivatives. From the grid argmax, Newton steps -d1/d2 run inside the
+    bracket of its grid neighbours, and the sign of d1 at each x moves one
+    end of the bracket to x. A Newton point outside the bracket, one where
+    d2 >= 0, or one more than half the last step away is replaced by the
+    bracket's midpoint. The search stops when a step is within rounding of
+    x, eps (|x| + grid spacing), and returns x with ``local``'s value
+    there, as floats. The bracket must hold a single maximum: of two that
+    the grid does not separate, either may be found.
 
-    A grid maximum on either end may lie outside the grid: the window
-    (lo, hi) then becomes (2 lo, 2 hi) at the same spacing, at most
-    ``widenings`` times, before ConvergenceError is raised.
+    A grid maximum on either end may lie outside the grid: ConvergenceError.
     """
-    grid = np.asarray(grid, dtype=float)
-    k = int(np.argmax(scan(grid)))
-    for _ in range(widenings):
-        if 0 < k < grid.size - 1:
-            break
-        grid = np.linspace(2.0 * grid[0], 2.0 * grid[-1], 2 * grid.size - 1)
-        k = int(np.argmax(scan(grid)))
+    k = int(np.argmax(values))
     if not 0 < k < grid.size - 1:
-        raise ConvergenceError(
-            f"maximum on the edge of the search window [{grid[0]:g}, {grid[-1]:g}]"
-        )
+        raise ConvergenceError(f"maximum on the edge of the search window "
+                               f"[{grid[0]:g}, {grid[-1]:g}]")
     a, x, b = grid[k - 1:k + 2]
     eps, spacing = np.finfo(float).eps, grid[1] - grid[0]
     step = b - a

@@ -14,6 +14,7 @@ import json
 import math
 import re
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,24 @@ def zernike_radial(n: int, m: int, rho) -> np.ndarray:
     for c, power in _radial_powers(n, m):
         radial = radial + c * rho ** power
     return radial
+
+
+def zernike_radial_exact(n: int, m: int, rho) -> np.ndarray:
+    """R_n^|m|(rho) summed in exact rational arithmetic, rounded once.
+
+    Each rho is a float, so a Fraction holds it exactly, and the integer
+    coefficients of the powers then cancel without rounding.
+    """
+    a = abs(m)
+    coeffs = [((-1) ** k * math.factorial(n - k)
+               // (math.factorial(k) * math.factorial((n + a) // 2 - k)
+                   * math.factorial((n - a) // 2 - k)), n - 2 * k)
+              for k in range((n - a) // 2 + 1)]
+    out = []
+    for r in np.asarray(rho, dtype=float).ravel():
+        x = Fraction(float(r))
+        out.append(float(sum(c * x**power for c, power in coeffs)))
+    return np.array(out).reshape(np.shape(rho))
 
 
 def zernike_angular(m: int, phi) -> np.ndarray:
@@ -494,15 +513,15 @@ def sphere_overlap(a, b) -> float:
     return num / math.sqrt(na * nb)
 
 
-def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
+def axial_strehl(field, w_nodes, halfwidth: float = 2.0, center: float = 0.0):
     """Strehl ratio by a full node sum at every axial position.
 
     The on-axis field is sum_nodes amp * exp(i 2 pi (W + z cos theta)),
     amp the node weight times ``sphere_vector_field`` of the field's
-    source. The maximum over z is taken on 81 points over +-halfwidth,
-    refined by golden section to 1e-6 wavelengths and then by two Newton
-    steps on the analytic dI/dz, each node summed on its own. Returns
-    (ratio, nominal, z_peak).
+    source. The maximum over z is taken on 81 points over center +-
+    halfwidth, refined by golden section to 1e-6 wavelengths and then by
+    two Newton steps on the analytic dI/dz, each node summed on its own.
+    Returns (ratio, nominal, z_peak).
     """
     vector = sphere_vector_field(field.source, field)
     shape = vector.shape[:2]
@@ -516,7 +535,7 @@ def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
 
     denom = intensity(amp0, 0.0)
     _, z = scan_then_golden(lambda z: intensity(amp, z),
-                            np.linspace(-halfwidth, halfwidth, 81), 1e-6)
+                            center + np.linspace(-halfwidth, halfwidth, 81), 1e-6)
     k = 2.0 * math.pi * cos_theta
     for _ in range(2):
         p = np.exp(1j * k * z)
@@ -525,3 +544,24 @@ def axial_strehl(field, w_nodes, halfwidth: float = 2.0):
         d2 = 2.0 * np.real(np.vdot(e1, e1) + np.vdot(e, e2))
         z -= d1 / d2
     return intensity(amp, z) / denom, intensity(amp, 0.0) / denom, z
+
+
+def wide_axial_strehl(field, w_nodes, halfwidth: float = 40.0, step: float = 0.005):
+    """Strehl ratio at the global axial maximum over +-halfwidth.
+
+    Brute force: the on-axis intensity on every point ``step`` apart over
+    the whole window. The nodes of one ring share cos theta, so each
+    ring's aberrated amplitudes are summed first, a regrouping of the
+    node sum. ``axial_strehl`` then refines the best point within one
+    step of it. Returns (ratio, nominal, z_peak).
+    """
+    vector = sphere_vector_field(field.source, field)
+    phasor = np.exp(2j * math.pi * np.broadcast_to(w_nodes, vector.shape[:2]))
+    rings = np.sum(vector * (field.weight * phasor)[..., None], axis=1)
+    cos_theta = np.cos(field.theta[:, 0])
+    z = np.arange(-round(halfwidth / step), round(halfwidth / step) + 1) * step
+    intensity = np.empty(z.size)
+    for start in range(0, z.size, 1024):
+        e = np.exp(2j * math.pi * np.multiply.outer(z[start:start + 1024], cos_theta)) @ rings
+        intensity[start:start + 1024] = np.sum(np.abs(e) ** 2, axis=-1)
+    return axial_strehl(field, w_nodes, halfwidth=step, center=z[np.argmax(intensity)])

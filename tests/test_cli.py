@@ -456,15 +456,19 @@ def test_missing_config_file(capsys):
      "a pulse of 4.05e+301 bins exceeds the limit of 10,000,000 bins"),
     ("[pulse]\nbuildup_ns = 1e300\n",
      "a pulse of 1.23e+303 bins exceeds the limit of 10,000,000 bins"),
+    # rescaled without compensation, the figure would be divided by zero
+    ("[strehl]\nevaluate_nm = 0\ncompensate = false\n",
+     "[strehl] evaluate_nm = 0 is not a positive wavelength"),
 ], ids=["zero-bin", "negative-bin", "nan-bin", "nan-buildup", "inf-duration", "latin-1",
-        "huge-duration", "tiny-bin", "huge-buildup"])
+        "huge-duration", "tiny-bin", "huge-buildup", "zero-wavelength"])
 def test_malformed_numbers_exit_2_with_one_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "toolkit.ini"
     if isinstance(text, bytes):
         path.write_bytes(text)
     else:
         path.write_text(text)
-    code, out, err = run(capsys, "pulse", "--config", str(path))
+    command = "strehl" if "[strehl]" in str(text) else "pulse"
+    code, out, err = run(capsys, command, "--config", str(path))
     assert code == 2 and out == ""
     [line] = err.splitlines()  # one line, no traceback
     assert line.startswith("error: ") and message in line
@@ -557,6 +561,22 @@ def test_strehl_cli_refuses_a_term_beyond_the_float_range(tmp_path, capsys):
     assert code == 2 and out == ""
     [line] = err.splitlines()  # one line, no traceback
     assert line == "error: Zernike term (n=900, m=0): its radial coefficients exceed the float range"
+
+
+@pytest.mark.parametrize("term", ["812 0 0.01", "50 0 0.002", "28 0 0.01"])
+def test_strehl_cli_refuses_a_term_that_rounding_would_spoil(tmp_path, capsys, term):
+    # the power-basis coefficients cancel: from n = 28 rounding may cost
+    # more than 1e-6 of |R| <= 1, and at n = 812 the values overflow
+    zfile = tmp_path / "figure.txt"
+    zfile.write_text(f"# wavelength_nm: 632.8\n{term}\n")
+    config = write_config(tmp_path, f"[strehl]\nzernike_file = {zfile}\nwaist = 2.2636\n")
+    code, out, err = run(capsys, "strehl", "--config", config)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()  # one line, no traceback and no RuntimeWarning
+    n = term.split()[0]
+    assert line.startswith(f"error: Zernike term (n={n}, m=0): its power-basis coefficients "
+                           "cancel, and rounding may cost ")
+    assert line.endswith(" of |R| <= 1")
 
 
 def test_strehl_cli_compensation_story(tmp_path, capsys):

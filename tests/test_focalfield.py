@@ -171,6 +171,22 @@ def test_strehl_of_perfect_focus(small_doughnut):
     assert res.rms_waves == 0.0
 
 
+@pytest.mark.parametrize("aperture", [
+    ApertureSpec(outer_radius_mm=1.0, bore_radius_mm=0.0),
+    ApertureSpec(outer_radius_mm=10.0, bore_radius_mm=9.0),
+], ids=["shallow", "thin-annulus"])
+def test_strehl_of_a_mirror_whose_lobe_is_wider_than_the_window(aperture):
+    # the main lobe, 1/(cos theta_min - cos theta_max) lambda, is 9.3 and
+    # 17.3 lambda wide here: two lobes exceed even +-16 lambda, and the
+    # margin keeps the middle third of the window instead
+    field = plane_to_sphere(RadialMode.doughnut(0.3), aperture)
+    res = strehl(field)
+    assert (res.ratio, res.nominal, res.peak_offset_lambda) == (1.0, 1.0, 0.0)
+    shifted = strehl(field, lambda th, ph: np.cos(th))
+    assert shifted.ratio == pytest.approx(1.0, abs=1e-12)
+    assert shifted.peak_offset_lambda == pytest.approx(-1.0, abs=1e-9)
+
+
 def test_small_aberration_follows_marechal(small_doughnut):
     exp = ZernikeExpansion(terms=((2, 2, 0.02),), wavelength_nm=369.5)
     res = strehl(small_doughnut, exp)
@@ -185,11 +201,6 @@ def test_strehl_decreases_with_aberration_strength(small_doughnut):
         exp = ZernikeExpansion(terms=((3, 1, scale),), wavelength_nm=369.5)
         ratios.append(strehl(small_doughnut, exp).ratio)
     assert ratios[0] > ratios[1] > ratios[2]
-
-
-def test_strehl_convergence_guard(small_doughnut):
-    with pytest.raises(ConvergenceError):
-        strehl(small_doughnut, max_doublings=0)
 
 
 def test_default_strehl_certifies_on_the_first_doubling(doughnut_field):
@@ -289,7 +300,7 @@ def test_strehl_pass_matches_the_oracle_across_ring_blocks(aperture, waist_optim
     field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
                             n_theta=n_theta, n_phi=n_phi)
     ab = _BLOCK_ABERRATIONS[aberration]
-    res = ff._strehl_once(field, ab, 2.0)
+    res = ff._strehl_once(field, ab)
     if callable(ab):
         w = np.broadcast_to(ab(field.theta, field.phi), (n_theta, n_phi))
     else:
@@ -324,10 +335,10 @@ def test_strehl_pass_allocates_blocks_not_grids(aperture, waist_optimum):
                             n_theta=512, n_phi=512)
     exp = ZernikeExpansion(terms=tuple((n, m, 0.01) for n in range(11)
                                        for m in range(-n, n + 1, 2)), wavelength_nm=633.0)
-    ff._strehl_once(field, exp, 2.0)  # the scan phasors are cached once per quadrature
+    ff._strehl_once(field, exp)  # the scan phasors are cached once per quadrature
     tracemalloc.start()
     try:
-        ff._strehl_once(field, exp, 2.0)
+        ff._strehl_once(field, exp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,17 +362,44 @@ def test_strehl_widens_a_window_that_cuts_the_peak(aperture, waist_optimum):
     assert res.ratio > 0.14
 
 
-def test_strehl_edge_of_widest_window_raises(small_doughnut):
-    # the peak at -0.5 lambda lies outside +-0.05 lambda doubled three times
-    with pytest.raises(ConvergenceError, match="edge of the search window"):
-        strehl(small_doughnut, lambda th, ph: 0.5 * np.cos(th), search_halfwidth_lambda=0.05)
+def test_strehl_edge_of_widest_window_raises(doughnut_field):
+    # 40 cos(theta) waves shift the focus to -40 lambda, outside +-2 lambda
+    # doubled three times; the scan there peaks on a sidelobe at the edge
+    with pytest.raises(ConvergenceError, match=r"within 1.22 lambda of the edge of the search "
+                                               r"window \[-16, 16\] lambda"):
+        strehl(doughnut_field, lambda th, ph: 40.0 * np.cos(th))
+
+
+@pytest.mark.parametrize("aberration, ratio, offset", [
+    (ZernikeExpansion(terms=((4, 0, 3.0),), wavelength_nm=369.5), 0.4037424, -3.867015),
+    (ZernikeExpansion(terms=((6, 0, 4.0),), wavelength_nm=369.5), 0.3263798, 5.283710),
+    # an exact axial shift of the focus: its peak is the unaberrated one
+    (lambda th, ph: 10.0 * np.cos(th), 1.0, -10.0),
+], ids=["spherical-4", "spherical-6", "shift-10"])
+def test_strehl_finds_a_focus_outside_the_first_window(doughnut_field, aberration, ratio,
+                                                       offset):
+    # each focus lies beyond +-2 lambda, where the first scan peaks on a
+    # sidelobe near its edge: the window doubles until the maximum lies two
+    # main lobes inside it, and a brute-force scan over +-40 lambda agrees
+    res = strehl(doughnut_field, aberration)
+    field = doughnut_field.with_resolution(res.n_theta, res.n_phi)
+    if callable(aberration):
+        w = aberration(field.theta, field.phi)
+    else:
+        w = oracles.zernike_sum(aberration, field.rho_unit, field.phi)
+    want_ratio, want_nominal, want_offset = oracles.wide_axial_strehl(field, w)
+    assert res.ratio == pytest.approx(want_ratio, abs=1e-6)
+    assert res.nominal == pytest.approx(want_nominal, abs=1e-6)
+    assert res.peak_offset_lambda == pytest.approx(want_offset, abs=1e-3)
+    assert res.ratio == pytest.approx(ratio, abs=1e-6)
+    assert res.peak_offset_lambda == pytest.approx(offset, abs=1e-5)
 
 
 def test_strehl_convergence_covers_the_peak_offset(small_doughnut, monkeypatch):
     real = ff._strehl_once
 
-    def drifting(field, aberration, halfwidth):
-        res = real(field, aberration, halfwidth)
+    def drifting(field, aberration):
+        res = real(field, aberration)
         # ratio and nominal converged; only the peak moves with the grid
         return ff.StrehlResult(res.ratio, res.nominal, 1e-2 * field.n_theta / 96.0,
                                res.rms_waves, res.n_theta, res.n_phi)
@@ -513,7 +551,7 @@ def test_aluminum_phase_strehl_is_grid_independent(aperture, waist_optimum, wave
 
     doughnut = RadialMode.doughnut(waist_optimum.waist)
     results = [ff._strehl_once(plane_to_sphere(doughnut, aperture, n_theta=n, n_phi=n),
-                               aberration, 2.0) for n in (128, 256, 512)]
+                               aberration) for n in (128, 256, 512)]
     for res in results[1:]:
         assert res.ratio == pytest.approx(results[0].ratio, abs=1e-13)
         assert res.nominal == pytest.approx(results[0].nominal, abs=1e-13)

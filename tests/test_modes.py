@@ -123,17 +123,21 @@ def test_waist_does_not_depend_on_the_rule(aperture, monkeypatch, weighted):
     assert fine.eta == pytest.approx(coarse.eta, abs=1e-14)
 
 
-def test_optimize_waist_bad_bracket(aperture):
-    with pytest.raises(DomainError):
-        optimize_waist(aperture, bracket=(0.0, 1.0))
-    with pytest.raises(DomainError):
-        optimize_waist(aperture, bracket=(2.0, 1.0))
+def test_optimize_waist_bad_bracket():
+    # a 200 mm focal length puts the 10 mm rim at 0.05 f, inside the
+    # smallest waist of the scan
+    with pytest.raises(DomainError, match=r"rim radius rho_max = 0.05 f leaves no waist scan "
+                                          r"above 0.1 f"):
+        optimize_waist(ApertureSpec(focal_length_mm=200.0))
 
 
-def test_optimize_waist_refuses_a_bracket_edge(aperture):
-    # the optimum near 2.26 f lies above this bracket
-    with pytest.raises(ConvergenceError, match=r"edge of the search window \[0.1, 0.5\]"):
-        optimize_waist(aperture, bracket=(0.1, 0.5))
+def test_optimize_waist_refuses_a_bracket_edge():
+    # a 1 mm rim without a bore: the overlap still rises at the rim
+    # radius, 0.476 f, where the scan ends
+    aperture = ApertureSpec(outer_radius_mm=1.0, bore_radius_mm=0.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"edge of the search window \[0.1, 0.47619\]"):
+        optimize_waist(aperture)
 
 
 @settings(max_examples=50, deadline=None)
@@ -261,7 +265,7 @@ def test_coupling_arguments_must_be_fractions():
     with pytest.raises(DomainError):
         coupling_strength(0.9, -0.1, 1.0)
     with pytest.raises(DomainError):
-        absorption_probability(0.9, 1.01)
+        absorption_probability(0.9, 1.01, 1.0)
 
 
 def test_coupling_figures_consistency():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -13,8 +14,8 @@ from dipolemirror import (
     DeterminacyError,
     DomainError,
     FrameStack,
-    RadialMode,
     StokesMap,
+    doughnut_profile,
     ellipse_angles,
     measured_overlap,
     stokes_from_frames,
@@ -162,7 +163,7 @@ def _single_state_map(stokes):
     ],
 )
 def test_ellipse_angles_known_states(stokes, psi, chi):
-    pmap = ellipse_angles(_single_state_map(stokes))
+    pmap = ellipse_angles(_single_state_map(stokes), 0.01)
     assert pmap.mask[0, 0]
     if psi is not None:
         assert pmap.psi[0, 0] == pytest.approx(psi, abs=1e-9)
@@ -174,7 +175,7 @@ def test_orientation_stays_below_pi():
     s1 = np.ones((1, 2))
     s2 = np.array([[-1e-17, 1e-17]])
     smap = StokesMap(s0=s1, s1=s1, s2=s2, s3=np.zeros((1, 2)), pixel_scale=1.0, center=(0, 0))
-    psi = ellipse_angles(smap).psi
+    psi = ellipse_angles(smap, 0.01).psi
     assert np.all((psi >= 0.0) & (psi < math.pi))
     assert psi[0, 0] == 0.0
 
@@ -198,7 +199,7 @@ def test_ellipse_angles_noise_floor():
         angles_rad=ANGLES_OK, frames=np.zeros((9, 2, 2)),
         pixel_scale=1.0, center=(0.0, 0.0)))
     with pytest.raises(DomainError):
-        ellipse_angles(dark)
+        ellipse_angles(dark, 0.01)
 
 
 def test_radial_projection_of_radial_beam(doughnut_stack):
@@ -241,10 +242,23 @@ def test_measured_overlap_of_ideal_doughnut(doughnut_stack, aperture, waist_opti
     assert result.eta == pytest.approx(waist_optimum.eta, abs=2e-3)
     assert result.coverage == pytest.approx(1.0, abs=1e-6)
     assert result.eta_rectified == pytest.approx(result.eta, abs=1e-8)
+    # the same pixel sums written out: sqrt(s0) times the radial
+    # projection against the dipole profile, over the annulus pixels
+    rows, cols = pmap.s0.shape
+    y = (np.arange(rows)[:, None] - pmap.center[0]) * pmap.pixel_scale
+    x = (np.arange(cols)[None, :] - pmap.center[1]) * pmap.pixel_scale
+    rho = np.hypot(x, y)
+    sel = (rho >= aperture.rho_bore) & (rho <= aperture.rho_max) & pmap.mask
+    a, p = np.sqrt(pmap.s0[sel]), oracles.radial_projection(pmap)[sel]
+
+    def overlap(b):
+        return np.sum(a * p * b) / math.sqrt(np.sum(a * a) * np.sum(b * b))
+
+    assert result.n_pixels == np.count_nonzero(sel)
+    assert result.eta == pytest.approx(overlap(rho[sel] / ((rho[sel] / 2.0) ** 2 + 1.0) ** 2),
+                                       abs=1e-12)
     # against its own profile the pixelized beam is a perfect match
-    self_ref = measured_overlap(
-        pmap, aperture, reference=RadialMode.doughnut(waist_optimum.waist))
-    assert self_ref.eta == pytest.approx(1.0, abs=1e-4)
+    assert overlap(doughnut_profile(rho[sel], waist_optimum.waist)) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_measured_overlap_trim_and_validation(doughnut_stack, aperture):
@@ -259,13 +273,26 @@ def test_measured_overlap_trim_and_validation(doughnut_stack, aperture):
 
 def test_measured_overlap_refuses_poor_coverage(doughnut_stack, aperture):
     stack, _ = doughnut_stack
-    # the default noise floor masks the dim doughnut rim inside the annulus
-    pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=0.01)
+    smap = stokes_from_frames(stack)
+    # the CLI's noise floor masks the dim doughnut rim inside the annulus
     with pytest.raises(CoverageError) as err:
-        measured_overlap(pmap, aperture)
-    assert 0.0 < err.value.missing_fraction < 1.0
-    relaxed = measured_overlap(pmap, aperture, max_missing=0.5)
-    assert relaxed.coverage == pytest.approx(1.0 - err.value.missing_fraction, abs=1e-9)
+        measured_overlap(ellipse_angles(smap, 0.01), aperture)
+    assert 0.05 < err.value.missing_fraction < 1.0
+    # a sector masked out of the full map: 4 % of the annulus passes, 6 % not
+    full = ellipse_angles(smap, 0.0)
+    rho, phi = full.grid_polar()
+    annulus = (rho >= aperture.rho_bore) & (rho <= aperture.rho_max)
+    narrow = annulus & (np.abs(phi) < 0.04 * math.pi)
+    result = measured_overlap(dataclasses.replace(full, mask=full.mask & ~narrow), aperture)
+    missing = np.count_nonzero(narrow) / np.count_nonzero(annulus)
+    assert 0.03 < missing < 0.05
+    assert result.coverage == pytest.approx(1.0 - missing, abs=1e-12)
+    assert result.n_pixels == np.count_nonzero(annulus) - np.count_nonzero(narrow)
+    wide = annulus & (np.abs(phi) < 0.06 * math.pi)
+    with pytest.raises(CoverageError, match="limit 5.0%") as err:
+        measured_overlap(dataclasses.replace(full, mask=full.mask & ~wide), aperture)
+    assert err.value.missing_fraction == pytest.approx(
+        np.count_nonzero(wide) / np.count_nonzero(annulus), abs=1e-12)
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -349,7 +376,7 @@ def test_frame_stack_refuses_truncated_frames_and_bad_maxval(tmp_path, doughnut_
 
 def test_export_polarization(tmp_path, doughnut_stack):
     stack, _ = doughnut_stack
-    pmap = ellipse_angles(stokes_from_frames(stack))
+    pmap = ellipse_angles(stokes_from_frames(stack), 0.01)
     # psi carries nan outside the mask and chi takes both signs
     assert np.isnan(pmap.psi).any() and (pmap.chi < 0).any()
     export_polarization(pmap, tmp_path / "beam")

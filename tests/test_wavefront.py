@@ -124,6 +124,37 @@ def test_zernike_term_beyond_the_float_range_is_refused():
         zernike_eval(high, RHO, PHI)
 
 
+def test_radial_polynomials_are_evaluated_to_1e6_or_refused():
+    # the power-basis coefficients cancel more with each degree; the
+    # lowest order of a degree cancels the most
+    rho = np.linspace(0.0, 1.0, 401)
+    for n in range(20, 28):
+        term = ZernikeExpansion(terms=((n, n % 2, 1.0),), wavelength_nm=632.8)
+        got = zernike_eval(term, rho, 0.0)
+        assert np.abs(got - oracles.zernike_radial_exact(n, n % 2, rho)).max() < 1e-6
+    for n, m in ((28, 0), (29, 1), (50, 0)):
+        term = ZernikeExpansion(terms=((n, m, 1.0),), wavelength_nm=632.8)
+        with pytest.raises(DomainError, match=rf"\(n={n}, m={m}\): its power-basis "
+                                              "coefficients cancel"):
+            zernike_eval(term, rho, 0.0)
+
+
+def test_fit_refuses_a_degree_it_cannot_evaluate_before_allocating():
+    # the moments alone would take (degree + 1)^4 floats, 113 MB at degree 60
+    pmap = PhaseMap.from_expansion(ZernikeExpansion(terms=((2, 0, 0.1),), wavelength_nm=632.8),
+                                   size=128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"\(n=60, m=0\)"):
+            zernike_fit(pmap, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(DomainError, match=r"\(n=29, m=1\)"):
+        zernike_fit(pmap, 29)
+
+
 def test_expansion_validation():
     with pytest.raises(DomainError):
         ZernikeExpansion(terms=((2, 1, 0.1),), wavelength_nm=633.0)
