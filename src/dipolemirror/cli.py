@@ -12,6 +12,15 @@ The layers are bound as modules and called as ``modes.optimize_waist``,
 subcommand loads only the layers it runs: ``solid-angle`` loads
 ``geometry``, and ``pulse`` loads ``temporal`` and ``gridio``.
 
+Two results are computed once per process and then reused: the
+unweighted optimal waist of an aperture, and the overlap eta_t (with its
+shift) of the modeled pulse of a transition and its [pulse] settings.
+That is sound because each is a function of configuration values only,
+never of a mirror figure or an input file, and it is keyed on all of
+them. So a process that runs many reports, one figure each, pays for the
+waist and the pulse once; ``pulse`` itself still models and exports the
+whole pulse on every call.
+
 Configuration is a line-oriented key=value file with [section] headers.
 Command-line flags override file values; built-in defaults fill the rest,
 so commands that only need the default mirror run without any config.
@@ -206,6 +215,26 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
+# ------------------------------------------------- once-per-process results
+#
+# Bounded, filled on first use, and holding two floats per entry: a pulse
+# of millions of bins pins no memory. A refused input raises and is not
+# kept, so it is refused again on every call.
+
+
+@functools.lru_cache(maxsize=16)
+def _optimal_waist(aperture: geometry.ApertureSpec) -> modes.WaistOptimum:
+    """The unweighted optimal doughnut waist of an aperture."""
+    return modes.optimize_waist(aperture)
+
+
+@functools.lru_cache(maxsize=16)
+def _pulse_overlap(transition: temporal.TransitionSpec, duration_ns: float,
+                   bin_width_ns: float, buildup_ns: float) -> temporal.TemporalOverlapResult:
+    """eta_t and the shift of the modeled pulse; ``pulse`` exports the whole pulse."""
+    return _model_pulse(transition, duration_ns, bin_width_ns, buildup_ns).overlap
+
+
 # ---------------------------------------------------------------- factors
 
 
@@ -216,13 +245,8 @@ class _Factor:
     provenance: str
 
 
-def _resolve_factor(name: str, config: ToolkitConfig, aperture: geometry.ApertureSpec,
-                    optimum) -> _Factor:
-    """A coupling factor from the [report] section: a number or 'compute'.
-
-    ``optimum`` returns the optimal-waist result; it is shared by ``eta``
-    and a [strehl] section without a waist.
-    """
+def _resolve_factor(name: str, config: ToolkitConfig, aperture: geometry.ApertureSpec) -> _Factor:
+    """A coupling factor from the [report] section: a number or 'compute'."""
     raw = config.get("report", name)
     if raw is None:
         if name == "omega_fraction" or name == "eta":
@@ -244,11 +268,11 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: geometry.Apertur
         value = geometry.weighted_fraction(aperture.angle_interval())
         return _Factor(name, value, "computed: dipole-weighted solid angle of the mirror annulus")
     if name == "eta":
-        opt = optimum()
+        opt = _optimal_waist(aperture)
         return _Factor(name, opt.eta,
                        f"computed: optimal doughnut waist w = {opt.waist:.6f} f")
     if name == "strehl":
-        result = _strehl_from_config(config, aperture, optimum)
+        result = _strehl_from_config(config, aperture)
         if result is None:
             raise ConfigError("missing factor strehl: 'compute' needs a [strehl] section")
         return _Factor(name, result.ratio, "computed: focal-field Strehl of [strehl] inputs")
@@ -257,7 +281,7 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: geometry.Apertur
             raise ConfigError(
                 "missing factor eta_t: 'compute' needs a [pulse] section"
             )
-        eta_t = _pulse_from_config(config).overlap.eta_t
+        eta_t = _pulse_overlap(*_pulse_settings(config)).eta_t
         return _Factor(name, eta_t, "computed: modeled pulse overlap from [pulse] inputs")
     if name == "branching":
         raise ConfigError("missing factor branching: must be a number")
@@ -297,7 +321,7 @@ def cmd_optimize_waist(args, config: ToolkitConfig):
     reflectivity = _reflectivity_from_config(config)
     if reflectivity is not None:
         wavelength, constants = reflectivity
-        plain = modes.optimize_waist(aperture)
+        plain = _optimal_waist(aperture)
         weight = focalfield.reflectivity_weight(wavelength, constants)
         opt = modes.optimize_waist(aperture, weight=weight)
         delta_eta = opt.eta - plain.eta
@@ -314,7 +338,7 @@ def cmd_optimize_waist(args, config: ToolkitConfig):
             f"  delta eta = {delta_eta:+.6f}",
         ]
     else:
-        opt = modes.optimize_waist(aperture)
+        opt = _optimal_waist(aperture)
         extra = {}
         body = [
             f"  w_opt = {opt.waist:.6f} f",
@@ -332,7 +356,7 @@ def _mode_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec):
         return mode, f"sampled mode from {mode_file}"
     waist = config.get_float("overlap", "waist")
     if waist is None:
-        opt = modes.optimize_waist(aperture)
+        opt = _optimal_waist(aperture)
         return modes.RadialMode.doughnut(opt.waist), f"optimal doughnut w = {opt.waist:.6f} f"
     return modes.RadialMode.doughnut(waist), f"doughnut w = {waist} f"
 
@@ -446,10 +470,10 @@ def cmd_zernike(args, config: ToolkitConfig):
     return "wavefront fit", body, machine, "zernike.txt"
 
 
-def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec, optimum):
+def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec):
     """Strehl result from the [strehl] section, or None without inputs.
 
-    ``optimum`` returns the optimal-waist result, used without a waist key.
+    Without a waist key the field is the optimal doughnut.
     """
     section = config.sections.get("strehl")
     if section is None:
@@ -471,7 +495,7 @@ def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec, 
             aberration = aberration.scaled(factor, evaluate_nm)
     waist = config.get_float("strehl", "waist")
     if waist is None:
-        waist = optimum().waist
+        waist = _optimal_waist(aperture).waist
     field = focalfield.plane_to_sphere(modes.RadialMode.doughnut(waist), aperture)
     if config.get_bool("strehl", "aluminum_phase", False):
         wl = evaluate_nm
@@ -495,7 +519,7 @@ def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec, 
 
 def cmd_strehl(args, config: ToolkitConfig):
     aperture = config.aperture()
-    result = _strehl_from_config(config, aperture, lambda: modes.optimize_waist(aperture))
+    result = _strehl_from_config(config, aperture)
     if result is None:
         raise ConfigError("a [strehl] section is required")
     # the offset prints to 1e-6 lambda; below that it is 0, never -0
@@ -527,20 +551,26 @@ class _Pulse:
     overlap: temporal.TemporalOverlapResult
 
 
-def _pulse_from_config(config: ToolkitConfig) -> _Pulse:
+def _pulse_settings(config: ToolkitConfig) -> tuple:
+    """(transition, duration_ns, bin_width_ns, buildup_ns) of the modeled pulse."""
     transition = config.transition()
     duration = config.get_float("pulse", "duration_lifetimes", 5.0)
     default_bin = min(0.02, transition.lifetime_ns / 2000.0)
     bin_width = config.get_float("pulse", "bin_width_ns", default_bin)
     buildup = config.get_float("pulse", "buildup_ns", 5.0)
-    drive = temporal.aom_drive(transition, duration * transition.lifetime_ns, bin_width)
-    envelope = temporal.aom_response(drive.field_envelope(), buildup)
+    return transition, duration * transition.lifetime_ns, bin_width, buildup
+
+
+def _model_pulse(transition: temporal.TransitionSpec, duration_ns: float,
+                 bin_width_ns: float, buildup_ns: float) -> _Pulse:
+    drive = temporal.aom_drive(transition, duration_ns, bin_width_ns)
+    envelope = temporal.aom_response(drive.field_envelope(), buildup_ns)
     overlap = temporal.temporal_overlap(envelope, transition)
-    return _Pulse(transition, buildup, drive, envelope, overlap)
+    return _Pulse(transition, buildup_ns, drive, envelope, overlap)
 
 
 def cmd_pulse(args, config: ToolkitConfig):
-    pulse = _pulse_from_config(config)
+    pulse = _model_pulse(*_pulse_settings(config))
     transition, overlap = pulse.transition, pulse.overlap
     out = _out_dir(args)
     if out is not None:
@@ -570,9 +600,8 @@ def cmd_pulse(args, config: ToolkitConfig):
 def cmd_report(args, config: ToolkitConfig):
     aperture = config.aperture()
     transition = config.transition()
-    optimum = functools.cache(lambda: modes.optimize_waist(aperture))
     factors = {
-        name: _resolve_factor(name, config, aperture, optimum)
+        name: _resolve_factor(name, config, aperture)
         for name in ("omega_fraction", "eta", "strehl", "eta_t", "branching")
     }
     figures = modes.CouplingFigures(**{name: f.value for name, f in factors.items()})

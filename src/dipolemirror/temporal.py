@@ -137,7 +137,10 @@ def _bin_centers(duration_ns: float, bin_width_ns: float) -> np.ndarray:
     bins = duration_ns / bin_width_ns
     _check_bins(bins)
     n = max(int(round(bins)), 2)
-    return -0.5 * bin_width_ns - bin_width_ns * np.arange(n - 1, -1, -1)
+    t = np.arange(n - 1, -1, -1, dtype=float)
+    t *= -bin_width_ns
+    t -= 0.5 * bin_width_ns
+    return t
 
 
 def ideal_envelope(spec: TransitionSpec, duration_ns: float, bin_width_ns: float) -> PulseEnvelope:
@@ -200,20 +203,31 @@ def _decay_scan(x, n: int, decay: float, gain: float) -> np.ndarray:
     in from the block before decays as decay^(j+1) across the block, and
     the carries follow one recursion per block. Only powers decay^m with
     m >= 0 appear, so none overflows when decay tends to 0.
+
+    The output is the one array of the pulse's size allocated per call: the
+    whole blocks of input multiply straight into it, and the carry terms
+    are added in place, 64 blocks (32 KiB) at a time.
     """
     blocks = -(-n // _SCAN_BLOCK)
-    padded = np.zeros(blocks * _SCAN_BLOCK)
-    padded[:x.size] = x
     powers = decay ** np.arange(_SCAN_BLOCK + 1)
     lag = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
     toeplitz = np.tril(gain * powers[np.abs(lag)])
-    # each block's response from rest, then the output carried in from the
-    # block before, which holds that block's own carry decayed across it
-    y = padded.reshape(blocks, _SCAN_BLOCK) @ toeplitz.T
+    # each block's response from rest; blocks past the input respond 0
+    y = np.zeros((blocks, _SCAN_BLOCK))
+    whole = min(x.size, n) // _SCAN_BLOCK
+    np.matmul(x[:whole * _SCAN_BLOCK].reshape(whole, _SCAN_BLOCK), toeplitz.T, out=y[:whole])
+    rest = x[whole * _SCAN_BLOCK:n]
+    if rest.size:
+        y[whole] = toeplitz[:, :rest.size] @ rest
+    # then the output carried in from the block before, which holds that
+    # block's own carry decayed across it
     across, carries = float(powers[-1]), [0.0]
     for block_last in y[:-1, -1].tolist():
         carries.append(block_last + across * carries[-1])
-    y += np.multiply.outer(carries, powers[1:])
+    carries = np.array(carries)
+    for start in range(0, blocks, _SCAN_BLOCK):
+        y[start:start + _SCAN_BLOCK] += np.multiply.outer(carries[start:start + _SCAN_BLOCK],
+                                                          powers[1:])
     return y.ravel()[:n]
 
 
@@ -238,7 +252,9 @@ def aom_drive(spec: TransitionSpec, duration_ns: float, bin_width_ns: float) -> 
     would exceed 1.
     """
     t = _bin_centers(duration_ns, bin_width_ns)
-    u0 = np.arcsin(np.exp(t / (2.0 * spec.lifetime_ns)))
+    u0 = t / (2.0 * spec.lifetime_ns)
+    np.exp(u0, out=u0)
+    np.arcsin(u0, out=u0)
     return DriveWaveform(times_ns=t, u0_rad=u0, bin_width_ns=bin_width_ns)
 
 

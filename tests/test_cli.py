@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dipolemirror
 import oracles
@@ -15,14 +19,16 @@ from dipolemirror import (
     ConvergenceError,
     FrameStack,
     PhaseMap,
+    TransitionSpec,
     ZernikeExpansion,
     aom_drive,
     aom_response,
+    temporal_overlap,
 )
-from dipolemirror.cli import main
+from dipolemirror.cli import _fmt, main
 from dipolemirror.modes import save_sampled_mode
 from dipolemirror.polarimetry import ellipse_angles, load_frame_stack, stokes_from_frames
-from dipolemirror.temporal import T1, T2
+from dipolemirror.temporal import _TAIL_BUILDUPS, T1, T2
 from dipolemirror.wavefront import load_expansion, save_phase_map
 
 EMPTY_DIGEST = "sha256:" + hashlib.sha256(b"").hexdigest()
@@ -601,16 +607,17 @@ def test_strehl_cli_compensation_story(tmp_path, capsys):
 
 
 def test_report_optimizes_the_waist_once(tmp_path, capsys, monkeypatch):
-    from dipolemirror import modes
+    from dipolemirror import cli, modes
     from dipolemirror.wavefront import save_expansion
 
+    cli._optimal_waist.cache_clear()
+    cli._pulse_overlap.cache_clear()
     zfile = tmp_path / "figure.txt"
     save_expansion(ZernikeExpansion(terms=((2, 2, 0.02),), wavelength_nm=632.8), zfile)
     config = write_config(tmp_path, (
         "[report]\nomega_fraction = compute\neta = compute\nstrehl = compute\n"
         f"[strehl]\nzernike_file = {zfile}\n"
     ))
-    _, reference, _ = run(capsys, "strehl", "--config", config)
     calls = []
     real = modes.optimize_waist
 
@@ -623,17 +630,87 @@ def test_report_optimizes_the_waist_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1  # shared by eta and the [strehl] waist
     pairs = machine_pairs(out)
-    assert pairs["factor.strehl"] == machine_pairs(reference)["strehl.ratio"]
 
+    # the process keeps the waist of its aperture: an identical report,
+    # a report with eta fixed, and the strehl subcommand all reuse it
     calls.clear()
+    assert run(capsys, "report", "--config", config)[1] == out
     fixed_eta = write_config(tmp_path, (
         "[report]\neta = 0.98\nstrehl = compute\n"
         f"[strehl]\nzernike_file = {zfile}\n"
     ), name="fixed_eta.ini")
     code, out, _ = run(capsys, "report", "--config", fixed_eta)
     assert code == 0
-    assert len(calls) == 1  # for the [strehl] waist only
     assert machine_pairs(out)["factor.strehl"] == pairs["factor.strehl"]
+    _, reference, _ = run(capsys, "strehl", "--config", config)
+    assert pairs["factor.strehl"] == machine_pairs(reference)["strehl.ratio"]
+    assert calls == []
+
+    # another aperture is another key
+    other = write_config(tmp_path, (
+        "[aperture]\nbore_radius_mm = 1.0\n"
+        "[report]\nomega_fraction = compute\neta = compute\nstrehl = compute\n"
+        f"[strehl]\nzernike_file = {zfile}\n"
+    ), name="other_aperture.ini")
+    code, out, _ = run(capsys, "report", "--config", other)
+    assert code == 0
+    assert len(calls) == 1
+    assert machine_pairs(out)["factor.eta"] != pairs["factor.eta"]
+
+
+def run_quiet(*argv):
+    """``run`` for property tests, which take no function-scoped fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def pulse_settings(draw):
+    """[transition] lifetime and [pulse] keys of a pulse of at most 6,000 bins."""
+    lifetime = draw(st.floats(0.5, 300.0))
+    duration_lifetimes = draw(st.floats(0.5, 8.0))
+    bin_width = duration_lifetimes * lifetime / draw(st.floats(2.0, 4000.0))
+    buildup = draw(st.sampled_from([0.0, 2.0, 5.0]) | st.floats(0.0, 10.0))
+    assume(buildup * _TAIL_BUILDUPS / bin_width < 2000.0)
+    return lifetime, duration_lifetimes, bin_width, buildup
+
+
+@settings(max_examples=25, deadline=None)
+@given(settings_list=st.lists(pulse_settings(), min_size=1, max_size=3))
+def test_report_eta_t_matches_the_uncached_pulse(tmp_path_factory, settings_list):
+    # configs interleave in one process, each run twice: a cache hit must
+    # print what a fresh pulse of its own settings gives, byte for byte
+    base = tmp_path_factory.mktemp("pulses")
+    for lifetime, duration_lifetimes, bin_width, buildup in settings_list * 2:
+        config = write_config(base, (
+            f"[transition]\nlabel = X\nwavelength_nm = 500\nlifetime_ns = {lifetime!r}\n"
+            f"[pulse]\nduration_lifetimes = {duration_lifetimes!r}\n"
+            f"bin_width_ns = {bin_width!r}\nbuildup_ns = {buildup!r}\n"
+            "[report]\nomega_fraction = 0.9\neta = 0.9\neta_t = compute\n"
+        ))
+        code, out, err = run_quiet("report", "--config", config)
+        assert code == 0, err
+        spec = TransitionSpec("X", 500.0, lifetime)
+        drive = aom_drive(spec, duration_lifetimes * lifetime, bin_width)
+        overlap = temporal_overlap(aom_response(drive.field_envelope(), buildup), spec)
+        assert machine_pairs(out)["factor.eta_t"] == _fmt(overlap.eta_t)
+
+
+@pytest.mark.parametrize("command", ["report", "pulse"])
+def test_a_refused_pulse_is_refused_on_every_call(tmp_path, capsys, command):
+    config = write_config(tmp_path, (
+        "[report]\nomega_fraction = 0.9\neta = 0.9\neta_t = compute\n"
+        "[pulse]\nduration_lifetimes = 1e300\n"
+    ))
+    errors = set()
+    for _ in range(3):
+        code, out, err = run(capsys, command, "--config", config)
+        assert code == 2 and out == ""
+        errors.add(err)
+    [err] = errors
+    assert err == "error: a pulse of 2e+303 bins exceeds the limit of 10,000,000 bins\n"
 
 
 def test_strehl_requires_section(capsys):
