@@ -275,7 +275,7 @@ def _resolve_factor(name: str, config: ToolkitConfig, aperture: geometry.Apertur
         result = _strehl_from_config(config, aperture)
         if result is None:
             raise ConfigError("missing factor strehl: 'compute' needs a [strehl] section")
-        return _Factor(name, result.ratio, "computed: focal-field Strehl of [strehl] inputs")
+        return _Factor(name, result.ratio, "computed: on-axis E_z Strehl of [strehl] inputs")
     if name == "eta_t":
         if "pulse" not in config.sections:
             raise ConfigError(

@@ -25,7 +25,8 @@ rho = 2 tan(theta/2) with amplitude apodization sec^2(theta/2); it turns
 the ideal dipole-matched profile rho/((rho/2)^2 + 1)^2 into exactly
 sin(theta).
 
-Strehl ratios are aberrated over unaberrated focal intensity. Because
+Strehl ratios are aberrated over unaberrated on-axis |E_z|^2: an atom
+whose dipole lies on the mirror axis couples to E_z alone. Because
 defocus-like aberrations shift the axial maximum, both the value at the
 shifted maximum (searched over an axial range) and at the nominal focus
 are reported, together with the amplitude-weighted RMS of the aberration.
@@ -39,12 +40,11 @@ enter here as pixels: a polarization map is scored in the entrance plane
 Aberrations are evaluated on the same axes; a callable's result is a
 scalar or a 2-d array that broadcasts to (n_theta, n_phi). On the axis
 the phase exp(i 2 pi z cos(theta)) does not depend on phi, so each ring
-of constant theta is summed once: the aberrated e_theta amplitude goes
-through the real basis (cos phi, sin phi, 1), and the Cartesian ring
-sums follow from e_theta. Every axial evaluation then costs O(n_theta),
-and a scan of many axial positions is one matrix product. A pass does
-only what depends on the aberration on the full grid: its phasor, the
-product with the amplitude, the ring sums and the RMS deviations run over
+of constant theta adds one complex number to E_z, its weight times
+sin(theta) times amp sum_phi exp(i 2 pi W). Every axial evaluation then
+costs O(n_theta), and a scan of many axial positions is one
+matrix-vector product. A pass does only what depends on the aberration
+on the full grid: its phasor, the ring sums and the RMS deviations run over
 blocks of rings of about 64 KiB, so each temporary is a reused buffer
 that stays in cache. The RMS weight depends on theta only, so the RMS
 comes from per-ring sums. The scan phasors exp(i 2 pi z cos(theta)) of a
@@ -144,16 +144,11 @@ class SphereField:
     def efield(self) -> np.ndarray:
         """Cartesian vector amplitude, shape (n_theta, n_phi, 3), built on demand."""
         a, ct = self.amp_theta, np.cos(self.theta)
-        return _stack_last(a * ct * np.cos(self.phi), a * ct * np.sin(self.phi),
-                           a * np.sin(self.theta))
+        parts = a * ct * np.cos(self.phi), a * ct * np.sin(self.phi), a * np.sin(self.theta)
+        return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
     def with_resolution(self, n_theta: int, n_phi: int) -> "SphereField":
         return plane_to_sphere(self.source, self.aperture, n_theta=n_theta, n_phi=n_phi)
-
-
-def _stack_last(*parts):
-    # components that broadcast against each other, stacked on a last axis
-    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 def plane_to_sphere(
@@ -219,7 +214,8 @@ def _resolve_aberration(field: SphereField, aberration):
 class StrehlResult:
     """Strehl ratio with its axial-search and convergence context.
 
-    ratio is taken at the axial intensity maximum, nominal at the focal
+    Each ratio is of the on-axis |E_z|^2, the field an axial dipole
+    couples to. ratio is taken at its axial maximum, nominal at the focal
     point itself; peak_offset_lambda locates the maximum, to rounding.
     rms_waves is the aberration RMS weighted by each node's contribution to
     the on-axis field (quadrature weight times axial field amplitude).
@@ -235,26 +231,25 @@ class StrehlResult:
 
 def _strehl_once(field: SphereField, aberration) -> StrehlResult:
     w = _resolve_aberration(field, aberration)
-    phi = field.phi[0]
-    basis = _stack_last(np.cos(phi), np.sin(phi), 1.0)
-    st, ct = np.sin(field.theta), np.cos(field.theta)
-    # e_theta = (cos t cos p, cos t sin p, sin t): each ring's sum against
-    # the basis (cos phi, sin phi, 1), scaled per ring, is its Cartesian sum
-    scale = np.hstack((ct, ct, st))
-    # unaberrated, each ring's sum is its amplitude times the summed basis
-    rings0 = field.weight * ((field.amp_theta * basis.sum(axis=0)) * scale)
-    k = 2.0 * math.pi * ct[:, 0]
+    st = np.sin(field.theta)
+    # an axial dipole couples to E_z = sum w amp sin(theta) exp(i 2 pi (W + z cos theta))
+    # alone: each ring adds its weight times sin(theta) times its pass sum
+    ring_weight = (field.weight * st)[:, 0]
+    k = 2.0 * math.pi * np.cos(field.theta[:, 0])
     lo, hi = _cos_interval(field.aperture)
 
-    def axial(sums, z):
-        # I = |E|^2 and its first two derivatives in z from (n_theta, 3)
-        # ring sums S: E(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
+    def axial(rings, z):
+        # |E_z|^2 and its first two derivatives in z from the (n_theta,)
+        # ring sums S: E_z(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
         p = np.exp(1j * k * z)
-        e, e1, e2 = p @ sums, (1j * k * p) @ sums, (-(k**2) * p) @ sums
+        e, e1, e2 = p @ rings, (1j * k * p) @ rings, (-(k**2) * p) @ rings
         return (np.vdot(e, e).real, 2.0 * np.vdot(e, e1).real,
                 2.0 * (np.vdot(e1, e1).real + np.vdot(e, e2).real))
 
-    denom = float(axial(rings0, 0.0)[0])
+    # unaberrated, each ring sums to n_phi times its amplitude: bit-equal to
+    # the pass on W = 0, so the ratios are then 1 at the focus and at most 1
+    # beside it, never 1 plus rounding
+    denom = float(axial(ring_weight * (field.n_phi * field.amp_theta[:, 0]), 0.0)[0])
     if denom <= 0.0:
         raise DomainError("on-axis reference field vanishes; Strehl undefined")
     # the RMS weight depends on theta only, so the mean comes from ring
@@ -262,10 +257,8 @@ def _strehl_once(field: SphereField, aberration) -> StrehlResult:
     q = (field.weight * np.abs(field.amp_theta * st))[:, 0]
     qsum = field.n_phi * float(q.sum())
     mean = float(q @ w.sum(axis=1)) / qsum
-    sums, spread = _ring_pass(w, field.amp_theta, basis.astype(complex), mean)
-    # without an aberration the field is its own reference: the ratios are
-    # then 1 at the focus and at most 1 beside it, never 1 plus rounding
-    rings = rings0 if aberration is None else field.weight * (sums * scale)
+    sums, spread = _ring_pass(w, field.amp_theta[:, 0], mean)
+    rings = ring_weight * sums
 
     # the axial main lobe is 1/(hi - lo) lambda wide: a scanned maximum within
     # two lobes of an end may be a sidelobe of a focus outside the window; the
@@ -276,9 +269,12 @@ def _strehl_once(field: SphereField, aberration) -> StrehlResult:
         points = round(2.0 * halfwidth / _SEARCH_STEP) + 1
         reach = min(lobes, 2.0 * halfwidth / 3.0)
         margin = int(reach / _SEARCH_STEP)
-        # |E|^2 on the window, whose phasors are computed once per quadrature
-        e = _axial_scan(field.n_theta, lo, hi, -halfwidth, halfwidth, points) @ rings
-        values = np.sum(e.real**2 + e.imag**2, axis=-1)
+        # |E_z|^2 on the window, whose phasors are computed once per quadrature;
+        # einsum, not a BLAS matrix-vector product: OpenBLAS threads that at
+        # these sizes, and its idle thread then spins on the second core
+        scan = _axial_scan(field.n_theta, lo, hi, -halfwidth, halfwidth, points)
+        e = np.einsum("zt,t->z", scan, rings)
+        values = e.real**2 + e.imag**2
         if margin < int(np.argmax(values)) < points - 1 - margin:
             break
     else:
@@ -295,11 +291,11 @@ def _strehl_once(field: SphereField, aberration) -> StrehlResult:
     )
 
 
-def _ring_pass(w, amp, basis, mean: float):
-    """Per-ring sums of the aberrated e_theta amplitude and of (W - mean)^2.
+def _ring_pass(w, amp, mean: float):
+    """Per-ring sums of the aberrated amplitude and of (W - mean)^2.
 
-    Returns the (n_theta, 3) sums of amp * exp(i 2 pi W), amp of shape
-    (n_theta, 1), against the complex basis and the (n_theta,) sums of the squared deviation. The
+    Returns the (n_theta,) sums amp * sum_phi exp(i 2 pi W), amp of shape
+    (n_theta,), and the (n_theta,) sums of the squared deviation. The
     rings go in blocks of about _BLOCK nodes, so every temporary is a
     reused block buffer.
     """
@@ -307,7 +303,7 @@ def _ring_pass(w, amp, basis, mean: float):
     rows = max(1, _BLOCK // n_phi)
     arg = np.empty((min(rows, n_theta), n_phi))
     phasor = np.empty(arg.shape, dtype=complex)
-    sums = np.empty((n_theta, 3), dtype=complex)
+    sums = np.empty(n_theta, dtype=complex)
     spread = np.empty(n_theta)
     for start in range(0, n_theta, rows):
         block = slice(start, start + rows)
@@ -315,10 +311,10 @@ def _ring_pass(w, amp, basis, mean: float):
         np.multiply(w[block], 2.0 * math.pi, out=a)
         np.cos(a, out=p.real)
         np.sin(a, out=p.imag)
-        p *= amp[block]
-        np.matmul(p, basis, out=sums[block])
+        np.sum(p, axis=1, out=sums[block])
         np.subtract(w[block], mean, out=a)
         np.sum(np.square(a, out=a), axis=1, out=spread[block])
+    sums *= amp
     return sums, spread
 
 
@@ -340,7 +336,10 @@ def _axial_scan(n_theta: int, lo: float, hi: float, z0: float, z1: float, points
 def strehl(field: SphereField, aberration=None) -> StrehlResult:
     """Strehl ratio of the aberrated focus, quadrature-verified.
 
-    The intensity maximum is scanned along the axis over plus/minus 2
+    The ratio is of the on-axis |E_z|^2, aberrated over unaberrated: an
+    atom whose dipole lies on the mirror axis couples to E_z alone, so
+    omega_fraction * eta^2 * ratio is its coupling to the aberrated wave.
+    The |E_z|^2 maximum is scanned along the axis over plus/minus 2
     wavelengths, 0.05 lambda apart. A scanned maximum within two main
     lobes, 2/(cos theta_min - cos theta_max) wavelengths, of either end may
     be a sidelobe of a focus outside the window, so the window doubles at

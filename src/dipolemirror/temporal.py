@@ -117,7 +117,7 @@ class PulseEnvelope:
 
     def energy(self) -> float:
         """Integral of the squared envelope (amplitude^2 * ns)."""
-        return float(np.sum(self.samples**2) * self.bin_width_ns)
+        return float(np.dot(self.samples, self.samples) * self.bin_width_ns)
 
 
 def _check_bins(bins: float) -> None:

@@ -514,24 +514,24 @@ def sphere_overlap(a, b) -> float:
 
 
 def axial_strehl(field, w_nodes, halfwidth: float = 2.0, center: float = 0.0):
-    """Strehl ratio by a full node sum at every axial position.
+    """Strehl ratio of |E_z|^2 by a full node sum at every axial position.
 
-    The on-axis field is sum_nodes amp * exp(i 2 pi (W + z cos theta)),
-    amp the node weight times ``sphere_vector_field`` of the field's
-    source. The maximum over z is taken on 81 points over center +-
-    halfwidth, refined by golden section to 1e-6 wavelengths and then by
-    two Newton steps on the analytic dI/dz, each node summed on its own.
-    Returns (ratio, nominal, z_peak).
+    An atom whose dipole lies on the axis couples to the on-axis E_z alone:
+    sum_nodes amp * exp(i 2 pi (W + z cos theta)), amp the node weight
+    times the z component of ``sphere_vector_field`` of the field's source.
+    The maximum over z is taken on 81 points over center +- halfwidth,
+    refined by golden section to 1e-6 wavelengths and then by two Newton
+    steps on the analytic dI/dz, each node summed on its own. Returns
+    (ratio, nominal, z_peak).
     """
     vector = sphere_vector_field(field.source, field)
     shape = vector.shape[:2]
-    amp0 = (vector * field.weight[..., None]).reshape(-1, 3)
-    amp = amp0 * np.exp(2j * math.pi * np.broadcast_to(w_nodes, shape).ravel())[:, None]
+    amp0 = (vector[..., 2] * field.weight).ravel()
+    amp = amp0 * np.exp(2j * math.pi * np.broadcast_to(w_nodes, shape).ravel())
     cos_theta = np.cos(np.broadcast_to(field.theta, shape).ravel())
 
     def intensity(a, z):
-        e = np.exp(2j * math.pi * cos_theta * z) @ a
-        return float(np.real(np.vdot(e, e)))
+        return float(abs(np.exp(2j * math.pi * cos_theta * z) @ a) ** 2)
 
     denom = intensity(amp0, 0.0)
     _, z = scan_then_golden(lambda z: intensity(amp, z),
@@ -540,28 +540,48 @@ def axial_strehl(field, w_nodes, halfwidth: float = 2.0, center: float = 0.0):
     for _ in range(2):
         p = np.exp(1j * k * z)
         e, e1, e2 = p @ amp, (1j * k * p) @ amp, (-(k**2) * p) @ amp
-        d1 = 2.0 * np.real(np.vdot(e, e1))
-        d2 = 2.0 * np.real(np.vdot(e1, e1) + np.vdot(e, e2))
+        d1 = 2.0 * np.real(np.conj(e) * e1)
+        d2 = 2.0 * np.real(np.conj(e1) * e1 + np.conj(e) * e2)
         z -= d1 / d2
     return intensity(amp, z) / denom, intensity(amp, 0.0) / denom, z
 
 
 def wide_axial_strehl(field, w_nodes, halfwidth: float = 40.0, step: float = 0.005):
-    """Strehl ratio at the global axial maximum over +-halfwidth.
+    """Strehl ratio of |E_z|^2 at the global axial maximum over +-halfwidth.
 
     Brute force: the on-axis intensity on every point ``step`` apart over
     the whole window. The nodes of one ring share cos theta, so each
-    ring's aberrated amplitudes are summed first, a regrouping of the
-    node sum. ``axial_strehl`` then refines the best point within one
-    step of it. Returns (ratio, nominal, z_peak).
+    ring's aberrated E_z amplitudes are summed first, a regrouping of the
+    node sum into one column. ``axial_strehl`` then refines the best point
+    within one step of it. Returns (ratio, nominal, z_peak).
     """
-    vector = sphere_vector_field(field.source, field)
-    phasor = np.exp(2j * math.pi * np.broadcast_to(w_nodes, vector.shape[:2]))
-    rings = np.sum(vector * (field.weight * phasor)[..., None], axis=1)
+    axial = sphere_vector_field(field.source, field)[..., 2]
+    phasor = np.exp(2j * math.pi * np.broadcast_to(w_nodes, axial.shape))
+    rings = np.sum(axial * field.weight * phasor, axis=1)
     cos_theta = np.cos(field.theta[:, 0])
     z = np.arange(-round(halfwidth / step), round(halfwidth / step) + 1) * step
     intensity = np.empty(z.size)
     for start in range(0, z.size, 1024):
         e = np.exp(2j * math.pi * np.multiply.outer(z[start:start + 1024], cos_theta)) @ rings
-        intensity[start:start + 1024] = np.sum(np.abs(e) ** 2, axis=-1)
+        intensity[start:start + 1024] = np.abs(e) ** 2
     return axial_strehl(field, w_nodes, halfwidth=step, center=z[np.argmax(intensity)])
+
+
+def direct_coupling(field, aberration, z: float) -> float:
+    """Coupling of the aberrated wave to an axial dipole at z on the axis.
+
+    The dipole-wave overlap |E_z(z)|^2 / (P * 8 pi / 3): E_z(z) =
+    sum_nodes w * A sin(theta) * exp(i 2 pi (W + z cos theta)) and P =
+    sum_nodes w * A^2 the power through the aperture, A the field's
+    ``sphere_vector_field`` amplitude and W the Zernike expansion
+    ``aberration`` summed term by term; 8 pi / 3 is the integral of
+    sin^2(theta) over the full sphere. Each node is summed on its own.
+    """
+    vector = sphere_vector_field(field.source, field)
+    shape = vector.shape[:2]
+    w = np.broadcast_to(zernike_sum(aberration, field.rho_unit, field.phi), shape)
+    cos_theta = np.cos(np.broadcast_to(field.theta, shape))
+    weight = np.broadcast_to(field.weight, shape)
+    e_z = np.sum(weight * vector[..., 2] * np.exp(2j * math.pi * (w + z * cos_theta)))
+    power = np.sum(weight * np.sum(vector**2, axis=-1))
+    return float(abs(e_z) ** 2 / (power * 8.0 * math.pi / 3.0))

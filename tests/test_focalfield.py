@@ -23,7 +23,9 @@ from dipolemirror import (
     aluminum_rp,
     optimize_waist,
     plane_to_sphere,
+    spatial_overlap,
     strehl,
+    weighted_fraction,
 )
 from dipolemirror.cli import main
 from dipolemirror.focalfield import (
@@ -219,10 +221,10 @@ def test_unsettled_figure_is_refused_at_512x1024_nodes(doughnut_field):
 
 
 def _axial_ratio(field, aberration, z):
-    # brute-force node sum: on-axis intensity at z over the unaberrated focus
+    # brute-force node sum: on-axis |E_z|^2 at z over the unaberrated focus
     on_axis = focal_field(field, np.array([0.0, 0.0, z]), aberration=aberration)
     focus = focal_field(field, np.zeros(3))
-    return float(np.sum(np.abs(on_axis) ** 2) / np.sum(np.abs(focus) ** 2))
+    return float(abs(on_axis[2]) ** 2 / abs(focus[2]) ** 2)
 
 
 @pytest.mark.parametrize("aberration", [
@@ -255,10 +257,10 @@ def ring_sum_fields(aperture, waist_optimum):
 
 
 @st.composite
-def _expansions(draw):
+def _expansions(draw, bound=0.04):
     degree = draw(st.integers(1, 6))
     indices = [(n, m) for n in range(degree + 1) for m in range(-n, n + 1, 2)]
-    values = draw(st.lists(st.floats(-0.04, 0.04), min_size=len(indices),
+    values = draw(st.lists(st.floats(-bound, bound), min_size=len(indices),
                            max_size=len(indices)))
     return ZernikeExpansion(terms=tuple((n, m, v) for (n, m), v in zip(indices, values)),
                             wavelength_nm=369.5)
@@ -276,6 +278,20 @@ def test_strehl_ring_sums_match_the_oracle(ring_sum_fields, source, exp):
     assert res.ratio == pytest.approx(ratio, abs=1e-9)
     assert res.nominal == pytest.approx(nominal, abs=1e-9)
     assert res.peak_offset_lambda == pytest.approx(z_peak, abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(exp=_expansions(0.05), waist=st.floats(1.0, 4.0))
+def test_coupling_budget_is_the_direct_dipole_coupling(aperture, exp, waist):
+    # omega eta^2 S is the overlap |E_z|^2 / (P 8 pi / 3) of the aberrated
+    # wave with an axial dipole at the Strehl's own focus, on its own nodes
+    mode = RadialMode.doughnut(waist)
+    res = strehl(plane_to_sphere(mode, aperture), exp)
+    omega = weighted_fraction(aperture.angle_interval())
+    eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
+    field = plane_to_sphere(mode, aperture, n_theta=res.n_theta, n_phi=res.n_phi)
+    want = oracles.direct_coupling(field, exp, res.peak_offset_lambda)
+    assert omega * eta**2 * res.ratio == pytest.approx(want, abs=1e-10)
 
 
 # (n_theta, n_phi) at the edges of the ring blocks of one Strehl pass
