@@ -497,24 +497,15 @@ def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec):
     if waist is None:
         waist = _optimal_waist(aperture).waist
     field = focalfield.plane_to_sphere(modes.RadialMode.doughnut(waist), aperture)
+    coating = None
     if config.get_bool("strehl", "aluminum_phase", False):
         wl = evaluate_nm
         if wl is None and aberration is not None:
             wl = aberration.wavelength_nm
         if wl is None:
             raise ConfigError("[strehl] aluminum_phase needs evaluate_nm")
-        constants = _constants_from_config(config)
-        base = aberration
-
-        def combined(theta, phi):
-            w = focalfield.reflection_phase_waves(theta, wl, constants)
-            if base is not None:
-                rho = geometry.rho_from_theta(theta) / aperture.rho_max
-                w = w + wavefront.zernike_eval(base, rho, phi)
-            return w
-
-        aberration = combined
-    return focalfield.strehl(field, aberration)
+        coating = (wl, _constants_from_config(config))
+    return focalfield.strehl(field, aberration, coating)
 
 
 def cmd_strehl(args, config: ToolkitConfig):

@@ -60,9 +60,10 @@ returning a number that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
-reweights mode overlaps; its argument acts as a wavefront aberration. That
-phase is computed exactly at each node, so it is as smooth as r_p and the
-Gauss-Legendre rule converges on it as on a Zernike figure.
+reweights mode overlaps; its argument acts as a wavefront aberration of
+theta alone, which a Strehl pass takes as one exact phase per ring, as
+smooth as r_p, so the Gauss-Legendre rule converges on it as on a Zernike
+figure.
 Optical constants load from provenance-tagged tables only.
 """
 
@@ -103,8 +104,6 @@ _DEFAULT_THETA, _DEFAULT_PHI = 32, 64
 # tolerances of the Strehl ratios and of the peak offset in wavelengths
 _SEARCH_HALFWIDTH, _SEARCH_STEP, _MAX_WIDENINGS = 2.0, 0.05, 3
 _MAX_DOUBLINGS, _RATIO_TOL, _OFFSET_TOL = 4, 1e-4, 1e-3
-# points on which the reflection phase is unwrapped to pick its 2 pi branch
-_PHASE_GRID = 4096
 # nodes per block of rings in a Strehl pass: a block's complex phasor is
 # 64 KiB, so it and its temporaries stay in cache and below the
 # allocator's mmap threshold
@@ -229,8 +228,11 @@ class StrehlResult:
     n_phi: int
 
 
-def _strehl_once(field: SphereField, aberration) -> StrehlResult:
+def _strehl_once(field: SphereField, aberration, coating=None) -> StrehlResult:
     w = _resolve_aberration(field, aberration)
+    # the mirror's reflection phase depends on theta alone: one phase per ring
+    a = (np.zeros(field.n_theta) if coating is None
+         else reflection_phase_waves(field.theta[:, 0], *coating))
     st = np.sin(field.theta)
     # an axial dipole couples to E_z = sum w amp sin(theta) exp(i 2 pi (W + z cos theta))
     # alone: each ring adds its weight times sin(theta) times its pass sum
@@ -256,8 +258,9 @@ def _strehl_once(field: SphereField, aberration) -> StrehlResult:
     # sums; the weights cannot all vanish once the reference field is nonzero
     q = (field.weight * np.abs(field.amp_theta * st))[:, 0]
     qsum = field.n_phi * float(q.sum())
-    mean = float(q @ w.sum(axis=1)) / qsum
-    sums, spread = _ring_pass(w, field.amp_theta[:, 0], mean)
+    mean = float(q @ (w.sum(axis=1) + field.n_phi * a)) / qsum
+    # W + a - mean is W less the per-ring centre mean - a
+    sums, spread = _ring_pass(w, field.amp_theta[:, 0] * np.exp(2j * math.pi * a), mean - a)
     rings = ring_weight * sums
 
     # the axial main lobe is 1/(hi - lo) lambda wide: a scanned maximum within
@@ -291,11 +294,11 @@ def _strehl_once(field: SphereField, aberration) -> StrehlResult:
     )
 
 
-def _ring_pass(w, amp, mean: float):
-    """Per-ring sums of the aberrated amplitude and of (W - mean)^2.
+def _ring_pass(w, amp, centre):
+    """Per-ring sums of the aberrated amplitude and of (W - centre)^2.
 
-    Returns the (n_theta,) sums amp * sum_phi exp(i 2 pi W), amp of shape
-    (n_theta,), and the (n_theta,) sums of the squared deviation. The
+    Returns the (n_theta,) sums amp * sum_phi exp(i 2 pi W) and of the
+    squared deviation, amp and centre of shape (n_theta,). The
     rings go in blocks of about _BLOCK nodes, so every temporary is a
     reused block buffer.
     """
@@ -312,7 +315,7 @@ def _ring_pass(w, amp, mean: float):
         np.cos(a, out=p.real)
         np.sin(a, out=p.imag)
         np.sum(p, axis=1, out=sums[block])
-        np.subtract(w[block], mean, out=a)
+        np.subtract(w[block], centre[block, None], out=a)
         np.sum(np.square(a, out=a), axis=1, out=spread[block])
     sums *= amp
     return sums, spread
@@ -333,7 +336,7 @@ def _axial_scan(n_theta: int, lo: float, hi: float, z0: float, z1: float, points
     return out
 
 
-def strehl(field: SphereField, aberration=None) -> StrehlResult:
+def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
     """Strehl ratio of the aberrated focus, quadrature-verified.
 
     The ratio is of the on-axis |E_z|^2, aberrated over unaberrated: an
@@ -354,6 +357,10 @@ def strehl(field: SphereField, aberration=None) -> StrehlResult:
     n_phi) a smooth figure is certified on 64 x 128 nodes, and the last
     grid tried is 512 x 1024.
 
+    ``coating`` is None or the mirror metal's (wavelength_nm,
+    OpticalConstants): its reflection_phase_waves then adds to the
+    aberration on each ring. The reference stays unreflected.
+
     ``aberration`` is None, a ZernikeExpansion or a callable W(theta, phi)
     in waves, evaluated anew on every grid. The callable receives the grid
     axes, theta of shape (n_theta, 1) and phi of shape (1, n_phi), and
@@ -361,10 +368,10 @@ def strehl(field: SphereField, aberration=None) -> StrehlResult:
     any other shape, a 1-d vector included, raises DomainError, and so
     does any other object, such as an array of node samples or a phase map.
     """
-    res = _strehl_once(field, aberration)
+    res = _strehl_once(field, aberration, coating)
     for _ in range(_MAX_DOUBLINGS):
         field = field.with_resolution(2 * field.n_theta, 2 * field.n_phi)
-        fine = _strehl_once(field, aberration)
+        fine = _strehl_once(field, aberration, coating)
         if (abs(fine.ratio - res.ratio) < _RATIO_TOL
                 and abs(fine.nominal - res.nominal) < _RATIO_TOL
                 and abs(fine.peak_offset_lambda - res.peak_offset_lambda) < _OFFSET_TOL):
@@ -435,24 +442,18 @@ def aluminum_rp(theta, wavelength_nm: float, constants: OpticalConstants):
 
 
 def reflection_phase_waves(theta, wavelength_nm: float, constants: OpticalConstants):
-    """Phase of r_p in waves, unwrapped in theta and zeroed at the vertex.
+    """Phase of r_p in waves relative to the vertex: arg(r_p(theta) conj(r_p(0)))/2pi.
 
-    Suitable directly as a Strehl aberration: the reflected wavefront
-    acquires arg(r_p)/2pi waves that vary with theta. Each value is
-    arg(r_p(theta) conj(r_p(0)))/2pi, exact at theta; the phase unwrapped
-    on 4096 points from the vertex to the largest theta only picks its
-    2 pi branch, to which the exact value is moved by whole waves.
+    Each value is the exact principal value. On an absorbing metal (k > 0)
+    it stays within half a wave of the vertex's up to grazing incidence, so
+    it is the phase unwrapped from the vertex and needs no 2 pi branch; a
+    lossless table (k = 0, n < 1) kinks at its critical angle instead.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0) or np.any(theta >= math.pi):
         raise DomainError("theta must lie in [0, pi)")
     vertex = np.conj(aluminum_rp(0.0, wavelength_nm, constants))
-    exact = np.angle(aluminum_rp(theta, wavelength_nm, constants) * vertex) / (2.0 * math.pi)
-    hi = float(theta.max()) if theta.size else 0.0
-    grid = np.linspace(0.0, max(hi, 1e-6), _PHASE_GRID)
-    phase = np.unwrap(np.angle(aluminum_rp(grid, wavelength_nm, constants)))
-    table = np.interp(theta, grid, (phase - phase[0]) / (2.0 * math.pi))
-    out = exact + np.round(table - exact)
+    out = np.angle(aluminum_rp(theta, wavelength_nm, constants) * vertex) / (2.0 * math.pi)
     return float(out) if np.ndim(theta) == 0 else out
 
 

@@ -298,6 +298,14 @@ def test_report_strehl_compute_needs_inputs(tmp_path, capsys):
     assert machine_pairs(out)["factor.strehl"] == "1"
 
 
+def test_aluminum_phase_needs_a_wavelength(tmp_path, capsys):
+    # without evaluate_nm or a figure, nothing names the wavelength of r_p
+    config = write_config(tmp_path, "[strehl]\naluminum_phase = true\n")
+    code, out, err = run(capsys, "strehl", "--config", config)
+    assert code == 2 and out == ""
+    assert err == "error: [strehl] aluminum_phase needs evaluate_nm\n"
+
+
 def test_pulse_defaults(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code, out, _ = run(capsys, "pulse", "--out", str(out_dir))

@@ -257,8 +257,8 @@ def ring_sum_fields(aperture, waist_optimum):
 
 
 @st.composite
-def _expansions(draw, bound=0.04):
-    degree = draw(st.integers(1, 6))
+def _expansions(draw, bound=0.04, max_degree=6):
+    degree = draw(st.integers(1, max_degree))
     indices = [(n, m) for n in range(degree + 1) for m in range(-n, n + 1, 2)]
     values = draw(st.lists(st.floats(-bound, bound), min_size=len(indices),
                            max_size=len(indices)))
@@ -296,12 +296,14 @@ def test_coupling_budget_is_the_direct_dipole_coupling(aperture, exp, waist):
 
 # (n_theta, n_phi) at the edges of the ring blocks of one Strehl pass
 _BLOCK_SHAPES = {"ragged": (100, 96), "sub-block": (24, 16), "single-ring": (6, 4500)}
+_BLOCK_FIGURE = ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)),
+                                 wavelength_nm=369.5)
+# each case's aberration and the wavelength of its aluminum coating, if any
 _BLOCK_ABERRATIONS = {
-    "zernike": ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)),
-                                wavelength_nm=369.5),
-    # theta only; its 2 pi branch is picked on a grid set by the largest theta
-    "aluminum": lambda th, ph: reflection_phase_waves(th, 369.5, aluminum()),
-    "constant": lambda th, ph: 0.1,
+    "zernike": (_BLOCK_FIGURE, None),
+    # the reflection phase is one phase per ring, beside the figure's nodes
+    "aluminum": (_BLOCK_FIGURE, 369.5),
+    "constant": (lambda th, ph: 0.1, None),
 }
 
 
@@ -315,12 +317,15 @@ def test_strehl_pass_matches_the_oracle_across_ring_blocks(aperture, waist_optim
             "sub-block": n_theta < rows, "single-ring": rows == 1}[shape]
     field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
                             n_theta=n_theta, n_phi=n_phi)
-    ab = _BLOCK_ABERRATIONS[aberration]
-    res = ff._strehl_once(field, ab)
+    ab, coating_nm = _BLOCK_ABERRATIONS[aberration]
+    coating = None if coating_nm is None else (coating_nm, aluminum())
+    res = ff._strehl_once(field, ab, coating)
     if callable(ab):
         w = np.broadcast_to(ab(field.theta, field.phi), (n_theta, n_phi))
     else:
         w = oracles.zernike_sum(ab, field.rho_unit, field.phi)
+    if coating is not None:
+        w = w + reflection_phase_waves(field.theta, *coating)
     ratio, nominal, z_peak = oracles.axial_strehl(field, w)
     assert res.ratio == pytest.approx(ratio, abs=1e-10)
     assert res.nominal == pytest.approx(nominal, abs=1e-10)
@@ -414,8 +419,8 @@ def test_strehl_finds_a_focus_outside_the_first_window(doughnut_field, aberratio
 def test_strehl_convergence_covers_the_peak_offset(small_doughnut, monkeypatch):
     real = ff._strehl_once
 
-    def drifting(field, aberration):
-        res = real(field, aberration)
+    def drifting(field, *args):
+        res = real(field, *args)
         # ratio and nominal converged; only the peak moves with the grid
         return ff.StrehlResult(res.ratio, res.nominal, 1e-2 * field.n_theta / 96.0,
                                res.rms_waves, res.n_theta, res.n_phi)
@@ -523,17 +528,27 @@ def test_aluminum_rp_normal_incidence_limit():
 
 
 def _dense_unwrapped_phase(theta, wavelength_nm, table):
-    # arg(r_p) unwrapped on 2^16 points from the vertex, in waves
-    grid = np.linspace(0.0, max(float(np.max(theta)), 1e-6), 1 << 16)
+    # arg(r_p) unwrapped from the vertex, in waves, on 2^16 points and the
+    # angles themselves: a steep phase near a critical angle is read at
+    # each angle, not interpolated between its neighbours
+    grid = np.union1d(np.linspace(0.0, max(float(np.max(theta)), 1e-6), 1 << 16), theta)
     phase = np.unwrap(np.angle(aluminum_rp(grid, wavelength_nm, table)))
-    return np.interp(theta, grid, (phase - phase[0]) / (2.0 * math.pi))
+    return (phase - phase[0])[np.searchsorted(grid, theta)] / (2.0 * math.pi)
+
+
+@st.composite
+def _metals(draw):
+    # an absorbing medium of constant n + i k over a table's wavelengths
+    n, k = draw(st.floats(0.01, 20.0)), draw(st.floats(1e-4, 30.0))
+    return OpticalConstants(wavelength_nm=np.array([100.0, 2000.0]), n=np.array([n, n]),
+                            k=np.array([k, k]), source="synthetic")
 
 
 @settings(max_examples=50, deadline=None)
 @given(fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
-       wavelength=st.floats(150.0, 1000.0))
-def test_reflection_phase_is_exact_at_each_angle(aperture, fractions, wavelength):
-    table = aluminum()
+       wavelength=st.floats(150.0, 1000.0),
+       table=st.one_of(st.builds(aluminum), _metals()))
+def test_reflection_phase_is_exact_at_each_angle(aperture, fractions, wavelength, table):
     interval = aperture.angle_interval()
     theta = interval.theta_min + np.array(fractions) * (interval.theta_max
                                                         - interval.theta_min)
@@ -541,7 +556,8 @@ def test_reflection_phase_is_exact_at_each_angle(aperture, fractions, wavelength
     vertex = np.conj(aluminum_rp(0.0, wavelength, table))
     exact = np.angle(aluminum_rp(theta, wavelength, table) * vertex) / (2.0 * math.pi)
     assert np.allclose(phase, exact, rtol=0.0, atol=1e-15)
-    # the table only picks the branch; its own error is far below half a wave
+    # on an absorbing medium the principal value needs no 2 pi branch: it
+    # is the phase unwrapped from the vertex
     assert np.allclose(phase, _dense_unwrapped_phase(theta, wavelength, table),
                        rtol=0.0, atol=1e-6)
 
@@ -556,23 +572,33 @@ _FIGURE = ZernikeExpansion(
 @pytest.mark.parametrize("wavelength", [369.5, 251.8])
 def test_aluminum_phase_strehl_is_grid_independent(aperture, waist_optimum, wavelength,
                                                    figure):
-    table = aluminum()
-
-    def aberration(theta, phi):
-        w = reflection_phase_waves(theta, wavelength, table)
-        if figure:
-            w = w + oracles.zernike_sum(_FIGURE, rho_from_theta(theta) / aperture.rho_max,
-                                        phi)
-        return w
-
+    aberration, coating = (_FIGURE if figure else None), (wavelength, aluminum())
     doughnut = RadialMode.doughnut(waist_optimum.waist)
     results = [ff._strehl_once(plane_to_sphere(doughnut, aperture, n_theta=n, n_phi=n),
-                               aberration) for n in (128, 256, 512)]
+                               aberration, coating) for n in (128, 256, 512)]
     for res in results[1:]:
         assert res.ratio == pytest.approx(results[0].ratio, abs=1e-13)
         assert res.nominal == pytest.approx(results[0].nominal, abs=1e-13)
         assert res.peak_offset_lambda == pytest.approx(results[0].peak_offset_lambda,
                                                        abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(figure=_expansions(0.05, 10), wavelength=st.floats(150.0, 1000.0),
+       grid=st.sampled_from([(32, 64), (64, 128)]))
+def test_coating_phase_per_ring_matches_the_phase_on_every_node(aperture, waist_optimum,
+                                                                figure, wavelength, grid):
+    coating = (wavelength, aluminum())
+    field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
+                            n_theta=grid[0], n_phi=grid[1])
+
+    def on_every_node(theta, phi):
+        return (reflection_phase_waves(theta, *coating)
+                + oracles.zernike_sum(figure, rho_from_theta(theta) / aperture.rho_max, phi))
+
+    ring, node = ff._strehl_once(field, figure, coating), ff._strehl_once(field, on_every_node)
+    for name in ("ratio", "nominal", "peak_offset_lambda", "rms_waves"):
+        assert getattr(ring, name) == pytest.approx(getattr(node, name), rel=0.0, abs=1e-12)
 
 
 def test_reflection_phase_reference_points():

@@ -38,6 +38,9 @@ CASES = {
                 "[zernike]\nmap_file = map.txt\ndegree = 6\ndouble_pass = true\n"),
     "strehl": (["strehl"], "strehl.txt",
                f"[strehl]\nzernike_file = figure.txt\nwaist = {WAIST}\nevaluate_nm = 369.5\n"),
+    "strehl_aluminum": (["strehl"], "strehl.txt",
+                        f"[strehl]\nzernike_file = figure.txt\nwaist = {WAIST}\n"
+                        "evaluate_nm = 369.5\naluminum_phase = true\n"),
     "pulse": (["pulse"], "pulse.txt",
               "[transition]\nlabel = T2\n[pulse]\nbin_width_ns = 0.1\nbuildup_ns = 8\n"),
     "report": (["report"], "report.txt",

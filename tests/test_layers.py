@@ -84,6 +84,7 @@ DEFAULTED = {
     "focalfield.plane_to_sphere(n_phi)",
     "focalfield.plane_to_sphere(n_theta)",
     "focalfield.strehl(aberration)",
+    "focalfield.strehl(coating)",
     "geometry.ApertureSpec.angle_interval(include_bore)",
     "modes.optimize_waist(weight)",
     "modes.save_sampled_mode(aperture)",
@@ -104,7 +105,7 @@ def _defaulted(function) -> list:
 
 
 def test_defaulted_public_parameters_are_pinned():
-    assert len(DEFAULTED) == 16
+    assert len(DEFAULTED) == 17
     found = set()
     for path in sorted(Path(dipolemirror.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
