@@ -8,9 +8,10 @@ over that wave,
            * exp(i 2 pi W(theta, phi)) * exp(i 2 pi s . x),
 
 with positions x in units of the wavelength, propagation direction
-s = -r_hat, and aberration W in waves. Quadrature is Gauss-Legendre in
-cos(theta) crossed with a uniform azimuthal grid, so the node weights
-already contain the sin(theta) of the solid-angle measure.
+s = -r_hat, and aberration W in waves. Quadrature is Gauss-Legendre (or,
+for the Strehl, its Gauss-Kronrod extension) in cos(theta) crossed with a
+uniform azimuthal grid, so the node weights already contain the
+sin(theta) of the solid-angle measure.
 
 Conventions
 -----------
@@ -48,15 +49,19 @@ on the full grid: its phasor, the ring sums and the RMS deviations run over
 blocks of rings of about 64 KiB, so each temporary is a reused buffer
 that stays in cache. The RMS weight depends on theta only, so the RMS
 comes from per-ring sums. The scan phasors exp(i 2 pi z cos(theta)) of a
-search window do not depend on the aberration; they are cached per node
-count, cos(theta) interval and window, and a widened window is computed
-when it is first needed. The Gauss-Legendre rule comes from the one
-cached source in geometry, computed once per node count and mapped onto
-the cos(theta) interval of the mirror annulus. The quadrature starts on
-32 x 64 nodes (n_theta x n_phi), because the integrand resolves faster
-in theta than in phi, and both axes are doubled to confirm the ratio and
-the peak position, up to 512 x 1024; disagreement raises instead of
-returning a number that depends on the grid.
+search window do not depend on the aberration; they are cached per rule,
+cos(theta) interval and window, and a widened window is computed when it
+is first needed. Every rule comes from the one cached source in geometry,
+computed once per node count and mapped onto the cos(theta) interval of
+the mirror annulus. The Strehl is certified on nested rules: a field of
+n x m nodes (n_theta x n_phi, 32 x 64 by default, because the integrand
+resolves faster in theta than in phi) sets the level K_{2n+1} x T_{2m},
+the (2n + 1)-point Gauss-Kronrod rule in cos(theta) times the 2m-point
+trapezoid rule in phi. One pass on those nodes gives the fine estimate,
+and its Gauss n x m subset, the odd rings and even azimuths of the same
+phasors, the coarse one that certifies it. When they disagree, n and m
+double, up to 513 x 1024 nodes from the default; disagreement there
+raises instead of returning a number that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -78,7 +83,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ProvenanceError
 from .geometry import (
-    ApertureSpec, _gauss_legendre_on, incidence_angle, rho_from_theta, theta_from_rho,
+    ApertureSpec, _gauss_kronrod, _gauss_legendre_on, _rule_on, incidence_angle,
+    rho_from_theta, theta_from_rho,
 )
 from .gridio import read_table
 from .search import argmax_bracketed
@@ -100,10 +106,10 @@ __all__ = [
 # theta than in phi
 _DEFAULT_THETA, _DEFAULT_PHI = 32, 64
 # the first axial window's half-width and spacing in wavelengths, and its
-# doublings at that spacing; the doublings of the quadrature, and its
+# doublings at that spacing; the levels of nested quadrature, and their
 # tolerances of the Strehl ratios and of the peak offset in wavelengths
 _SEARCH_HALFWIDTH, _SEARCH_STEP, _MAX_WIDENINGS = 2.0, 0.05, 3
-_MAX_DOUBLINGS, _RATIO_TOL, _OFFSET_TOL = 4, 1e-4, 1e-3
+_LEVELS, _RATIO_TOL, _OFFSET_TOL = 4, 1e-4, 1e-3
 # nodes per block of rings in a Strehl pass: a block's complex phasor is
 # 64 KiB, so it and its temporaries stay in cache and below the
 # allocator's mmap threshold
@@ -119,8 +125,8 @@ class SphereField:
     units of the aperture radius have shape (n_theta, 1), and the azimuth
     has shape (1, n_phi). The source is a radially polarized mode, so the
     field is its real amplitude along e_theta, apodization included, of
-    shape (n_theta, 1). ``source`` and ``aperture`` are retained so the
-    field can be rebuilt at a different resolution for convergence checks.
+    shape (n_theta, 1). ``source`` and ``aperture`` are retained so that
+    strehl can rebuild the field on the nodes of its nested rules.
     """
 
     theta: np.ndarray
@@ -146,9 +152,6 @@ class SphereField:
         parts = a * ct * np.cos(self.phi), a * ct * np.sin(self.phi), a * np.sin(self.theta)
         return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
-    def with_resolution(self, n_theta: int, n_phi: int) -> "SphereField":
-        return plane_to_sphere(self.source, self.aperture, n_theta=n_theta, n_phi=n_phi)
-
 
 def plane_to_sphere(
     source,
@@ -167,7 +170,13 @@ def plane_to_sphere(
         raise DomainError("need at least 2 polar and 1 azimuthal node")
     if not hasattr(source, "amplitude"):
         raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
-    u, wu = _gauss_legendre_on(n_theta, *_cos_interval(aperture))
+    return _sphere_on(source, aperture, _gauss_legendre_on(n_theta, *_cos_interval(aperture)),
+                      n_phi)
+
+
+def _sphere_on(source, aperture: ApertureSpec, rule, n_phi: int) -> SphereField:
+    """The mode on the rule's (cos theta nodes, weights) times n_phi uniform azimuths."""
+    u, wu = rule
     theta = np.arccos(u)[:, None]
     phi = (np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :]
     weight = wu[:, None] * (2.0 * math.pi / n_phi)
@@ -218,6 +227,8 @@ class StrehlResult:
     point itself; peak_offset_lambda locates the maximum, to rounding.
     rms_waves is the aberration RMS weighted by each node's contribution to
     the on-axis field (quadrature weight times axial field amplitude).
+    n_theta x n_phi is the fine grid of the certified level, (2n + 1) x 2m
+    for a level n x m: 65 x 128 from the default 32 x 64 field.
     """
 
     ratio: float
@@ -228,85 +239,100 @@ class StrehlResult:
     n_phi: int
 
 
-def _strehl_once(field: SphereField, aberration, coating=None) -> StrehlResult:
+def _strehl_level(field: SphereField, aberration, coating=None):
+    """The fine and the coarse Strehl estimate of one nested pass.
+
+    ``field`` lies on the nested level K_{2n+1} x T_{2m} of _nested_field.
+    W, the ring phasors and the ring sums are computed once on its nodes;
+    the fine estimate sums every ring and azimuth, and the coarse one the
+    Gauss rings (odd ring indices, Gauss weights) and the even azimuths.
+    Returns the fine StrehlResult and the coarse (ratio, nominal,
+    peak_offset_lambda).
+    """
+    n, m = field.n_theta // 2, field.n_phi // 2
     w = _resolve_aberration(field, aberration)
+    theta = field.theta[:, 0]
     # the mirror's reflection phase depends on theta alone: one phase per ring
-    a = (np.zeros(field.n_theta) if coating is None
-         else reflection_phase_waves(field.theta[:, 0], *coating))
-    st = np.sin(field.theta)
-    # an axial dipole couples to E_z = sum w amp sin(theta) exp(i 2 pi (W + z cos theta))
-    # alone: each ring adds its weight times sin(theta) times its pass sum
-    ring_weight = (field.weight * st)[:, 0]
-    k = 2.0 * math.pi * np.cos(field.theta[:, 0])
+    a = np.zeros(field.n_theta) if coating is None else reflection_phase_waves(theta, *coating)
+    st, amp = np.sin(theta), field.amp_theta[:, 0]
+    k = 2.0 * math.pi * np.cos(theta)
     lo, hi = _cos_interval(field.aperture)
-
-    def axial(rings, z):
-        # |E_z|^2 and its first two derivatives in z from the (n_theta,)
-        # ring sums S: E_z(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
-        p = np.exp(1j * k * z)
-        e, e1, e2 = p @ rings, (1j * k * p) @ rings, (-(k**2) * p) @ rings
-        return (np.vdot(e, e).real, 2.0 * np.vdot(e, e1).real,
-                2.0 * (np.vdot(e1, e1).real + np.vdot(e, e2).real))
-
-    # unaberrated, each ring sums to n_phi times its amplitude: bit-equal to
-    # the pass on W = 0, so the ratios are then 1 at the focus and at most 1
-    # beside it, never 1 plus rounding
-    denom = float(axial(ring_weight * (field.n_phi * field.amp_theta[:, 0]), 0.0)[0])
-    if denom <= 0.0:
-        raise DomainError("on-axis reference field vanishes; Strehl undefined")
     # the RMS weight depends on theta only, so the mean comes from ring
     # sums; the weights cannot all vanish once the reference field is nonzero
-    q = (field.weight * np.abs(field.amp_theta * st))[:, 0]
+    q = field.weight[:, 0] * np.abs(amp * st)
     qsum = field.n_phi * float(q.sum())
     mean = float(q @ (w.sum(axis=1) + field.n_phi * a)) / qsum
     # W + a - mean is W less the per-ring centre mean - a
-    sums, spread = _ring_pass(w, field.amp_theta[:, 0] * np.exp(2j * math.pi * a), mean - a)
-    rings = ring_weight * sums
+    sums, even, spread = _ring_pass(w, amp * np.exp(2j * math.pi * a), mean - a)
 
-    # the axial main lobe is 1/(hi - lo) lambda wide: a scanned maximum within
-    # two lobes of an end may be a sidelobe of a focus outside the window; the
-    # middle third of a window stays clear, or a shallow mirror's lobe fills it
-    lobes = 2.0 / (hi - lo)
-    for widening in range(_MAX_WIDENINGS + 1):
-        halfwidth = _SEARCH_HALFWIDTH * 2**widening
-        points = round(2.0 * halfwidth / _SEARCH_STEP) + 1
-        reach = min(lobes, 2.0 * halfwidth / 3.0)
-        margin = int(reach / _SEARCH_STEP)
-        # |E_z|^2 on the window, whose phasors are computed once per quadrature;
-        # einsum, not a BLAS matrix-vector product: OpenBLAS threads that at
-        # these sizes, and its idle thread then spins on the second core
-        scan = _axial_scan(field.n_theta, lo, hi, -halfwidth, halfwidth, points)
-        e = np.einsum("zt,t->z", scan, rings)
-        values = e.real**2 + e.imag**2
-        if margin < int(np.argmax(values)) < points - 1 - margin:
-            break
-    else:
-        raise ConvergenceError(f"axial intensity maximum within {reach:.3g} lambda of the edge "
-                               f"of the search window [-{halfwidth:g}, {halfwidth:g}] lambda "
-                               f"at {field.n_theta}x{field.n_phi} quadrature nodes")
-    z_peak, peak = argmax_bracketed(np.linspace(-halfwidth, halfwidth, points), values,
-                                    lambda z: axial(rings, z))
-    return StrehlResult(
-        ratio=peak / denom, nominal=float(axial(rings, 0.0)[0]) / denom,
-        peak_offset_lambda=z_peak,
-        rms_waves=math.sqrt(float(q @ spread) / qsum),
-        n_theta=field.n_theta, n_phi=field.n_phi,
-    )
+    def axial(rings, kr, z):
+        # |E_z|^2 and its first two derivatives in z from the ring sums S:
+        # E_z(z) = sum_rings exp(i k z) S, k = 2 pi cos theta
+        p = np.exp(1j * (kr * z))
+        kp = kr * p
+        e, e1, s2 = complex(p @ rings), 1j * complex(kp @ rings), complex((kr * kp) @ rings)
+        return (e.real * e.real + e.imag * e.imag, 2.0 * (e.conjugate() * e1).real,
+                2.0 * (e1.real * e1.real + e1.imag * e1.imag - (e.conjugate() * s2).real))
+
+    def estimate(ring_weight, sums, n_az, rows):
+        # an axial dipole couples to E_z = sum w amp sin(theta) exp(i 2 pi (W + z cos theta))
+        # alone: each ring adds its weight times sin(theta) times its pass sum.
+        # Unaberrated, each ring sums to n_az times its amplitude: bit-equal to
+        # the pass on W = 0, so the ratios are then 1 at the focus and at most
+        # 1 beside it, never 1 plus rounding
+        kr = k[rows]
+        denom = axial(ring_weight * (n_az * amp[rows]), kr, 0.0)[0]
+        if denom <= 0.0:
+            raise DomainError("on-axis reference field vanishes; Strehl undefined")
+        rings = ring_weight * sums
+        # the axial main lobe is 1/(hi - lo) lambda wide: a scanned maximum
+        # within two lobes of an end may be a sidelobe of a focus outside the
+        # window; the middle third of a window stays clear, or a shallow
+        # mirror's lobe fills it
+        lobes = 2.0 / (hi - lo)
+        for widening in range(_MAX_WIDENINGS + 1):
+            halfwidth = _SEARCH_HALFWIDTH * 2**widening
+            points = round(2.0 * halfwidth / _SEARCH_STEP) + 1
+            reach = min(lobes, 2.0 * halfwidth / 3.0)
+            margin = int(reach / _SEARCH_STEP)
+            # |E_z|^2 on the window, whose phasors are computed once per rule;
+            # einsum, not a BLAS matrix-vector product: OpenBLAS threads that
+            # at these sizes, and its idle thread then spins on the second core
+            scan = _axial_scan(n, lo, hi, -halfwidth, halfwidth, points)[:, rows]
+            e = np.einsum("zt,t->z", scan, rings)
+            values = e.real**2 + e.imag**2
+            if margin < int(np.argmax(values)) < points - 1 - margin:
+                break
+        else:
+            raise ConvergenceError(
+                f"axial intensity maximum within {reach:.3g} lambda of the edge of the "
+                f"search window [-{halfwidth:g}, {halfwidth:g}] lambda "
+                f"at {field.n_theta}x{field.n_phi} quadrature nodes")
+        z_peak, peak = argmax_bracketed(np.linspace(-halfwidth, halfwidth, points), values,
+                                        lambda z: axial(rings, kr, z))
+        return peak / denom, axial(rings, kr, 0.0)[0] / denom, z_peak
+
+    fine = estimate(field.weight[:, 0] * st, sums, 2 * m, slice(None))
+    gauss = _gauss_legendre_on(n, lo, hi)[1] * (2.0 * math.pi / m)
+    coarse = estimate(gauss * st[1::2], even[1::2], m, slice(1, None, 2))
+    return StrehlResult(*fine, rms_waves=math.sqrt(float(q @ spread) / qsum),
+                        n_theta=field.n_theta, n_phi=field.n_phi), coarse
 
 
 def _ring_pass(w, amp, centre):
     """Per-ring sums of the aberrated amplitude and of (W - centre)^2.
 
-    Returns the (n_theta,) sums amp * sum_phi exp(i 2 pi W) and of the
-    squared deviation, amp and centre of shape (n_theta,). The
-    rings go in blocks of about _BLOCK nodes, so every temporary is a
-    reused block buffer.
+    Returns the (n_theta,) sums amp * sum_phi exp(i 2 pi W) over every
+    azimuth and over the even ones, and of the squared deviation; amp and
+    centre have shape (n_theta,). The rings go in blocks of about _BLOCK
+    nodes, so every temporary is a reused block buffer.
     """
     n_theta, n_phi = w.shape
     rows = max(1, _BLOCK // n_phi)
     arg = np.empty((min(rows, n_theta), n_phi))
     phasor = np.empty(arg.shape, dtype=complex)
     sums = np.empty(n_theta, dtype=complex)
+    even = np.empty(n_theta, dtype=complex)
     spread = np.empty(n_theta)
     for start in range(0, n_theta, rows):
         block = slice(start, start + rows)
@@ -314,30 +340,68 @@ def _ring_pass(w, amp, centre):
         np.multiply(w[block], 2.0 * math.pi, out=a)
         np.cos(a, out=p.real)
         np.sin(a, out=p.imag)
-        np.sum(p, axis=1, out=sums[block])
+        np.add.reduce(p, axis=1, out=sums[block])
+        np.add.reduce(p[:, ::2], axis=1, out=even[block])
         np.subtract(w[block], centre[block, None], out=a)
         np.sum(np.square(a, out=a), axis=1, out=spread[block])
     sums *= amp
-    return sums, spread
+    even *= amp
+    return sums, even, spread
 
 
 @lru_cache(maxsize=8)
-def _axial_scan(n_theta: int, lo: float, hi: float, z0: float, z1: float, points: int):
-    """exp(i 2 pi z cos(theta)) on an axial scan window, shape (points, n_theta).
+def _axial_scan(n: int, lo: float, hi: float, z0: float, z1: float, points: int):
+    """exp(i 2 pi z cos(theta)) on an axial scan window, shape (points, 2n + 1).
 
-    The rows are z = linspace(z0, z1, points); the columns are the nodes
-    plane_to_sphere puts on the cos(theta) interval [lo, hi]. The phasors
-    do not depend on the aberration, so each quadrature and window is
-    computed once; the array is shared by every pass, so it is read-only.
+    The rows are z = linspace(z0, z1, points); the columns are the nodes of
+    the (2n + 1)-point Gauss-Kronrod rule that _nested_field puts on the
+    cos(theta) interval [lo, hi], and its odd columns are those of the
+    n-point Gauss rule. The phasors do not depend on the aberration, so
+    each rule and window is computed once; the array is shared by every
+    pass, so it is read-only.
     """
-    cos_theta = np.cos(np.arccos(_gauss_legendre_on(n_theta, lo, hi)[0]))
+    cos_theta = np.cos(np.arccos(_rule_on(_gauss_kronrod(n), lo, hi)[0]))
     out = np.exp(2j * math.pi * np.multiply.outer(np.linspace(z0, z1, points), cos_theta))
     out.flags.writeable = False
     return out
 
 
+def _nested_field(field: SphereField, n: int, m: int) -> SphereField:
+    """The field's source on the nested level K_{2n+1} x T_{2m}.
+
+    The (2n + 1)-point Gauss-Kronrod rule in cos(theta) contains the n-point
+    Gauss rule at its odd rings, and the 2m-point trapezoid rule in phi the
+    m-point one at its even azimuths, so one pass on this grid evaluates
+    both the level's estimate and its certificate.
+    """
+    return _sphere_on(field.source, field.aperture,
+                      _rule_on(_gauss_kronrod(n), *_cos_interval(field.aperture)), 2 * m)
+
+
+def _lossless_kink(aperture: ApertureSpec, coating):
+    """Refuse a lossless coating whose r_p kinks inside the mirror annulus.
+
+    With k = 0 and n < 1, arg(r_p) has a kink at the critical angle
+    theta_c = 2 asin(n), where the local incidence angle theta/2 reaches
+    total internal reflection; no polynomial rule resolves it.
+    """
+    wavelength_nm, constants = coating
+    index = constants.index(wavelength_nm)
+    if index.imag != 0.0 or index.real >= 1.0:
+        return
+    theta_c = 2.0 * math.asin(index.real)
+    interval = aperture.angle_interval()
+    if interval.theta_min < theta_c < interval.theta_max:
+        raise DomainError(
+            f"lossless optical constants (n = {index.real:g}, k = 0 at {wavelength_nm:g} nm): "
+            f"arg(r_p) kinks at the critical angle theta_c = {math.degrees(theta_c):.4g} deg, "
+            f"inside the mirror annulus [{math.degrees(interval.theta_min):.4g}, "
+            f"{math.degrees(interval.theta_max):.4g}] deg; the Strehl quadrature cannot "
+            "resolve it")
+
+
 def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
-    """Strehl ratio of the aberrated focus, quadrature-verified.
+    """Strehl ratio of the aberrated focus, certified on nested rules.
 
     The ratio is of the on-axis |E_z|^2, aberrated over unaberrated: an
     atom whose dipole lies on the mirror axis couples to E_z alone, so
@@ -349,17 +413,26 @@ def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
     the same spacing, at most three times, before raising ConvergenceError.
     The margin is at most a third of the window, so a shallow mirror, whose
     main lobe is wider than the window, keeps a maximum in its middle.
-    The nominal-focus ratio is reported alongside. The quadrature is
-    doubled until the ratio and the nominal ratio move by less than 1e-4
-    and the peak offset by less than 1e-3 wavelengths; failing that raises
-    ConvergenceError rather than returning a grid-dependent number. Each
-    doubling doubles both axes. From the default 32 x 64 field (n_theta x
-    n_phi) a smooth figure is certified on 64 x 128 nodes, and the last
-    grid tried is 512 x 1024.
+    The nominal-focus ratio is reported alongside.
+
+    The field's n_theta x n_phi = n x m sets the first level of a ladder of
+    nested rules: the (2n + 1)-point Gauss-Kronrod rule in cos(theta),
+    which contains the n-point Gauss rule, times the 2m-point trapezoid
+    rule in phi, which contains the m-point one. One pass on those nodes
+    gives the fine estimate and, from the Gauss rings and the even
+    azimuths, the coarse one. When they agree within 1e-4 in the ratio
+    and the nominal ratio and 1e-3 wavelengths in the peak offset, the
+    fine estimate is returned; otherwise n and m double, three times at
+    most, before raising ConvergenceError rather than returning a
+    grid-dependent number. From the default 32 x 64 field a smooth figure
+    is certified on 65 x 128 nodes, and the last grid tried is 513 x 1024.
+    The result reports the fine grid.
 
     ``coating`` is None or the mirror metal's (wavelength_nm,
     OpticalConstants): its reflection_phase_waves then adds to the
-    aberration on each ring. The reference stays unreflected.
+    aberration on each ring. The reference stays unreflected. A lossless
+    coating (k = 0, n < 1) whose critical angle 2 asin(n) lies inside the
+    mirror annulus raises DomainError: its phase kinks there.
 
     ``aberration`` is None, a ZernikeExpansion or a callable W(theta, phi)
     in waves, evaluated anew on every grid. The callable receives the grid
@@ -368,18 +441,20 @@ def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
     any other shape, a 1-d vector included, raises DomainError, and so
     does any other object, such as an array of node samples or a phase map.
     """
-    res = _strehl_once(field, aberration, coating)
-    for _ in range(_MAX_DOUBLINGS):
-        field = field.with_resolution(2 * field.n_theta, 2 * field.n_phi)
-        fine = _strehl_once(field, aberration, coating)
-        if (abs(fine.ratio - res.ratio) < _RATIO_TOL
-                and abs(fine.nominal - res.nominal) < _RATIO_TOL
-                and abs(fine.peak_offset_lambda - res.peak_offset_lambda) < _OFFSET_TOL):
+    if coating is not None:
+        _lossless_kink(field.aperture, coating)
+    n, m = field.n_theta, field.n_phi
+    for _ in range(_LEVELS):
+        fine, coarse = _strehl_level(_nested_field(field, n, m), aberration, coating)
+        if (abs(fine.ratio - coarse[0]) < _RATIO_TOL
+                and abs(fine.nominal - coarse[1]) < _RATIO_TOL
+                and abs(fine.peak_offset_lambda - coarse[2]) < _OFFSET_TOL):
             return fine
-        res = fine
+        n, m = 2 * n, 2 * m
     raise ConvergenceError(
-        f"Strehl ratio or axial peak still moving by more than {_RATIO_TOL} "
-        f"(peak: {_OFFSET_TOL} lambda) at {field.n_theta}x{field.n_phi} quadrature nodes"
+        f"Strehl ratio or axial peak of the Gauss and Kronrod estimates still apart by more "
+        f"than {_RATIO_TOL} (peak: {_OFFSET_TOL} lambda) at {fine.n_theta}x{fine.n_phi} "
+        "quadrature nodes"
     )
 
 

@@ -60,15 +60,102 @@ def _gauss_legendre(n: int):
     return u, w
 
 
-def _gauss_legendre_on(n: int, lo, hi):
-    """The cached n-point rule mapped onto [lo, hi]: (nodes, weights).
+# Newton steps for the new Kronrod nodes: from the midpoints in arccos(x)
+# the fifth step moves no node by more than 1.1e-16, for n = 2 to 40 and
+# for each of 48, 64, 96, 128, 192, 256, 384, 512 and 768
+_KRONROD_NEWTON_STEPS = 6
+
+
+@lru_cache(maxsize=8)
+def _gauss_kronrod(n: int):
+    """The (2n + 1)-point Gauss-Kronrod extension of the n-point rule on [-1, 1].
+
+    Returns nodes and weights, computed once per n and read-only; the
+    odd-indexed nodes are the n-point Gauss-Legendre nodes themselves, so
+    a Gauss estimate reuses every evaluation of the Kronrod one. The rule
+    integrates polynomials of degree 3n + 1 exactly (3n + 2 for odd n).
+    Laurie's algorithm (Math. Comp. 66, 1133 (1997)) gives the (2n + 1)
+    Jacobi-Kronrod matrix in O(n^2). For the symmetric Legendre weight its
+    diagonal vanishes, so only the off-diagonal b_k are built, and each
+    update of a row of mixed moments reads that row alone. The moments
+    fall by about 4 per step, so each row is rescaled by a power of two,
+    which is exact and changes no ratio. The matrix's eigenvalues are the
+    nodes: the n Gauss nodes and n + 1 new ones, one in each gap between
+    them and the ends. Each new node starts at its gap's midpoint in
+    arccos(x) and takes Newton steps on the matrix's characteristic
+    polynomial with the Gauss roots divided out, so no LAPACK call (which
+    OpenBLAS threads from 65 rows on) is made. Each weight is the
+    Christoffel number 1 / sum_k q_k(x)^2 over the matrix's orthonormal
+    polynomials q_k.
+    """
+    size = 2 * n + 1
+    r = np.arange(1, size, dtype=float) ** 2
+    b = np.empty(size)  # Legendre's recurrence, completed by Laurie's loops
+    b[0], b[1:] = 2.0, r / (4.0 * r - 1.0)
+    b[(3 * n + 1) // 2 + 1:] = 0.0
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        j = np.arange((m + 1) // 2, -1, -1)
+        s[j + 1] = np.cumsum(b[j + n + 1] * s[j] - b[m - j] * s[j + 1])
+        s, t = t, _rescaled(s)
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        j = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        i = n - 1 - m + j
+        s[i + 1] = np.cumsum(b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[i[-1] + 1] / s[i[-1] + 2]
+        s, t = t, _rescaled(s)
+    gauss = _gauss_legendre(n)[0]
+    edges = np.concatenate(([math.pi], np.arccos(gauss), [0.0]))
+    new = np.cos(0.5 * (edges[:-1] + edges[1:]))
+    for _ in range(_KRONROD_NEWTON_STEPS):
+        # rows P_k, P_k' of P_k = 2^k p_k, for the monic p_{k+1} = x p_k -
+        # b_k p_{k-1}: P_{k+1} = 2x P_k - 4 b_k P_{k-1} stays O(k)
+        two_x = 2.0 * new
+        before = np.array([np.ones(n + 1), np.zeros(n + 1)])
+        poly = np.array([two_x, np.full(n + 1, 2.0)])
+        for k in range(1, size):
+            after = two_x * poly - 4.0 * b[k] * before
+            after[1] += 2.0 * poly[0]
+            before, poly = poly, after
+        p, dp = poly
+        new = new - p / (dp - p * np.sum(1.0 / (new[:, None] - gauss), axis=1))
+    x = np.empty(size)
+    x[0::2], x[1::2] = 0.5 * (new - new[::-1]), gauss
+    off = np.sqrt(b[1:])
+    q_prev, q = np.zeros(size), np.full(size, 1.0 / math.sqrt(b[0]))
+    total = q * q
+    for j in range(size - 1):
+        q_prev, q = q, (x * q - (off[j - 1] * q_prev if j else 0.0)) / off[j]
+        total += q * q
+    w = 1.0 / total
+    w = 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _rescaled(moments):
+    """The moments scaled by a power of two to a largest magnitude in [0.5, 1)."""
+    top = np.abs(moments).max()
+    return np.ldexp(moments, -math.frexp(top)[1]) if top > 0.0 else moments
+
+
+def _rule_on(rule, lo, hi):
+    """A rule (nodes, weights) on [-1, 1] mapped onto [lo, hi].
 
     lo and hi broadcast against the rule: columns of shape (k, 1) give the
     rule on each of k intervals, as (k, n) arrays.
     """
-    u, w = _gauss_legendre(n)
+    u, w = rule
     half = 0.5 * (hi - lo)
     return half * u + 0.5 * (lo + hi), half * w
+
+
+def _gauss_legendre_on(n: int, lo, hi):
+    """The cached n-point rule mapped onto [lo, hi]: (nodes, weights)."""
+    return _rule_on(_gauss_legendre(n), lo, hi)
 
 
 @dataclass(frozen=True)

@@ -160,12 +160,13 @@ def _sum_orders(orders: dict, rho, phi):
     """Sum of rho^|m| * P_m(rho^2) * (cos(m phi) | 1 | sin(|m| phi)) over m.
 
     orders maps each azimuthal order m to the coefficients of P_m in
-    ascending powers of rho^2. Each order costs one Horner evaluation in
-    rho^2 and one product with its angular factor. With rho of shape
-    (n, 1) and phi of shape (1, k) both stay on their axes, and the sum
-    over orders is one (n x K) @ (K x k) product of radial columns and
-    angular rows. Any other layout sums the products order by order over
-    the broadcast points, a block of them at a time.
+    ascending powers of rho^2. With rho of shape (n, 1) and phi of shape
+    (1, k) both stay on their axes: one Horner pass in rho^2 evaluates the
+    K orders' radial columns together, and the sum over orders is one
+    (n x K) @ (K x k) product of radial columns and angular rows. Any other
+    layout costs each order one Horner evaluation and one product with its
+    angular factor, summed order by order over the broadcast points, a
+    block of them at a time.
     """
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -173,12 +174,23 @@ def _sum_orders(orders: dict, rho, phi):
     if not orders:
         return np.zeros(shape)
     if rho.ndim == phi.ndim == 2 and rho.shape[1] == phi.shape[0] == 1:
+        ms, angulars = zip(*_harmonics(orders, _unit_phasor(phi)))
+        # every order's coefficients as one column, zero-padded at the high
+        # end: with u >= 0 the leading zeros stay +0, so one Horner pass over
+        # the columns is bit-equal to one per order
+        coeffs = np.zeros((max(len(orders[m]) for m in ms), len(ms)))
+        for column, m in enumerate(ms):
+            coeffs[:len(orders[m]), column] = orders[m]
         u = rho * rho
-        radials, angulars = [], []
-        for m, angular in _harmonics(orders, _unit_phasor(phi)):
-            radials.append(_radial(orders[m], u) * rho ** abs(m))
-            angulars.append(angular)
-        return np.hstack(radials) @ np.vstack(angulars)
+        radials = np.full((rho.shape[0], len(ms)), coeffs[-1])
+        for c in coeffs[-2::-1]:
+            radials *= u
+            radials += c
+        # rho^|m| as numpy computes it for a scalar exponent: rho^2 is a
+        # product, not pow
+        for column, m in enumerate(ms):
+            radials[:, column:column + 1] *= rho ** abs(m)
+        return radials @ np.vstack(angulars)
     out = np.zeros(shape)
     flat = out.reshape(-1)
     rho, phi = (np.broadcast_to(a, shape).reshape(-1) for a in (rho, phi))

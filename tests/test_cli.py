@@ -306,6 +306,39 @@ def test_aluminum_phase_needs_a_wavelength(tmp_path, capsys):
     assert err == "error: [strehl] aluminum_phase needs evaluate_nm\n"
 
 
+def _lossless_strehl(tmp_path, capsys, n):
+    # a k = 0 table: arg(r_p) kinks at the critical angle 2 asin(n)
+    (tmp_path / "lossless.txt").write_text(
+        f"# source: synthetic lossless medium\n400 {n} 0\n600 {n} 0\n")
+    config = write_config(tmp_path, "[strehl]\nevaluate_nm = 500\naluminum_phase = true\n"
+                                    "[optics]\nconstants_file = lossless.txt\n")
+    return run(capsys, "strehl", "--config", config)
+
+
+def test_lossless_coating_with_a_kink_in_the_annulus_is_refused(tmp_path, capsys,
+                                                                 monkeypatch):
+    # theta_c = 34.9 deg lies inside the 20.3-134.4 deg annulus: refused up
+    # front, before any quadrature
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _lossless_strehl(tmp_path, capsys, 0.3)
+    assert code == 2 and out == ""
+    assert err.startswith("error: lossless optical constants (n = 0.3, k = 0 at 500 nm): "
+                          "arg(r_p) kinks at the critical angle theta_c = 34.92 deg")
+    assert err.count("\n") == 1
+
+
+def test_lossless_coating_with_its_kink_in_the_bore_is_computed(tmp_path, capsys, monkeypatch):
+    # theta_c = 4.6 deg lies inside the bore: the figures printed before the
+    # refusal existed
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _lossless_strehl(tmp_path, capsys, 0.04)
+    assert code == 0
+    pairs = machine_pairs(out)
+    assert (pairs["strehl.ratio"], pairs["strehl.nominal"], pairs["strehl.peak_offset_lambda"],
+            pairs["strehl.rms_waves"]) == ("0.9999993084", "0.9999962335", "-0.000748",
+                                           "0.0003088794187")
+
+
 def test_pulse_defaults(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code, out, _ = run(capsys, "pulse", "--out", str(out_dir))

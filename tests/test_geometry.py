@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dipolemirror import (
     weighted_fraction,
     weighted_solid_angle,
 )
-from dipolemirror.geometry import _gauss_legendre_on
+from dipolemirror.geometry import _gauss_kronrod, _gauss_legendre, _gauss_legendre_on
 
 
 def test_angle_maps_invert_each_other():
@@ -119,3 +120,27 @@ def test_mapped_rule_is_exact_on_each_interval():
     for k in range(3):
         one = _gauss_legendre_on(6, float(lo[k, 0]), float(hi[k, 0]))
         assert np.array_equal(one[0], x[k]) and np.array_equal(one[1], w[k])
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_kronrod_rule_integrates_monomials_to_degree_3n_plus_1(n):
+    # every level the Strehl ladder builds, against the exact rational
+    # integral of x^d over [-1, 1]: 2 / (d + 1) for even d, 0 for odd d
+    x, w = _gauss_kronrod(n)
+    assert x.shape == w.shape == (2 * n + 1,)
+    assert np.all(w > 0.0) and np.all(np.diff(x) > 0.0)
+    for d in range(3 * n + 2):
+        exact = Fraction(2, d + 1) if d % 2 == 0 else Fraction(0)
+        got = math.fsum(w * x**d)
+        assert abs(got - float(exact)) <= 1e-12 * float(Fraction(2, d + 1)), d
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_kronrod_rule_contains_the_gauss_rule_and_is_cached_read_only(n):
+    x, w = _gauss_kronrod(n)
+    assert np.array_equal(x[1::2], _gauss_legendre(n)[0])
+    again = _gauss_kronrod(n)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -24,6 +24,9 @@ from dipolemirror import (
 )
 from dipolemirror.wavefront import (
     MISALIGNMENT_TERMS,
+    _harmonics,
+    _radial_coeffs,
+    _unit_phasor,
     load_expansion,
     load_phase_map,
     save_expansion,
@@ -101,6 +104,47 @@ def test_zernike_eval_matches_per_term_sum(seed):
         separable = zernike_eval(exp, rho_axis, phi_axis)
         elementwise = zernike_eval(exp, *np.broadcast_arrays(rho_axis, phi_axis))
         assert np.abs(separable - elementwise).max() <= 1e-13 * np.abs(elementwise).max()
+
+
+def _per_order_tensor_sum(expansion, rho, phi):
+    # the tensor-grid sum one azimuthal order at a time: each order's
+    # polynomial in rho^2 by its own Horner loop, times rho^|m|, then one
+    # product of radial columns and angular rows
+    orders = {}
+    for n, m, v in expansion.terms:
+        if v != 0.0:
+            coeffs = _radial_coeffs(n, m)
+            poly = orders.setdefault(m, [])
+            poly.extend([0.0] * (len(coeffs) - len(poly)))
+            for j, c in enumerate(coeffs):
+                poly[j] += v * c
+    u = rho * rho
+    radials, angulars = [], []
+    for m, angular in _harmonics(orders, _unit_phasor(phi)):
+        poly = orders[m]
+        out = np.full(u.shape, poly[-1])
+        for c in reversed(poly[:-1]):
+            out *= u
+            out += c
+        radials.append(out * rho ** abs(m))
+        angulars.append(angular)
+    return np.hstack(radials) @ np.vstack(angulars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 16), data=st.data(),
+       n_rho=st.integers(1, 70), n_phi=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_tensor_sum_is_the_per_order_horner_bit_for_bit(degree, data, n_rho, n_phi, seed):
+    indices = [(n, m) for n in range(degree + 1) for m in range(-n, n + 1, 2)]
+    values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(indices),
+                                max_size=len(indices)))
+    assume(any(values))
+    exp = ZernikeExpansion(terms=tuple((n, m, v) for (n, m), v in zip(indices, values)),
+                           wavelength_nm=632.8)
+    rng = np.random.default_rng(seed)
+    rho = np.sort(rng.uniform(0.0, 1.0, n_rho))[:, None]
+    phi = rng.uniform(-math.pi, math.pi, n_phi)[None, :]
+    assert np.array_equal(zernike_eval(exp, rho, phi), _per_order_tensor_sum(exp, rho, phi))
 
 
 def test_zernike_eval_keeps_the_broadcast_shape():
