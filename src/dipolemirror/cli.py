@@ -59,6 +59,7 @@ from .errors import (
     DomainError,
     ProvenanceError,
     UndefinedOverlapError,
+    _NonFiniteError,
 )
 
 # Published factor sets reproduced for comparison in reports. When a report's
@@ -167,14 +168,19 @@ class ToolkitConfig:
 
 
 def _read_input(label: str, loader):
-    """Run a file loader, folding its failures into the I/O exit code."""
+    """Run a file loader, folding its failures into the I/O exit code.
+
+    A non-finite number in the file is no format fault but a value outside
+    its domain: it stays a DomainError, named by the file all the same.
+    """
     try:
         return loader()
     except (OSError, ValueError) as exc:
         message = str(exc)
         if not message.startswith(str(label)):
             message = f"{label}: {message}"
-        raise _InputFileError(message) from exc
+        error = DomainError if isinstance(exc, _NonFiniteError) else _InputFileError
+        raise error(message) from exc
 
 
 def _out_dir(args) -> Path | None:
@@ -473,7 +479,8 @@ def cmd_zernike(args, config: ToolkitConfig):
 def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec):
     """Strehl result from the [strehl] section, or None without inputs.
 
-    Without a waist key the field is the optimal doughnut.
+    The mode is the doughnut of the waist key, or the optimal one without
+    it; strehl sums it on its own nodes.
     """
     section = config.sections.get("strehl")
     if section is None:
@@ -496,7 +503,7 @@ def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec):
     waist = config.get_float("strehl", "waist")
     if waist is None:
         waist = _optimal_waist(aperture).waist
-    field = focalfield.plane_to_sphere(modes.RadialMode.doughnut(waist), aperture)
+    mode = modes.RadialMode.doughnut(waist)
     coating = None
     if config.get_bool("strehl", "aluminum_phase", False):
         wl = evaluate_nm
@@ -505,7 +512,7 @@ def _strehl_from_config(config: ToolkitConfig, aperture: geometry.ApertureSpec):
         if wl is None:
             raise ConfigError("[strehl] aluminum_phase needs evaluate_nm")
         coating = (wl, _constants_from_config(config))
-    return focalfield.strehl(field, aberration, coating)
+    return focalfield.strehl(mode, aperture, aberration, coating)
 
 
 def cmd_strehl(args, config: ToolkitConfig):

@@ -10,6 +10,14 @@ class DomainError(ValueError):
     """An argument lies outside the physically meaningful domain."""
 
 
+class _NonFiniteError(DomainError):
+    """A number that must be finite is nan or infinite.
+
+    Raised where a value is built, so the command line can tell it from a
+    malformed input file: it exits with 2, as for any DomainError.
+    """
+
+
 class UndefinedOverlapError(ValueError):
     """Overlap of a zero-norm mode or pulse is requested."""
 

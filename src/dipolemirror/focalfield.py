@@ -53,15 +53,15 @@ search window do not depend on the aberration; they are cached per rule,
 cos(theta) interval and window, and a widened window is computed when it
 is first needed. Every rule comes from the one cached source in geometry,
 computed once per node count and mapped onto the cos(theta) interval of
-the mirror annulus. The Strehl is certified on nested rules: a field of
-n x m nodes (n_theta x n_phi, 32 x 64 by default, because the integrand
-resolves faster in theta than in phi) sets the level K_{2n+1} x T_{2m},
-the (2n + 1)-point Gauss-Kronrod rule in cos(theta) times the 2m-point
-trapezoid rule in phi. One pass on those nodes gives the fine estimate,
-and its Gauss n x m subset, the odd rings and even azimuths of the same
-phasors, the coarse one that certifies it. When they disagree, n and m
-double, up to 513 x 1024 nodes from the default; disagreement there
-raises instead of returning a number that depends on the grid.
+the mirror annulus. The Strehl takes the mode and the aperture and is
+certified on nested rules of its own: n x m = 32 x 64 (n_theta x n_phi,
+because the integrand resolves faster in theta than in phi) sets the first
+level K_{2n+1} x T_{2m}, the (2n + 1)-point Gauss-Kronrod rule in
+cos(theta) times the 2m-point trapezoid rule in phi. One pass on those
+nodes gives the fine estimate, and its Gauss n x m subset, the odd rings
+and even azimuths of the same phasors, the coarse one that certifies it.
+When they disagree, n and m double, up to 513 x 1024 nodes; disagreement
+there raises instead of returning a number that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -81,7 +81,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ProvenanceError
+from .errors import ConvergenceError, DomainError, ProvenanceError, _NonFiniteError
 from .geometry import (
     ApertureSpec, _gauss_kronrod, _gauss_legendre_on, _rule_on, incidence_angle,
     rho_from_theta, theta_from_rho,
@@ -102,9 +102,9 @@ __all__ = [
     "reflectivity_weight",
 ]
 
-# the default quadrature, n_theta x n_phi: the integrand resolves faster in
-# theta than in phi
-_DEFAULT_THETA, _DEFAULT_PHI = 32, 64
+# the Strehl's first level n x m of nested quadrature, n_theta x n_phi: the
+# integrand resolves faster in theta than in phi
+_FIRST_LEVEL = 32, 64
 # the first axial window's half-width and spacing in wavelengths, and its
 # doublings at that spacing; the levels of nested quadrature, and their
 # tolerances of the Strehl ratios and of the peak offset in wavelengths
@@ -125,8 +125,7 @@ class SphereField:
     units of the aperture radius have shape (n_theta, 1), and the azimuth
     has shape (1, n_phi). The source is a radially polarized mode, so the
     field is its real amplitude along e_theta, apodization included, of
-    shape (n_theta, 1). ``source`` and ``aperture`` are retained so that
-    strehl can rebuild the field on the nodes of its nested rules.
+    shape (n_theta, 1).
     """
 
     theta: np.ndarray
@@ -134,8 +133,6 @@ class SphereField:
     weight: np.ndarray
     rho_unit: np.ndarray
     amp_theta: np.ndarray
-    aperture: ApertureSpec
-    source: object
 
     @property
     def n_theta(self) -> int:
@@ -153,29 +150,26 @@ class SphereField:
         return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
-def plane_to_sphere(
-    source,
-    aperture: ApertureSpec,
-    n_theta: int = _DEFAULT_THETA,
-    n_phi: int = _DEFAULT_PHI,
-) -> SphereField:
+def plane_to_sphere(source, aperture: ApertureSpec, n_theta: int, n_phi: int) -> SphereField:
     """Map an entrance-plane mode onto the converging sphere.
 
     ``source`` is a mode, an object with ``amplitude(rho)``: a RadialMode
     (radially polarized by convention) or a WeightedMode. The angular
-    domain is the mirror annulus between bore and rim. Anything else
-    raises DomainError.
+    domain is the mirror annulus between bore and rim, on n_theta
+    Gauss-Legendre nodes in cos(theta) times n_phi uniform azimuths.
+    Anything else raises DomainError. strehl builds its own nodes and
+    needs no field.
     """
     if n_theta < 2 or n_phi < 1:
         raise DomainError("need at least 2 polar and 1 azimuthal node")
-    if not hasattr(source, "amplitude"):
-        raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
     return _sphere_on(source, aperture, _gauss_legendre_on(n_theta, *_cos_interval(aperture)),
                       n_phi)
 
 
 def _sphere_on(source, aperture: ApertureSpec, rule, n_phi: int) -> SphereField:
     """The mode on the rule's (cos theta nodes, weights) times n_phi uniform azimuths."""
+    if not hasattr(source, "amplitude"):
+        raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
     u, wu = rule
     theta = np.arccos(u)[:, None]
     phi = (np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :]
@@ -185,7 +179,6 @@ def _sphere_on(source, aperture: ApertureSpec, rule, n_phi: int) -> SphereField:
     return SphereField(
         theta=theta, phi=phi, weight=weight, rho_unit=rho / aperture.rho_max,
         amp_theta=np.asarray(source.amplitude(rho), dtype=float) * apod,
-        aperture=aperture, source=source,
     )
 
 
@@ -239,13 +232,14 @@ class StrehlResult:
     n_phi: int
 
 
-def _strehl_level(field: SphereField, aberration, coating=None):
+def _strehl_level(field: SphereField, lo: float, hi: float, aberration, coating=None):
     """The fine and the coarse Strehl estimate of one nested pass.
 
-    ``field`` lies on the nested level K_{2n+1} x T_{2m} of _nested_field.
-    W, the ring phasors and the ring sums are computed once on its nodes;
-    the fine estimate sums every ring and azimuth, and the coarse one the
-    Gauss rings (odd ring indices, Gauss weights) and the even azimuths.
+    ``field`` lies on the nested level K_{2n+1} x T_{2m} of strehl, its
+    Kronrod rule on the cos(theta) interval [lo, hi]. W, the ring phasors
+    and the ring sums are computed once on its nodes; the fine estimate
+    sums every ring and azimuth, and the coarse one the Gauss rings (odd
+    ring indices, Gauss weights) and the even azimuths.
     Returns the fine StrehlResult and the coarse (ratio, nominal,
     peak_offset_lambda).
     """
@@ -256,7 +250,6 @@ def _strehl_level(field: SphereField, aberration, coating=None):
     a = np.zeros(field.n_theta) if coating is None else reflection_phase_waves(theta, *coating)
     st, amp = np.sin(theta), field.amp_theta[:, 0]
     k = 2.0 * math.pi * np.cos(theta)
-    lo, hi = _cos_interval(field.aperture)
     # the RMS weight depends on theta only, so the mean comes from ring
     # sums; the weights cannot all vanish once the reference field is nonzero
     q = field.weight[:, 0] * np.abs(amp * st)
@@ -354,7 +347,7 @@ def _axial_scan(n: int, lo: float, hi: float, z0: float, z1: float, points: int)
     """exp(i 2 pi z cos(theta)) on an axial scan window, shape (points, 2n + 1).
 
     The rows are z = linspace(z0, z1, points); the columns are the nodes of
-    the (2n + 1)-point Gauss-Kronrod rule that _nested_field puts on the
+    the (2n + 1)-point Gauss-Kronrod rule that strehl puts on the
     cos(theta) interval [lo, hi], and its odd columns are those of the
     n-point Gauss rule. The phasors do not depend on the aberration, so
     each rule and window is computed once; the array is shared by every
@@ -364,18 +357,6 @@ def _axial_scan(n: int, lo: float, hi: float, z0: float, z1: float, points: int)
     out = np.exp(2j * math.pi * np.multiply.outer(np.linspace(z0, z1, points), cos_theta))
     out.flags.writeable = False
     return out
-
-
-def _nested_field(field: SphereField, n: int, m: int) -> SphereField:
-    """The field's source on the nested level K_{2n+1} x T_{2m}.
-
-    The (2n + 1)-point Gauss-Kronrod rule in cos(theta) contains the n-point
-    Gauss rule at its odd rings, and the 2m-point trapezoid rule in phi the
-    m-point one at its even azimuths, so one pass on this grid evaluates
-    both the level's estimate and its certificate.
-    """
-    return _sphere_on(field.source, field.aperture,
-                      _rule_on(_gauss_kronrod(n), *_cos_interval(field.aperture)), 2 * m)
 
 
 def _lossless_kink(aperture: ApertureSpec, coating):
@@ -400,8 +381,8 @@ def _lossless_kink(aperture: ApertureSpec, coating):
             "resolve it")
 
 
-def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
-    """Strehl ratio of the aberrated focus, certified on nested rules.
+def strehl(mode, aperture: ApertureSpec, aberration=None, coating=None) -> StrehlResult:
+    """Strehl ratio of the mode's aberrated focus, certified on nested rules.
 
     The ratio is of the on-axis |E_z|^2, aberrated over unaberrated: an
     atom whose dipole lies on the mirror axis couples to E_z alone, so
@@ -415,8 +396,10 @@ def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
     main lobe is wider than the window, keeps a maximum in its middle.
     The nominal-focus ratio is reported alongside.
 
-    The field's n_theta x n_phi = n x m sets the first level of a ladder of
-    nested rules: the (2n + 1)-point Gauss-Kronrod rule in cos(theta),
+    ``mode`` is what plane_to_sphere takes, an object with
+    ``amplitude(rho)``; anything else raises DomainError. On the mirror
+    annulus of ``aperture`` it is summed on a ladder of nested rules, from
+    n x m = 32 x 64: the (2n + 1)-point Gauss-Kronrod rule in cos(theta),
     which contains the n-point Gauss rule, times the 2m-point trapezoid
     rule in phi, which contains the m-point one. One pass on those nodes
     gives the fine estimate and, from the Gauss rings and the even
@@ -424,9 +407,9 @@ def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
     and the nominal ratio and 1e-3 wavelengths in the peak offset, the
     fine estimate is returned; otherwise n and m double, three times at
     most, before raising ConvergenceError rather than returning a
-    grid-dependent number. From the default 32 x 64 field a smooth figure
-    is certified on 65 x 128 nodes, and the last grid tried is 513 x 1024.
-    The result reports the fine grid.
+    grid-dependent number. A smooth figure is certified on 65 x 128
+    nodes, and the last grid tried is 513 x 1024. The result reports the
+    fine grid.
 
     ``coating`` is None or the mirror metal's (wavelength_nm,
     OpticalConstants): its reflection_phase_waves then adds to the
@@ -442,10 +425,14 @@ def strehl(field: SphereField, aberration=None, coating=None) -> StrehlResult:
     does any other object, such as an array of node samples or a phase map.
     """
     if coating is not None:
-        _lossless_kink(field.aperture, coating)
-    n, m = field.n_theta, field.n_phi
+        _lossless_kink(aperture, coating)
+    lo, hi = _cos_interval(aperture)
+    n, m = _FIRST_LEVEL
     for _ in range(_LEVELS):
-        fine, coarse = _strehl_level(_nested_field(field, n, m), aberration, coating)
+        # the Kronrod rule holds the Gauss one at its odd rings, and 2m
+        # azimuths hold m at the even ones: one pass gives both estimates
+        field = _sphere_on(mode, aperture, _rule_on(_gauss_kronrod(n), lo, hi), 2 * m)
+        fine, coarse = _strehl_level(field, lo, hi, aberration, coating)
         if (abs(fine.ratio - coarse[0]) < _RATIO_TOL
                 and abs(fine.nominal - coarse[1]) < _RATIO_TOL
                 and abs(fine.peak_offset_lambda - coarse[2]) < _OFFSET_TOL):
@@ -491,6 +478,8 @@ class OpticalConstants:
         if len(rows) < 2:
             raise DomainError(f"{path}: need at least two table rows")
         table = np.array(rows, dtype=float)
+        if not np.all(np.isfinite(table)):
+            raise _NonFiniteError(f"{path}: optical constants must be finite")
         if np.any(np.diff(table[:, 0]) <= 0):
             raise DomainError(f"{path}: wavelengths must increase strictly")
         return cls(wavelength_nm=table[:, 0], n=table[:, 1], k=table[:, 2], source=source)

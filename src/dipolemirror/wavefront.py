@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ProvenanceError
+from .errors import ConvergenceError, DomainError, ProvenanceError, _NonFiniteError
 from .geometry import _gauss_legendre, _gauss_legendre_on
 from .gridio import read_grid, read_table, write_grid
 
@@ -205,6 +205,14 @@ def _sum_orders(orders: dict, rho, phi):
     return out
 
 
+def _positive_wavelength(wavelength_nm):
+    """Refuse a wavelength that is not a positive finite number."""
+    if not math.isfinite(wavelength_nm):
+        raise _NonFiniteError(f"wavelength {wavelength_nm} nm is not finite")
+    if wavelength_nm <= 0:
+        raise DomainError("wavelength must be positive")
+
+
 @dataclass(frozen=True)
 class ZernikeExpansion:
     """A wavefront as Zernike coefficients, in waves at wavelength_nm.
@@ -219,14 +227,15 @@ class ZernikeExpansion:
 
     def __post_init__(self):
         seen = set()
-        for n, m, _ in self.terms:
+        for n, m, v in self.terms:
             if n < 0 or abs(m) > n or (n - abs(m)) % 2:
                 raise DomainError(f"invalid Zernike index (n={n}, m={m})")
             if (n, m) in seen:
                 raise DomainError(f"duplicate Zernike index (n={n}, m={m})")
+            if not math.isfinite(v):
+                raise _NonFiniteError(f"Zernike coefficient (n={n}, m={m}) = {v} is not finite")
             seen.add((n, m))
-        if self.wavelength_nm <= 0:
-            raise DomainError("wavelength must be positive")
+        _positive_wavelength(self.wavelength_nm)
 
     def coefficient(self, n: int, m: int) -> float:
         for nn, mm, v in self.terms:
@@ -294,10 +303,9 @@ class PhaseMap:
         object.__setattr__(self, "mask", mask)
         if values.ndim != 2 or values.shape != mask.shape:
             raise DomainError("values and mask must be matching 2-d arrays")
-        if self.wavelength_nm <= 0:
-            raise DomainError("wavelength must be positive")
+        _positive_wavelength(self.wavelength_nm)
         if not np.all(np.isfinite(values[mask])):
-            raise DomainError("masked-in phase values must be finite")
+            raise _NonFiniteError("masked-in phase values must be finite")
 
     def grid_polar(self):
         """(rho_unit, phi) arrays for every pixel center."""
@@ -412,6 +420,11 @@ def zernike_fit(phase_map: PhaseMap, degree: int) -> ZernikeExpansion:
             f"only {count} valid pixels for {len(index)} terms; mask too small"
         )
     rr = rho[sel]
+    annulus = (float(rr.min()), float(rr.max()))
+    if annulus[0] == annulus[1]:
+        # no area to take the RMS over
+        raise DomainError(f"the {count} valid pixels all lie at rho {annulus[0]:.4f}: "
+                          "the fitted annulus has no width")
     x, y = _pixel_axes(*phase_map.values.shape)
     vx, vy = _legendre_table(x, degree), _legendre_table(y, degree)
     # sum over the mask of P_k P_k'(y) P_i P_i'(x), reordered to [(k, i), (k', i')]
@@ -423,7 +436,6 @@ def zernike_fit(phase_map: PhaseMap, degree: int) -> ZernikeExpansion:
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = 1.0 / np.sqrt(np.diag(gram))
         gram *= np.outer(scale, scale)
-    annulus = (float(rr.min()), float(rr.max()))
     singular = DomainError(
         f"degree-{degree} Zernike terms are not independent on the mask "
         f"({count} pixels, rho {annulus[0]:.4f} to {annulus[1]:.4f})"
@@ -597,6 +609,7 @@ class SellmeierModel:
         )
 
 
+@lru_cache(maxsize=1)
 def fused_silica() -> SellmeierModel:
     """Sellmeier model for fused silica from the shipped data table."""
     with resources.as_file(resources.files("dipolemirror.data") / "fused_silica_sellmeier.txt") as p:

@@ -10,7 +10,7 @@ def aperture():
 
 @pytest.fixture(scope="session")
 def dipole_field(aperture):
-    return plane_to_sphere(RadialMode.dipole(), aperture)
+    return plane_to_sphere(RadialMode.dipole(), aperture, n_theta=32, n_phi=64)
 
 
 @pytest.fixture(scope="session")
@@ -19,5 +19,10 @@ def waist_optimum(aperture):
 
 
 @pytest.fixture(scope="session")
-def doughnut_field(aperture, waist_optimum):
-    return plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture)
+def doughnut(waist_optimum):
+    return RadialMode.doughnut(waist_optimum.waist)
+
+
+@pytest.fixture(scope="session")
+def doughnut_field(aperture, doughnut):
+    return plane_to_sphere(doughnut, aperture, n_theta=32, n_phi=64)

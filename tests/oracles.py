@@ -469,12 +469,12 @@ def propagation(field) -> np.ndarray:
 _CHUNK_ELEMENTS = 4_000_000
 
 
-def focal_field(field, positions_lambda, aberration=None) -> np.ndarray:
+def focal_field(mode, field, positions_lambda, aberration=None) -> np.ndarray:
     """Complex Cartesian field at positions given in wavelength units.
 
     The Debye sum over every node: sum_nodes w * E * exp(i 2 pi W) *
-    exp(i 2 pi s . x), with E the oracle's ``sphere_vector_field`` of the
-    field's source. positions_lambda has shape (n, 3) or (3,); the result
+    exp(i 2 pi s . x), with E the oracle's ``sphere_vector_field`` of
+    ``mode`` on the field's nodes. positions_lambda has shape (n, 3) or (3,); the result
     matches with a trailing component axis. ``aberration`` takes the forms
     ``strehl`` documents and is resolved by the package's own resolver,
     whose input handling the focal-field tests exercise through it.
@@ -485,7 +485,7 @@ def focal_field(field, positions_lambda, aberration=None) -> np.ndarray:
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise DomainError("positions must have shape (n, 3)")
     w = _resolve_aberration(field, aberration)
-    vector = sphere_vector_field(field.source, field)
+    vector = sphere_vector_field(mode, field)
     amp = (vector * (field.weight * np.exp(2j * math.pi * w))[..., None]).reshape(-1, 3)
     s = propagation(field).reshape(-1, 3)
     chunk = max(1, _CHUNK_ELEMENTS // s.shape[0])
@@ -513,18 +513,19 @@ def sphere_overlap(a, b) -> float:
     return num / math.sqrt(na * nb)
 
 
-def axial_strehl(field, w_nodes, halfwidth: float = 2.0, center: float = 0.0):
+def axial_strehl(mode, field, w_nodes, halfwidth: float = 2.0, center: float = 0.0):
     """Strehl ratio of |E_z|^2 by a full node sum at every axial position.
 
     An atom whose dipole lies on the axis couples to the on-axis E_z alone:
     sum_nodes amp * exp(i 2 pi (W + z cos theta)), amp the node weight
-    times the z component of ``sphere_vector_field`` of the field's source.
+    times the z component of ``sphere_vector_field`` of ``mode`` on the
+    field's nodes.
     The maximum over z is taken on 81 points over center +- halfwidth,
     refined by golden section to 1e-6 wavelengths and then by two Newton
     steps on the analytic dI/dz, each node summed on its own. Returns
     (ratio, nominal, z_peak).
     """
-    vector = sphere_vector_field(field.source, field)
+    vector = sphere_vector_field(mode, field)
     shape = vector.shape[:2]
     amp0 = (vector[..., 2] * field.weight).ravel()
     amp = amp0 * np.exp(2j * math.pi * np.broadcast_to(w_nodes, shape).ravel())
@@ -546,7 +547,7 @@ def axial_strehl(field, w_nodes, halfwidth: float = 2.0, center: float = 0.0):
     return intensity(amp, z) / denom, intensity(amp, 0.0) / denom, z
 
 
-def wide_axial_strehl(field, w_nodes, halfwidth: float = 40.0, step: float = 0.005):
+def wide_axial_strehl(mode, field, w_nodes, halfwidth: float = 40.0, step: float = 0.005):
     """Strehl ratio of |E_z|^2 at the global axial maximum over +-halfwidth.
 
     Brute force: the on-axis intensity on every point ``step`` apart over
@@ -555,7 +556,7 @@ def wide_axial_strehl(field, w_nodes, halfwidth: float = 40.0, step: float = 0.0
     node sum into one column. ``axial_strehl`` then refines the best point
     within one step of it. Returns (ratio, nominal, z_peak).
     """
-    axial = sphere_vector_field(field.source, field)[..., 2]
+    axial = sphere_vector_field(mode, field)[..., 2]
     phasor = np.exp(2j * math.pi * np.broadcast_to(w_nodes, axial.shape))
     rings = np.sum(axial * field.weight * phasor, axis=1)
     cos_theta = np.cos(field.theta[:, 0])
@@ -564,20 +565,20 @@ def wide_axial_strehl(field, w_nodes, halfwidth: float = 40.0, step: float = 0.0
     for start in range(0, z.size, 1024):
         e = np.exp(2j * math.pi * np.multiply.outer(z[start:start + 1024], cos_theta)) @ rings
         intensity[start:start + 1024] = np.abs(e) ** 2
-    return axial_strehl(field, w_nodes, halfwidth=step, center=z[np.argmax(intensity)])
+    return axial_strehl(mode, field, w_nodes, halfwidth=step, center=z[np.argmax(intensity)])
 
 
-def direct_coupling(field, aberration, z: float) -> float:
+def direct_coupling(mode, field, aberration, z: float) -> float:
     """Coupling of the aberrated wave to an axial dipole at z on the axis.
 
     The dipole-wave overlap |E_z(z)|^2 / (P * 8 pi / 3): E_z(z) =
     sum_nodes w * A sin(theta) * exp(i 2 pi (W + z cos theta)) and P =
-    sum_nodes w * A^2 the power through the aperture, A the field's
-    ``sphere_vector_field`` amplitude and W the Zernike expansion
+    sum_nodes w * A^2 the power through the aperture, A the
+    ``sphere_vector_field`` amplitude of ``mode`` on the field's nodes and W the Zernike expansion
     ``aberration`` summed term by term; 8 pi / 3 is the integral of
     sin^2(theta) over the full sphere. Each node is summed on its own.
     """
-    vector = sphere_vector_field(field.source, field)
+    vector = sphere_vector_field(mode, field)
     shape = vector.shape[:2]
     w = np.broadcast_to(zernike_sum(aberration, field.rho_unit, field.phi), shape)
     cos_theta = np.cos(np.broadcast_to(field.theta, shape))

@@ -626,6 +626,52 @@ def test_strehl_cli_refuses_a_term_that_rounding_would_spoil(tmp_path, capsys, t
     assert line.endswith(" of |R| <= 1")
 
 
+_ALUMINUM_ROWS = "# source: x\n200 0.1 2.0\n400 nan 4.0\n800 1.5 7.0\n"
+
+
+# each input file that a non-finite number spoils: the command, its config
+# naming the file, the file's text and the refusal
+@pytest.mark.parametrize("command, config, text, message", [
+    ("strehl", "[strehl]\nzernike_file = {}\n", "# wavelength_nm: 632.8\n3 1 nan\n",
+     "Zernike coefficient (n=3, m=1) = nan is not finite"),
+    ("strehl", "[strehl]\nzernike_file = {}\n", "# wavelength_nm: 632.8\n3 1 inf\n",
+     "Zernike coefficient (n=3, m=1) = inf is not finite"),
+    ("strehl", "[strehl]\nzernike_file = {}\n", "# wavelength_nm: nan\n3 1 0.01\n",
+     "wavelength nan nm is not finite"),
+    ("zernike", "[zernike]\nmap_file = {}\ndegree = 0\n",
+     '# {{"cols": 2, "rows": 2, "wavelength_nm": NaN}}\n0.1 0.2\n0.3 0.4\n',
+     "wavelength nan nm is not finite"),
+    ("strehl", "[strehl]\naluminum_phase = true\nevaluate_nm = 369.5\n"
+     "[optics]\nconstants_file = {}\n", _ALUMINUM_ROWS, "optical constants must be finite"),
+    ("overlap", "[overlap]\nmode_file = {}\n", "0.5 1.0\nnan 2.0\n3.0 1.0\n",
+     "sample radii and amplitudes must be finite"),
+    ("overlap", "[overlap]\nmode_file = {}\n", "0.5 1.0\n1.0 2.0\ninf 1.0\n",
+     "sample radii and amplitudes must be finite"),
+], ids=["nan-coefficient", "inf-coefficient", "nan-wavelength", "nan-map-wavelength",
+        "nan-index", "nan-radius", "inf-radius"])
+def test_non_finite_input_numbers_exit_2_with_one_error_line(tmp_path, capsys, command,
+                                                             config, text, message):
+    data = tmp_path / "input.txt"
+    data.write_text(text.format())
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, config.format(data)))
+    assert code == 2 and out == ""
+    [line] = err.splitlines()  # one line, no traceback and no RuntimeWarning
+    assert line == f"error: {data}: {message}"
+
+
+def test_zernike_refuses_a_map_whose_pixels_share_one_radius(tmp_path, capsys):
+    # the four pixel centres of a 2 x 2 map lie at rho = 1/sqrt(2): a
+    # zero-width annulus has no area for the RMS
+    map_file = tmp_path / "map.txt"
+    map_file.write_text('# {"cols": 2, "rows": 2, "wavelength_nm": 633.0}\n0.1 0.2\n0.3 0.4\n')
+    config = write_config(tmp_path, f"[zernike]\nmap_file = {map_file}\ndegree = 0\n")
+    code, out, err = run(capsys, "zernike", "--config", config)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line == ("error: the 4 valid pixels all lie at rho 0.7071: "
+                    "the fitted annulus has no width")
+
+
 def test_strehl_cli_compensation_story(tmp_path, capsys):
     from dipolemirror.wavefront import save_expansion
 

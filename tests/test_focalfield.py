@@ -43,18 +43,22 @@ from dipolemirror.polarimetry import PolarizationMap
 
 
 @pytest.fixture(scope="module")
-def small_doughnut(aperture, waist_optimum):
-    return plane_to_sphere(
-        RadialMode.doughnut(waist_optimum.waist), aperture, n_theta=96, n_phi=96
-    )
+def small_doughnut(aperture, doughnut):
+    return plane_to_sphere(doughnut, aperture, n_theta=96, n_phi=96)
 
 
-def test_sphere_field_geometry(doughnut_field):
+def _level_field(mode, aperture, n, m):
+    # strehl's nested level n x m: Kronrod 2n + 1 in cos(theta) times trapezoid 2m
+    rule = ff._rule_on(ff._gauss_kronrod(n), *ff._cos_interval(aperture))
+    return ff._sphere_on(mode, aperture, rule, 2 * m)
+
+
+def test_sphere_field_geometry(doughnut_field, aperture):
     s = oracles.propagation(doughnut_field)
     assert np.allclose(np.linalg.norm(s, axis=-1), 1.0, atol=1e-13)
     assert np.allclose(s[..., 2], np.cos(doughnut_field.theta), atol=1e-13)
     # quadrature weights integrate the annulus solid angle
-    interval = doughnut_field.aperture.angle_interval()
+    interval = aperture.angle_interval()
     omega = 2.0 * math.pi * (math.cos(interval.theta_min) - math.cos(interval.theta_max))
     weight = np.broadcast_to(doughnut_field.weight, s.shape[:2])
     assert weight.sum() == pytest.approx(omega, rel=1e-12)
@@ -65,8 +69,8 @@ def test_sphere_overlap_matches_plane_overlap(doughnut_field, dipole_field, wais
     assert eta == pytest.approx(waist_optimum.eta, abs=1e-10)
 
 
-def test_sphere_overlap_needs_common_grid(doughnut_field, aperture):
-    coarse = plane_to_sphere(doughnut_field.source, aperture, n_theta=64, n_phi=32)
+def test_sphere_overlap_needs_common_grid(doughnut_field, doughnut, aperture):
+    coarse = plane_to_sphere(doughnut, aperture, n_theta=64, n_phi=32)
     assert coarse.n_theta == 64 and coarse.n_phi == 32
     with pytest.raises(DomainError):
         sphere_overlap(doughnut_field, coarse)
@@ -95,83 +99,89 @@ def test_gauss_legendre_rule_is_cached_read_only():
 
 
 def test_each_aperture_maps_the_rule_onto_its_own_nodes():
-    fields = [plane_to_sphere(RadialMode.dipole(), ap, n_theta=48, n_phi=8)
-              for ap in (ApertureSpec(), ApertureSpec(focal_length_mm=2.0, bore_radius_mm=1.0))]
+    apertures = (ApertureSpec(), ApertureSpec(focal_length_mm=2.0, bore_radius_mm=1.0))
+    fields = [plane_to_sphere(RadialMode.dipole(), ap, n_theta=48, n_phi=8) for ap in apertures]
     assert not np.allclose(fields[0].theta, fields[1].theta)
-    for field in fields:
-        interval = field.aperture.angle_interval()
+    for field, ap in zip(fields, apertures):
+        interval = ap.angle_interval()
         omega = 2.0 * math.pi * (math.cos(interval.theta_min) - math.cos(interval.theta_max))
         assert field.weight.sum() * field.n_phi == pytest.approx(omega, rel=1e-12)
     assert np.array_equal(_gauss_legendre(48)[0], np.polynomial.legendre.leggauss(48)[0])
 
 
-def test_efield_is_the_oracle_vector_field(small_doughnut):
-    want = oracles.sphere_vector_field(small_doughnut.source, small_doughnut)
+def test_efield_is_the_oracle_vector_field(small_doughnut, doughnut):
+    want = oracles.sphere_vector_field(doughnut, small_doughnut)
     assert np.abs(small_doughnut.efield - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_plane_to_sphere_validation(aperture):
     with pytest.raises(DomainError):
-        plane_to_sphere(RadialMode.dipole(), aperture, n_theta=1)
-    with pytest.raises(DomainError):
-        plane_to_sphere("beam", aperture)
+        plane_to_sphere(RadialMode.dipole(), aperture, n_theta=1, n_phi=8)
+    # the Strehl refuses a non-mode as the map onto the sphere does
+    for refuse in (lambda: plane_to_sphere("beam", aperture, 32, 64),
+                   lambda: strehl("beam", aperture)):
+        with pytest.raises(DomainError, match="cannot map str onto the sphere"):
+            refuse()
 
 
-def test_measured_maps_are_not_sphere_inputs(aperture, small_doughnut):
+def test_measured_maps_are_not_sphere_inputs(aperture, doughnut):
     # the sphere takes modes and the Strehl takes expansions or callables;
     # measured maps reach the coupling figures through stokes and zernike
     ones = np.ones((8, 8))
     pmap = PolarizationMap(s0=ones, psi=0 * ones, chi=0 * ones, mask=ones > 0,
                            pixel_scale=1.0, center=(3.5, 3.5))
-    with pytest.raises(DomainError, match="cannot map PolarizationMap onto the sphere"):
-        plane_to_sphere(pmap, aperture)
+    for refuse in (lambda: plane_to_sphere(pmap, aperture, 32, 64),
+                   lambda: strehl(pmap, aperture)):
+        with pytest.raises(DomainError, match="cannot map PolarizationMap onto the sphere"):
+            refuse()
     exp = ZernikeExpansion(terms=((2, 2, 0.06),), wavelength_nm=369.5)
     with pytest.raises(DomainError, match=r"callable W\(theta, phi\)"):
-        strehl(small_doughnut, PhaseMap.from_expansion(exp, size=64))
+        strehl(doughnut, aperture, PhaseMap.from_expansion(exp, size=64))
 
 
 def test_focal_field_matches_direct_sum(aperture):
-    field = plane_to_sphere(RadialMode.dipole(), aperture, n_theta=32, n_phi=16)
+    mode = RadialMode.dipole()
+    field = plane_to_sphere(mode, aperture, n_theta=32, n_phi=16)
     rng = np.random.default_rng(9)
     pos = rng.uniform(-1.0, 1.0, (7, 3))
-    got = focal_field(field, pos)
+    got = focal_field(mode, field, pos)
     s = oracles.propagation(field).reshape(-1, 3)
-    vector = oracles.sphere_vector_field(field.source, field)
+    vector = oracles.sphere_vector_field(mode, field)
     amp = (vector * field.weight[..., None]).reshape(-1, 3)
     want = np.empty_like(got)
     for i, x in enumerate(pos):
         phase = np.exp(2j * math.pi * (s @ x))
         want[i] = phase @ amp
     assert np.allclose(got, want, atol=1e-12 * np.abs(want).max())
-    single = focal_field(field, pos[0])
+    single = focal_field(mode, field, pos[0])
     assert single.shape == (3,)
     assert np.allclose(single, want[0])
     with pytest.raises(DomainError):
-        focal_field(field, np.zeros((2, 2)))
+        focal_field(mode, field, np.zeros((2, 2)))
 
 
-def test_tilt_aberration_translates_the_focus(small_doughnut):
+def test_tilt_aberration_translates_the_focus(small_doughnut, doughnut):
     # W = -c sin(theta) cos(phi) equals c * s_x, so the aberrated field is
     # the unaberrated one translated by -c along x
     c = 0.7
-    origin = focal_field(small_doughnut, np.zeros(3))
+    origin = focal_field(doughnut, small_doughnut, np.zeros(3))
     tilted = focal_field(
-        small_doughnut, np.array([-c, 0.0, 0.0]),
+        doughnut, small_doughnut, np.array([-c, 0.0, 0.0]),
         aberration=lambda th, ph: -c * np.sin(th) * np.cos(ph),
     )
     assert np.allclose(tilted, origin, atol=1e-9 * np.abs(origin).max())
 
 
-def test_defocus_shifts_the_axial_peak(small_doughnut):
+def test_defocus_shifts_the_axial_peak(doughnut, aperture):
     delta = 0.5
-    res = strehl(small_doughnut, lambda th, ph: delta * np.cos(th))
+    res = strehl(doughnut, aperture, lambda th, ph: delta * np.cos(th))
     assert res.peak_offset_lambda == pytest.approx(-delta, abs=1e-3)
     assert res.ratio == pytest.approx(1.0, abs=1e-6)
     assert res.nominal < 1.0
 
 
-def test_strehl_of_perfect_focus(small_doughnut):
-    res = strehl(small_doughnut)
+def test_strehl_of_perfect_focus(doughnut, aperture):
+    res = strehl(doughnut, aperture)
     assert 1.0 - 1e-9 < res.ratio <= 1.0
     assert res.nominal == 1.0
     assert abs(res.peak_offset_lambda) < 1e-3
@@ -186,56 +196,56 @@ def test_strehl_of_a_mirror_whose_lobe_is_wider_than_the_window(aperture):
     # the main lobe, 1/(cos theta_min - cos theta_max) lambda, is 9.3 and
     # 17.3 lambda wide here: two lobes exceed even +-16 lambda, and the
     # margin keeps the middle third of the window instead
-    field = plane_to_sphere(RadialMode.doughnut(0.3), aperture)
-    res = strehl(field)
+    mode = RadialMode.doughnut(0.3)
+    res = strehl(mode, aperture)
     assert (res.ratio, res.nominal, res.peak_offset_lambda) == (1.0, 1.0, 0.0)
-    shifted = strehl(field, lambda th, ph: np.cos(th))
+    shifted = strehl(mode, aperture, lambda th, ph: np.cos(th))
     assert shifted.ratio == pytest.approx(1.0, abs=1e-12)
     assert shifted.peak_offset_lambda == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_small_aberration_follows_marechal(small_doughnut):
+def test_small_aberration_follows_marechal(doughnut, aperture):
     exp = ZernikeExpansion(terms=((2, 2, 0.02),), wavelength_nm=369.5)
-    res = strehl(small_doughnut, exp)
+    res = strehl(doughnut, aperture, exp)
     marechal = math.exp(-((2.0 * math.pi * res.rms_waves) ** 2))
     assert res.nominal == pytest.approx(marechal, abs=1e-3)
     assert res.ratio >= res.nominal - 1e-12
 
 
-def test_strehl_decreases_with_aberration_strength(small_doughnut):
+def test_strehl_decreases_with_aberration_strength(doughnut, aperture):
     ratios = []
     for scale in (0.03, 0.06, 0.09):
         exp = ZernikeExpansion(terms=((3, 1, scale),), wavelength_nm=369.5)
-        ratios.append(strehl(small_doughnut, exp).ratio)
+        ratios.append(strehl(doughnut, aperture, exp).ratio)
     assert ratios[0] > ratios[1] > ratios[2]
 
 
-def test_default_strehl_certifies_on_the_first_doubling(doughnut_field):
-    # a smooth figure settles at once: the 32 x 64 field's first level is
-    # Kronrod 65 x trapezoid 128, certified by its Gauss 32 x 64 subset
+def test_default_strehl_certifies_on_the_first_doubling(doughnut, aperture):
+    # a smooth figure settles at once: the first level 32 x 64 is Kronrod
+    # 65 x trapezoid 128, certified by its Gauss 32 x 64 subset
     exp = ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)),
                            wavelength_nm=369.5)
-    res = strehl(doughnut_field, exp)
-    assert (doughnut_field.n_theta, doughnut_field.n_phi) == (32, 64)
+    res = strehl(doughnut, aperture, exp)
+    assert ff._FIRST_LEVEL == (32, 64)
     assert (res.n_theta, res.n_phi) == (65, 128)
 
 
-def test_unsettled_figure_is_refused_at_512x1024_nodes(doughnut_field):
+def test_unsettled_figure_is_refused_at_512x1024_nodes(doughnut, aperture):
     # a phase that oscillates faster than any grid resolves aliases differently
     # on each rule; the ladder's last level is Kronrod 513 x trapezoid 1024
     with pytest.raises(ConvergenceError, match="at 513x1024 quadrature nodes"):
-        strehl(doughnut_field, lambda th, ph: 0.2 * np.sin(1e4 * th))
+        strehl(doughnut, aperture, lambda th, ph: 0.2 * np.sin(1e4 * th))
 
 
-def _own_field(field, res):
+def _own_field(mode, aperture, res):
     # the Kronrod x trapezoid nodes a Strehl result was certified on
-    return ff._nested_field(field, res.n_theta // 2, res.n_phi // 2)
+    return _level_field(mode, aperture, res.n_theta // 2, res.n_phi // 2)
 
 
-def _axial_ratio(field, aberration, z):
+def _axial_ratio(mode, field, aberration, z):
     # brute-force node sum: on-axis |E_z|^2 at z over the unaberrated focus
-    on_axis = focal_field(field, np.array([0.0, 0.0, z]), aberration=aberration)
-    focus = focal_field(field, np.zeros(3))
+    on_axis = focal_field(mode, field, np.array([0.0, 0.0, z]), aberration=aberration)
+    focus = focal_field(mode, field, np.zeros(3))
     return float(abs(on_axis[2]) ** 2 / abs(focus[2]) ** 2)
 
 
@@ -243,29 +253,27 @@ def _axial_ratio(field, aberration, z):
     ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03), (4, 0, -0.04)), wavelength_nm=369.5),
     lambda th, ph: 0.3 * np.cos(th) + 0.05 * np.sin(th) ** 2 * np.cos(2.0 * ph),
 ], ids=["zernike", "callable"])
-def test_strehl_matches_node_sums(small_doughnut, aberration):
-    res = strehl(small_doughnut, aberration)
-    field = _own_field(small_doughnut, res)
+def test_strehl_matches_node_sums(doughnut, aperture, aberration):
+    res = strehl(doughnut, aperture, aberration)
+    field = _own_field(doughnut, aperture, res)
     z = res.peak_offset_lambda
-    assert res.ratio == pytest.approx(_axial_ratio(field, aberration, z), abs=1e-10)
-    assert res.nominal == pytest.approx(_axial_ratio(field, aberration, 0.0), abs=1e-10)
+    assert res.ratio == pytest.approx(_axial_ratio(doughnut, field, aberration, z), abs=1e-10)
+    assert res.nominal == pytest.approx(_axial_ratio(doughnut, field, aberration, 0.0),
+                                        abs=1e-10)
     if callable(aberration):
         w = aberration(field.theta, field.phi)
     else:
         w = oracles.zernike_sum(aberration, field.rho_unit, field.phi)
-    ratio, nominal, z_peak = oracles.axial_strehl(field, w)
+    ratio, nominal, z_peak = oracles.axial_strehl(doughnut, field, w)
     assert res.ratio == pytest.approx(ratio, abs=1e-10)
     assert res.nominal == pytest.approx(nominal, abs=1e-10)
     assert z == pytest.approx(z_peak, abs=1e-5)
 
 
 @pytest.fixture(scope="module")
-def ring_sum_fields(aperture, waist_optimum):
-    doughnut = RadialMode.doughnut(waist_optimum.waist)
-    sources = {"radial": doughnut,
-               "weighted": WeightedMode(doughnut, reflectivity_weight(369.5, aluminum()))}
-    return {name: plane_to_sphere(source, aperture, n_theta=64, n_phi=32)
-            for name, source in sources.items()}
+def ring_sum_modes(doughnut):
+    return {"radial": doughnut,
+            "weighted": WeightedMode(doughnut, reflectivity_weight(369.5, aluminum()))}
 
 
 @st.composite
@@ -281,12 +289,13 @@ def _expansions(draw, bound=0.04, max_degree=6):
 @pytest.mark.parametrize("source", ["radial", "weighted"])
 @settings(max_examples=25, deadline=None)
 @given(exp=_expansions())
-def test_strehl_ring_sums_match_the_oracle(ring_sum_fields, source, exp):
+def test_strehl_ring_sums_match_the_oracle(ring_sum_modes, aperture, source, exp):
     # both kinds of mode the sphere takes
-    res = strehl(ring_sum_fields[source], exp)
-    field = _own_field(ring_sum_fields[source], res)
+    mode = ring_sum_modes[source]
+    res = strehl(mode, aperture, exp)
+    field = _own_field(mode, aperture, res)
     w = oracles.zernike_sum(exp, field.rho_unit, field.phi)
-    ratio, nominal, z_peak = oracles.axial_strehl(field, w)
+    ratio, nominal, z_peak = oracles.axial_strehl(mode, field, w)
     assert res.ratio == pytest.approx(ratio, abs=1e-9)
     assert res.nominal == pytest.approx(nominal, abs=1e-9)
     assert res.peak_offset_lambda == pytest.approx(z_peak, abs=1e-9)
@@ -298,29 +307,27 @@ def test_coupling_budget_is_the_direct_dipole_coupling(aperture, exp, waist):
     # omega eta^2 S is the overlap |E_z|^2 / (P 8 pi / 3) of the aberrated
     # wave with an axial dipole at the Strehl's own focus, on its own nodes
     mode = RadialMode.doughnut(waist)
-    start = plane_to_sphere(mode, aperture)
-    res = strehl(start, exp)
+    res = strehl(mode, aperture, exp)
     omega = weighted_fraction(aperture.angle_interval())
     eta = spatial_overlap(mode, RadialMode.dipole(), aperture)
-    field = _own_field(start, res)
-    want = oracles.direct_coupling(field, exp, res.peak_offset_lambda)
+    field = _own_field(mode, aperture, res)
+    want = oracles.direct_coupling(mode, field, exp, res.peak_offset_lambda)
     assert omega * eta**2 * res.ratio == pytest.approx(want, abs=1e-10)
 
 
 @pytest.fixture(scope="module")
-def gauss_256x512(aperture, waist_optimum):
-    return plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
-                           n_theta=256, n_phi=512)
+def gauss_256x512(aperture, doughnut):
+    return plane_to_sphere(doughnut, aperture, n_theta=256, n_phi=512)
 
 
 @settings(max_examples=12, deadline=None)
 @given(exp=_expansions(0.05, 10))
-def test_certified_strehl_is_gauss_256x512_to_rounding(doughnut_field, gauss_256x512, exp):
+def test_certified_strehl_is_gauss_256x512_to_rounding(doughnut, aperture, gauss_256x512, exp):
     # the nested rule returns its fine Kronrod estimate, which the coarse Gauss
     # one certifies only to 1e-4: the estimate itself is far closer
-    res = strehl(doughnut_field, exp)
+    res = strehl(doughnut, aperture, exp)
     w = oracles.zernike_sum(exp, gauss_256x512.rho_unit, gauss_256x512.phi)
-    ratio, nominal, z_peak = oracles.axial_strehl(gauss_256x512, w)
+    ratio, nominal, z_peak = oracles.axial_strehl(doughnut, gauss_256x512, w)
     assert res.ratio == pytest.approx(ratio, abs=1e-10)
     assert res.nominal == pytest.approx(nominal, abs=1e-10)
     assert res.peak_offset_lambda == pytest.approx(z_peak, abs=1e-9)
@@ -332,18 +339,18 @@ def test_certified_strehl_is_gauss_256x512_to_rounding(doughnut_field, gauss_256
 # loop starts after a pause
 _WARM_LOOP = """
 import time
-from dipolemirror import ApertureSpec, RadialMode, ZernikeExpansion, plane_to_sphere, strehl
+from dipolemirror import ApertureSpec, RadialMode, ZernikeExpansion, strehl
 from dipolemirror.focalfield import aluminum
-field = plane_to_sphere(RadialMode.doughnut(2.2636), ApertureSpec())
+mode, aperture = RadialMode.doughnut(2.2636), ApertureSpec()
 figure = ZernikeExpansion(terms=tuple((n, m, 0.01) for n in range(11)
                                       for m in range(-n, n + 1, 2)), wavelength_nm=369.5)
 coating = (369.5, aluminum())
 for _ in range(5):
-    strehl(field, figure, coating)
+    strehl(mode, aperture, figure, coating)
 time.sleep(0.5)
 wall, cpu = time.perf_counter(), time.process_time()
 for _ in range(50):
-    strehl(field, figure, coating)
+    strehl(mode, aperture, figure, coating)
 print(time.perf_counter() - wall, time.process_time() - cpu)
 """
 
@@ -376,29 +383,28 @@ _BLOCK_ABERRATIONS = {
 
 @pytest.mark.parametrize("aberration", list(_BLOCK_ABERRATIONS))
 @pytest.mark.parametrize("shape", list(_BLOCK_SHAPES))
-def test_strehl_pass_matches_the_oracle_across_ring_blocks(aperture, waist_optimum, shape,
+def test_strehl_pass_matches_the_oracle_across_ring_blocks(aperture, doughnut, shape,
                                                           aberration):
     n, m = _BLOCK_SHAPES[shape]
     rows = max(1, ff._BLOCK // (2 * m))
     assert {"ragged": 2 * n + 1 > rows and (2 * n + 1) % rows != 0,
             "sub-block": 2 * n + 1 < rows, "single-ring": rows == 1}[shape]
-    gauss = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
-                            n_theta=n, n_phi=m)
-    field = ff._nested_field(gauss, n, m)
+    gauss = plane_to_sphere(doughnut, aperture, n_theta=n, n_phi=m)
+    field = _level_field(doughnut, aperture, n, m)
     ab, coating_nm = _BLOCK_ABERRATIONS[aberration]
     coating = None if coating_nm is None else (coating_nm, aluminum())
-    res, coarse = ff._strehl_level(field, ab, coating)
+    res, coarse = ff._strehl_level(field, *ff._cos_interval(aperture), ab, coating)
     # the fine estimate sums every node, the coarse one the Gauss n x m subset
     for grid, got in ((field, (res.ratio, res.nominal, res.peak_offset_lambda)),
                       (gauss, coarse)):
         w = _figure_on(grid, ab, coating)
-        ratio, nominal, z_peak = oracles.axial_strehl(grid, w)
+        ratio, nominal, z_peak = oracles.axial_strehl(doughnut, grid, w)
         assert got[0] == pytest.approx(ratio, abs=1e-10)
         assert got[1] == pytest.approx(nominal, abs=1e-10)
         assert got[2] == pytest.approx(z_peak, abs=1e-9)
     # node weight times the on-axis (z) component of the field
     w = _figure_on(field, ab, coating)
-    vector = oracles.sphere_vector_field(field.source, field)
+    vector = oracles.sphere_vector_field(doughnut, field)
     q = np.abs(vector[..., 2]) * field.weight
     mean = np.sum(q * w) / np.sum(q)
     rms = math.sqrt(np.sum(q * (w - mean) ** 2) / np.sum(q))
@@ -417,62 +423,60 @@ def _figure_on(field, aberration, coating):
     return w
 
 
-def test_axial_scan_is_the_fields_own_phasor(small_doughnut):
+def test_axial_scan_is_the_fields_own_phasor(doughnut, aperture):
     # cached per rule, yet bit-equal to the expression on the nested field's
     # nodes, and on its odd columns to that on the Gauss field's nodes
-    lo, hi = ff._cos_interval(small_doughnut.aperture)
+    lo, hi = ff._cos_interval(aperture)
     scan = ff._axial_scan(48, lo, hi, -4.0, 4.0, 161)
     assert scan is ff._axial_scan(48, lo, hi, -4.0, 4.0, 161)
     assert not scan.flags.writeable
     z = np.linspace(-4.0, 4.0, 161)
-    for field, columns in ((ff._nested_field(small_doughnut, 48, 48), slice(None)),
-                           (plane_to_sphere(small_doughnut.source, small_doughnut.aperture,
-                                            n_theta=48, n_phi=48), slice(1, None, 2))):
+    for field, columns in ((_level_field(doughnut, aperture, 48, 48), slice(None)),
+                           (plane_to_sphere(doughnut, aperture, n_theta=48, n_phi=48),
+                            slice(1, None, 2))):
         cos_theta = np.cos(field.theta)[:, 0]
         direct = np.exp(2j * math.pi * np.multiply.outer(z, cos_theta))
         assert np.array_equal(scan[:, columns], direct)
 
 
-def test_strehl_pass_allocates_blocks_not_grids(aperture, waist_optimum):
+def test_strehl_pass_allocates_blocks_not_grids(aperture, doughnut):
     # structural, not wall time: beside the 2 MiB aberration grid a 513 x 512
     # pass holds only ring-block buffers and per-ring vectors
-    field = ff._nested_field(plane_to_sphere(RadialMode.doughnut(waist_optimum.waist),
-                                             aperture), 256, 256)
+    field = _level_field(doughnut, aperture, 256, 256)
+    lo, hi = ff._cos_interval(aperture)
     exp = ZernikeExpansion(terms=tuple((n, m, 0.01) for n in range(11)
                                        for m in range(-n, n + 1, 2)), wavelength_nm=633.0)
-    ff._strehl_level(field, exp)  # the scan phasors are cached once per rule
+    ff._strehl_level(field, lo, hi, exp)  # the scan phasors are cached once per rule
     tracemalloc.start()
     try:
-        ff._strehl_level(field, exp)
+        ff._strehl_level(field, lo, hi, exp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < field.n_theta * field.n_phi * 8 + (1 << 20)
 
 
-def test_strehl_widens_a_window_that_cuts_the_peak(aperture, waist_optimum):
+def test_strehl_widens_a_window_that_cuts_the_peak(aperture, doughnut):
     # 6 waves of Zernike defocus move the axial maximum to about +2.53
     # lambda, outside the default +-2 lambda window
-    field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
-                            n_theta=64, n_phi=16)
     defocus = ZernikeExpansion(terms=((2, 0, 6.0),), wavelength_nm=369.5)
-    res = strehl(field, defocus)
+    res = strehl(doughnut, aperture, defocus)
     assert res.peak_offset_lambda == pytest.approx(2.53, abs=0.01)
-    fine = _own_field(field, res)
-    assert res.ratio == pytest.approx(_axial_ratio(fine, defocus, res.peak_offset_lambda),
-                                      abs=1e-10)
+    fine = _own_field(doughnut, aperture, res)
+    assert res.ratio == pytest.approx(
+        _axial_ratio(doughnut, fine, defocus, res.peak_offset_lambda), abs=1e-10)
     zs = np.linspace(-4.0, 4.0, 321)
-    scan = [_axial_ratio(fine, defocus, z) for z in zs]
+    scan = [_axial_ratio(doughnut, fine, defocus, z) for z in zs]
     assert res.ratio >= max(scan) - 1e-12
     assert res.ratio > 0.14
 
 
-def test_strehl_edge_of_widest_window_raises(doughnut_field):
+def test_strehl_edge_of_widest_window_raises(doughnut, aperture):
     # 40 cos(theta) waves shift the focus to -40 lambda, outside +-2 lambda
     # doubled three times; the scan there peaks on a sidelobe at the edge
     with pytest.raises(ConvergenceError, match=r"within 1.22 lambda of the edge of the search "
                                                r"window \[-16, 16\] lambda"):
-        strehl(doughnut_field, lambda th, ph: 40.0 * np.cos(th))
+        strehl(doughnut, aperture, lambda th, ph: 40.0 * np.cos(th))
 
 
 @pytest.mark.parametrize("aberration, ratio, offset", [
@@ -481,18 +485,18 @@ def test_strehl_edge_of_widest_window_raises(doughnut_field):
     # an exact axial shift of the focus: its peak is the unaberrated one
     (lambda th, ph: 10.0 * np.cos(th), 1.0, -10.0),
 ], ids=["spherical-4", "spherical-6", "shift-10"])
-def test_strehl_finds_a_focus_outside_the_first_window(doughnut_field, aberration, ratio,
+def test_strehl_finds_a_focus_outside_the_first_window(doughnut, aperture, aberration, ratio,
                                                        offset):
     # each focus lies beyond +-2 lambda, where the first scan peaks on a
     # sidelobe near its edge: the window doubles until the maximum lies two
     # main lobes inside it, and a brute-force scan over +-40 lambda agrees
-    res = strehl(doughnut_field, aberration)
-    field = _own_field(doughnut_field, res)
+    res = strehl(doughnut, aperture, aberration)
+    field = _own_field(doughnut, aperture, res)
     if callable(aberration):
         w = aberration(field.theta, field.phi)
     else:
         w = oracles.zernike_sum(aberration, field.rho_unit, field.phi)
-    want_ratio, want_nominal, want_offset = oracles.wide_axial_strehl(field, w)
+    want_ratio, want_nominal, want_offset = oracles.wide_axial_strehl(doughnut, field, w)
     assert res.ratio == pytest.approx(want_ratio, abs=1e-6)
     assert res.nominal == pytest.approx(want_nominal, abs=1e-6)
     assert res.peak_offset_lambda == pytest.approx(want_offset, abs=1e-3)
@@ -500,7 +504,7 @@ def test_strehl_finds_a_focus_outside_the_first_window(doughnut_field, aberratio
     assert res.peak_offset_lambda == pytest.approx(offset, abs=1e-5)
 
 
-def test_strehl_convergence_covers_the_peak_offset(small_doughnut, monkeypatch):
+def test_strehl_convergence_covers_the_peak_offset(doughnut, aperture, monkeypatch):
     real = ff._strehl_level
 
     def drifting(field, *args):
@@ -510,10 +514,10 @@ def test_strehl_convergence_covers_the_peak_offset(small_doughnut, monkeypatch):
 
     monkeypatch.setattr(ff, "_strehl_level", drifting)
     with pytest.raises(ConvergenceError, match="peak"):
-        strehl(small_doughnut)
+        strehl(doughnut, aperture)
 
 
-def test_callable_aberration_must_broadcast(small_doughnut):
+def test_callable_aberration_must_broadcast(small_doughnut, doughnut, aperture):
     def per_node(theta, phi):
         # written for flat node vectors: one value per node, not per axis
         return np.ravel(np.cos(theta) * np.cos(phi))
@@ -524,12 +528,12 @@ def test_callable_aberration_must_broadcast(small_doughnut):
 
     for func in (per_node, per_ring):
         with pytest.raises(DomainError, match="broadcast"):
-            strehl(small_doughnut, func)
+            strehl(doughnut, aperture, func)
         with pytest.raises(DomainError, match="broadcast"):
-            focal_field(small_doughnut, np.zeros(3), aberration=func)
+            focal_field(doughnut, small_doughnut, np.zeros(3), aberration=func)
 
 
-def test_aberration_input_forms_agree(small_doughnut, aperture):
+def test_aberration_input_forms_agree(small_doughnut, doughnut, aperture):
     exp = ZernikeExpansion(terms=((2, 2, 0.05), (3, 1, 0.03)), wavelength_nm=369.5)
     from dipolemirror.wavefront import zernike_eval
 
@@ -538,21 +542,23 @@ def test_aberration_input_forms_agree(small_doughnut, aperture):
 
     grid = func(small_doughnut.theta, small_doughnut.phi)
     pos = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
-    reference = focal_field(small_doughnut, pos, aberration=exp)
-    assert np.allclose(focal_field(small_doughnut, pos, aberration=func),
+    reference = focal_field(doughnut, small_doughnut, pos, aberration=exp)
+    assert np.allclose(focal_field(doughnut, small_doughnut, pos, aberration=func),
                        reference, atol=1e-12 * np.abs(reference).max())
     # node samples fit one grid only, so no array is an aberration
     for bad in (grid, grid[:-1], grid.ravel()):
         with pytest.raises(DomainError):
-            focal_field(small_doughnut, pos, aberration=bad)
+            focal_field(doughnut, small_doughnut, pos, aberration=bad)
     with pytest.raises(DomainError):
-        focal_field(small_doughnut, pos, aberration="coma")
+        focal_field(doughnut, small_doughnut, pos, aberration="coma")
 
 
-def test_strehl_refuses_node_samples(small_doughnut):
-    grid = 0.05 * np.cos(small_doughnut.theta) ** 2 * np.ones((1, small_doughnut.n_phi))
+def test_strehl_refuses_node_samples(doughnut, aperture):
+    # samples on the nodes of the first level's fine grid, K65 x T128
+    field = _level_field(doughnut, aperture, *ff._FIRST_LEVEL)
+    grid = 0.05 * np.cos(field.theta) ** 2 * np.ones((1, field.n_phi))
     with pytest.raises(DomainError, match=r"callable W\(theta, phi\)"):
-        strehl(small_doughnut, grid)
+        strehl(doughnut, aperture, grid)
 
 
 def _rotated(expansion, alpha):
@@ -567,12 +573,6 @@ def _rotated(expansion, alpha):
     return ZernikeExpansion(terms=tuple(terms), wavelength_nm=expansion.wavelength_nm)
 
 
-@pytest.fixture(scope="module")
-def rotation_field(aperture, waist_optimum):
-    return plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture,
-                           n_theta=64, n_phi=32)
-
-
 _INDICES = [(n, m) for n in range(5) for m in range(-n, n + 1, 2)]
 
 
@@ -580,12 +580,13 @@ _INDICES = [(n, m) for n in range(5) for m in range(-n, n + 1, 2)]
 @given(values=st.lists(st.floats(-0.04, 0.04), min_size=len(_INDICES),
                        max_size=len(_INDICES)),
        k=st.integers(1, 31))
-def test_strehl_is_invariant_under_pupil_rotation(rotation_field, values, k):
+def test_strehl_is_invariant_under_pupil_rotation(doughnut, aperture, values, k):
     exp = ZernikeExpansion(terms=tuple((n, m, v) for (n, m), v in zip(_INDICES, values)),
                            wavelength_nm=369.5)
-    # a multiple of the azimuthal step maps the node grid onto itself
-    turned = _rotated(exp, 2.0 * math.pi * k / rotation_field.n_phi)
-    base, rot = strehl(rotation_field, exp), strehl(rotation_field, turned)
+    # a multiple of 2 pi / 32 maps every level's azimuths, and their even
+    # subset, onto themselves
+    turned = _rotated(exp, 2.0 * math.pi * k / 32)
+    base, rot = strehl(doughnut, aperture, exp), strehl(doughnut, aperture, turned)
     assert rot.ratio == pytest.approx(base.ratio, abs=1e-9)
     assert rot.nominal == pytest.approx(base.nominal, abs=1e-9)
     assert rot.peak_offset_lambda == pytest.approx(base.peak_offset_lambda, abs=1e-5)
@@ -653,11 +654,11 @@ _FIGURE = ZernikeExpansion(
 
 @pytest.mark.parametrize("figure", [False, True], ids=["alone", "with-figure"])
 @pytest.mark.parametrize("wavelength", [369.5, 251.8])
-def test_aluminum_phase_strehl_is_grid_independent(aperture, waist_optimum, wavelength,
-                                                   figure):
+def test_aluminum_phase_strehl_is_grid_independent(aperture, doughnut, wavelength, figure):
     aberration, coating = (_FIGURE if figure else None), (wavelength, aluminum())
-    field = plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture)
-    results = [ff._strehl_level(ff._nested_field(field, n, n), aberration, coating)[0]
+    lo, hi = ff._cos_interval(aperture)
+    results = [ff._strehl_level(_level_field(doughnut, aperture, n, n), lo, hi, aberration,
+                                coating)[0]
                for n in (64, 128, 256)]
     for res in results[1:]:
         assert res.ratio == pytest.approx(results[0].ratio, abs=1e-13)
@@ -669,18 +670,18 @@ def test_aluminum_phase_strehl_is_grid_independent(aperture, waist_optimum, wave
 @settings(max_examples=60, deadline=None)
 @given(figure=_expansions(0.05, 10), wavelength=st.floats(150.0, 1000.0),
        grid=st.sampled_from([(32, 64), (64, 128)]))
-def test_coating_phase_per_ring_matches_the_phase_on_every_node(aperture, waist_optimum,
-                                                                figure, wavelength, grid):
+def test_coating_phase_per_ring_matches_the_phase_on_every_node(aperture, doughnut, figure,
+                                                                wavelength, grid):
     coating = (wavelength, aluminum())
-    field = ff._nested_field(plane_to_sphere(RadialMode.doughnut(waist_optimum.waist), aperture),
-                             *grid)
+    field = _level_field(doughnut, aperture, *grid)
+    lo, hi = ff._cos_interval(aperture)
 
     def on_every_node(theta, phi):
         return (reflection_phase_waves(theta, *coating)
                 + oracles.zernike_sum(figure, rho_from_theta(theta) / aperture.rho_max, phi))
 
-    (ring, ring_coarse), (node, node_coarse) = (ff._strehl_level(field, figure, coating),
-                                                ff._strehl_level(field, on_every_node))
+    (ring, ring_coarse), (node, node_coarse) = (ff._strehl_level(field, lo, hi, figure, coating),
+                                                ff._strehl_level(field, lo, hi, on_every_node))
     for name in ("ratio", "nominal", "peak_offset_lambda", "rms_waves"):
         assert getattr(ring, name) == pytest.approx(getattr(node, name), rel=0.0, abs=1e-12)
     assert ring_coarse == pytest.approx(node_coarse, rel=0.0, abs=1e-12)

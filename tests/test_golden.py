@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dipolemirror import ApertureSpec, FrameStack, PhaseMap, ZernikeExpansion
+from dipolemirror import ApertureSpec, FrameStack, PhaseMap, ZernikeExpansion, focalfield
 from dipolemirror.cli import main
 from dipolemirror.polarimetry import save_frame_stack
 from dipolemirror.wavefront import save_expansion, save_phase_map
@@ -85,6 +85,20 @@ def test_report_text_is_unchanged(name, inputs, capsys, monkeypatch):
     assert code == 0
     assert stdout == (GOLDEN / f"{name}.txt").read_text()
     assert (out_dir / filename).read_text() == stdout
+
+
+@pytest.mark.parametrize("name", ["report", "strehl", "strehl_aluminum"])
+def test_strehl_reports_build_no_sphere_field(name, inputs, capsys, monkeypatch):
+    # strehl sums the mode on its own nodes: no report maps a field first
+    def refuse(*args, **kwargs):
+        raise AssertionError("plane_to_sphere is not on the report path")
+
+    monkeypatch.setattr(focalfield, "plane_to_sphere", refuse)
+    monkeypatch.chdir(inputs)
+    argv, _, _ = CASES[name]
+    code = main([*argv, "--config", f"{name}.ini"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_golden_files_have_cases():

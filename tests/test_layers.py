@@ -81,8 +81,6 @@ DEFAULTED = {
     "cli.ToolkitConfig.get_float(default)",
     "cli.ToolkitConfig.get_int(default)",
     "cli.main(argv)",
-    "focalfield.plane_to_sphere(n_phi)",
-    "focalfield.plane_to_sphere(n_theta)",
     "focalfield.strehl(aberration)",
     "focalfield.strehl(coating)",
     "geometry.ApertureSpec.angle_interval(include_bore)",
@@ -105,7 +103,7 @@ def _defaulted(function) -> list:
 
 
 def test_defaulted_public_parameters_are_pinned():
-    assert len(DEFAULTED) == 17
+    assert len(DEFAULTED) == 15
     found = set()
     for path in sorted(Path(dipolemirror.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:

@@ -443,6 +443,11 @@ def test_fused_silica_reference_indices():
         model.index(5000.0)
 
 
+def test_fused_silica_is_read_once():
+    # a plate-compensated report asks for it on every job; the model is frozen
+    assert fused_silica() is fused_silica()
+
+
 def test_sellmeier_file_requires_provenance(tmp_path):
     body = (
         "b1=0.6961663\nb2=0.4079426\nb3=0.8974794\n"
