@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ConfigError", "ConvergenceError", "CoverageError", "DeterminacyError",
-        "DomainError", "ProvenanceError", "UndefinedOverlapError",
+        "DomainError", "FormatError", "ProvenanceError", "UndefinedOverlapError",
     ),
     "geometry": (
         "OMEGA_MAX", "AngleInterval", "ApertureSpec", "incidence_angle",

@@ -33,9 +33,9 @@ timestamps. Each subcommand returns its title, body lines, machine-readable
 values and file name; one emitter adds the shared header and machine
 block, prints the report and mirrors it into --out.
 
-Exit codes: 0 success; 2 configuration problems, missing factors, or
-inputs that fail validation (determinacy, coverage, domain); 3 missing or
-malformed files; 4 numerical non-convergence.
+Exit codes, which ``main`` picks by the error's class: 0 success; 2
+configuration problems, missing factors, or values that fail validation,
+in a file or not; 3 missing or malformed files; 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ from .errors import (
     CoverageError,
     DeterminacyError,
     DomainError,
-    ProvenanceError,
+    FormatError,
     UndefinedOverlapError,
-    _NonFiniteError,
 )
 
 # Published factor sets reproduced for comparison in reports. When a report's
@@ -79,13 +78,8 @@ _CONFIG_ERRORS = (
     DomainError,
     DeterminacyError,
     CoverageError,
-    ProvenanceError,
     UndefinedOverlapError,
 )
-
-
-class _InputFileError(Exception):
-    """Internal wrapper: a named input file is missing or malformed."""
 
 
 @dataclass(frozen=True)
@@ -168,10 +162,12 @@ class ToolkitConfig:
 
 
 def _read_input(label: str, loader):
-    """Run a file loader, folding its failures into the I/O exit code.
+    """Run a file loader; an error it raises names the file.
 
-    A non-finite number in the file is no format fault but a value outside
-    its domain: it stays a DomainError, named by the file all the same.
+    A toolkit error keeps its class, so a refused value exits as it would
+    anywhere else. Python's own parse errors (``int()``, ``float()``,
+    ``json``, numpy) say that the text does not follow its format: they
+    become a FormatError.
     """
     try:
         return loader()
@@ -179,8 +175,10 @@ def _read_input(label: str, loader):
         message = str(exc)
         if not message.startswith(str(label)):
             message = f"{label}: {message}"
-        error = DomainError if isinstance(exc, _NonFiniteError) else _InputFileError
-        raise error(message) from exc
+        if type(exc).__module__ == FormatError.__module__:  # a toolkit error
+            exc.args = (message,)
+            raise
+        raise (OSError if isinstance(exc, OSError) else FormatError)(message) from exc
 
 
 def _out_dir(args) -> Path | None:
@@ -703,7 +701,7 @@ def main(argv=None) -> int:
         _emit(args, config, *args.func(args, config))
     except _CONFIG_ERRORS as exc:
         return _fail(args, exc, 2)
-    except (_InputFileError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         return _fail(args, exc, 3)
     except ConvergenceError as exc:
         return _fail(args, exc, 4)

@@ -1,8 +1,13 @@
 """Exception types shared across the toolkit.
 
-The command line maps these onto exit codes: configuration problems exit
-with 2, file/format problems with 3, numerical non-convergence with 4.
-Library users catch them as ordinary ValueError/RuntimeError subclasses.
+The class of an error decides the command line's exit code, in one place,
+``cli.main``: a value that fails validation exits with 2 (DomainError,
+DeterminacyError, CoverageError, UndefinedOverlapError, ConfigError), a
+file whose text does not follow its format with 3 (FormatError, and its
+subclass ProvenanceError), and numerical non-convergence with 4
+(ConvergenceError). Readers raise FormatError for syntax faults; the
+constructors they feed refuse values as anywhere else. Library users catch
+them as ordinary ValueError/RuntimeError subclasses.
 """
 
 
@@ -10,12 +15,8 @@ class DomainError(ValueError):
     """An argument lies outside the physically meaningful domain."""
 
 
-class _NonFiniteError(DomainError):
-    """A number that must be finite is nan or infinite.
-
-    Raised where a value is built, so the command line can tell it from a
-    malformed input file: it exits with 2, as for any DomainError.
-    """
+class FormatError(ValueError):
+    """A file's text does not follow its format."""
 
 
 class UndefinedOverlapError(ValueError):
@@ -40,7 +41,7 @@ class CoverageError(ValueError):
         self.missing_fraction = float(missing_fraction)
 
 
-class ProvenanceError(ValueError):
+class ProvenanceError(FormatError):
     """A data table lacks the required source citation header."""
 
 

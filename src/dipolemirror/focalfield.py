@@ -81,7 +81,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ProvenanceError, _NonFiniteError
+from .errors import ConvergenceError, DomainError, ProvenanceError
 from .geometry import (
     ApertureSpec, _gauss_kronrod, _gauss_legendre_on, _rule_on, incidence_angle,
     rho_from_theta, theta_from_rho,
@@ -479,7 +479,7 @@ class OpticalConstants:
             raise DomainError(f"{path}: need at least two table rows")
         table = np.array(rows, dtype=float)
         if not np.all(np.isfinite(table)):
-            raise _NonFiniteError(f"{path}: optical constants must be finite")
+            raise DomainError(f"{path}: optical constants must be finite")
         if np.any(np.diff(table[:, 0]) <= 0):
             raise DomainError(f"{path}: wavelengths must increase strictly")
         return cls(wavelength_nm=table[:, 0], n=table[:, 1], k=table[:, 2], source=source)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FormatError
 
 __all__ = ["write_grid", "read_grid", "write_table", "read_table"]
 
@@ -157,7 +157,7 @@ def read_grid(path):
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("# {"):
-            raise DomainError(f"{path}: missing JSON header line")
+            raise FormatError(f"{path}: missing JSON header line")
         header = json.loads(first[2:])
         shape = (header.get("rows"), header.get("cols"))
         # a grid without values leaves loadtxt nothing to read
@@ -167,9 +167,9 @@ def read_grid(path):
     try:
         values = np.loadtxt(path, dtype=float, comments="#", ndmin=2)
     except ValueError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+        raise FormatError(f"{path}: {exc}") from exc
     if values.shape != shape:
-        raise DomainError(f"{path}: grid shape {values.shape} disagrees with header {shape}")
+        raise FormatError(f"{path}: grid shape {values.shape} disagrees with header {shape}")
     return values, header
 
 
@@ -179,7 +179,7 @@ def read_table(path, columns: str):
     A line '# key: value' sets header[key] to the stripped value; '#'
     starts a comment anywhere and blank lines are skipped. Every other
     line must have one field per name in ``columns`` (e.g. "n m value"),
-    or DomainError names the file and line. Rows are lists of strings.
+    or FormatError names the file and line. Rows are lists of strings.
     """
     header, rows = {}, []
     width = len(columns.split())
@@ -191,6 +191,6 @@ def read_table(path, columns: str):
         if not fields:
             continue
         if len(fields) != width:
-            raise DomainError(f"{path}:{lineno}: expected '{columns}', got {len(fields)} fields")
+            raise FormatError(f"{path}:{lineno}: expected '{columns}', got {len(fields)} fields")
         rows.append(fields)
     return header, rows

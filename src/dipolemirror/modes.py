@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UndefinedOverlapError, _NonFiniteError
+from .errors import ConvergenceError, DomainError, UndefinedOverlapError
 from .geometry import ApertureSpec, _gauss_legendre_on
 from .gridio import read_table, write_table
 from .search import argmax_bracketed
@@ -132,7 +132,7 @@ class RadialMode:
         if rho.ndim != 1 or rho.shape != amp.shape or rho.size < 2:
             raise DomainError("sampled mode needs matching 1-d rho/amplitude arrays")
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(amp))):
-            raise _NonFiniteError("sample radii and amplitudes must be finite")
+            raise DomainError("sample radii and amplitudes must be finite")
         if np.any(rho < 0) or np.any(np.diff(rho) <= 0):
             raise DomainError("sample radii must be non-negative and strictly increasing")
         return cls(kind="sampled", rho_samples=rho, amp_samples=amp)

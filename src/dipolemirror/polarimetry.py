@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, DeterminacyError, DomainError
+from .errors import CoverageError, DeterminacyError, DomainError, FormatError
 from .geometry import ApertureSpec
 from .gridio import read_table, write_grid
 from .modes import dipole_profile
@@ -292,14 +292,14 @@ def _pgm_pixels(path):
     raw = Path(path).read_bytes()
     m = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", raw)
     if not m:
-        raise DomainError(f"{path}: not a binary PGM")
+        raise FormatError(f"{path}: not a binary PGM")
     cols, rows, maxval = (int(m.group(i)) for i in (1, 2, 3))
     if not 1 <= maxval <= PGM_MAXVAL:
-        raise DomainError(f"{path}: PGM maxval {maxval} outside 1-{PGM_MAXVAL}")
+        raise FormatError(f"{path}: PGM maxval {maxval} outside 1-{PGM_MAXVAL}")
     dtype = np.dtype(">u2" if maxval > 255 else "u1")
     expected, found = rows * cols * dtype.itemsize, len(raw) - m.end()
     if found < expected:
-        raise DomainError(f"{path}: truncated PGM: {rows} x {cols} pixels need "
+        raise FormatError(f"{path}: truncated PGM: {rows} x {cols} pixels need "
                           f"{expected} bytes, found {found}")
     pixels = np.frombuffer(raw, dtype=dtype, count=rows * cols, offset=m.end())
     return pixels.reshape(rows, cols), maxval
@@ -337,9 +337,9 @@ def load_frame_stack(directory) -> FrameStack:
     header, rows = read_table(manifest, "filename angle_deg")
     center = header.get("center", "").split()
     if "pixel_scale" not in header or len(center) != 2:
-        raise DomainError(f"{manifest}: manifest lacks pixel_scale or center")
+        raise FormatError(f"{manifest}: manifest lacks pixel_scale or center")
     if not rows:
-        raise DomainError(f"{manifest}: manifest lists no frames")
+        raise FormatError(f"{manifest}: manifest lists no frames")
     angles = [math.radians(float(angle)) for _, angle in rows]
     # each frame is decoded straight into its slot of one array, scaled in place
     frames = None
@@ -348,7 +348,7 @@ def load_frame_stack(directory) -> FrameStack:
         if frames is None:
             frames = np.empty((len(rows),) + pixels.shape)
         elif pixels.shape != frames.shape[1:]:
-            raise DomainError(f"{directory / name}: frame shape {pixels.shape} differs "
+            raise FormatError(f"{directory / name}: frame shape {pixels.shape} differs "
                               f"from the first frame's {frames.shape[1:]}")
         np.divide(pixels, maxval, out=frames[k])
     frames *= float(header.get("intensity_scale", 1.0))

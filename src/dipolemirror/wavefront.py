@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ProvenanceError, _NonFiniteError
+from .errors import ConvergenceError, DomainError, FormatError, ProvenanceError
 from .geometry import _gauss_legendre, _gauss_legendre_on
 from .gridio import read_grid, read_table, write_grid
 
@@ -208,7 +208,7 @@ def _sum_orders(orders: dict, rho, phi):
 def _positive_wavelength(wavelength_nm):
     """Refuse a wavelength that is not a positive finite number."""
     if not math.isfinite(wavelength_nm):
-        raise _NonFiniteError(f"wavelength {wavelength_nm} nm is not finite")
+        raise DomainError(f"wavelength {wavelength_nm} nm is not finite")
     if wavelength_nm <= 0:
         raise DomainError("wavelength must be positive")
 
@@ -218,7 +218,8 @@ class ZernikeExpansion:
     """A wavefront as Zernike coefficients, in waves at wavelength_nm.
 
     terms is a tuple of (n, m, value) triples; annulus optionally records
-    the (inner, outer) unit-disk radii the coefficients were fitted on.
+    the (inner, outer) unit-disk radii the coefficients were fitted on,
+    with 0 <= inner < outer <= 1.
     """
 
     terms: tuple
@@ -233,9 +234,13 @@ class ZernikeExpansion:
             if (n, m) in seen:
                 raise DomainError(f"duplicate Zernike index (n={n}, m={m})")
             if not math.isfinite(v):
-                raise _NonFiniteError(f"Zernike coefficient (n={n}, m={m}) = {v} is not finite")
+                raise DomainError(f"Zernike coefficient (n={n}, m={m}) = {v} is not finite")
             seen.add((n, m))
         _positive_wavelength(self.wavelength_nm)
+        if self.annulus is not None and not (
+                len(self.annulus) == 2 and 0.0 <= self.annulus[0] < self.annulus[1] <= 1.0):
+            raise DomainError(f"annulus {self.annulus} is not (inner, outer) "
+                              "with 0 <= inner < outer <= 1")
 
     def coefficient(self, n: int, m: int) -> float:
         for nn, mm, v in self.terms:
@@ -305,7 +310,7 @@ class PhaseMap:
             raise DomainError("values and mask must be matching 2-d arrays")
         _positive_wavelength(self.wavelength_nm)
         if not np.all(np.isfinite(values[mask])):
-            raise _NonFiniteError("masked-in phase values must be finite")
+            raise DomainError("masked-in phase values must be finite")
 
     def grid_polar(self):
         """(rho_unit, phi) arrays for every pixel center."""
@@ -599,7 +604,7 @@ class SellmeierModel:
             raise ProvenanceError(f"{path}: no '# source:' line; refusing unattributed data")
         missing = [k for k in _SELLMEIER_KEYS + ("lambda_min_nm", "lambda_max_nm") if k not in fields]
         if missing:
-            raise DomainError(f"{path}: missing keys {missing}")
+            raise FormatError(f"{path}: missing keys {missing}")
         return cls(
             b=(fields["b1"], fields["b2"], fields["b3"]),
             c_um2=(fields["c1_um2"], fields["c2_um2"], fields["c3_um2"]),
@@ -649,7 +654,7 @@ def save_expansion(expansion: ZernikeExpansion, path):
 def load_expansion(path) -> ZernikeExpansion:
     header, rows = read_table(path, "n m value")
     if "wavelength_nm" not in header:
-        raise DomainError(f"{path}: missing '# wavelength_nm:' header")
+        raise FormatError(f"{path}: missing '# wavelength_nm:' header")
     annulus = tuple(float(v) for v in header["annulus"].split()) if "annulus" in header else None
     return ZernikeExpansion(terms=tuple((int(n), int(m), float(v)) for n, m, v in rows),
                             wavelength_nm=float(header["wavelength_nm"]), annulus=annulus)
@@ -663,7 +668,7 @@ def save_phase_map(phase_map: PhaseMap, path):
 def load_phase_map(path) -> PhaseMap:
     values, header = read_grid(path)
     if "wavelength_nm" not in header:
-        raise DomainError(f"{path}: header lacks wavelength_nm")
+        raise FormatError(f"{path}: header lacks wavelength_nm")
     mask = np.isfinite(values)
     return PhaseMap(values=np.where(mask, values, np.nan), mask=mask,
                     wavelength_nm=float(header["wavelength_nm"]))

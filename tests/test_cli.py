@@ -16,18 +16,23 @@ from hypothesis import strategies as st
 import dipolemirror
 import oracles
 from dipolemirror import (
-    ConvergenceError,
     FrameStack,
     PhaseMap,
     TransitionSpec,
     ZernikeExpansion,
     aom_drive,
     aom_response,
+    errors,
     temporal_overlap,
 )
 from dipolemirror.cli import _fmt, main
 from dipolemirror.modes import save_sampled_mode
-from dipolemirror.polarimetry import ellipse_angles, load_frame_stack, stokes_from_frames
+from dipolemirror.polarimetry import (
+    ellipse_angles,
+    load_frame_stack,
+    stokes_from_frames,
+    write_pgm,
+)
 from dipolemirror.temporal import _TAIL_BUILDUPS, T1, T2
 from dipolemirror.wavefront import load_expansion, save_phase_map
 
@@ -626,6 +631,26 @@ def test_strehl_cli_refuses_a_term_that_rounding_would_spoil(tmp_path, capsys, t
     assert line.endswith(" of |R| <= 1")
 
 
+def assert_input_file_exits(tmp_path, capsys, command, config, text, code, message):
+    """Run ``command`` on a config naming input.txt that holds ``text``.
+
+    Beside it lie the 4 x 4 PGM frames frame_000.pgm and frame_001.pgm, and
+    truncated.pgm with half its pixel bytes. The run exits with ``code``
+    and prints one line: the error, naming input.txt, then ``message``
+    with '{}' standing for the directory.
+    """
+    for name in ("frame_000.pgm", "frame_001.pgm"):
+        write_pgm(tmp_path / name, np.zeros((4, 4)))
+    (tmp_path / "truncated.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(16))
+    data = tmp_path / "input.txt"
+    data.write_text(text.format())
+    exit_code, out, err = run(capsys, command, "--config",
+                              write_config(tmp_path, config.format(data)))
+    assert exit_code == code and out == ""
+    [line] = err.splitlines()  # one line, no traceback and no RuntimeWarning
+    assert line == f"error: {data}: {message.format(tmp_path)}"
+
+
 _ALUMINUM_ROWS = "# source: x\n200 0.1 2.0\n400 nan 4.0\n800 1.5 7.0\n"
 
 
@@ -651,12 +676,67 @@ _ALUMINUM_ROWS = "# source: x\n200 0.1 2.0\n400 nan 4.0\n800 1.5 7.0\n"
         "nan-index", "nan-radius", "inf-radius"])
 def test_non_finite_input_numbers_exit_2_with_one_error_line(tmp_path, capsys, command,
                                                              config, text, message):
-    data = tmp_path / "input.txt"
-    data.write_text(text.format())
-    code, out, err = run(capsys, command, "--config", write_config(tmp_path, config.format(data)))
-    assert code == 2 and out == ""
-    [line] = err.splitlines()  # one line, no traceback and no RuntimeWarning
-    assert line == f"error: {data}: {message}"
+    assert_input_file_exits(tmp_path, capsys, command, config, text, 2, message)
+
+
+_MANIFEST = "# pixel_scale: {}\n# center: 2 2\nframe_000.pgm 0\n"
+
+
+# each input file that holds a value its constructor refuses: the command,
+# its config naming the file, the file's text and the refusal
+@pytest.mark.parametrize("command, config, text, message", [
+    ("strehl", "[strehl]\nzernike_file = {}\n", "# wavelength_nm: 632.8\n3 5 0.1\n",
+     "invalid Zernike index (n=3, m=5)"),
+    ("strehl", "[strehl]\nzernike_file = {}\n",
+     "# wavelength_nm: 632.8\n2 2 0.01\n2 2 0.02\n", "duplicate Zernike index (n=2, m=2)"),
+    ("strehl", "[strehl]\nzernike_file = {}\n", "# wavelength_nm: -5\n2 2 0.01\n",
+     "wavelength must be positive"),
+    ("strehl", "[strehl]\nzernike_file = {}\n",
+     "# wavelength_nm: 632.8\n# annulus: 0.5 0.5\n2 2 0.01\n",
+     "annulus (0.5, 0.5) is not (inner, outer) with 0 <= inner < outer <= 1"),
+    ("zernike", "[zernike]\nmap_file = {}\ndegree = 0\n",
+     '# {{"cols": 2, "rows": 2, "wavelength_nm": -633.0}}\n0.1 0.2\n0.3 0.4\n',
+     "wavelength must be positive"),
+    ("overlap", "[overlap]\nmode_file = {}\n", "1.0 1.0\n0.5 2.0\n",
+     "sample radii must be non-negative and strictly increasing"),
+    ("strehl", "[strehl]\naluminum_phase = true\nevaluate_nm = 369.5\n"
+     "[optics]\nconstants_file = {}\n", "# source: x\n400 0.4 4.0\n200 0.1 2.0\n",
+     "wavelengths must increase strictly"),
+    ("stokes", "[stokes]\nmanifest = {}\n", _MANIFEST.format(-1),
+     "pixel_scale must be positive"),
+    ("stokes", "[stokes]\nmanifest = {}\n", _MANIFEST.format(0.01) + "frame_001.pgm 90\n",
+     "2 distinct wave-plate angles; at least 5 needed to separate four Stokes parameters"),
+], ids=["invalid-index", "duplicate-index", "negative-wavelength", "empty-annulus",
+        "negative-map-wavelength", "decreasing-radii", "decreasing-wavelengths",
+        "negative-pixel-scale", "two-frames"])
+def test_refused_input_values_exit_2_with_one_error_line(tmp_path, capsys, command, config,
+                                                         text, message):
+    assert_input_file_exits(tmp_path, capsys, command, config, text, 2, message)
+
+
+# each input file whose text does not follow its format, one or more per
+# config key that names a file
+@pytest.mark.parametrize("command, config, text, message", [
+    ("strehl", "[strehl]\nzernike_file = {}\n", "2 2 0.01\n",
+     "missing '# wavelength_nm:' header"),
+    ("strehl", "[strehl]\nzernike_file = {}\n", "# wavelength_nm: 632.8\n2.5 2 0.01\n",
+     "invalid literal for int() with base 10: '2.5'"),
+    ("overlap", "[overlap]\nmode_file = {}\n", "0.5 1.0\n1.0 one\n",
+     "could not convert string to float: 'one'"),
+    ("strehl", "[strehl]\naluminum_phase = true\nevaluate_nm = 369.5\n"
+     "[optics]\nconstants_file = {}\n", "200 0.1 2.0\n400 0.4 4.0\n",
+     "no '# source:' line; refusing optical constants without a citation"),
+    ("zernike", "[zernike]\nmap_file = {}\n", "0.1 0.2\n0.3 0.4\n",
+     "missing JSON header line"),
+    ("stokes", "[stokes]\nmanifest = {}\n", "# center: 2 2\nframe_000.pgm 0\n",
+     "manifest lacks pixel_scale or center"),
+    ("stokes", "[stokes]\nmanifest = {}\n", _MANIFEST.format(0.01) + "truncated.pgm 90\n",
+     "{}/truncated.pgm: truncated PGM: 4 x 4 pixels need 32 bytes, found 16"),
+], ids=["zernike-headerless", "zernike-fractional-index", "mode-word-for-number",
+        "constants-unsourced", "map-headerless", "manifest-headerless", "manifest-truncated-pgm"])
+def test_malformed_input_files_exit_3_with_one_error_line(tmp_path, capsys, command, config,
+                                                          text, message):
+    assert_input_file_exits(tmp_path, capsys, command, config, text, 3, message)
 
 
 def test_zernike_refuses_a_map_whose_pixels_share_one_radius(tmp_path, capsys):
@@ -806,17 +886,33 @@ def test_strehl_requires_section(capsys):
     assert "[strehl] section is required" in err
 
 
-def test_strehl_convergence_exit_code(tmp_path, capsys, monkeypatch):
+# the exit code README documents for each class in errors, and for OSError
+EXIT_CODES = {
+    errors.ConfigError: 2, errors.DomainError: 2, errors.DeterminacyError: 2,
+    errors.CoverageError: 2, errors.UndefinedOverlapError: 2,
+    errors.FormatError: 3, errors.ProvenanceError: 3, OSError: 3,
+    errors.ConvergenceError: 4,
+}
+
+
+def test_exit_codes_cover_every_error_class():
+    classes = {value for value in vars(errors).values() if isinstance(value, type)}
+    assert classes | {OSError} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", EXIT_CODES, ids=lambda error: error.__name__)
+def test_the_error_class_picks_the_exit_code(tmp_path, capsys, monkeypatch, error):
     from dipolemirror import focalfield
 
-    def exploding_strehl(*args, **kwargs):
-        raise ConvergenceError("synthetic: quadrature never settled")
+    def failing_strehl(*args, **kwargs):
+        extra = (0.5,) if error is errors.CoverageError else ()
+        raise error("synthetic: quadrature never settled", *extra)
 
-    monkeypatch.setattr(focalfield, "strehl", exploding_strehl)
+    monkeypatch.setattr(focalfield, "strehl", failing_strehl)
     config = write_config(tmp_path, "[strehl]\nwaist = 2.2636\n")
-    code, _, err = run(capsys, "strehl", "--config", config)
-    assert code == 4
-    assert "never settled" in err
+    code, out, err = run(capsys, "strehl", "--config", config)
+    assert (code, out) == (EXIT_CODES[error], "")
+    assert err == "error: synthetic: quadrature never settled\n"
 
 
 def test_strehl_prints_the_offset_at_search_resolution(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from dipolemirror import (
     ApertureSpec,
     ConvergenceError,
     DomainError,
+    FormatError,
     PhaseMap,
     ProvenanceError,
     RadialMode,
@@ -741,6 +742,6 @@ def test_optical_constants_file_validation(tmp_path):
     with pytest.raises(DomainError):
         OpticalConstants.from_file(tmp_path / "disorder.txt")
     (tmp_path / "ragged.txt").write_text("# source: x\n200 0.1\n400 0.4 4.0\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         OpticalConstants.from_file(tmp_path / "ragged.txt")
 

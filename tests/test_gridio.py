@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
-from dipolemirror import DomainError, gridio
+from dipolemirror import DomainError, FormatError, gridio
 from dipolemirror.gridio import read_grid, write_grid, write_table
 
 HEADER = {"kind": "test", "wavelength_nm": 633.0}
@@ -193,9 +193,9 @@ def test_read_grid_returns_the_written_text(tmp_path):
 def test_read_grid_rejects_malformed_grids(tmp_path, body, message):
     path = tmp_path / "bad.txt"
     path.write_text('# {"cols": 3, "rows": 2}\n' + body)
-    with pytest.raises(DomainError, match=message) as err:
+    with pytest.raises(FormatError, match=message) as err:
         read_grid(path)
     assert str(path) in str(err.value)
     path.write_text(body)
-    with pytest.raises(DomainError, match="missing JSON header"):
+    with pytest.raises(FormatError, match="missing JSON header"):
         read_grid(path)

@@ -11,6 +11,7 @@ from dipolemirror import (
     ConvergenceError,
     CouplingFigures,
     DomainError,
+    FormatError,
     RadialMode,
     UndefinedOverlapError,
     WeightedMode,
@@ -249,7 +250,7 @@ def test_sampled_mode_file_roundtrip(tmp_path, aperture):
 def test_sampled_mode_file_rejects_bad_rows(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0.0 1.0 2.0\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         load_sampled_mode(path)
 
 

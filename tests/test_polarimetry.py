@@ -13,6 +13,7 @@ from dipolemirror import (
     CoverageError,
     DeterminacyError,
     DomainError,
+    FormatError,
     FrameStack,
     StokesMap,
     doughnut_profile,
@@ -337,13 +338,13 @@ def test_frame_stack_manifest_errors(tmp_path):
     missing_meta = tmp_path / "a"
     missing_meta.mkdir()
     (missing_meta / "manifest.txt").write_text("frame_000.pgm 0.0\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         load_frame_stack(missing_meta)
     no_frames = tmp_path / "b"
     no_frames.mkdir()
     (no_frames / "manifest.txt").write_text(
         "# pixel_scale: 0.01\n# center: 1.0 1.0\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         load_frame_stack(no_frames)
     ragged = tmp_path / "c"
     ragged.mkdir()
@@ -351,7 +352,7 @@ def test_frame_stack_manifest_errors(tmp_path):
     write_pgm(ragged / "frame_001.pgm", np.zeros((5, 4)))
     (ragged / "manifest.txt").write_text(
         "# pixel_scale: 0.01\n# center: 1.0 1.0\nframe_000.pgm 0.0\nframe_001.pgm 90.0\n")
-    with pytest.raises(DomainError, match="frame_001.pgm: frame shape"):
+    with pytest.raises(FormatError, match="frame_001.pgm: frame shape"):
         load_frame_stack(ragged)
 
 
@@ -363,14 +364,14 @@ def test_frame_stack_refuses_truncated_frames_and_bad_maxval(tmp_path, doughnut_
     rows, cols = stack.frames.shape[1:]
     payload = 2 * rows * cols
     frame.write_bytes(raw[:len(raw) - payload // 2])
-    with pytest.raises(DomainError, match="truncated") as err:
+    with pytest.raises(FormatError, match="truncated") as err:
         load_frame_stack(tmp_path)
     message = str(err.value)
     assert message.startswith(str(frame))
     assert f"{payload} bytes, found {payload - payload // 2}" in message
     for maxval in (0, 65536):
         frame.write_bytes(raw.replace(b"\n65535\n", f"\n{maxval}\n".encode(), 1))
-        with pytest.raises(DomainError, match=f"maxval {maxval} outside 1-65535"):
+        with pytest.raises(FormatError, match=f"maxval {maxval} outside 1-65535"):
             load_frame_stack(tmp_path)
 
 

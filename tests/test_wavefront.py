@@ -10,6 +10,7 @@ import oracles
 from dipolemirror import (
     ConvergenceError,
     DomainError,
+    FormatError,
     PhaseMap,
     ProvenanceError,
     SellmeierModel,
@@ -460,7 +461,7 @@ def test_sellmeier_file_requires_provenance(tmp_path):
         SellmeierModel.from_file(bare)
     incomplete = tmp_path / "incomplete.txt"
     incomplete.write_text("# source: somebody\nb1=0.7\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         SellmeierModel.from_file(incomplete)
     good = tmp_path / "good.txt"
     good.write_text("# source: somebody\n" + body)
@@ -497,12 +498,19 @@ def test_expansion_file_roundtrip(tmp_path):
         assert back.coefficient(n, m) == pytest.approx(v, abs=1e-12)
     headerless = tmp_path / "headerless.txt"
     headerless.write_text("2 0 0.1\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         load_expansion(headerless)
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("# wavelength_nm: 633\n2 0\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         load_expansion(ragged)
+
+
+@pytest.mark.parametrize("annulus", [(0.5, 0.5), (0.8, 0.5), (-0.1, 0.5), (0.5, 1.2), (0.5,)])
+def test_expansion_refuses_an_annulus_that_is_not_inner_below_outer(annulus):
+    # (0.5, 0.5) left the moments no area, and (0.8, 0.5) was scored as given
+    with pytest.raises(DomainError, match=r"0 <= inner < outer <= 1"):
+        ZernikeExpansion(terms=((2, 2, 0.1),), wavelength_nm=633.0, annulus=annulus)
 
 
 def test_phase_map_file_roundtrip(tmp_path):
