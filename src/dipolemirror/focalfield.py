@@ -468,7 +468,7 @@ class OpticalConstants:
     @classmethod
     def from_file(cls, path) -> "OpticalConstants":
         """Read 'wavelength_nm n k' rows; a '# source:' header is mandatory."""
-        header, rows = read_table(path, "wavelength_nm n k")
+        header, rows = read_table(path, "wavelength_nm n k", lambda *row: tuple(map(float, row)))
         source = header.get("source")
         if not source:
             raise ProvenanceError(

@@ -158,28 +158,28 @@ def read_grid(path):
         first = fh.readline()
         if not first.startswith("# {"):
             raise FormatError(f"{path}: missing JSON header line")
-        header = json.loads(first[2:])
-        shape = (header.get("rows"), header.get("cols"))
-        # a grid without values leaves loadtxt nothing to read
-        sized = all(isinstance(n, int) and n >= 0 for n in shape)
-        if sized and 0 in shape and not fh.read().split():
-            return np.empty(shape), header
-    try:
-        values = np.loadtxt(path, dtype=float, comments="#", ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        try:
+            header = json.loads(first[2:])
+            shape = (header.get("rows"), header.get("cols"))
+            # a grid without values leaves loadtxt nothing to read
+            sized = all(isinstance(n, int) and n >= 0 for n in shape)
+            values = (np.empty(shape) if sized and 0 in shape and not fh.read().split()
+                      else np.loadtxt(path, dtype=float, comments="#", ndmin=2))
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     if values.shape != shape:
         raise FormatError(f"{path}: grid shape {values.shape} disagrees with header {shape}")
     return values, header
 
 
-def read_table(path, columns: str):
+def read_table(path, columns: str, parse):
     """Return (header, rows) of a whitespace-separated column table.
 
     A line '# key: value' sets header[key] to the stripped value; '#'
     starts a comment anywhere and blank lines are skipped. Every other
-    line must have one field per name in ``columns`` (e.g. "n m value"),
-    or FormatError names the file and line. Rows are lists of strings.
+    line must have one field per name in ``columns`` (e.g. "n m value")
+    that ``parse(*fields)`` takes without ValueError, or FormatError names
+    the file and line. Rows are what parse returns.
     """
     header, rows = {}, []
     width = len(columns.split())
@@ -192,5 +192,8 @@ def read_table(path, columns: str):
             continue
         if len(fields) != width:
             raise FormatError(f"{path}:{lineno}: expected '{columns}', got {len(fields)} fields")
-        rows.append(fields)
+        try:
+            rows.append(parse(*fields))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     return header, rows

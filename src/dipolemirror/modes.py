@@ -387,7 +387,7 @@ class CouplingFigures:
 
 def load_sampled_mode(path) -> RadialMode:
     """Read a two-column (rho, amplitude) text file; '#' starts a comment."""
-    _, rows = read_table(path, "rho amplitude")
+    _, rows = read_table(path, "rho amplitude", lambda *row: tuple(map(float, row)))
     table = np.array(rows, dtype=float).reshape(-1, 2)
     return RadialMode.sampled(table[:, 0], table[:, 1])
 

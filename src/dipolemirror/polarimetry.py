@@ -334,13 +334,13 @@ def load_frame_stack(directory) -> FrameStack:
     directory = Path(directory)
     manifest = directory / "manifest.txt" if directory.is_dir() else directory
     directory = manifest.parent
-    header, rows = read_table(manifest, "filename angle_deg")
+    header, rows = read_table(manifest, "filename angle_deg", lambda name, deg: (name, float(deg)))
     center = header.get("center", "").split()
     if "pixel_scale" not in header or len(center) != 2:
         raise FormatError(f"{manifest}: manifest lacks pixel_scale or center")
     if not rows:
         raise FormatError(f"{manifest}: manifest lists no frames")
-    angles = [math.radians(float(angle)) for _, angle in rows]
+    angles = [math.radians(angle) for _, angle in rows]
     # each frame is decoded straight into its slot of one array, scaled in place
     frames = None
     for k, (name, _) in enumerate(rows):

@@ -12,7 +12,7 @@ Zernike terms are indexed (n, m) with radial degree n and azimuthal order
 m; m > 0 means cos(m*phi), m < 0 means sin(|m|*phi). The polynomials are
 unnormalized: a coefficient a on (2,2) means a wavefront a*rho^2*cos(2phi)
 with peak-to-valley 2a over the unit disk. Coefficients and maps are in
-waves at the wavelength they are tagged with.
+waves at the wavelength they are tagged with. Terms go up to degree 27.
 
 Phase maps live on a grid of pixel centers spanning [-1, 1] in
 aperture-normalized coordinates (rho_unit = rho/rho_max), with a boolean
@@ -24,9 +24,10 @@ Legendre products in x and y over the mask. A fixed matrix per degree
 then takes them to the Zernike basis. No (pixels x terms) design matrix
 is built. The fixed matrix and the exact RMS moments integrate on
 Gauss-Legendre rules from the one cached source in geometry, computed
-once per node count. Evaluation takes the angular factors from powers of
-exp(i phi). On the axes of a polar grid, it sums the azimuthal orders in
-one matrix product.
+once per node count. Evaluation sums each azimuthal order's terms by
+Clenshaw's recurrence on R_n^m(rho) = (-1)^k rho^|m| P_k^(|m|,0)(1 - 2
+rho^2), k = (n - |m|)/2 (Kintner 1976), with angular factors from powers
+of exp(i phi); on the axes of a polar grid, one matrix product sums them.
 
 A phase map enters only through ``zernike_fit``; PV/RMS, halving, the
 plate and its wavelength rescaling take the fitted expansion, and any
@@ -86,44 +87,50 @@ __all__ = [
 MISALIGNMENT_TERMS = ((0, 0), (1, 1), (1, -1), (2, 0))
 
 _DEFAULT_GRID = 512
-# rounding may cost a power-basis evaluation of R_n^m, |R| <= 1, up to eps
-# times the sum of its |coefficients|, 7 to 20 times the largest error on
-# 401 radii from n = 20 to 32; this limit admits every term up to n = 27
-_MAX_ROUNDING = 1e-6
+# the highest degree of a term or a fit. Fit refinement stops converging from degree
+# 23 or 24, the fit's (degree + 1)^4 moments must be refused before they are allocated,
+# and no input exceeds 10; 27 keeps the order-0 terms admitted before, refusing fits from 28
+_MAX_DEGREE = 27
 
 
-@lru_cache(maxsize=None)
-def _radial_coeffs(n: int, m: int) -> tuple:
-    """(c_0, c_1, ...) of R_n^m(rho) = rho^|m| * sum_j c_j * rho^(2j).
+@lru_cache(maxsize=512)
+def _recurrence(orders: tuple, top: int):
+    """Rows (scale, shift, back)[k, j] for the order |m| = orders[j]; read-only.
 
-    Raises DomainError when a coefficient exceeds the float range, as from
-    n = 814 for m = 0, or rounding may cost more than 1e-6, from n = 28.
+    R_n^m(rho) = rho^|m| scale[k] q_k(rho^2) for k = (n - |m|)/2 <= top, with
+    scale[k] = C(n, k) and the monic q_k = (-1)^k P_k^(|m|,0)(1 - 2u) / scale[k]:
+    q_0 = 1, q_(k+1) = (u + shift[k]) q_k - back[k] q_(k-1). Each entry is
+    a ratio of integers rounded once, the same in every table.
     """
-    order = abs(m)
-    half = (n - order) // 2
-    try:
-        coeffs = tuple(
-            (-1) ** (half - j) * math.factorial(n - half + j)
-            / (math.factorial(half - j) * math.factorial(order + j) * math.factorial(j))
-            for j in range(half + 1)
-        )
-    except OverflowError:
-        raise DomainError(f"Zernike term (n={n}, m={m}): its radial coefficients exceed "
-                          "the float range") from None
-    bound = np.finfo(float).eps * sum(map(abs, coeffs))
-    if bound > _MAX_ROUNDING:
-        raise DomainError(f"Zernike term (n={n}, m={m}): its power-basis coefficients "
-                          f"cancel, and rounding may cost {bound:.1e} of |R| <= 1")
-    return coeffs
+    k, a = np.arange(top + 1)[:, None], np.array(orders)
+    s = 2 * k + a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.array([[[math.comb(2 * i + b, i) for b in orders] for i in range(top + 1)],
+                          np.where(s > 0, -(s * (s + 2) + a * a) / (2 * s * (s + 2)), -0.5),
+                          np.where(k > 0, (k * (k + a)) ** 2 / (s * s * (s * s - 1)), 0.0)])
+    table.flags.writeable = False
+    return table
 
 
-def _radial(coeffs, u):
-    """Horner evaluation of sum_j coeffs[j] * u^j."""
-    out = np.full(u.shape, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out *= u
-        out += c
-    return out
+def _clenshaw(values, u, orders: tuple, buffers):
+    """sum_k values[k] scale[k] q_k(u) over _recurrence(orders), by Clenshaw's recurrence.
+
+    values[k] broadcasts against u as a row over the orders. The result is
+    one of buffers, three arrays of its shape that the steps reuse in place.
+    """
+    scale, shift, back = _recurrence(orders, len(values) - 1)
+    c = np.reshape(values, scale.shape) * scale
+    b1, b2, t = buffers
+    b1[...] = c[-1]
+    b2[...] = 0.0
+    for k in range(len(c) - 2, -1, -1):
+        np.add(u, shift[k], out=t)
+        t *= b1
+        b2 *= back[k + 1]
+        t -= b2
+        t += c[k]
+        b1, b2, t = t, b1, b2
+    return b1
 
 
 def _harmonics(orders: dict, step):
@@ -157,16 +164,14 @@ _BLOCK = 1 << 14
 
 
 def _sum_orders(orders: dict, rho, phi):
-    """Sum of rho^|m| * P_m(rho^2) * (cos(m phi) | 1 | sin(|m| phi)) over m.
+    """Sum of sum_k c_k R_(2k+|m|)^m(rho) * (cos(m phi) | 1 | sin(|m| phi)) over m.
 
-    orders maps each azimuthal order m to the coefficients of P_m in
-    ascending powers of rho^2. With rho of shape (n, 1) and phi of shape
-    (1, k) both stay on their axes: one Horner pass in rho^2 evaluates the
-    K orders' radial columns together, and the sum over orders is one
-    (n x K) @ (K x k) product of radial columns and angular rows. Any other
-    layout costs each order one Horner evaluation and one product with its
-    angular factor, summed order by order over the broadcast points, a
-    block of them at a time.
+    orders maps each azimuthal order m to its terms' values c_k, indexed by
+    k = (n - |m|)/2. On tensor axes, rho (n, 1) and phi (1, k), one
+    Clenshaw pass in rho^2 evaluates all K orders' radial columns, and one
+    (n x K) @ (K x k) product with the angular rows sums them. Any other
+    layout costs each order one Clenshaw pass and one product with its
+    angular factor, over the broadcast points a block at a time.
     """
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -175,17 +180,12 @@ def _sum_orders(orders: dict, rho, phi):
         return np.zeros(shape)
     if rho.ndim == phi.ndim == 2 and rho.shape[1] == phi.shape[0] == 1:
         ms, angulars = zip(*_harmonics(orders, _unit_phasor(phi)))
-        # every order's coefficients as one column, zero-padded at the high
-        # end: with u >= 0 the leading zeros stay +0, so one Horner pass over
-        # the columns is bit-equal to one per order
-        coeffs = np.zeros((max(len(orders[m]) for m in ms), len(ms)))
-        for column, m in enumerate(ms):
-            coeffs[:len(orders[m]), column] = orders[m]
-        u = rho * rho
-        radials = np.full((rho.shape[0], len(ms)), coeffs[-1])
-        for c in coeffs[-2::-1]:
-            radials *= u
-            radials += c
+        # every order's values as one zero-padded column: a column's sums stay
+        # +0 down to its own top, so one pass is bit-equal to one per order
+        top = max(len(orders[m]) for m in ms)
+        values = np.array([orders[m] + [0.0] * (top - len(orders[m])) for m in ms]).T
+        radials = _clenshaw(values, rho * rho, tuple(abs(m) for m in ms),
+                            np.empty((3, rho.shape[0], len(ms))))
         # rho^|m| as numpy computes it for a scalar exponent: rho^2 is a
         # product, not pow
         for column, m in enumerate(ms):
@@ -197,11 +197,11 @@ def _sum_orders(orders: dict, rho, phi):
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         r, acc = rho[block], flat[block]
-        u = r * r
-        term = np.empty(acc.shape)
+        u, buffers = r * r, np.empty((3,) + acc.shape)
         # the powers of rho exp(i phi) carry rho^|m| as well
         for m, angular in _harmonics(orders, r * _unit_phasor(phi[block])):
-            acc += np.multiply(_radial(orders[m], u), angular, out=term)
+            radial = _clenshaw(orders[m], u, (abs(m),), buffers)
+            acc += np.multiply(radial, angular, out=radial)
     return out
 
 
@@ -231,6 +231,8 @@ class ZernikeExpansion:
         for n, m, v in self.terms:
             if n < 0 or abs(m) > n or (n - abs(m)) % 2:
                 raise DomainError(f"invalid Zernike index (n={n}, m={m})")
+            if n > _MAX_DEGREE:
+                raise DomainError(f"Zernike term (n={n}, m={m}) lies above degree {_MAX_DEGREE}")
             if (n, m) in seen:
                 raise DomainError(f"duplicate Zernike index (n={n}, m={m})")
             if not math.isfinite(v):
@@ -259,20 +261,20 @@ def zernike_eval(expansion: ZernikeExpansion, rho, phi):
     """Evaluate an expansion at unit-disk polar coordinates; arrays broadcast.
 
     Terms of one azimuthal order share their angular factor, so their
-    radial polynomials are summed into one before evaluation. The angular
-    factors come from powers of exp(i phi), not from one cosine and sine
-    per order. Passing the axes of a tensor-product grid, rho of shape
-    (n, 1) and phi of shape (1, k), evaluates each radial and angular
-    factor on its axis only and sums the orders in one matrix product.
+    values, each its own term's Jacobi coefficient, are summed in one
+    Clenshaw pass; no expansion is refused. The angular factors come from
+    powers of exp(i phi), not from one cosine and sine per order. Passing
+    the axes of a tensor-product grid, rho of shape (n, 1) and phi of shape
+    (1, k), evaluates each radial and angular factor on its axis only and
+    sums the orders in one matrix product.
     """
     orders = {}
     for n, m, v in expansion.terms:
         if v != 0.0:
-            coeffs = _radial_coeffs(n, m)
-            poly = orders.setdefault(m, [])
-            poly.extend([0.0] * (len(coeffs) - len(poly)))
-            for j, c in enumerate(coeffs):
-                poly[j] += v * c
+            k = (n - abs(m)) // 2
+            values = orders.setdefault(m, [])
+            values.extend([0.0] * (k + 1 - len(values)))
+            values[k] = v
     return _sum_orders(orders, rho, phi)
 
 
@@ -342,14 +344,9 @@ def _zernike_index(degree: int):
 
 
 def _legendre_table(x, degree: int):
-    """Columns P_0(x) .. P_degree(x), by the three-term recurrence."""
-    table = np.empty((x.size, degree + 1))
-    table[:, 0] = 1.0
-    if degree:
-        table[:, 1] = x
-    for k in range(1, degree):
-        table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
-    return table
+    """Columns P_0(x) .. P_degree(x), as P_k(1 - 2 rho^2) = (-1)^k R_2k^0(rho)."""
+    return _clenshaw(np.diag((-1.0) ** np.arange(degree + 1)), (1.0 - x[:, None]) / 2.0,
+                     (0,) * (degree + 1), np.empty((3, x.size, degree + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +364,7 @@ def _legendre_transform(degree: int):
     rho = np.hypot(nodes[None, :], nodes[:, None])
     phi = np.arctan2(nodes[:, None], nodes[None, :])
     # values[b, a, j] = Z_j(x_a, y_b); project along x, then along y
-    values = np.stack([_sum_orders({m: _radial_coeffs(n, m)}, rho, phi)
+    values = np.stack([_sum_orders({m: [0.0] * ((n - abs(m)) // 2) + [1.0]}, rho, phi)
                        for n, m in _zernike_index(degree)], axis=-1)
     transform = np.tensordot(project, project @ values, axes=(1, 0))
     transform = transform.reshape((degree + 1) ** 2, -1)
@@ -396,26 +393,22 @@ _MAX_REFINEMENTS = 30
 def zernike_fit(phase_map: PhaseMap, degree: int) -> ZernikeExpansion:
     """Least-squares Zernike fit of the valid pixels.
 
-    All (n, m) with n <= degree are fitted simultaneously. The valid-pixel
-    count must comfortably exceed the number of terms. The pixel centers
-    lie on a tensor grid, so the normal equations are assembled from
-    separable moments: sums over the mask of Legendre products P_i(x)
-    P_k(y), mapped to the Zernike basis by one fixed matrix per degree.
-    No (pixels x terms) design matrix is built.
-    The fit solves the normal equations by Cholesky after scaling the Gram
-    matrix to a unit diagonal, then refines the solution on its residual,
-    taken in the Zernike basis. A mask on which the terms are (nearly)
+    All (n, m) with n <= degree are fitted simultaneously, from the
+    separable moments the module docstring describes. The valid-pixel
+    count must comfortably exceed the number of terms. The fit solves the
+    normal equations by Cholesky after scaling the Gram matrix to a unit
+    diagonal, then refines the solution on its residual, taken in the
+    Zernike basis. A mask on which the terms are (nearly)
     linearly dependent, such as a thin ring, raises DomainError rather than
     returning one of many equally good coefficient sets. The transform
     grows with the degree (its column sums reach 3e5 at degree 16), and
     each refinement step shrinks the error less. A refinement whose
     corrections stop halving above a millionth of the coefficients raises
-    ConvergenceError. From degree 28, whose terms cancel the most at the
-    lowest order, DomainError is raised before anything is allocated.
+    ConvergenceError. A degree above 27, the highest a term may have,
+    raises DomainError before anything is allocated.
     """
-    if degree < 0:
-        raise DomainError("degree must be >= 0")
-    _radial_coeffs(degree, degree % 2)  # refuses a degree rounding would spoil
+    if not 0 <= degree <= _MAX_DEGREE:
+        raise DomainError(f"fit degree {degree} lies outside 0 to {_MAX_DEGREE}")
     rho, phi = phase_map.grid_polar()
     sel = phase_map.mask & (rho <= 1.0)
     index = _zernike_index(degree)
@@ -652,12 +645,15 @@ def save_expansion(expansion: ZernikeExpansion, path):
 
 
 def load_expansion(path) -> ZernikeExpansion:
-    header, rows = read_table(path, "n m value")
-    if "wavelength_nm" not in header:
-        raise FormatError(f"{path}: missing '# wavelength_nm:' header")
-    annulus = tuple(float(v) for v in header["annulus"].split()) if "annulus" in header else None
-    return ZernikeExpansion(terms=tuple((int(n), int(m), float(v)) for n, m, v in rows),
-                            wavelength_nm=float(header["wavelength_nm"]), annulus=annulus)
+    header, rows = read_table(path, "n m value", lambda n, m, v: (int(n), int(m), float(v)))
+    try:
+        wavelength_nm = float(header["wavelength_nm"])
+        annulus = tuple(map(float, header["annulus"].split())) if "annulus" in header else None
+    except KeyError:
+        raise FormatError(f"{path}: missing '# wavelength_nm:' header") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return ZernikeExpansion(tuple(rows), wavelength_nm, annulus)
 
 
 def save_phase_map(phase_map: PhaseMap, path):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -605,30 +606,20 @@ def test_strehl_cli_marechal_consistency(tmp_path, capsys):
     assert 0.0 < float(pairs["strehl.ratio"]) <= 1.0
 
 
-def test_strehl_cli_refuses_a_term_beyond_the_float_range(tmp_path, capsys):
+@pytest.mark.parametrize("n, m", [(28, 0), (50, 0), (812, 0), (900, 0), (30, 30), (200000, 0)],
+                         ids=["28 0", "50 0", "812 0", "900 0", "30 30", "200000 0"])
+def test_strehl_cli_refuses_a_term_above_the_highest_degree(tmp_path, capsys, n, m):
+    # the figure file's expansion refuses the term as it is read, in time
+    # that does not grow with n
     zfile = tmp_path / "figure.txt"
-    zfile.write_text("# wavelength_nm: 632.8\n900 0 0.01\n")
-    config = write_config(tmp_path, f"[strehl]\nzernike_file = {zfile}\n")
-    code, out, err = run(capsys, "strehl", "--config", config)
-    assert code == 2 and out == ""
-    [line] = err.splitlines()  # one line, no traceback
-    assert line == "error: Zernike term (n=900, m=0): its radial coefficients exceed the float range"
-
-
-@pytest.mark.parametrize("term", ["812 0 0.01", "50 0 0.002", "28 0 0.01"])
-def test_strehl_cli_refuses_a_term_that_rounding_would_spoil(tmp_path, capsys, term):
-    # the power-basis coefficients cancel: from n = 28 rounding may cost
-    # more than 1e-6 of |R| <= 1, and at n = 812 the values overflow
-    zfile = tmp_path / "figure.txt"
-    zfile.write_text(f"# wavelength_nm: 632.8\n{term}\n")
+    zfile.write_text(f"# wavelength_nm: 632.8\n{n} {m} 0.01\n")
     config = write_config(tmp_path, f"[strehl]\nzernike_file = {zfile}\nwaist = 2.2636\n")
+    start = time.perf_counter()
     code, out, err = run(capsys, "strehl", "--config", config)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     [line] = err.splitlines()  # one line, no traceback and no RuntimeWarning
-    n = term.split()[0]
-    assert line.startswith(f"error: Zernike term (n={n}, m=0): its power-basis coefficients "
-                           "cancel, and rounding may cost ")
-    assert line.endswith(" of |R| <= 1")
+    assert line == f"error: {zfile}: Zernike term (n={n}, m={m}) lies above degree 27"
 
 
 def assert_input_file_exits(tmp_path, capsys, command, config, text, code, message):
@@ -648,7 +639,9 @@ def assert_input_file_exits(tmp_path, capsys, command, config, text, code, messa
                               write_config(tmp_path, config.format(data)))
     assert exit_code == code and out == ""
     [line] = err.splitlines()  # one line, no traceback and no RuntimeWarning
-    assert line == f"error: {data}: {message.format(tmp_path)}"
+    # a message naming a line of input.txt starts ':<line>: '
+    message = message.format(tmp_path)
+    assert line == f"error: {data}{'' if message[0] == ':' else ': '}{message}"
 
 
 _ALUMINUM_ROWS = "# source: x\n200 0.1 2.0\n400 nan 4.0\n800 1.5 7.0\n"
@@ -720,9 +713,9 @@ def test_refused_input_values_exit_2_with_one_error_line(tmp_path, capsys, comma
     ("strehl", "[strehl]\nzernike_file = {}\n", "2 2 0.01\n",
      "missing '# wavelength_nm:' header"),
     ("strehl", "[strehl]\nzernike_file = {}\n", "# wavelength_nm: 632.8\n2.5 2 0.01\n",
-     "invalid literal for int() with base 10: '2.5'"),
+     ":2: invalid literal for int() with base 10: '2.5'"),
     ("overlap", "[overlap]\nmode_file = {}\n", "0.5 1.0\n1.0 one\n",
-     "could not convert string to float: 'one'"),
+     ":2: could not convert string to float: 'one'"),
     ("strehl", "[strehl]\naluminum_phase = true\nevaluate_nm = 369.5\n"
      "[optics]\nconstants_file = {}\n", "200 0.1 2.0\n400 0.4 4.0\n",
      "no '# source:' line; refusing optical constants without a citation"),

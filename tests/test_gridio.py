@@ -199,3 +199,11 @@ def test_read_grid_rejects_malformed_grids(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(FormatError, match="missing JSON header"):
         read_grid(path)
+
+
+def test_read_grid_names_the_file_of_a_header_that_is_not_json(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# {bad\n1 2\n")
+    with pytest.raises(FormatError, match="Expecting property name") as err:
+        read_grid(path)
+    assert str(err.value).startswith(f"{path}: ")
