@@ -50,8 +50,7 @@ _EXPORTS = {
         "single_pass", "zernike_fit",
     ),
     "focalfield": (
-        "OpticalConstants", "SphereField", "StrehlResult", "aluminum", "aluminum_rp",
-        "plane_to_sphere", "strehl",
+        "OpticalConstants", "StrehlResult", "aluminum", "aluminum_rp", "strehl",
     ),
     "temporal": (
         "PulseEnvelope", "TransitionSpec", "aom_drive", "aom_response", "ideal_envelope",

@@ -21,9 +21,11 @@ them. So a process that runs many reports, one figure each, pays for the
 waist and the pulse once; ``pulse`` itself still models and exports the
 whole pulse on every call.
 
-Configuration is a line-oriented key=value file with [section] headers.
-Command-line flags override file values; built-in defaults fill the rest,
-so commands that only need the default mirror run without any config.
+Configuration is a line-oriented key=value file with [section] headers;
+built-in defaults fill the rest, so commands that only need the default
+mirror run without any config. The one flag that changes a figure,
+``stokes --rectify``, sets no config value, so the config digest does
+not cover it.
 
 Reports are deterministic: identical configuration and inputs give
 byte-identical output. Every report carries the toolkit version, a sha256
@@ -405,9 +407,7 @@ def cmd_stokes(args, config: ToolkitConfig):
         raise ConfigError("[stokes] manifest is required")
     stack = _read_input(manifest, lambda: polarimetry.load_frame_stack(manifest))
     noise_floor = config.get_float("stokes", "noise_floor", 0.01)
-    trim = args.trim_outer if args.trim_outer is not None else config.get_float(
-        "stokes", "trim_outer", 0.0
-    )
+    trim = config.get_float("stokes", "trim_outer", 0.0)
     frame_info = f"{len(stack.angles_rad)} at {stack.frames.shape[1]}x{stack.frames.shape[2]} px"
     stokes = polarimetry.stokes_from_frames(stack)
     # the frames, and then the Stokes rows, are read no further; free them
@@ -680,8 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stokes = sub.choices["stokes"]
     stokes.add_argument("--rectify", action="store_true",
                         help="score |projection| as a segmented corrector would")
-    stokes.add_argument("--trim-outer", type=float, default=None, metavar="FRACTION",
-                        help="shrink the outer annulus radius by this fraction")
     return parser
 
 

@@ -8,10 +8,10 @@ over that wave,
            * exp(i 2 pi W(theta, phi)) * exp(i 2 pi s . x),
 
 with positions x in units of the wavelength, propagation direction
-s = -r_hat, and aberration W in waves. Quadrature is Gauss-Legendre (or,
-for the Strehl, its Gauss-Kronrod extension) in cos(theta) crossed with a
-uniform azimuthal grid, so the node weights already contain the
-sin(theta) of the solid-angle measure.
+s = -r_hat, and aberration W in waves. Quadrature is Gauss-Kronrod, with
+its Gauss-Legendre subset, in cos(theta) crossed with a uniform azimuthal
+grid, so the node weights already contain the sin(theta) of the
+solid-angle measure.
 
 Conventions
 -----------
@@ -30,38 +30,40 @@ Strehl ratios are aberrated over unaberrated on-axis |E_z|^2: an atom
 whose dipole lies on the mirror axis couples to E_z alone. Because
 defocus-like aberrations shift the axial maximum, both the value at the
 shifted maximum (searched over an axial range) and at the nominal focus
-are reported, together with the amplitude-weighted RMS of the aberration.
-A SphereField stores the tensor-product node grid on its axes: theta,
-the weights and the pupil radius have shape (n_theta, 1) and phi has
-shape (1, n_phi). The source is a radially polarized mode, so the field
-is one real amplitude along e_theta, of shape (n_theta, 1); the Cartesian
-(n_theta, n_phi, 3) field is built only on request. Measured data do not
-enter here as pixels: a polarization map is scored in the entrance plane
-(polarimetry), and a phase map enters as its fitted Zernike expansion.
-Aberrations are evaluated on the same axes; a callable's result is a
-scalar or a 2-d array that broadcasts to (n_theta, n_phi). On the axis
-the phase exp(i 2 pi z cos(theta)) does not depend on phi, so each ring
-of constant theta adds one complex number to E_z, its weight times
+are reported, together with the amplitude-weighted RMS of the
+aberration. The nodes form a tensor-product grid, kept on its axes: the
+polar angle, the weights, the pupil radius and the field are vectors
+over the n_theta rings. The source is a radially polarized mode, so the
+field is one real amplitude along e_theta per ring; no Cartesian field
+is built. Measured data do not enter here as pixels: a polarization map
+is scored in the entrance plane (polarimetry), and a phase map enters as
+its fitted Zernike expansion. Aberrations are evaluated on the axes
+theta and the pupil radius, of shape (n_theta, 1), and phi, of shape
+(1, n_phi); a callable's result is a scalar or a 2-d array that
+broadcasts to (n_theta, n_phi). On the axis the phase
+exp(i 2 pi z cos(theta)) does not depend on phi, so each ring of
+constant theta adds one complex number to E_z, its weight times
 sin(theta) times amp sum_phi exp(i 2 pi W). Every axial evaluation then
 costs O(n_theta), and a scan of many axial positions is one
 matrix-vector product. A pass does only what depends on the aberration
-on the full grid: its phasor, the ring sums and the RMS deviations run over
-blocks of rings of about 64 KiB, so each temporary is a reused buffer
-that stays in cache. The RMS weight depends on theta only, so the RMS
-comes from per-ring sums. The scan phasors exp(i 2 pi z cos(theta)) of a
-search window do not depend on the aberration; they are cached per rule,
-cos(theta) interval and window, and a widened window is computed when it
-is first needed. Every rule comes from the one cached source in geometry,
-computed once per node count and mapped onto the cos(theta) interval of
-the mirror annulus. The Strehl takes the mode and the aperture and is
-certified on nested rules of its own: n x m = 32 x 64 (n_theta x n_phi,
-because the integrand resolves faster in theta than in phi) sets the first
-level K_{2n+1} x T_{2m}, the (2n + 1)-point Gauss-Kronrod rule in
-cos(theta) times the 2m-point trapezoid rule in phi. One pass on those
-nodes gives the fine estimate, and its Gauss n x m subset, the odd rings
-and even azimuths of the same phasors, the coarse one that certifies it.
-When they disagree, n and m double, up to 513 x 1024 nodes; disagreement
-there raises instead of returning a number that depends on the grid.
+on the full grid: its phasor, the ring sums and the RMS deviations run
+over blocks of rings of about 64 KiB, so each temporary is a reused
+buffer that stays in cache. The RMS weight depends on theta only, so the
+RMS comes from per-ring sums. The scan phasors exp(i 2 pi z cos(theta))
+of a search window do not depend on the aberration; they are cached per
+rule, cos(theta) interval and window, and a widened window is computed
+when it is first needed. Every rule comes from the one cached source in
+geometry, computed once per node count and mapped onto the cos(theta)
+interval of the mirror annulus. The Strehl takes the mode and the
+aperture and is certified on nested rules of its own: n x m = 32 x 64
+(n_theta x n_phi, because the integrand resolves faster in theta than in
+phi) sets the first level K_{2n+1} x T_{2m}, the (2n + 1)-point
+Gauss-Kronrod rule in cos(theta) times the 2m-point trapezoid rule in
+phi. One pass on those nodes gives the fine estimate, and its
+Gauss n x m subset, the odd rings and even azimuths of the same phasors,
+the coarse one that certifies it. When they disagree, n and m double, up
+to 513 x 1024 nodes; disagreement there raises instead of returning a
+number that depends on the grid.
 
 Reflection off the aluminum surface multiplies the field by the complex
 Fresnel coefficient r_p at the local incidence angle theta/2. Its modulus
@@ -91,8 +93,6 @@ from .search import argmax_bracketed
 from .wavefront import ZernikeExpansion, zernike_eval
 
 __all__ = [
-    "SphereField",
-    "plane_to_sphere",
     "StrehlResult",
     "strehl",
     "OpticalConstants",
@@ -116,70 +116,15 @@ _LEVELS, _RATIO_TOL, _OFFSET_TOL = 4, 1e-4, 1e-3
 _BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class SphereField:
-    """Converging spherical wave on the quadrature nodes.
+def _e_theta(mode, theta):
+    """The mode's real amplitude along e_theta at polar angle(s) theta.
 
-    The nodes form a tensor-product grid, stored on its axes: polar angle,
-    quadrature weight (including the solid-angle sine) and pupil radius in
-    units of the aperture radius have shape (n_theta, 1), and the azimuth
-    has shape (1, n_phi). The source is a radially polarized mode, so the
-    field is its real amplitude along e_theta, apodization included, of
-    shape (n_theta, 1).
+    The entrance-plane radius rho = 2 tan(theta/2) maps onto theta with
+    the apodization sec^2(theta/2), so the ideal dipole profile gives
+    sin(theta) itself.
     """
-
-    theta: np.ndarray
-    phi: np.ndarray
-    weight: np.ndarray
-    rho_unit: np.ndarray
-    amp_theta: np.ndarray
-
-    @property
-    def n_theta(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def n_phi(self) -> int:
-        return self.phi.shape[1]
-
-    @property
-    def efield(self) -> np.ndarray:
-        """Cartesian vector amplitude, shape (n_theta, n_phi, 3), built on demand."""
-        a, ct = self.amp_theta, np.cos(self.theta)
-        parts = a * ct * np.cos(self.phi), a * ct * np.sin(self.phi), a * np.sin(self.theta)
-        return np.stack(np.broadcast_arrays(*parts), axis=-1)
-
-
-def plane_to_sphere(source, aperture: ApertureSpec, n_theta: int, n_phi: int) -> SphereField:
-    """Map an entrance-plane mode onto the converging sphere.
-
-    ``source`` is a mode, an object with ``amplitude(rho)``: a RadialMode
-    (radially polarized by convention) or a WeightedMode. The angular
-    domain is the mirror annulus between bore and rim, on n_theta
-    Gauss-Legendre nodes in cos(theta) times n_phi uniform azimuths.
-    Anything else raises DomainError. strehl builds its own nodes and
-    needs no field.
-    """
-    if n_theta < 2 or n_phi < 1:
-        raise DomainError("need at least 2 polar and 1 azimuthal node")
-    return _sphere_on(source, aperture, _gauss_legendre_on(n_theta, *_cos_interval(aperture)),
-                      n_phi)
-
-
-def _sphere_on(source, aperture: ApertureSpec, rule, n_phi: int) -> SphereField:
-    """The mode on the rule's (cos theta nodes, weights) times n_phi uniform azimuths."""
-    if not hasattr(source, "amplitude"):
-        raise DomainError(f"cannot map {type(source).__name__} onto the sphere")
-    u, wu = rule
-    theta = np.arccos(u)[:, None]
-    phi = (np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :]
-    weight = wu[:, None] * (2.0 * math.pi / n_phi)
-    rho = rho_from_theta(theta)
     apod = 1.0 / np.cos(0.5 * theta) ** 2
-    return SphereField(
-        theta=theta, phi=phi, weight=weight, rho_unit=rho / aperture.rho_max,
-        amp_theta=np.asarray(source.amplitude(rho), dtype=float) * apod,
-    )
+    return np.asarray(mode.amplitude(rho_from_theta(theta)), dtype=float) * apod
 
 
 def _cos_interval(aperture: ApertureSpec):
@@ -188,17 +133,21 @@ def _cos_interval(aperture: ApertureSpec):
     return math.cos(interval.theta_max), math.cos(interval.theta_min)
 
 
-def _resolve_aberration(field: SphereField, aberration):
-    """Aberration in waves on the (n_theta, n_phi) node grid."""
-    shape = (field.n_theta, field.n_phi)
+def _resolve_aberration(theta, phi, rho_unit, aberration):
+    """Aberration in waves on the (n_theta, n_phi) node grid.
+
+    The grid is given by its axes: theta and the pupil radius rho_unit
+    have shape (n_theta, 1) and phi has shape (1, n_phi).
+    """
+    shape = (theta.shape[0], phi.shape[1])
     if aberration is None:
         return np.zeros(shape)
     if isinstance(aberration, ZernikeExpansion):
-        return zernike_eval(aberration, field.rho_unit, field.phi)
+        return zernike_eval(aberration, rho_unit, phi)
     if not callable(aberration):
         raise DomainError(f"cannot interpret {type(aberration).__name__} as an aberration; "
                           "pass a callable W(theta, phi) in waves instead")
-    w = np.asarray(aberration(field.theta, field.phi), dtype=float)
+    w = np.asarray(aberration(theta, phi), dtype=float)
     # a 1-d result would broadcast along phi alone, whatever axis it meant
     if w.ndim in (0, 2):
         try:
@@ -221,7 +170,7 @@ class StrehlResult:
     rms_waves is the aberration RMS weighted by each node's contribution to
     the on-axis field (quadrature weight times axial field amplitude).
     n_theta x n_phi is the fine grid of the certified level, (2n + 1) x 2m
-    for a level n x m: 65 x 128 from the default 32 x 64 field.
+    for a level n x m: 65 x 128 from the first level, 32 x 64.
     """
 
     ratio: float
@@ -232,29 +181,33 @@ class StrehlResult:
     n_phi: int
 
 
-def _strehl_level(field: SphereField, lo: float, hi: float, aberration, coating=None):
+def _strehl_level(theta, weight, amp, rho_unit, n_phi: int, lo: float, hi: float, aberration,
+                  coating=None):
     """The fine and the coarse Strehl estimate of one nested pass.
 
-    ``field`` lies on the nested level K_{2n+1} x T_{2m} of strehl, its
-    Kronrod rule on the cos(theta) interval [lo, hi]. W, the ring phasors
-    and the ring sums are computed once on its nodes; the fine estimate
-    sums every ring and azimuth, and the coarse one the Gauss rings (odd
-    ring indices, Gauss weights) and the even azimuths.
+    The (n_theta,) rings theta, their node weights (solid-angle sine
+    included), the mode's e_theta amplitude and the pupil radius lie on the
+    nested level K_{2n+1} x T_{2m} of strehl, its Kronrod rule on the
+    cos(theta) interval [lo, hi], times n_phi = 2m uniform azimuths. W, the
+    ring phasors and the ring sums are computed once on those nodes; the
+    fine estimate sums every ring and azimuth, and the coarse one the
+    Gauss rings (odd ring indices, Gauss weights) and the even azimuths.
     Returns the fine StrehlResult and the coarse (ratio, nominal,
     peak_offset_lambda).
     """
-    n, m = field.n_theta // 2, field.n_phi // 2
-    w = _resolve_aberration(field, aberration)
-    theta = field.theta[:, 0]
+    n_theta = theta.size
+    n, m = n_theta // 2, n_phi // 2
+    phi = (np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :]
+    w = _resolve_aberration(theta[:, None], phi, rho_unit[:, None], aberration)
     # the mirror's reflection phase depends on theta alone: one phase per ring
-    a = np.zeros(field.n_theta) if coating is None else reflection_phase_waves(theta, *coating)
-    st, amp = np.sin(theta), field.amp_theta[:, 0]
+    a = np.zeros(n_theta) if coating is None else reflection_phase_waves(theta, *coating)
+    st = np.sin(theta)
     k = 2.0 * math.pi * np.cos(theta)
     # the RMS weight depends on theta only, so the mean comes from ring
     # sums; the weights cannot all vanish once the reference field is nonzero
-    q = field.weight[:, 0] * np.abs(amp * st)
-    qsum = field.n_phi * float(q.sum())
-    mean = float(q @ (w.sum(axis=1) + field.n_phi * a)) / qsum
+    q = weight * np.abs(amp * st)
+    qsum = n_phi * float(q.sum())
+    mean = float(q @ (w.sum(axis=1) + n_phi * a)) / qsum
     # W + a - mean is W less the per-ring centre mean - a
     sums, even, spread = _ring_pass(w, amp * np.exp(2j * math.pi * a), mean - a)
 
@@ -300,16 +253,16 @@ def _strehl_level(field: SphereField, lo: float, hi: float, aberration, coating=
             raise ConvergenceError(
                 f"axial intensity maximum within {reach:.3g} lambda of the edge of the "
                 f"search window [-{halfwidth:g}, {halfwidth:g}] lambda "
-                f"at {field.n_theta}x{field.n_phi} quadrature nodes")
+                f"at {n_theta}x{n_phi} quadrature nodes")
         z_peak, peak = argmax_bracketed(np.linspace(-halfwidth, halfwidth, points), values,
                                         lambda z: axial(rings, kr, z))
         return peak / denom, axial(rings, kr, 0.0)[0] / denom, z_peak
 
-    fine = estimate(field.weight[:, 0] * st, sums, 2 * m, slice(None))
+    fine = estimate(weight * st, sums, n_phi, slice(None))
     gauss = _gauss_legendre_on(n, lo, hi)[1] * (2.0 * math.pi / m)
     coarse = estimate(gauss * st[1::2], even[1::2], m, slice(1, None, 2))
     return StrehlResult(*fine, rms_waves=math.sqrt(float(q @ spread) / qsum),
-                        n_theta=field.n_theta, n_phi=field.n_phi), coarse
+                        n_theta=n_theta, n_phi=n_phi), coarse
 
 
 def _ring_pass(w, amp, centre):
@@ -396,20 +349,20 @@ def strehl(mode, aperture: ApertureSpec, aberration=None, coating=None) -> Streh
     main lobe is wider than the window, keeps a maximum in its middle.
     The nominal-focus ratio is reported alongside.
 
-    ``mode`` is what plane_to_sphere takes, an object with
-    ``amplitude(rho)``; anything else raises DomainError. On the mirror
-    annulus of ``aperture`` it is summed on a ladder of nested rules, from
-    n x m = 32 x 64: the (2n + 1)-point Gauss-Kronrod rule in cos(theta),
-    which contains the n-point Gauss rule, times the 2m-point trapezoid
-    rule in phi, which contains the m-point one. One pass on those nodes
-    gives the fine estimate and, from the Gauss rings and the even
-    azimuths, the coarse one. When they agree within 1e-4 in the ratio
-    and the nominal ratio and 1e-3 wavelengths in the peak offset, the
-    fine estimate is returned; otherwise n and m double, three times at
-    most, before raising ConvergenceError rather than returning a
-    grid-dependent number. A smooth figure is certified on 65 x 128
-    nodes, and the last grid tried is 513 x 1024. The result reports the
-    fine grid.
+    ``mode`` is a RadialMode (radially polarized by convention) or a
+    WeightedMode, an object with ``amplitude(rho)``; anything else raises
+    DomainError. On the mirror annulus of ``aperture`` it is summed on a
+    ladder of nested rules, from n x m = 32 x 64: the (2n + 1)-point
+    Gauss-Kronrod rule in cos(theta), which contains the n-point Gauss
+    rule, times the 2m-point trapezoid rule in phi, which contains the
+    m-point one. One pass on those nodes gives the fine estimate and, from
+    the Gauss rings and the even azimuths, the coarse one. When they agree
+    within 1e-4 in the ratio and the nominal ratio and 1e-3 wavelengths in
+    the peak offset, the fine estimate is returned; otherwise n and m
+    double, three times at most, before raising ConvergenceError rather
+    than returning a grid-dependent number. A smooth figure is certified
+    on 65 x 128 nodes, and the last grid tried is 513 x 1024. The result
+    reports the fine grid.
 
     ``coating`` is None or the mirror metal's (wavelength_nm,
     OpticalConstants): its reflection_phase_waves then adds to the
@@ -424,6 +377,8 @@ def strehl(mode, aperture: ApertureSpec, aberration=None, coating=None) -> Streh
     any other shape, a 1-d vector included, raises DomainError, and so
     does any other object, such as an array of node samples or a phase map.
     """
+    if not hasattr(mode, "amplitude"):
+        raise DomainError(f"cannot map {type(mode).__name__} onto the sphere")
     if coating is not None:
         _lossless_kink(aperture, coating)
     lo, hi = _cos_interval(aperture)
@@ -431,8 +386,12 @@ def strehl(mode, aperture: ApertureSpec, aberration=None, coating=None) -> Streh
     for _ in range(_LEVELS):
         # the Kronrod rule holds the Gauss one at its odd rings, and 2m
         # azimuths hold m at the even ones: one pass gives both estimates
-        field = _sphere_on(mode, aperture, _rule_on(_gauss_kronrod(n), lo, hi), 2 * m)
-        fine, coarse = _strehl_level(field, lo, hi, aberration, coating)
+        u, wu = _rule_on(_gauss_kronrod(n), lo, hi)
+        theta = np.arccos(u)
+        weight = wu * (2.0 * math.pi / (2 * m))
+        rho_unit = rho_from_theta(theta) / aperture.rho_max
+        fine, coarse = _strehl_level(theta, weight, _e_theta(mode, theta), rho_unit, 2 * m,
+                                     lo, hi, aberration, coating)
         if (abs(fine.ratio - coarse[0]) < _RATIO_TOL
                 and abs(fine.nominal - coarse[1]) < _RATIO_TOL
                 and abs(fine.peak_offset_lambda - coarse[2]) < _OFFSET_TOL):

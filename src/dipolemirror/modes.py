@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, UndefinedOverlapError
 from .geometry import ApertureSpec, _gauss_legendre_on
-from .gridio import read_table, write_table
+from .gridio import read_table
 from .search import argmax_bracketed
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "coupling_strength",
     "absorption_probability",
     "load_sampled_mode",
-    "save_sampled_mode",
 ]
 
 # Composite Gauss-Legendre quadrature: nodes of the first rule, shared
@@ -391,17 +390,3 @@ def load_sampled_mode(path) -> RadialMode:
     table = np.array(rows, dtype=float).reshape(-1, 2)
     return RadialMode.sampled(table[:, 0], table[:, 1])
 
-
-def save_sampled_mode(mode: RadialMode, path, aperture: ApertureSpec | None = None, n: int = 512):
-    """Write a mode as a two-column sampled profile.
-
-    Analytic modes are tabulated on the aperture annulus (default aperture
-    if none given).
-    """
-    if mode.kind == "sampled":
-        rho, amp = mode.rho_samples, mode.amp_samples
-    else:
-        ap = aperture if aperture is not None else ApertureSpec()
-        rho = np.linspace(ap.rho_bore, ap.rho_max, n)
-        amp = mode.amplitude(rho)
-    write_table(path, "radial mode samples: rho amplitude", rho, amp)

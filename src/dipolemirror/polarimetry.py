@@ -31,9 +31,10 @@ as p < 1, and pixels whose linear component is closer to the azimuthal
 direction go negative. ``measured_overlap`` also scores |p|, the pattern a
 segmented half-wave corrector would produce.
 
-Frames are stored on disk as 16-bit binary PGM plus a manifest listing
-each file's wave-plate angle; the 16-bit quantization limits round-trip
-fidelity to about 1e-5 in relative intensity.
+Frames are read from binary PGM files and a manifest that lists each
+file's wave-plate angle below its pixel_scale, center and optional
+intensity_scale headers; 16-bit quantization limits the intensities to
+about 1e-5 relative.
 """
 
 from __future__ import annotations
@@ -54,13 +55,10 @@ __all__ = [
     "FrameStack",
     "StokesMap",
     "PolarizationMap",
-    "qwp_intensity",
     "stokes_from_frames",
     "ellipse_angles",
     "measured_overlap",
     "OverlapResult",
-    "write_pgm",
-    "save_frame_stack",
     "load_frame_stack",
     "export_polarization",
 ]
@@ -70,20 +68,6 @@ PGM_MAXVAL = 65535
 # the largest fraction of the aperture annulus that may be masked out
 # before an overlap is refused as an extrapolation
 _MAX_MISSING = 0.05
-
-
-def qwp_intensity(stokes, theta):
-    """Detected intensity for Stokes vector(s) behind the polarimeter.
-
-    stokes has shape (4,) or (4, ...); theta is scalar. Used to model the
-    instrument; the inverse problem is ``stokes_from_frames``.
-    """
-    stokes = np.asarray(stokes, dtype=float)
-    if stokes.shape[0] != 4:
-        raise DomainError("stokes must have leading dimension 4")
-    c = math.cos(2.0 * theta)
-    s = math.sin(2.0 * theta)
-    return 0.5 * (stokes[0] + stokes[1] * c * c + stokes[2] * s * c - stokes[3] * s)
 
 
 @dataclass(frozen=True)
@@ -273,20 +257,6 @@ def measured_overlap(pmap: PolarizationMap, aperture: ApertureSpec,
                          coverage=1.0 - float(missing), n_pixels=int(valid.sum()))
 
 
-def write_pgm(path, values):
-    """Write a 2-d array scaled to [0, 1] as 16-bit binary PGM."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise DomainError("PGM frames are 2-d")
-    if values.min() < 0 or values.max() > 1.0 + 1e-12:
-        raise DomainError("PGM values must be pre-scaled to [0, 1]")
-    rows, cols = values.shape
-    data = np.round(values * PGM_MAXVAL).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n{PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
 def _pgm_pixels(path):
     """The (rows, cols) integer pixels of a binary PGM and its maxval."""
     raw = Path(path).read_bytes()
@@ -305,32 +275,8 @@ def _pgm_pixels(path):
     return pixels.reshape(rows, cols), maxval
 
 
-def save_frame_stack(stack: FrameStack, directory):
-    """Write the frames as PGM files plus a manifest in ``directory``.
-
-    One global intensity scale is applied to every frame so the relative
-    intensities the Stokes inversion needs survive the trip.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    scale = float(stack.frames.max())
-    if scale <= 0:
-        raise DomainError("cannot save an all-dark frame stack")
-    lines = [
-        "# polarimeter frame manifest: filename angle_deg",
-        f"# intensity_scale: {scale:.9e}",
-        f"# pixel_scale: {stack.pixel_scale:.9e}",
-        f"# center: {stack.center[0]:.3f} {stack.center[1]:.3f}",
-    ]
-    for k, (angle, frame) in enumerate(zip(stack.angles_rad, stack.frames)):
-        name = f"frame_{k:03d}.pgm"
-        write_pgm(directory / name, frame / scale)
-        lines.append(f"{name} {math.degrees(angle):.6f}")
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
 def load_frame_stack(directory) -> FrameStack:
-    """Read back a frame stack saved by ``save_frame_stack``."""
+    """Read a manifest and the PGM frames it lists, one 'filename angle_deg' per line."""
     directory = Path(directory)
     manifest = directory / "manifest.txt" if directory.is_dir() else directory
     directory = manifest.parent
@@ -340,6 +286,11 @@ def load_frame_stack(directory) -> FrameStack:
         raise FormatError(f"{manifest}: manifest lacks pixel_scale or center")
     if not rows:
         raise FormatError(f"{manifest}: manifest lists no frames")
+    try:
+        pixel_scale, scale = float(header["pixel_scale"]), float(header.get("intensity_scale", 1))
+        center = float(center[0]), float(center[1])
+    except ValueError as exc:
+        raise FormatError(f"{manifest}: {exc}") from None
     angles = [math.radians(angle) for _, angle in rows]
     # each frame is decoded straight into its slot of one array, scaled in place
     frames = None
@@ -351,9 +302,9 @@ def load_frame_stack(directory) -> FrameStack:
             raise FormatError(f"{directory / name}: frame shape {pixels.shape} differs "
                               f"from the first frame's {frames.shape[1:]}")
         np.divide(pixels, maxval, out=frames[k])
-    frames *= float(header.get("intensity_scale", 1.0))
-    return FrameStack(angles_rad=tuple(angles), frames=frames,
-                      pixel_scale=float(header["pixel_scale"]), center=center)
+    frames *= scale
+    return FrameStack(angles_rad=tuple(angles), frames=frames, pixel_scale=pixel_scale,
+                      center=center)
 
 
 def export_polarization(pmap: PolarizationMap, basepath):

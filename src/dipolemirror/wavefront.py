@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, FormatError, ProvenanceError
 from .geometry import _gauss_legendre, _gauss_legendre_on
-from .gridio import read_grid, read_table, write_grid
+from .gridio import read_grid, read_table
 
 __all__ = [
     "ZernikeExpansion",
@@ -81,7 +81,6 @@ __all__ = [
     "load_expansion",
     "save_expansion",
     "load_phase_map",
-    "save_phase_map",
 ]
 
 MISALIGNMENT_TERMS = ((0, 0), (1, 1), (1, -1), (2, 0))
@@ -656,15 +655,15 @@ def load_expansion(path) -> ZernikeExpansion:
     return ZernikeExpansion(tuple(rows), wavelength_nm, annulus)
 
 
-def save_phase_map(phase_map: PhaseMap, path):
-    values = np.where(phase_map.mask, phase_map.values, np.nan)
-    write_grid(path, values, {"wavelength_nm": phase_map.wavelength_nm, "kind": "phase_waves"})
-
-
 def load_phase_map(path) -> PhaseMap:
     values, header = read_grid(path)
     if "wavelength_nm" not in header:
         raise FormatError(f"{path}: header lacks wavelength_nm")
+    try:
+        wavelength_nm = float(header["wavelength_nm"])
+    except (TypeError, ValueError) as exc:
+        # a JSON header may hold a list, null or a word where the number belongs
+        raise FormatError(f"{path}: wavelength_nm: {exc}") from None
     mask = np.isfinite(values)
     return PhaseMap(values=np.where(mask, values, np.nan), mask=mask,
-                    wavelength_nm=float(header["wavelength_nm"]))
+                    wavelength_nm=wavelength_nm)

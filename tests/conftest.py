@@ -1,6 +1,8 @@
 import pytest
 
-from dipolemirror import ApertureSpec, RadialMode, optimize_waist, plane_to_sphere
+import oracles
+from dipolemirror import ApertureSpec, RadialMode, optimize_waist
+from dipolemirror.geometry import _gauss_legendre
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +12,7 @@ def aperture():
 
 @pytest.fixture(scope="session")
 def dipole_field(aperture):
-    return plane_to_sphere(RadialMode.dipole(), aperture, n_theta=32, n_phi=64)
+    return oracles.sphere_nodes(RadialMode.dipole(), aperture, _gauss_legendre(32), 64)
 
 
 @pytest.fixture(scope="session")
@@ -25,4 +27,4 @@ def doughnut(waist_optimum):
 
 @pytest.fixture(scope="session")
 def doughnut_field(aperture, doughnut):
-    return plane_to_sphere(doughnut, aperture, n_theta=32, n_phi=64)
+    return oracles.sphere_nodes(doughnut, aperture, _gauss_legendre(32), 64)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,22 @@ def polarimeter_frame(stokes: np.ndarray, theta: float) -> np.ndarray:
     """
     m = POLARIZER_H @ mueller_rotation(-theta) @ QWP_H @ mueller_rotation(theta)
     return np.tensordot(m[0], np.asarray(stokes, dtype=float), axes=(0, 0))
+
+
+def qwp_intensity(stokes, theta):
+    """Detected intensity for Stokes vector(s) behind the polarimeter, in closed form.
+
+    stokes has shape (4,) or (4, ...); theta is scalar. It models the
+    instrument, I = (S0 + S1 c^2 + S2 s c - S3 s) / 2 with c = cos(2 theta)
+    and s = sin(2 theta); ``polarimeter_frame`` is the Mueller product it
+    must equal.
+    """
+    stokes = np.asarray(stokes, dtype=float)
+    if stokes.shape[0] != 4:
+        raise DomainError("stokes must have leading dimension 4")
+    c = math.cos(2.0 * theta)
+    s = math.sin(2.0 * theta)
+    return 0.5 * (stokes[0] + stokes[1] * c * c + stokes[2] * s * c - stokes[3] * s)
 
 
 def linear_stokes(intensity: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -174,6 +190,66 @@ def table_text(comment: str, *columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------- fixture files
+
+# The input files the package reads, written as a camera, an
+# interferometer or a mode design would leave them.
+
+PGM_MAXVAL = 65535
+
+
+def write_pgm(path, values):
+    """Write a 2-d array scaled to [0, 1] as 16-bit binary PGM."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise DomainError("PGM frames are 2-d")
+    if values.min() < 0 or values.max() > 1.0 + 1e-12:
+        raise DomainError("PGM values must be pre-scaled to [0, 1]")
+    rows, cols = values.shape
+    data = np.round(values * PGM_MAXVAL).astype(">u2")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{cols} {rows}\n{PGM_MAXVAL}\n".encode("ascii"))
+        fh.write(data.tobytes())
+
+
+def save_frame_stack(stack, directory):
+    """Write the frames as PGM files plus a manifest in ``directory``.
+
+    One global intensity scale is applied to every frame so the relative
+    intensities the Stokes inversion needs survive the trip.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    scale = float(stack.frames.max())
+    if scale <= 0:
+        raise DomainError("cannot save an all-dark frame stack")
+    lines = [
+        "# polarimeter frame manifest: filename angle_deg",
+        f"# intensity_scale: {scale:.9e}",
+        f"# pixel_scale: {stack.pixel_scale:.9e}",
+        f"# center: {stack.center[0]:.3f} {stack.center[1]:.3f}",
+    ]
+    for k, (angle, frame) in enumerate(zip(stack.angles_rad, stack.frames)):
+        name = f"frame_{k:03d}.pgm"
+        write_pgm(directory / name, frame / scale)
+        lines.append(f"{name} {math.degrees(angle):.6f}")
+    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def save_phase_map(phase_map, path):
+    """A phase map as a grid file, NaN off its mask."""
+    values = np.where(phase_map.mask, phase_map.values, np.nan)
+    Path(path).write_text(grid_text(values, {"wavelength_nm": phase_map.wavelength_nm,
+                                             "kind": "phase_waves"}))
+
+
+def save_sampled_mode(mode, path, aperture, n: int):
+    """An analytic mode tabulated on n radii across the aperture annulus."""
+    rho = np.linspace(aperture.rho_bore, aperture.rho_max, n)
+    Path(path).write_text(table_text("radial mode samples: rho amplitude", rho,
+                                     mode.amplitude(rho)))
+
+
 # -------------------------------------------------------------- wavefront
 
 
@@ -197,10 +273,11 @@ def zernike_radial(n: int, m: int, rho) -> np.ndarray:
 
 
 def zernike_radial_exact(n: int, m: int, rho) -> np.ndarray:
-    """R_n^|m|(rho) summed in exact rational arithmetic, rounded once.
+    """R_n^|m|(rho) summed in exact integer arithmetic, rounded once.
 
-    Each rho is a float, so a Fraction holds it exactly, and the integer
-    coefficients of the powers then cancel without rounding.
+    Each rho is a float, the ratio p/q of two integers, so q^n R_n^m(p/q)
+    is an integer: the integer coefficients of the powers cancel without
+    rounding, and one correctly rounded division ends the sum.
     """
     a = abs(m)
     coeffs = [((-1) ** k * math.factorial(n - k)
@@ -209,8 +286,8 @@ def zernike_radial_exact(n: int, m: int, rho) -> np.ndarray:
               for k in range((n - a) // 2 + 1)]
     out = []
     for r in np.asarray(rho, dtype=float).ravel():
-        x = Fraction(float(r))
-        out.append(float(sum(c * x**power for c, power in coeffs)))
+        p, q = float(r).as_integer_ratio()
+        out.append(sum(c * p**power * q ** (n - power) for c, power in coeffs) / q**n)
     return np.array(out).reshape(np.shape(rho))
 
 
@@ -225,25 +302,20 @@ def zernike_angular(m: int, phi) -> np.ndarray:
 
 
 def zernike_sum(expansion, rho, phi) -> np.ndarray:
-    """Zernike expansion as a plain sum of terms, each a sum of powers."""
-    out = np.zeros(np.broadcast(np.asarray(rho), np.asarray(phi)).shape)
-    for n, m, v in expansion.terms:
-        out = out + v * zernike_radial(n, m, rho) * zernike_angular(m, phi)
-    return out
+    """Zernike expansion as a plain sum of terms, each radial part exact.
 
-
-def zernike_abs_sum(expansion, rho) -> np.ndarray:
-    """sum over terms and powers of |value * c_k| rho^(n-2k).
-
-    Rounding bounds any term-by-term evaluation of the expansion to a
-    small multiple of eps times this sum. It exceeds the values by orders
-    of magnitude at high degree, where the powers of R_n^m cancel.
+    Each R_n^|m| is ``zernike_radial_exact`` on the distinct radii of
+    ``rho``, computed once for the +m and -m terms that share it.
     """
     rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
+    radii, index = np.unique(rho.ravel(), return_inverse=True)
+    index = index.reshape(rho.shape)
+    radial = {}
+    out = np.zeros(np.broadcast(rho, np.asarray(phi)).shape)
     for n, m, v in expansion.terms:
-        for c, power in _radial_powers(n, m):
-            out = out + abs(v * c) * rho ** power
+        if (n, abs(m)) not in radial:
+            radial[n, abs(m)] = zernike_radial_exact(n, m, radii)[index]
+        out = out + v * radial[n, abs(m)] * zernike_angular(m, phi)
     return out
 
 
@@ -436,6 +508,60 @@ def aom_lowpass(envelope, buildup_time_ns: float) -> np.ndarray:
 # ------------------------------------------------------------ focal field
 
 
+@dataclass(frozen=True)
+class SphereNodes:
+    """A mode on a tensor-product node grid of the sphere, kept on its axes.
+
+    theta, the node weights (solid-angle sine included), the pupil radius
+    in units of the aperture radius and the mode's amplitude along e_theta
+    have shape (n_theta, 1); phi has shape (1, n_phi).
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    weight: np.ndarray
+    rho_unit: np.ndarray
+    amp_theta: np.ndarray
+
+    @property
+    def n_theta(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def n_phi(self) -> int:
+        return self.phi.shape[1]
+
+
+def e_theta_amplitude(source, theta) -> np.ndarray:
+    """The mode's amplitude along e_theta at polar angle theta.
+
+    A point of the sphere at theta sees the entrance plane at radius
+    rho = 2 tan(theta/2) (units of f), with apodization sec^2(theta/2).
+    """
+    theta = np.asarray(theta, dtype=float)
+    rho = 2.0 * np.tan(theta / 2.0)
+    return np.asarray(source.amplitude(rho), dtype=float) / np.cos(theta / 2.0) ** 2
+
+
+def sphere_nodes(source, aperture, rule, n_phi: int) -> SphereNodes:
+    """The mode ``source`` on a rule in cos(theta) times n_phi uniform azimuths.
+
+    ``rule`` is (nodes, weights) on [-1, 1], mapped linearly onto the
+    cos(theta) interval of the mirror annulus; the azimuths are
+    2 pi j / n_phi and each carries the weight 2 pi / n_phi.
+    """
+    interval = aperture.angle_interval()
+    lo, hi = math.cos(interval.theta_max), math.cos(interval.theta_min)
+    half = 0.5 * (hi - lo)
+    u, w = rule
+    theta = np.arccos(half * u + 0.5 * (lo + hi))[:, None]
+    return SphereNodes(
+        theta=theta, phi=(np.arange(n_phi) * 2.0 * math.pi / n_phi)[None, :],
+        weight=(half * w)[:, None] * (2.0 * math.pi / n_phi),
+        rho_unit=2.0 * np.tan(theta / 2.0) / aperture.rho_max,
+        amp_theta=e_theta_amplitude(source, theta))
+
+
 def _sphere_axes(field):
     """sin and cos of theta and phi, broadcast to the (n_theta, n_phi) nodes."""
     shape = (field.n_theta, field.n_phi)
@@ -444,19 +570,19 @@ def _sphere_axes(field):
     return np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
 
 
+def _along_e_theta(field, amp) -> np.ndarray:
+    """amp e_theta on the nodes, e_theta = (cos t cos p, cos t sin p, sin t)."""
+    st, ct, sp, cp = _sphere_axes(field)
+    amp = np.broadcast_to(amp, st.shape)
+    return np.stack([amp * ct * cp, amp * ct * sp, amp * st], axis=-1)
+
+
 def sphere_vector_field(source, field) -> np.ndarray:
     """Cartesian field of the mode ``source`` on the nodes of ``field``, (n_theta, n_phi, 3).
 
-    A point of the sphere at (theta, phi) sees the entrance plane at radius
-    rho = 2 tan(theta/2) (units of f), with apodization sec^2(theta/2). A
-    radially polarized mode is amplitude(rho) along
-    e_theta = (cos t cos p, cos t sin p, sin t).
+    A radially polarized mode is ``e_theta_amplitude`` along e_theta.
     """
-    st, ct, sp, cp = _sphere_axes(field)
-    theta = np.arccos(ct)
-    radial = np.asarray(source.amplitude(2.0 * np.tan(theta / 2.0)), dtype=float)
-    radial = radial / np.cos(theta / 2.0) ** 2
-    return np.stack([radial * ct * cp, radial * ct * sp, radial * st], axis=-1)
+    return _along_e_theta(field, e_theta_amplitude(source, field.theta))
 
 
 def propagation(field) -> np.ndarray:
@@ -484,7 +610,7 @@ def focal_field(mode, field, positions_lambda, aberration=None) -> np.ndarray:
     pos = np.atleast_2d(pos)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise DomainError("positions must have shape (n, 3)")
-    w = _resolve_aberration(field, aberration)
+    w = _resolve_aberration(field.theta, field.phi, field.rho_unit, aberration)
     vector = sphere_vector_field(mode, field)
     amp = (vector * (field.weight * np.exp(2j * math.pi * w))[..., None]).reshape(-1, 3)
     s = propagation(field).reshape(-1, 3)
@@ -499,10 +625,10 @@ def focal_field(mode, field, positions_lambda, aberration=None) -> np.ndarray:
 def sphere_overlap(a, b) -> float:
     """Normalized overlap of two sphere fields on a common node set.
 
-    Reads each field's own ``efield``; for modes it equals their
-    entrance-plane overlap, so it cross-checks the plane-to-sphere map.
+    Reads each field's own amplitude along e_theta; for modes it equals
+    their entrance-plane overlap, so it cross-checks the plane-to-sphere map.
     """
-    ea, eb = a.efield, b.efield
+    ea, eb = _along_e_theta(a, a.amp_theta), _along_e_theta(b, b.amp_theta)
     if ea.shape != eb.shape or not np.allclose(a.theta, b.theta):
         raise DomainError("sphere fields must share one quadrature grid")
     num = float(np.real(np.sum(a.weight * np.sum(ea * np.conj(eb), axis=-1))))

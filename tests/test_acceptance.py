@@ -39,6 +39,7 @@ from dipolemirror import (
     zernike_fit,
 )
 from dipolemirror.cli import main
+from dipolemirror.focalfield import _e_theta
 from dipolemirror.temporal import T1
 from dipolemirror.wavefront import MISALIGNMENT_TERMS, zernike_eval
 
@@ -135,8 +136,11 @@ def test_criterion_06_aom_buildup():
 
 def test_criterion_07_dipole_identity(aperture, dipole_field):
     start = time.perf_counter()
-    amp = np.sqrt(np.sum(np.abs(dipole_field.efield) ** 2, axis=-1))
-    sin_theta = np.broadcast_to(np.sin(dipole_field.theta), amp.shape)
+    # the e_theta amplitude that strehl sums; for a field along e_theta
+    # alone, |E| is |amp_theta|
+    theta = dipole_field.theta[:, 0]
+    amp = np.abs(_e_theta(RadialMode.dipole(), theta))
+    sin_theta = np.sin(theta)
     scale = float(np.sum(amp * sin_theta) / np.sum(sin_theta * sin_theta))
     assert np.abs(amp / scale - sin_theta).max() <= 1e-12
     result = strehl(RadialMode.dipole(), aperture)

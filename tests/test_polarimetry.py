@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import qwp_intensity, save_frame_stack, write_pgm
 from dipolemirror import (
     ApertureSpec,
     CoverageError,
@@ -25,9 +26,6 @@ from dipolemirror.polarimetry import (
     _project,
     export_polarization,
     load_frame_stack,
-    qwp_intensity,
-    save_frame_stack,
-    write_pgm,
 )
 
 ANGLES_OK = tuple(math.radians(22.5 * k) for k in range(9))
@@ -354,6 +352,20 @@ def test_frame_stack_manifest_errors(tmp_path):
         "# pixel_scale: 0.01\n# center: 1.0 1.0\nframe_000.pgm 0.0\nframe_001.pgm 90.0\n")
     with pytest.raises(FormatError, match="frame_001.pgm: frame shape"):
         load_frame_stack(ragged)
+
+
+@pytest.mark.parametrize("header", [
+    "# pixel_scale: x\n# center: 1 1\n",
+    "# pixel_scale: 0.01\n# center: 1 x\n",
+    "# pixel_scale: 0.01\n# center: 1 1\n# intensity_scale: x\n",
+], ids=["pixel-scale", "center", "intensity-scale"])
+def test_frame_stack_manifest_word_for_number_names_the_file(tmp_path, header):
+    write_pgm(tmp_path / "frame_000.pgm", np.zeros((4, 4)))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(header + "frame_000.pgm 0.0\n")
+    with pytest.raises(FormatError) as err:
+        load_frame_stack(tmp_path)
+    assert str(err.value) == f"{manifest}: could not convert string to float: 'x'"
 
 
 def test_frame_stack_refuses_truncated_frames_and_bad_maxval(tmp_path, doughnut_stack):
