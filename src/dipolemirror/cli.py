@@ -405,20 +405,14 @@ def cmd_stokes(args, config: ToolkitConfig):
     manifest = config.get("stokes", "manifest")
     if manifest is None:
         raise ConfigError("[stokes] manifest is required")
-    stack = _read_input(manifest, lambda: polarimetry.load_frame_stack(manifest))
+    stokes, n_frames = _read_input(manifest, lambda: polarimetry.load_stokes(manifest))
     noise_floor = config.get_float("stokes", "noise_floor", 0.01)
     trim = config.get_float("stokes", "trim_outer", 0.0)
-    frame_info = f"{len(stack.angles_rad)} at {stack.frames.shape[1]}x{stack.frames.shape[2]} px"
-    stokes = polarimetry.stokes_from_frames(stack)
-    # the frames, and then the Stokes rows, are read no further; free them
-    # before the scoring temporaries
-    del stack
-    pmap = polarimetry.ellipse_angles(stokes, noise_floor)
-    del stokes
-    scored = polarimetry.measured_overlap(pmap, aperture, trim_outer=trim)
+    frame_info = f"{n_frames} at {stokes.s0.shape[0]}x{stokes.s0.shape[1]} px"
+    scan = polarimetry.scan_annulus(stokes, aperture, noise_floor, trim)
+    # every refusal is made by now, so a refused run makes no --out directory
     out = _out_dir(args)
-    if out is not None:
-        polarimetry.export_polarization(pmap, out / "stokes")
+    scored = polarimetry.score_annulus(scan, None if out is None else out / "stokes")
     body = [
         f"  frames: {frame_info}, manifest {manifest}",
         f"  annulus coverage: {scored.coverage:.4f} ({scored.n_pixels} px), outer trim {trim}",

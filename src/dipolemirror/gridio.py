@@ -9,13 +9,15 @@ constants, frame manifests) has one whitespace-separated row per line
 and '# key: value' comment lines for its metadata; ``read_table`` reads
 them all.
 
-Each format has one reader and one writer: ``write_grid`` and
+Each format has one reader and one writer: ``GridWriter`` and
 ``read_grid`` for grids, ``write_table`` and ``read_table`` for column
-tables of floats. Tables with other columns, Zernike expansions (integer
-indices) and frame manifests (file names), are written by their owners'
-save functions. Both writers write every value as Python's
-``f"{v:.9e}"`` would, byte for byte, through one row writer. It builds
-that text a block of rows at a time with array operations. Each value
+tables of floats. A ``GridWriter`` takes a grid a block of rows at a
+time, so its owner never needs to hold the whole grid. Tables with other
+columns, Zernike expansions (integer indices) and frame manifests (file
+names), are written by their owners' save functions. Both writers write
+every value as Python's ``f"{v:.9e}"`` would, byte for byte, through one
+row writer. It builds that text a block of rows at a time with array
+operations. Each value
 gets a 16-byte record of four ``uint32`` words, gathered from lookup
 tables by its digits and exponent:
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
-__all__ = ["write_grid", "read_grid", "write_table", "read_table"]
+__all__ = ["GridWriter", "read_grid", "write_table", "read_table"]
 
 _BLOCK_VALUES = 1 << 16
 # scaled = |v| * 10**(9 - e) for the estimated exponents e in [-100, 100]
@@ -125,45 +127,75 @@ def _format_block(values: np.ndarray):
     return words.tobytes().translate(None, b"\0") if compact else words
 
 
-def _write_file(path, first_line: str, values: np.ndarray):
-    """Write one comment line, then the rows of a 2-d array, a block of rows at a time."""
+def _write_rows(fh, values: np.ndarray):
+    """Write the rows of a 2-d array, a block of rows at a time."""
     rows, cols = values.shape
-    with open(path, "wb") as fh:
-        fh.write(("# " + first_line + "\n").encode("ascii"))
-        if cols == 0:
-            fh.write(b"\n" * rows)
-            return
-        block_rows = max(1, _BLOCK_VALUES // cols)
-        for start in range(0, rows, block_rows):
-            fh.write(_format_block(values[start:start + block_rows]))
+    if cols == 0:
+        fh.write(b"\n" * rows)
+        return
+    block_rows = max(1, _BLOCK_VALUES // cols)
+    for start in range(0, rows, block_rows):
+        fh.write(_format_block(values[start:start + block_rows]))
 
 
-def write_grid(path, values: np.ndarray, header: dict):
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise DomainError("grid must be two-dimensional")
-    meta = dict(header)
-    meta["rows"], meta["cols"] = (int(k) for k in values.shape)
-    _write_file(path, json.dumps(meta, sort_keys=True), values)
+class GridWriter:
+    """A grid file of a given shape, written a block of rows at a time.
+
+    Opening it writes the header line, with the grid's rows and cols;
+    ``write`` appends a (k, cols) block of rows. Leaving the ``with``
+    block closes the file, and refuses a grid left short of its rows.
+    """
+
+    def __init__(self, path, shape: tuple, header: dict):
+        meta = dict(header)
+        meta["rows"], meta["cols"] = (int(k) for k in shape)
+        self._rows_left, self._cols = meta["rows"], meta["cols"]
+        self._fh = open(path, "wb")
+        self._fh.write(("# " + json.dumps(meta, sort_keys=True) + "\n").encode("ascii"))
+
+    def write(self, rows: np.ndarray):
+        values = np.asarray(rows, dtype=float)
+        if values.ndim != 2 or values.shape[1] != self._cols:
+            raise DomainError(f"grid rows must form a (k, {self._cols}) block")
+        if values.shape[0] > self._rows_left:
+            raise DomainError("more rows than the grid's header declares")
+        _write_rows(self._fh, values)
+        self._rows_left -= values.shape[0]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._fh.close()
+        if exc_type is None and self._rows_left:
+            raise DomainError(f"grid closed {self._rows_left} rows short of its header")
 
 
 def write_table(path, comment: str, *columns):
     """Write equal-length columns side by side under the line '# comment'."""
-    _write_file(path, comment, np.column_stack(columns).astype(float))
+    with open(path, "wb") as fh:
+        fh.write(("# " + comment + "\n").encode("ascii"))
+        _write_rows(fh, np.column_stack(columns).astype(float))
 
 
 def read_grid(path):
-    """Return (values, header) from a grid file written by write_grid."""
+    """Return (values, header) from a grid file written by a GridWriter."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("# {"):
             raise FormatError(f"{path}: missing JSON header line")
         try:
             header = json.loads(first[2:])
-            shape = (header.get("rows"), header.get("cols"))
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        shape = (header.get("rows"), header.get("cols"))
+        # JSON true is a Python int; a count must be a JSON integer
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise FormatError(f"{path}: grid header rows and cols must be non-negative "
+                              f"integers, got {json.dumps(shape[0])} and {json.dumps(shape[1])}")
+        try:
             # a grid without values leaves loadtxt nothing to read
-            sized = all(isinstance(n, int) and n >= 0 for n in shape)
-            values = (np.empty(shape) if sized and 0 in shape and not fh.read().split()
+            values = (np.empty(shape) if 0 in shape and not fh.read().split()
                       else np.loadtxt(path, dtype=float, comments="#", ndmin=2))
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc

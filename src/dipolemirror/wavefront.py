@@ -659,8 +659,12 @@ def load_phase_map(path) -> PhaseMap:
     values, header = read_grid(path)
     if "wavelength_nm" not in header:
         raise FormatError(f"{path}: header lacks wavelength_nm")
+    raw = header["wavelength_nm"]
     try:
-        wavelength_nm = float(header["wavelength_nm"])
+        wavelength_nm = float(raw)
+        # float() also takes JSON true and the string "633"
+        if isinstance(raw, (bool, str)):
+            raise ValueError(f"must be a JSON number, not {type(raw).__name__!r}")
     except (TypeError, ValueError) as exc:
         # a JSON header may hold a list, null or a word where the number belongs
         raise FormatError(f"{path}: wavelength_nm: {exc}") from None

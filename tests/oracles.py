@@ -3,9 +3,11 @@
 Everything here is written from first principles (explicit Mueller
 matrices, brute-force quadrature) rather than by calling back into the
 package code paths under test, so a disagreement points at the package
-and not at a shared helper. The one exception is ``focal_field``, which
+and not at a shared helper. There are two exceptions. ``focal_field``
 resolves its aberration argument with the package's resolver: that input
-handling is what the focal-field tests exercise through it.
+handling is what the focal-field tests exercise through it. And
+``load_frame_stack`` hands the frames it reads to the package's
+``FrameStack``, whose checks are the refusals a frame stack must meet.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from dipolemirror.errors import DomainError
 from dipolemirror.focalfield import _resolve_aberration
 from dipolemirror.geometry import rho_from_theta
+from dipolemirror.polarimetry import FrameStack
 
 
 # ------------------------------------------------------------ polarimetry
@@ -169,6 +172,30 @@ def read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(raw[m.end():], dtype=">u2" if maxval > 255 else "u1",
                            count=rows * cols)
     return pixels.reshape(rows, cols).astype(float) / maxval
+
+
+def load_frame_stack(directory):
+    """The frames a manifest lists, read whole into one FrameStack.
+
+    Each frame is its pixels over maxval (``read_pgm``), and the stack is
+    multiplied by the manifest's intensity_scale.
+    """
+    directory = Path(directory)
+    manifest = directory / "manifest.txt" if directory.is_dir() else directory
+    header, angles, frames = {}, [], []
+    for line in manifest.read_text().splitlines():
+        meta = re.match(r"#\s*(\w+):(.*)", line)
+        if meta:
+            header[meta.group(1)] = meta.group(2).strip()
+        elif line.strip() and not line.startswith("#"):
+            name, angle = line.split()
+            angles.append(math.radians(float(angle)))
+            frames.append(read_pgm(manifest.parent / name))
+    with np.errstate(invalid="ignore"):  # inf times a dark pixel: nan, which FrameStack refuses
+        frames = np.stack(frames) * float(header.get("intensity_scale", 1))
+    return FrameStack(angles_rad=angles, frames=frames,
+                      pixel_scale=float(header["pixel_scale"]),
+                      center=tuple(float(v) for v in header["center"].split()))
 
 
 # ------------------------------------------------------------------ grids

@@ -27,7 +27,7 @@ from dipolemirror import (
     temporal_overlap,
 )
 from dipolemirror.cli import _fmt, main
-from dipolemirror.polarimetry import ellipse_angles, load_frame_stack, stokes_from_frames
+from dipolemirror.polarimetry import ellipse_angles, stokes_from_frames
 from dipolemirror.temporal import _TAIL_BUILDUPS, T1, T2
 from dipolemirror.wavefront import load_expansion
 
@@ -437,7 +437,7 @@ def test_stokes_output_is_unchanged(tmp_path, capsys, stack_dir):
     assert [machine_pairs(flagged)[k] for k in keys] == [
         "0.9845613981", "0.9845613981", "0.9845613981", "1", "44372"]
     # the exported grids are the per-value text of the polarization map
-    stack = load_frame_stack(stack_dir)
+    stack = oracles.load_frame_stack(stack_dir)
     pmap = ellipse_angles(stokes_from_frames(stack), noise_floor=0.0)
     meta = {"pixel_scale": pmap.pixel_scale, "center_row": pmap.center[0],
             "center_col": pmap.center[1]}
@@ -723,6 +723,12 @@ def test_refused_input_values_exit_2_with_one_error_line(tmp_path, capsys, comma
     ("zernike", "[zernike]\nmap_file = {}\n",
      '# {{"cols": 2, "rows": 2, "wavelength_nm": "x"}}\n0.1 0.2\n0.3 0.4\n',
      "wavelength_nm: could not convert string to float: 'x'"),
+    ("zernike", "[zernike]\nmap_file = {}\n",
+     '# {{"cols": 2, "rows": 2, "wavelength_nm": true}}\n0.1 0.2\n0.3 0.4\n',
+     "wavelength_nm: must be a JSON number, not 'bool'"),
+    ("zernike", "[zernike]\nmap_file = {}\n",
+     '# {{"cols": 2, "rows": true, "wavelength_nm": 633}}\n0.1 0.2\n',
+     "grid header rows and cols must be non-negative integers, got true and 2"),
     ("stokes", "[stokes]\nmanifest = {}\n", "# center: 2 2\nframe_000.pgm 0\n",
      "manifest lacks pixel_scale or center"),
     ("stokes", "[stokes]\nmanifest = {}\n", _MANIFEST.format("x"),
@@ -731,7 +737,8 @@ def test_refused_input_values_exit_2_with_one_error_line(tmp_path, capsys, comma
      "{}/truncated.pgm: truncated PGM: 4 x 4 pixels need 32 bytes, found 16"),
 ], ids=["zernike-headerless", "zernike-fractional-index", "mode-word-for-number",
         "constants-unsourced", "map-headerless", "map-wavelength-list", "map-wavelength-null",
-        "map-wavelength-word", "manifest-headerless", "manifest-word-for-pixel-scale",
+        "map-wavelength-word", "map-wavelength-boolean", "map-rows-boolean",
+        "manifest-headerless", "manifest-word-for-pixel-scale",
         "manifest-truncated-pgm"])
 def test_malformed_input_files_exit_3_with_one_error_line(tmp_path, capsys, command, config,
                                                           text, message):

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from dipolemirror import DomainError, FormatError, gridio
-from dipolemirror.gridio import read_grid, write_grid, write_table
+from dipolemirror.gridio import GridWriter, read_grid, write_table
 
 HEADER = {"kind": "test", "wavelength_nm": 633.0}
 
@@ -35,6 +35,12 @@ values = st.one_of(
     neighbours,
     neighbours.map(lambda v: -v),
 )
+
+
+def write_grid(path, grid, header):
+    """A whole grid through the row writer, as one block."""
+    with GridWriter(path, np.shape(grid), header) as writer:
+        writer.write(grid)
 
 
 def written_bytes(tmp_path, grid):
@@ -207,3 +213,40 @@ def test_read_grid_names_the_file_of_a_header_that_is_not_json(tmp_path):
     with pytest.raises(FormatError, match="Expecting property name") as err:
         read_grid(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ("true", "3"), ("2", "false"), ('"2"', "3"), ("2.0", "3"), ("-1", "3"), ("null", "3"),
+])
+def test_read_grid_refuses_counts_that_are_not_json_integers(tmp_path, rows, cols):
+    # JSON true is a Python int and 2.0 compares equal to 2; neither counts rows
+    path = tmp_path / "grid.txt"
+    path.write_text(f'# {{"cols": {cols}, "rows": {rows}}}\n1 2 3\n')
+    with pytest.raises(FormatError) as err:
+        read_grid(path)
+    assert str(err.value) == (f"{path}: grid header rows and cols must be non-negative "
+                              f"integers, got {rows} and {cols}")
+
+
+def test_grid_writer_appends_blocks_of_rows(tmp_path):
+    rng = np.random.default_rng(23)
+    grid = rng.normal(size=(11, 4)) * 10.0 ** rng.integers(-120, 120, (11, 4))
+    grid[2, 3], grid[7, 0] = math.nan, -math.inf
+    path = tmp_path / "grid.txt"
+    with GridWriter(path, grid.shape, HEADER) as writer:
+        for start, stop in ((0, 1), (1, 5), (5, 5), (5, 11)):
+            writer.write(grid[start:stop])
+    assert path.read_bytes() == oracles.grid_text(grid, HEADER).encode("ascii")
+
+
+def test_grid_writer_refuses_rows_that_do_not_fit_its_header(tmp_path):
+    path = tmp_path / "grid.txt"
+    with pytest.raises(DomainError, match=r"\(k, 3\) block"):
+        with GridWriter(path, (2, 3), HEADER) as writer:
+            writer.write(np.zeros((1, 4)))
+    with pytest.raises(DomainError, match="more rows"):
+        with GridWriter(path, (2, 3), HEADER) as writer:
+            writer.write(np.zeros((3, 3)))
+    with pytest.raises(DomainError, match="1 rows short"):
+        with GridWriter(path, (2, 3), HEADER) as writer:
+            writer.write(np.zeros((1, 3)))

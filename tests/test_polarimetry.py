@@ -1,10 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import math
-import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,12 +21,15 @@ from dipolemirror import (
     doughnut_profile,
     ellipse_angles,
     measured_overlap,
+    polarimetry,
     stokes_from_frames,
 )
+from dipolemirror.cli import main
 from dipolemirror.polarimetry import (
     _project,
-    export_polarization,
-    load_frame_stack,
+    load_stokes,
+    scan_annulus,
+    score_annulus,
 )
 
 ANGLES_OK = tuple(math.radians(22.5 * k) for k in range(9))
@@ -179,6 +183,21 @@ def test_orientation_stays_below_pi():
     assert psi[0, 0] == 0.0
 
 
+def test_orientation_fold_is_np_mod_bit_for_bit():
+    # the fold adds pi below zero and 0.0 elsewhere, as np.mod(psi, pi)
+    # does on [-pi/2, pi/2], down to the sign of a zero
+    rng = np.random.default_rng(9)
+    s1 = np.concatenate([rng.normal(size=2000), [1.0, 1.0, -1.0, -1.0, 0.0, -0.0, 1.0]])
+    s2 = np.concatenate([rng.normal(size=2000), [0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -1e-17]])
+    ones = np.ones((1, s1.size))
+    psi = ellipse_angles(StokesMap(s0=ones, s1=s1[None], s2=s2[None], s3=0 * ones,
+                                   pixel_scale=1.0, center=(0, 0)), 0.0).psi[0]
+    expected = np.mod(0.5 * np.arctan2(s2, s1), math.pi)
+    expected[expected >= math.pi] = 0.0
+    assert np.array_equal(psi, expected)
+    assert np.array_equal(np.signbit(psi), np.signbit(expected))
+
+
 def test_ellipse_angles_noise_floor():
     s = np.zeros((4, 1, 3))
     s[0] = [[1.0, 0.005, 0.5]]
@@ -279,7 +298,9 @@ def test_measured_overlap_refuses_poor_coverage(doughnut_stack, aperture):
     assert 0.05 < err.value.missing_fraction < 1.0
     # a sector masked out of the full map: 4 % of the annulus passes, 6 % not
     full = ellipse_angles(smap, 0.0)
-    rho, phi = full.grid_polar()
+    y = (np.arange(full.s0.shape[0])[:, None] - full.center[0]) * full.pixel_scale
+    x = (np.arange(full.s0.shape[1])[None, :] - full.center[1]) * full.pixel_scale
+    rho, phi = np.hypot(x, y), np.arctan2(y, x)
     annulus = (rho >= aperture.rho_bore) & (rho <= aperture.rho_max)
     narrow = annulus & (np.abs(phi) < 0.04 * math.pi)
     result = measured_overlap(dataclasses.replace(full, mask=full.mask & ~narrow), aperture)
@@ -314,22 +335,21 @@ def test_pgm_roundtrip(tmp_path):
 def test_frame_stack_file_roundtrip(tmp_path, doughnut_stack):
     stack, _ = doughnut_stack
     save_frame_stack(stack, tmp_path / "stack")
-    back = load_frame_stack(tmp_path / "stack")
+    back = oracles.load_frame_stack(tmp_path / "stack")
     assert back.angles_rad == pytest.approx(stack.angles_rad, abs=1e-9)
     assert back.pixel_scale == pytest.approx(stack.pixel_scale, rel=1e-9)
     assert back.center == pytest.approx(stack.center, abs=1e-3)
     scale = stack.frames.max()
     assert np.abs(back.frames - stack.frames).max() < 1.5e-5 * scale
-    # loading through the manifest path changes nothing
-    via_manifest = load_frame_stack(tmp_path / "stack" / "manifest.txt")
-    assert np.array_equal(via_manifest.frames, back.frames)
-    assert via_manifest.angles_rad == back.angles_rad
-    # the in-place decode is bit for bit the per-frame read, stacked and scaled
-    manifest = (tmp_path / "stack" / "manifest.txt").read_text()
-    intensity = float(re.search(r"intensity_scale: (\S+)", manifest).group(1))
-    frames = sorted((tmp_path / "stack").glob("*.pgm"))
-    per_frame = np.stack([oracles.read_pgm(p) for p in frames])
-    assert np.array_equal(back.frames, per_frame * intensity)
+    # the row-block decode and inversion is bit for bit the whole stack's,
+    # read one frame at a time, through the directory or its manifest
+    whole = stokes_from_frames(back)
+    for path in (tmp_path / "stack", tmp_path / "stack" / "manifest.txt"):
+        stokes, n_frames = load_stokes(path)
+        assert n_frames == len(stack.angles_rad)
+        for name in ("s0", "s1", "s2", "s3"):
+            assert np.array_equal(getattr(stokes, name), getattr(whole, name))
+        assert (stokes.pixel_scale, stokes.center) == (whole.pixel_scale, whole.center)
 
 
 def test_frame_stack_manifest_errors(tmp_path):
@@ -337,13 +357,13 @@ def test_frame_stack_manifest_errors(tmp_path):
     missing_meta.mkdir()
     (missing_meta / "manifest.txt").write_text("frame_000.pgm 0.0\n")
     with pytest.raises(FormatError):
-        load_frame_stack(missing_meta)
+        load_stokes(missing_meta)
     no_frames = tmp_path / "b"
     no_frames.mkdir()
     (no_frames / "manifest.txt").write_text(
         "# pixel_scale: 0.01\n# center: 1.0 1.0\n")
     with pytest.raises(FormatError):
-        load_frame_stack(no_frames)
+        load_stokes(no_frames)
     ragged = tmp_path / "c"
     ragged.mkdir()
     write_pgm(ragged / "frame_000.pgm", np.zeros((4, 5)))
@@ -351,7 +371,7 @@ def test_frame_stack_manifest_errors(tmp_path):
     (ragged / "manifest.txt").write_text(
         "# pixel_scale: 0.01\n# center: 1.0 1.0\nframe_000.pgm 0.0\nframe_001.pgm 90.0\n")
     with pytest.raises(FormatError, match="frame_001.pgm: frame shape"):
-        load_frame_stack(ragged)
+        load_stokes(ragged)
 
 
 @pytest.mark.parametrize("header", [
@@ -364,7 +384,7 @@ def test_frame_stack_manifest_word_for_number_names_the_file(tmp_path, header):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(header + "frame_000.pgm 0.0\n")
     with pytest.raises(FormatError) as err:
-        load_frame_stack(tmp_path)
+        load_stokes(tmp_path)
     assert str(err.value) == f"{manifest}: could not convert string to float: 'x'"
 
 
@@ -377,22 +397,24 @@ def test_frame_stack_refuses_truncated_frames_and_bad_maxval(tmp_path, doughnut_
     payload = 2 * rows * cols
     frame.write_bytes(raw[:len(raw) - payload // 2])
     with pytest.raises(FormatError, match="truncated") as err:
-        load_frame_stack(tmp_path)
+        load_stokes(tmp_path)
     message = str(err.value)
     assert message.startswith(str(frame))
     assert f"{payload} bytes, found {payload - payload // 2}" in message
     for maxval in (0, 65536):
         frame.write_bytes(raw.replace(b"\n65535\n", f"\n{maxval}\n".encode(), 1))
         with pytest.raises(FormatError, match=f"maxval {maxval} outside 1-65535"):
-            load_frame_stack(tmp_path)
+            load_stokes(tmp_path)
 
 
-def test_export_polarization(tmp_path, doughnut_stack):
+def test_score_annulus_writes_the_map_grids(tmp_path, doughnut_stack, aperture):
     stack, _ = doughnut_stack
-    pmap = ellipse_angles(stokes_from_frames(stack), 0.01)
+    smap = stokes_from_frames(stack)
+    pmap = ellipse_angles(smap, 0.01)
     # psi carries nan outside the mask and chi takes both signs
     assert np.isnan(pmap.psi).any() and (pmap.chi < 0).any()
-    export_polarization(pmap, tmp_path / "beam")
+    # trimmed, so that the noise floor leaves the annulus covered
+    score_annulus(scan_annulus(smap, aperture, 0.01, 0.3), tmp_path / "beam")
     meta = {"pixel_scale": pmap.pixel_scale, "center_row": pmap.center[0],
             "center_col": pmap.center[1]}
     for suffix, values, kind in ((".s0.txt", pmap.s0, "intensity"),
@@ -400,3 +422,141 @@ def test_export_polarization(tmp_path, doughnut_stack):
                                  (".chi.txt", pmap.chi, "ellipticity_rad")):
         expected = oracles.grid_text(values, {**meta, "kind": kind})
         assert (tmp_path / ("beam" + suffix)).read_bytes() == expected.encode("ascii")
+
+
+# angle sets for the property test below: a good one, then one refusal each
+# of FrameStack (four distinct angles, a span short of pi) and of
+# stokes_from_frames (five distinct angles that give two distinct rows)
+_ANGLE_SETS = {
+    "ok": [22.5 * k for k in range(9)],
+    "four": [0.0, 45.0, 90.0, 180.0, 180.0],
+    "narrow": [20.0 * k for k in range(6)],
+    "rank": [0.0, 90.0, 180.0, 270.0, 360.0],
+}
+
+
+@st.composite
+def frame_files(draw):
+    """A small frame stack, as its manifest and PGM files would hold it.
+
+    Heights straddle the block boundaries of a drawn block height, whole
+    blocks of rows may be dark, and the manifest may carry a fault.
+    """
+    block = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from(sorted({1, max(block - 1, 1), block + 1, 2 * block + 3})))
+    cols = draw(st.sampled_from([1, 1, 2, 3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    intensity = rng.uniform(0.3, 1.0, (rows, cols))
+    n_blocks = (rows - 1) // block + 1
+    for k in draw(st.sets(st.integers(0, n_blocks - 1), max_size=n_blocks - 1)):
+        intensity[k * block:(k + 1) * block] = 0.0
+    if draw(st.sampled_from([False] * 16 + [True])):
+        intensity[:] = 0.0
+    if draw(st.booleans()):
+        intensity[rng.random((rows, cols)) < 0.05] = 0.0
+    center = (draw(st.floats(-1.0, rows)), draw(st.floats(-1.0, cols)))
+    pixel_scale = 10.0 * draw(st.floats(0.3, 3.0)) / max(rows, cols)
+    y = (np.arange(rows)[:, None] - center[0]) * pixel_scale
+    x = (np.arange(cols)[None, :] - center[1]) * pixel_scale
+    psi = np.arctan2(y, x) + rng.normal(0.0, 0.3, (rows, cols))
+    chi = rng.normal(0.0, 0.1, (rows, cols))
+    dop = rng.uniform(0.8, 1.0, (rows, cols))
+    stokes = intensity * np.stack([np.ones_like(psi),
+                                   dop * np.cos(2 * chi) * np.cos(2 * psi),
+                                   dop * np.cos(2 * chi) * np.sin(2 * psi),
+                                   dop * np.sin(2 * chi)])
+    angles = _ANGLE_SETS[draw(st.sampled_from(["ok"] * 16 + sorted(_ANGLE_SETS)))]
+    frames = np.maximum(np.stack([oracles.polarimeter_frame(stokes, math.radians(t))
+                                  for t in angles]), 0.0)
+    scale = float(frames.max()) or 1.0
+    return {
+        "block": block, "frames": frames / scale, "angles": angles,
+        "scale": draw(st.sampled_from([scale] * 16 + [-1.0, math.nan, math.inf])),
+        "pixel_scale": draw(st.sampled_from([pixel_scale] * 16 + [-pixel_scale])),
+        "center": center,
+        "noise_floor": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 1.2))),
+        "trim_outer": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 1.2))),
+    }
+
+
+def _write_frame_files(directory, case):
+    directory.mkdir()
+    lines = [f"# intensity_scale: {case['scale']!r}", f"# pixel_scale: {case['pixel_scale']!r}",
+             f"# center: {case['center'][0]!r} {case['center'][1]!r}"]
+    for k, (angle, frame) in enumerate(zip(case["angles"], case["frames"])):
+        write_pgm(directory / f"frame_{k:03d}.pgm", frame)
+        lines.append(f"frame_{k:03d}.pgm {angle!r}")
+    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except (CoverageError, DeterminacyError, DomainError) as exc:
+        return None, exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=frame_files())
+def test_row_block_pass_is_the_whole_array_reduction(tmp_path_factory, aperture, case):
+    """The CLI's two passes over blocks of rows give the whole-array functions'
+    figures and grids bit for bit, and refuse what they refuse, before any
+    --out directory exists."""
+    base = tmp_path_factory.mktemp("stack")
+    _write_frame_files(base / "frames", case)
+    noise_floor, trim = case["noise_floor"], case["trim_outer"]
+
+    def whole(stokes):
+        pmap = ellipse_angles(stokes, noise_floor)
+        return pmap, measured_overlap(pmap, aperture, trim)
+
+    def row_blocks():
+        stokes = load_stokes(base / "frames")[0]
+        loaded.append(stokes)
+        return score_annulus(scan_annulus(stokes, aperture, noise_floor, trim), None)
+
+    loaded = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polarimetry, "_BLOCK_PIXELS", case["block"] * case["frames"].shape[2])
+        blocked, refusal = _outcome(row_blocks)
+        config = base / "stokes.ini"
+        config.write_text(f"[stokes]\nmanifest = {base / 'frames'}\n"
+                          f"noise_floor = {noise_floor!r}\ntrim_outer = {trim!r}\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["stokes", "--config", str(config), "--out", str(base / "out")])
+    stokes, expected_refusal = _outcome(
+        lambda: stokes_from_frames(oracles.load_frame_stack(base / "frames")))
+    if stokes is not None:
+        # the Stokes maps themselves, whether or not the scoring refuses them
+        for name in ("s0", "s1", "s2", "s3"):
+            assert np.array_equal(getattr(loaded[0], name), getattr(stokes, name))
+        expected, expected_refusal = _outcome(lambda: whole(stokes))
+    event(type(expected_refusal).__name__ if expected_refusal else "scored")
+    if expected_refusal is not None:
+        assert type(refusal) is type(expected_refusal)
+        assert str(refusal) == str(expected_refusal)
+        if isinstance(expected_refusal, CoverageError):
+            assert refusal.missing_fraction == expected_refusal.missing_fraction
+        assert code == 2 and not (base / "out").exists()
+        assert stderr.getvalue().endswith(f"{expected_refusal}\n")
+        return
+    pmap, scored = expected
+    assert refusal is None and code == 0
+    assert blocked == scored  # eta, eta_rectified, coverage and pixel count, bit for bit
+    meta = {"pixel_scale": pmap.pixel_scale, "center_row": pmap.center[0],
+            "center_col": pmap.center[1]}
+    for suffix, values, kind in ((".s0.txt", pmap.s0, "intensity"),
+                                 (".psi.txt", pmap.psi, "orientation_rad"),
+                                 (".chi.txt", pmap.chi, "ellipticity_rad")):
+        expected_text = oracles.grid_text(values, {**meta, "kind": kind})
+        assert (base / "out" / f"stokes{suffix}").read_text() == expected_text
+
+
+def test_load_stokes_refuses_a_frame_without_pixels(tmp_path):
+    (tmp_path / "frame_000.pgm").write_bytes(b"P5\n0 4\n65535\n")
+    (tmp_path / "manifest.txt").write_text(
+        "# pixel_scale: 0.01\n# center: 1 1\nframe_000.pgm 0.0\n")
+    with pytest.raises(FormatError) as err:
+        load_stokes(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'frame_000.pgm'}: PGM of 4 x 0 pixels holds no image"

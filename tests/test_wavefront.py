@@ -526,7 +526,9 @@ def test_phase_map_file_roundtrip(tmp_path):
     ("[633]", "float() argument must be a string or a real number, not 'list'"),
     ("null", "float() argument must be a string or a real number, not 'NoneType'"),
     ('"x"', "could not convert string to float: 'x'"),
-], ids=["list", "null", "word"])
+    ("true", "must be a JSON number, not 'bool'"),
+    ('"633"', "must be a JSON number, not 'str'"),
+], ids=["list", "null", "word", "boolean", "numeral-string"])
 def test_phase_map_header_wavelength_that_is_no_number_names_the_file(tmp_path, value,
                                                                        message):
     # the JSON header may hold any value where the wavelength belongs
