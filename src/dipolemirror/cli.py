@@ -21,8 +21,16 @@ them. So a process that runs many reports, one figure each, pays for the
 waist and the pulse once; ``pulse`` itself still models and exports the
 whole pulse on every call.
 
-Configuration is a line-oriented key=value file with [section] headers;
-built-in defaults fill the rest, so commands that only need the default
+Configuration is an INI-style file, read in one pass. Its grammar:
+blank lines; full-line comments starting with '#' or ';'; unique,
+case-sensitive '[section]' headers; and 'key = value' or 'key: value'
+lines within a section. A line splits at its first '=' or ':'. The key
+is stripped and lowercased; the value is stripped and keeps any '#' or
+';' in it, so there are no inline comments. Anything else is refused
+with ConfigError naming the file and line: a key before any section, a
+repeated section or key, a line with no delimiter, an empty key, an
+indented line (so no continuation lines) and a '[DEFAULT]' section.
+Built-in defaults fill the rest, so commands that only need the default
 mirror run without any config. The one flag that changes a figure,
 ``stokes --rectify``, sets no config value, so the config digest does
 not cover it.
@@ -43,12 +51,10 @@ in a file or not; 3 missing or malformed files; 4 non-convergence.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import hashlib
 import math
 import sys
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,14 +98,45 @@ class ToolkitConfig:
 
     @classmethod
     def load(cls, path) -> "ToolkitConfig":
-        parser = configparser.ConfigParser(interpolation=None)
+        """Read a config file in the grammar of the module docstring."""
         try:
-            parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+            text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        sections = {s: dict(parser.items(s)) for s in parser.sections()}
+        sections, pairs = {}, None
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            stripped = line.strip()
+            if not stripped or line[0] in "#;":
+                continue
+            if line[0].isspace():
+                problem = "an indented line (continuation lines are not accepted)"
+            elif line[0] == "[":
+                name = stripped[1:-1]
+                if not name or stripped[-1] != "]":
+                    problem = f"{stripped!r} is not a [section] header"
+                elif name == "DEFAULT":
+                    problem = "a [DEFAULT] section is not accepted"
+                elif name in sections:
+                    problem = f"section [{name}] repeated"
+                else:
+                    pairs = sections[name] = {}
+                    continue
+            else:
+                eq, colon = line.find("="), line.find(":")
+                cut = colon if eq < 0 or 0 <= colon < eq else eq
+                key = line[:cut].strip().lower()
+                if cut < 0:
+                    problem = f"{stripped!r} has no '=' or ':'"
+                elif not key:
+                    problem = f"{stripped!r} has an empty key"
+                elif pairs is None:
+                    problem = f"key {key!r} before any [section]"
+                elif key in pairs:
+                    problem = f"key {key!r} repeated in its section"
+                else:
+                    pairs[key] = line[cut + 1:].strip()
+                    continue
+            raise ConfigError(f"{path}:{lineno}: {problem}")
         return cls(sections=sections)
 
     @classmethod
@@ -679,6 +716,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _fail(args, exc, code: int) -> int:
     if getattr(args, "verbose", False):
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
     print(f"error: {exc}", file=sys.stderr)
     return code

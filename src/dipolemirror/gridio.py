@@ -75,6 +75,8 @@ _TAIL = _digit_words(b"###e")  # [q % 1000]
 _EXPONENT = np.concatenate([_words("nan "), _digit_words(b"-## ")[99:0:-1],
                             _digit_words(b"+## ")[:100], _words("inf ")])  # [e + 100]
 _MINUS = _words("\0\0\0-")[0]
+# a table's '# key: value' header line
+_HEADER = re.compile(r"\s*#\s*(\w+):(.*)")
 
 
 def _format_block(values: np.ndarray):
@@ -216,10 +218,11 @@ def read_table(path, columns: str, parse):
     header, rows = {}, []
     width = len(columns.split())
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        m = re.match(r"\s*#\s*(\w+):(.*)", raw)
+        data, hash_mark, _ = raw.partition("#")
+        m = hash_mark and _HEADER.match(raw)
         if m:
             header[m.group(1)] = m.group(2).strip()
-        fields = raw.split("#", 1)[0].split()
+        fields = data.split()
         if not fields:
             continue
         if len(fields) != width:

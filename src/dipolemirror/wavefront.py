@@ -157,6 +157,32 @@ def _unit_phasor(phi):
     return out
 
 
+@lru_cache(maxsize=8)
+def _axis_tables(rho: bytes, phi: bytes):
+    """The read-only (powers, angular) tables of tensor axes rho (n, 1) and phi (1, k).
+
+    The axes come as their bytes, the cache's key. powers[:, j] is rho^j,
+    and angular[_angular_row(m)] is cos(m phi), or sin(|m| phi) for m < 0,
+    for every order up to _MAX_DEGREE, by the same expressions as an
+    evaluation that builds only its own orders. Built once per node grid:
+    every Strehl level and the pv_rms grid reuse them.
+    """
+    rho = np.frombuffer(rho)[:, None]
+    phi = np.frombuffer(phi)[None, :]
+    # rho^|m| as numpy computes it for a scalar exponent: rho^2 is a
+    # product, not pow
+    powers = np.hstack([rho ** k for k in range(_MAX_DEGREE + 1)])
+    every = range(-_MAX_DEGREE, _MAX_DEGREE + 1)
+    angular = np.vstack([row for _, row in _harmonics(every, _unit_phasor(phi))])
+    powers.flags.writeable = angular.flags.writeable = False
+    return powers, angular
+
+
+def _angular_row(m: int) -> int:
+    """The row of order m in _axis_tables' angular table, in _harmonics' order."""
+    return 2 * abs(m) - (m > 0)
+
+
 # points per pass of the elementwise sum, so that each order's temporaries
 # stay in cache
 _BLOCK = 1 << 14
@@ -168,9 +194,10 @@ def _sum_orders(orders: dict, rho, phi):
     orders maps each azimuthal order m to its terms' values c_k, indexed by
     k = (n - |m|)/2. On tensor axes, rho (n, 1) and phi (1, k), one
     Clenshaw pass in rho^2 evaluates all K orders' radial columns, and one
-    (n x K) @ (K x k) product with the angular rows sums them. Any other
-    layout costs each order one Clenshaw pass and one product with its
-    angular factor, over the broadcast points a block at a time.
+    (n x K) @ (K x k) product with the angular rows sums them; the rho^|m|
+    columns and the angular rows come from the grid's cached tables. Any
+    other layout costs each order one Clenshaw pass and one product with
+    its angular factor, over the broadcast points a block at a time.
     """
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -178,18 +205,17 @@ def _sum_orders(orders: dict, rho, phi):
     if not orders:
         return np.zeros(shape)
     if rho.ndim == phi.ndim == 2 and rho.shape[1] == phi.shape[0] == 1:
-        ms, angulars = zip(*_harmonics(orders, _unit_phasor(phi)))
+        powers, angular = _axis_tables(rho.tobytes(), phi.tobytes())
+        # the orders in the table's order, which the product sums in
+        ms = sorted(orders, key=_angular_row)
         # every order's values as one zero-padded column: a column's sums stay
         # +0 down to its own top, so one pass is bit-equal to one per order
         top = max(len(orders[m]) for m in ms)
         values = np.array([orders[m] + [0.0] * (top - len(orders[m])) for m in ms]).T
-        radials = _clenshaw(values, rho * rho, tuple(abs(m) for m in ms),
-                            np.empty((3, rho.shape[0], len(ms))))
-        # rho^|m| as numpy computes it for a scalar exponent: rho^2 is a
-        # product, not pow
-        for column, m in enumerate(ms):
-            radials[:, column:column + 1] *= rho ** abs(m)
-        return radials @ np.vstack(angulars)
+        degrees = tuple(abs(m) for m in ms)
+        radials = _clenshaw(values, rho * rho, degrees, np.empty((3, rho.shape[0], len(ms))))
+        radials *= powers[:, degrees]
+        return radials @ angular[[_angular_row(m) for m in ms]]
     out = np.zeros(shape)
     flat = out.reshape(-1)
     rho, phi = (np.broadcast_to(a, shape).reshape(-1) for a in (rho, phi))

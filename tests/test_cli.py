@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import hashlib
 import io
@@ -26,7 +27,7 @@ from dipolemirror import (
     errors,
     temporal_overlap,
 )
-from dipolemirror.cli import _fmt, main
+from dipolemirror.cli import ToolkitConfig, _fmt, main
 from dipolemirror.polarimetry import ellipse_angles, stokes_from_frames
 from dipolemirror.temporal import _TAIL_BUILDUPS, T1, T2
 from dipolemirror.wavefront import load_expansion
@@ -132,10 +133,14 @@ def test_a_subcommand_runs_only_its_layers(tmp_path, argv, config, loaded):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n"
             "print(sorted(name for name, m in sys.modules.items()\n"
-            "             if name.startswith('dipolemirror.') and type(m) is types.ModuleType))")
+            "             if name.startswith('dipolemirror.') and type(m) is types.ModuleType))\n"
+            "print(sorted(name for name in ('configparser', 'traceback') if name in sys.modules))")
     run = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == str([f"dipolemirror.{name}" for name in ["cli", *loaded]])
+    layers, stdlib = run.stdout.splitlines()
+    assert layers == str([f"dipolemirror.{name}" for name in ["cli", *loaded]])
+    # the config reader needs no configparser, and only --verbose a traceback
+    assert stdlib == "[]"
 
 
 def test_traced_pulse_wraps_the_lazy_layers(tmp_path):
@@ -518,6 +523,59 @@ def test_malformed_numbers_exit_2_with_one_error_line(tmp_path, capsys, text, me
     assert code == 2 and out == ""
     [line] = err.splitlines()  # one line, no traceback
     assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("focal_length_mm = 2.1\n[aperture]\n", 1),
+    ("[aperture]\nfocal_length_mm = 2.1\n\n[aperture]\n", 4),
+    ("[aperture]\nfocal_length_mm = 2.1\nFocal_Length_mm: 2.2\n", 3),
+    ("[aperture]\n# the rim\nouter_radius_mm 10.0\n", 3),
+    ("[aperture]\n= 2.1\n", 2),
+    ("[aperture]\n  focal_length_mm = 2.1\n", 2),
+    ("[aperture]\nfocal_length_mm =\n    2.1\n", 3),
+    ("[aperture]\n  # an indented comment\n", 2),
+    ("[DEFAULT]\nfocal_length_mm = 2.1\n", 1),
+    ("[aperture] # the mirror\n", 1),
+    ("[]\n", 1),
+], ids=["key-before-section", "duplicate-section", "duplicate-key", "no-delimiter",
+        "empty-key", "indented-key", "continuation", "indented-comment", "default-section",
+        "header-with-text", "empty-header"])
+def test_config_refusals_exit_2_naming_the_line(tmp_path, capsys, text, lineno):
+    path = write_config(tmp_path, text)
+    code, out, err = run(capsys, "solid-angle", "--config", path)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {path}:{lineno}: ")
+
+
+_CONFIG_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+_CONFIG_KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_. -]*", fullmatch=True)
+_CONFIG_SECTION = st.tuples(
+    _CONFIG_TEXT.filter(lambda name: name and name != "DEFAULT"),
+    st.lists(st.tuples(_CONFIG_KEYS, st.sampled_from(["=", " = ", ":", ": ", "  =  "]),
+                       _CONFIG_TEXT),
+             unique_by=lambda pair: pair[0].strip().lower(), max_size=5),
+)
+_CONFIG_FILLER = st.lists(st.sampled_from(["", "   ", "# a comment", ";x = 1", "#[a]"]),
+                          max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sections=st.lists(_CONFIG_SECTION, unique_by=lambda section: section[0], max_size=4),
+       filler=st.data())
+def test_config_reads_as_configparser_does(tmp_path_factory, sections, filler):
+    lines = []
+    for name, pairs in sections:
+        lines += filler.draw(_CONFIG_FILLER) + [f"[{name}]"]
+        for key, delimiter, value in pairs:
+            lines += filler.draw(_CONFIG_FILLER) + [f"{key}{delimiter}{value}"]
+    text = "\n".join(lines + filler.draw(_CONFIG_FILLER)) + "\n"
+    path = tmp_path_factory.getbasetemp() / "property.ini"
+    path.write_text(text)
+    oracle = configparser.ConfigParser(interpolation=None)
+    oracle.read_string(text)
+    expected = {name: dict(oracle.items(name)) for name in oracle.sections()}
+    assert ToolkitConfig.load(path).sections == expected
 
 
 @pytest.fixture(scope="module")
@@ -968,7 +1026,12 @@ def test_config_digest_tracks_content(tmp_path, capsys):
     assert machine_pairs(out_again)["report.digest"] == digest_config
 
 
-def test_verbose_banner(capsys):
+def test_verbose_banner(tmp_path, capsys):
     code, _, err = run(capsys, "solid-angle", "--verbose")
     assert code == 0
     assert "solid-angle" in err
+    # a refusal under --verbose prints its traceback before the error line
+    config = write_config(tmp_path, "[DEFAULT]\n")
+    code, _, err = run(capsys, "solid-angle", "--verbose", "--config", config)
+    assert code == 2 and "Traceback (most recent call last)" in err
+    assert err.splitlines()[-1].startswith("error: ")

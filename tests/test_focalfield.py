@@ -329,10 +329,11 @@ def test_certified_strehl_is_gauss_256x512_to_rounding(doughnut, aperture, gauss
     assert res.peak_offset_lambda == pytest.approx(z_peak, abs=1e-9)
 
 
-# a warm loop of 50 Strehl calls as a report job makes them, in a fresh
+# warm loops of 50 Strehl calls as a report job makes them, and of 50
+# whole report jobs with every factor computed, each in a fresh
 # interpreter: no earlier test's threaded product is still spinning there.
-# OpenBLAS's threads also spin for about 0.1 s after numpy loads, so the
-# loop starts after a pause
+# OpenBLAS's threads also spin for about 0.1 s after numpy loads, so each
+# loop starts after a pause. A script gets a scratch directory as argv[1]
 _WARM_LOOP = """
 import time
 from dipolemirror import ApertureSpec, RadialMode, ZernikeExpansion, strehl
@@ -350,16 +351,47 @@ for _ in range(50):
 print(time.perf_counter() - wall, time.process_time() - cpu)
 """
 
+_WARM_REPORT = """
+import contextlib, io, sys, time
+from pathlib import Path
+from dipolemirror import ZernikeExpansion, cli
+from dipolemirror.wavefront import save_expansion
+directory = Path(sys.argv[1])
+figure = ZernikeExpansion(terms=tuple((n, m, 0.01) for n in range(11)
+                                      for m in range(-n, n + 1, 2)), wavelength_nm=369.5)
+save_expansion(figure, directory / "figure.txt")
+(directory / "toolkit.ini").write_text(
+    "[report]\\n" + "".join(f"{name} = compute\\n"
+                              for name in ("omega_fraction", "eta", "strehl", "eta_t"))
+    + f"[strehl]\\nzernike_file = {directory / 'figure.txt'}\\naluminum_phase = true\\n"
+    + "[pulse]\\nbuildup_ns = 5\\n")
+argv = ["report", "--config", str(directory / "toolkit.ini")]
 
-def test_warm_strehl_loop_runs_on_one_core():
+
+def jobs(count):
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(count):
+            assert cli.main(argv) == 0
+
+
+jobs(5)
+time.sleep(0.5)
+wall, cpu = time.perf_counter(), time.process_time()
+jobs(50)
+print(time.perf_counter() - wall, time.process_time() - cpu)
+"""
+
+
+@pytest.mark.parametrize("script", [_WARM_LOOP, _WARM_REPORT], ids=["strehl", "report"])
+def test_warm_strehl_loop_runs_on_one_core(tmp_path, script):
     # OpenBLAS threads even small products; its idle thread then spins on the
     # other core, so a BLAS-threaded product in the per-job Strehl path shows
     # as process CPU time beyond wall time
     src = str(Path(dipolemirror.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-c", _WARM_LOOP], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
     wall, cpu = map(float, run.stdout.split())
     assert cpu <= 1.5 * wall
 

@@ -1,7 +1,10 @@
-"""README's library example runs, and its comments state what it computes."""
+"""README's examples run: the library example computes the values its comments
+state, and the configuration example runs a report."""
 
 import re
 from pathlib import Path
+
+from dipolemirror.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,9 +20,11 @@ COMMENTED = [
 ]
 
 
-def _library_example() -> str:
-    """The indented block under '## Library example', dedented."""
-    lines = README.read_text().split("## Library example\n", 1)[1].splitlines()[1:]
+def _indented_block(after: str) -> str:
+    """The first indented block after the text ``after``, dedented."""
+    lines = README.read_text().split(after, 1)[1].splitlines()
+    while not lines[0].startswith("    "):
+        lines.pop(0)
     block = []
     for line in lines:
         if line and not line.startswith("    "):
@@ -28,8 +33,16 @@ def _library_example() -> str:
     return "\n".join(block)
 
 
+def test_configuration_example_runs_a_report(tmp_path, capsys):
+    config = tmp_path / "toolkit.ini"
+    config.write_text(_indented_block("Configuration is an INI-style file."))
+    assert main(["report", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "provenance.eta_t = computed: modeled pulse overlap from [pulse] inputs" in out
+
+
 def test_library_example_computes_its_commented_values():
-    code = _library_example()
+    code = _indented_block("## Library example\n")
     comments = " ".join(line.split("#", 1)[1] for line in code.splitlines() if "#" in line)
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)

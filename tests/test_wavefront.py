@@ -25,6 +25,7 @@ from dipolemirror import (
 )
 from dipolemirror.wavefront import (
     MISALIGNMENT_TERMS,
+    _axis_tables,
     _harmonics,
     _recurrence,
     _unit_phasor,
@@ -140,6 +141,11 @@ def test_tensor_sum_is_the_per_order_clenshaw_bit_for_bit(degree, data, n_rho, n
     rho = np.sort(rng.uniform(0.0, 1.0, n_rho))[:, None]
     phi = rng.uniform(-math.pi, math.pi, n_phi)[None, :]
     assert np.array_equal(zernike_eval(exp, rho, phi), _per_order_tensor_sum(exp, rho, phi))
+    # another expansion on the same grid reads the tables the first one built
+    part = ZernikeExpansion(terms=exp.terms[::2], wavelength_nm=632.8)
+    if any(v for _, _, v in part.terms):
+        assert np.array_equal(zernike_eval(part, rho, phi), _per_order_tensor_sum(part, rho, phi))
+    assert not any(table.flags.writeable for table in _axis_tables(rho.tobytes(), phi.tobytes()))
 
 
 def test_zernike_eval_keeps_the_broadcast_shape():
